@@ -17,11 +17,11 @@
  * Chip::infer loop, one worker, maxBatch = 8, full batches. Results
  * are bitwise identical either way (tests/batch_equivalence_test.cc).
  *
- * How much batching can win is workload-shaped. The exact per-lane
- * pair-count tally (the simulated counting hardware) is inherently
- * per-sample, and on the dense Table 2 stand-ins — whose first layer
- * has fan-in 561-784 — it is ~90% of batched inference time, so
- * Amdahl caps cross-request amortization near 1.2x there. Conv models
+ * How much batching can win is workload-shaped. The cell counts (the
+ * simulated counting hardware) are inherently per-sample, and on the
+ * dense Table 2 stand-ins — whose first layer has fan-in 561-784 —
+ * the dense tally that builds them is most of the inference time, so
+ * cross-request amortization stays small there. Conv models
  * are the amortization-friendly shape: small per-window fan-in with
  * per-column shared work (window clip gathers, counting-cycle hints,
  * weight-half of pair-key construction) that inferBatch does once for

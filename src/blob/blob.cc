@@ -243,15 +243,17 @@ encodeLayer(Writer &w, const RLayer &layer,
         w.put(0);
     }
 
-    // Format v2: packed (uint8) twins of the weight-code arrays for
-    // layers whose codebooks fit 256 entries, precomputed so the SIMD
-    // kernel paths map them zero-copy instead of narrowing at
-    // configure time.
+    // Packed (uint8) weight codes for layers whose codebooks fit 256
+    // entries, precomputed so the SIMD kernel paths map them zero-copy
+    // instead of narrowing at configure time. Dense layers store the
+    // dense tally's padded input-major rows (format v3); they need
+    // only the weight codebook to pack, since input codes are grouped,
+    // not narrowed.
     const bool packs = layerPacks(layer);
-    if (layer.kind == RLayerKind::Dense && packs) {
+    if (layer.kind == RLayerKind::Dense &&
+        layer.weightCodebooks[0].size() <= 256) {
         w.put(1);
-        w.put(w.add(SectionKind::U8,
-                    narrowU8(columns.data(), columns.size())));
+        w.put(w.add(SectionKind::U8, composer::denseRows8Of(layer)));
     } else {
         w.put(0);
     }
@@ -405,15 +407,15 @@ validateDerived(const RLayer &layer)
                       layer.recHColumns.size(), " != state codes ",
                       layer.stateWeightCodes[0].size());
     }
-    if (!layer.denseColumns8.empty()) {
+    if (!layer.denseRows8.empty()) {
         RAPIDNN_CHECK(layer.kind == RLayerKind::Dense,
-                      "model blob: packed dense columns on a non-dense "
+                      "model blob: packed dense rows on a non-dense "
                       "layer");
-        RAPIDNN_CHECK(layer.denseColumns8.size() ==
-                          layer.weightCodes[0].size(),
-                      "model blob: packed dense column count ",
-                      layer.denseColumns8.size(), " != weight codes ",
-                      layer.weightCodes[0].size());
+        const size_t want =
+            layer.inCount * composer::denseRowStride(layer.outCount);
+        RAPIDNN_CHECK(layer.denseRows8.size() == want,
+                      "model blob: packed dense row table of ",
+                      layer.denseRows8.size(), " codes != ", want);
     }
     if (!layer.weightCodes8.empty()) {
         RAPIDNN_CHECK(layer.kind == RLayerKind::Conv,
@@ -616,12 +618,19 @@ readLayer(const Parsed &p, MetaCursor &cur, size_t depth)
     // v1 blobs (whose streams end a layer right after the conv plan)
     // still parse; sizes are pinned in validateDerived and element
     // equality against the 16-bit arrays is re-checked by the RNA
-    // layer context before the codes are ever dispatched on.
+    // layer context before the codes are ever dispatched on. The
+    // dense slot holds the padded input-major rows from v3 on; a v2
+    // file's neuron-major packed columns are type-checked and left
+    // unused, and the context derives the rows from weightCodes at
+    // configure time.
     if (p.version >= 2) {
-        if (cur.flag("has packed dense columns"))
-            layer.denseColumns8 = p.view<uint8_t>(
-                cur.next("packed dense columns"), SectionKind::U8,
-                "packed dense columns");
+        if (cur.flag("has packed dense codes")) {
+            Array<uint8_t> dense = p.view<uint8_t>(
+                cur.next("packed dense codes"), SectionKind::U8,
+                "packed dense codes");
+            if (p.version >= 3)
+                layer.denseRows8 = std::move(dense);
+        }
         count = cur.bounded("packed weight code blocks",
                             kMaxBlockCount);
         for (uint64_t i = 0; i < count; ++i)

@@ -39,11 +39,15 @@ constexpr uint32_t kBlobMagic = 0x424E4E52;
 /**
  * Version 2 adds packed (uint8) weight-code sections (SectionKind::U8)
  * for layers whose codebooks fit 256 entries, feeding the SIMD kernel
- * paths without a narrowing pass at load time. The loader still reads
- * version-1 files (the packed fields are version-gated in the meta
- * stream); the writer always emits the current version.
+ * paths without a narrowing pass at load time. Version 3 changes the
+ * dense layers' packed section from neuron-major columns to the dense
+ * tally's input-major rows, padded to 8-neuron groups. The loader
+ * still reads version-1 and -2 files (the packed fields are
+ * version-gated in the meta stream; a v2 dense section is ignored and
+ * the rows are derived at configure); the writer always emits the
+ * current version.
  */
-constexpr uint32_t kBlobVersion = 2;
+constexpr uint32_t kBlobVersion = 3;
 constexpr uint32_t kMinBlobVersion = 1;
 constexpr uint32_t kHeaderBytes = 64;
 constexpr uint32_t kSectionEntryBytes = 24;

@@ -55,6 +55,9 @@ struct CpuFeatures
 {
     bool avx2 = false;
     bool avx512 = false;  //!< AVX-512 F and BW
+    /** AVX-512 VPOPCNTDQ: the dense tally's hardware popcount; without
+     *  it the AVX-512 tally counts bits through a nibble table. */
+    bool avx512vpopcntdq = false;
     bool neon = false;
 };
 
@@ -67,6 +70,9 @@ cpuFeatures()
         probe.avx2 = __builtin_cpu_supports("avx2") != 0;
         probe.avx512 = __builtin_cpu_supports("avx512f") != 0 &&
                        __builtin_cpu_supports("avx512bw") != 0;
+        probe.avx512vpopcntdq =
+            probe.avx512 &&
+            __builtin_cpu_supports("avx512vpopcntdq") != 0;
 #elif defined(__aarch64__)
         probe.neon = true;
 #endif
@@ -129,6 +135,48 @@ featureString()
     return s;
 }
 
+/** Neurons one dense-tally group covers (one u64 lane each). */
+inline constexpr size_t kDenseGroup = 8;
+
+/**
+ * One call of KernelOps::denseTally: a range of 8-neuron groups of one
+ * dense layer for one batch lane.
+ *
+ * The lane's fan-in indices arrive grouped by input code (`order`,
+ * split into non-empty buckets by `bucketStart`), so within a bucket
+ * every edge shares its input code u and a neuron's (w, u) counts are
+ * just the histogram of its weight codes over the bucket. The kernel
+ * keeps that histogram for 8 neurons at once as bit-sliced counter
+ * planes (one u64 per neuron and plane, bit w of plane p = bit p of
+ * count(w, u)) and reads it out at bucket end: `distinct` grows by the
+ * popcount of the OR of the planes, `addends` by popcount(c ^ 3c)
+ * taken across the planes, which is the number of non-zero digits in
+ * the non-adjacent form of c (csdTerms[c]). `sums` is the int64 sum of
+ * the padded products over all edges, order-free and exact.
+ *
+ * Outputs are written for every neuron of [groupBegin * 8,
+ * groupEnd * 8), padding neurons included, neuron groupBegin * 8 + k
+ * at index k; weight codes must be below maskWords * 64 (at most 256
+ * entries).
+ */
+struct DenseTallyJob
+{
+    const uint8_t *rows;          //!< [fanIn][rowStride] weight codes
+    size_t rowStride;             //!< neurons padded to kDenseGroup
+    const uint32_t *order;        //!< fan-in indices grouped by code
+    const uint32_t *bucketStart;  //!< [buckets + 1] offsets into order
+    const uint16_t *bucketCode;   //!< input code of each bucket
+    size_t buckets;               //!< non-empty buckets only
+    const int64_t *products;      //!< padded table at (w << shift) | u
+    uint32_t shift;
+    uint32_t maskWords;           //!< ceil(weight entries / 64), 1..4
+    size_t groupBegin;
+    size_t groupEnd;
+    int64_t *sums;                //!< product sum per neuron, no bias
+    uint32_t *distinct;           //!< non-zero (w, u) cells per neuron
+    uint32_t *addends;            //!< CSD terms over those cells
+};
+
 /**
  * The kernel dispatch table: one function pointer per hot-loop
  * primitive, filled by the per-ISA translation units under
@@ -153,10 +201,6 @@ struct KernelOps
     /** keys[i] = (w[i] << shift) | x[i] over 8-bit packed codes. */
     void (*pairKeys8)(const uint8_t *w, const uint8_t *x, size_t n,
                       uint32_t shift, uint16_t *keys);
-
-    /** keys[i] = (w[i] << shift) | x[i] over 16-bit codes. */
-    void (*pairKeys16)(const uint16_t *w, const uint16_t *x, size_t n,
-                       uint32_t shift, uint32_t *keys);
 
     /** dst[i] = uint8_t(src[i]); caller guarantees src[i] < 256. */
     void (*narrow)(const uint16_t *src, size_t n, uint8_t *dst);
@@ -203,10 +247,6 @@ struct KernelOps
     int64_t (*gatherSum16)(const int64_t *table, const uint16_t *keys,
                            size_t n);
 
-    /** 32-bit-key twin of gatherSum16 (the 16-bit-code keyed path). */
-    int64_t (*gatherSum32)(const int64_t *table, const uint32_t *keys,
-                           size_t n);
-
     /**
      * Batch-lane twin of pairKeys8: for every lane L < lanes,
      * keys[L * keyStride + i] = (w[i] << shift) | xs[L][i] over
@@ -221,6 +261,14 @@ struct KernelOps
                            const uint8_t *const *xs, size_t lanes,
                            size_t n, uint32_t shift, uint16_t *keys,
                            size_t keyStride);
+
+    /**
+     * The dense-layer tally (see DenseTallyJob): counts, CSD terms and
+     * product sums of 8 neurons at a time, held in registers. Every
+     * variant writes bitwise-identical outputs; only `rows` is read
+     * through `order` and only the job's group range is written.
+     */
+    void (*denseTally)(const DenseTallyJob &job);
 };
 
 /** Alignment of every kernel scratch buffer (one cache line). */

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -83,21 +84,35 @@ class Summary
 
 /**
  * Exact q-quantile (0 <= q <= 1) of a sample, with linear
- * interpolation between order statistics. Sorts a copy; meant for
- * end-of-run roll-ups (latency p50/p95/p99), not hot paths.
+ * interpolation between order statistics: the value at position
+ * q * (n - 1) of the sorted sample. Selects the two order statistics
+ * it reads with nth_element (O(n), no full sort). Reorders xs;
+ * repeated calls on the same vector stay correct.
  */
 inline double
-percentile(std::vector<double> xs, double q)
+percentileInPlace(std::vector<double> &xs, double q)
 {
     if (xs.empty())
         return 0.0;
-    std::sort(xs.begin(), xs.end());
     q = std::clamp(q, 0.0, 1.0);
     const double pos = q * static_cast<double>(xs.size() - 1);
     const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, xs.size() - 1);
     const double frac = pos - static_cast<double>(lo);
-    return xs[lo] + (xs[hi] - xs[lo]) * frac;
+    const auto loIt = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(xs.begin(), loIt, xs.end());
+    const double low = *loIt;
+    // Everything after lo is >= xs[lo]; the next order statistic is
+    // the smallest of them.
+    const double high = lo + 1 < xs.size()
+        ? *std::min_element(loIt + 1, xs.end()) : low;
+    return low + (high - low) * frac;
+}
+
+/** percentileInPlace() on a copy, leaving the caller's sample as is. */
+inline double
+percentile(std::vector<double> xs, double q)
+{
+    return percentileInPlace(xs, q);
 }
 
 /** Fixed-range linear histogram. */

@@ -437,6 +437,22 @@ denseColumnsOf(const RLayer &layer)
     return columns;
 }
 
+std::vector<uint8_t>
+denseRows8Of(const RLayer &layer)
+{
+    RAPIDNN_ASSERT(!layer.weightCodes.empty(), "layer without weights");
+    RAPIDNN_ASSERT(layer.weightCodebooks[0].size() <= 256,
+                   "dense rows need a weight codebook of <= 256 entries");
+    const auto &codes = layer.weightCodes[0];
+    const size_t stride = denseRowStride(layer.outCount);
+    std::vector<uint8_t> rows(layer.inCount * stride, 0);
+    for (size_t i = 0; i < layer.inCount; ++i)
+        for (size_t j = 0; j < layer.outCount; ++j)
+            rows[i * stride + j] =
+                static_cast<uint8_t>(codes[i * layer.outCount + j]);
+    return rows;
+}
+
 std::vector<uint16_t>
 recXColumnsOf(const RLayer &layer)
 {

@@ -121,16 +121,19 @@ struct RLayer
     Array<uint16_t> recHColumns;
 
     /**
-     * Packed (uint8) twins of the deploy-time weight-code arrays, for
-     * layers whose codebooks fit 256 entries: denseColumns8 mirrors
-     * denseColumns, weightCodes8 the per-channel conv weightCodes, and
-     * recX/recHColumns8 the recurrent column transposes. Blob format
-     * v2 precomputes them into the file; heap models leave them empty
-     * (the RNA layer contexts narrow at configure time). Loaded values
-     * are untrusted and validated element-wise against the 16-bit
-     * arrays.
+     * Packed (uint8) weight codes for the SIMD kernel paths, for
+     * layers whose codebooks fit 256 entries. denseRows8 is the
+     * input-major dense matrix the dense tally reads, weightCodes[0]
+     * narrowed with each row padded to denseRowStride(outCount)
+     * neurons (padding codes are 0) — see denseRows8Of(). weightCodes8
+     * mirrors the per-channel conv weightCodes and recX/recHColumns8
+     * the recurrent column transposes. The blob format precomputes
+     * them into the file (dense rows from version 3); heap models
+     * leave them empty and the RNA layer contexts derive them at
+     * configure time. Loaded values are untrusted and validated
+     * element-wise against the 16-bit arrays.
      */
-    Array<uint8_t> denseColumns8;
+    Array<uint8_t> denseRows8;
     std::vector<Array<uint8_t>> weightCodes8;
     Array<uint8_t> recXColumns8;
     Array<uint8_t> recHColumns8;
@@ -242,6 +245,22 @@ class ReinterpretedModel
 std::vector<uint16_t> denseColumnsOf(const RLayer &layer);
 std::vector<uint16_t> recXColumnsOf(const RLayer &layer);
 std::vector<uint16_t> recHColumnsOf(const RLayer &layer);
+
+/** Neurons per packed dense row: outCount rounded up to the dense
+ *  tally's 8-neuron group. */
+inline size_t
+denseRowStride(size_t outCount)
+{
+    return (outCount + 7) / 8 * 8;
+}
+
+/**
+ * The packed input-major dense matrix: row i holds the uint8 weight
+ * codes of input i for every neuron, [i * denseRowStride(outCount) +
+ * j], with padding neurons at code 0. Requires a weight codebook of
+ * at most 256 entries.
+ */
+std::vector<uint8_t> denseRows8Of(const RLayer &layer);
 
 /** Output shape of one layer for a given input shape. */
 nn::Shape layerOutputShape(const RLayer &layer, const nn::Shape &in);

@@ -218,26 +218,6 @@ AccumScratch::adderCostFor(size_t addendCount, size_t resultBits,
     return _adderCost[addendCount];
 }
 
-/** Overload pair so the key-type template below picks the matching
- *  gather-sum kernel. */
-namespace {
-
-inline int64_t
-gatherSumKeys(const simd::KernelOps &ops, const int64_t *table,
-              const uint16_t *keys, size_t n)
-{
-    return ops.gatherSum16(table, keys, n);
-}
-
-inline int64_t
-gatherSumKeys(const simd::KernelOps &ops, const int64_t *table,
-              const uint32_t *keys, size_t n)
-{
-    return ops.gatherSum32(table, keys, n);
-}
-
-} // namespace
-
 /**
  * Shared tally + reduction over precomputed pair keys. The counter
  * grid is the power-of-two padded [w << shift] key space; cells are
@@ -260,16 +240,15 @@ gatherSumKeys(const simd::KernelOps &ops, const int64_t *table,
  *    given, otherwise recomputed from keys >> shift (depths only
  *    grow, so the running max equals the final max).
  */
-template <typename Key>
 AccumResult
 AccumulationEngine::runOverKeys(const simd::KernelOps &ops,
-                                const Key *keys, size_t fanIn,
+                                const uint16_t *keys, size_t fanIn,
                                 double bias, AccumScratch &scratch,
                                 const uint32_t *countingCycles) const
 {
     AccumResult result;
 
-    int64_t fixedSum = gatherSumKeys(ops, _padded, keys, fanIn);
+    int64_t fixedSum = ops.gatherSum16(_padded, keys, fanIn);
 
     const int32_t *terms = scratch.csdTerms.data();
     uint32_t *counters = scratch.counters.data();
@@ -443,17 +422,58 @@ AccumulationEngine::runPrekeyedLanes(const simd::KernelOps &,
 }
 
 AccumResult
-AccumulationEngine::runKeyed(const simd::KernelOps &ops,
-                             const uint16_t *weightCodes,
-                             const uint16_t *inputCodes, size_t fanIn,
-                             double bias, AccumScratch &scratch,
-                             const uint32_t *countingCycles) const
+AccumulationEngine::denseResult(int64_t sum, size_t distinct,
+                                size_t addends, uint32_t countingCycles,
+                                size_t fanIn, double bias,
+                                AccumScratch &scratch) const
 {
-    scratch.ensurePadded(_w, _shift, fanIn);
-    ops.pairKeys16(weightCodes, inputCodes, fanIn, _shift,
-                   scratch.keysWide.data());
-    return runOverKeys(ops, scratch.keysWide.data(), fanIn, bias,
-                       scratch, countingCycles);
+    AccumResult r;
+    r.value = _format.toReal(sum + _format.toFixed(bias));
+    r.distinctProducts = distinct;
+    r.addends = addends;
+    r.countingCycles = countingCycles;
+    r.cost.counting.cycles = countingCycles;
+    r.cost.counting.energy =
+        _model.counterIncrementEnergy * static_cast<double>(fanIn);
+    r.cost.fetch.cycles = distinct;
+    r.cost.fetch.energy =
+        _model.crossbarReadEnergy * static_cast<double>(distinct);
+    r.cost.adder = scratch.adderCostFor(addends + 1,
+                                        _format.accumulatorBits, _model);
+    return r;
+}
+
+void
+InputBuckets::reserve(size_t fanIn, size_t u)
+{
+    order.reserve(fanIn);
+    start.reserve(std::min(fanIn, u) + 1);
+    code.reserve(std::min(fanIn, u));
+    fill.reserve(u);
+}
+
+void
+InputBuckets::build(const uint16_t *x, size_t fanIn, size_t u)
+{
+    fill.assign(u, 0);
+    for (size_t i = 0; i < fanIn; ++i)
+        ++fill[x[i]];
+    code.clear();
+    start.clear();
+    uint32_t at = 0;
+    for (size_t c = 0; c < u; ++c) {
+        const uint32_t n = fill[c];
+        if (n == 0)
+            continue;
+        code.push_back(static_cast<uint16_t>(c));
+        start.push_back(at);
+        fill[c] = at;
+        at += n;
+    }
+    start.push_back(at);
+    order.resize(fanIn);
+    for (size_t i = 0; i < fanIn; ++i)
+        order[fill[x[i]]++] = static_cast<uint32_t>(i);
 }
 
 namespace {

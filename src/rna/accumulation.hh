@@ -101,9 +101,8 @@ struct AccumScratch
     std::vector<uint16_t> touchedWeights;
 
     // Kernel-path scratch: fused (w << shift) | u pair keys produced by
-    // KernelOps::pairKeys8/16 over one neuron's fan-in.
-    simd::AlignedVec<uint16_t> keys;      //!< packed (8-bit-code) path
-    simd::AlignedVec<uint32_t> keysWide;  //!< 16-bit-code path
+    // KernelOps::pairKeys8 over one neuron's fan-in.
+    simd::AlignedVec<uint16_t> keys;
 
     /**
      * csdTerms[c] = number of CSD terms in the signed-digit recoding of
@@ -146,7 +145,6 @@ struct AccumScratch
         if (touchedWeights.capacity() < w)
             touchedWeights.reserve(w);
         keys.ensure(maxFanIn);
-        keysWide.ensure(maxFanIn);
         if (csdTerms.size() <= maxFanIn)
             growCsdTerms(maxFanIn);
     }
@@ -175,6 +173,30 @@ struct AccumScratch
     size_t _adderCsaStageCycles = 0;
     size_t _adderCarryCycles = 0;
     Energy _adderNorEnergy{};
+};
+
+/**
+ * One batch lane's dense-layer fan-in grouped by input code, the
+ * counting sort the dense tally (KernelOps::denseTally) walks. Built
+ * once per lane and layer and shared by every neuron of the layer:
+ * `order` lists the fan-in indices bucket by bucket, ascending within
+ * a bucket; only non-empty buckets are kept. Buffers keep their
+ * capacity, so rebuilding at the same shape allocates nothing.
+ */
+struct InputBuckets
+{
+    std::vector<uint32_t> order;  //!< [fanIn] indices, grouped by code
+    std::vector<uint32_t> start;  //!< [buckets + 1] offsets into order
+    std::vector<uint16_t> code;   //!< [buckets] input code per bucket
+    std::vector<uint32_t> fill;   //!< [u] histogram, then cursors
+
+    /** Grow capacity for a fan-in over u input codes. */
+    void reserve(size_t fanIn, size_t u);
+
+    /** Group x[0..fanIn) (every code < u) by code. */
+    void build(const uint16_t *x, size_t fanIn, size_t u);
+
+    size_t buckets() const { return code.size(); }
 };
 
 /**
@@ -238,15 +260,6 @@ class AccumulationEngine
                           const uint32_t *countingCycles
                           = nullptr) const;
 
-    /** Kernel-path accumulation over 16-bit code arrays (codebooks too
-     *  large to pack); same equivalence contract as runPacked. */
-    AccumResult runKeyed(const simd::KernelOps &ops,
-                         const uint16_t *weightCodes,
-                         const uint16_t *inputCodes, size_t fanIn,
-                         double bias, AccumScratch &scratch,
-                         const uint32_t *countingCycles
-                         = nullptr) const;
-
     /**
      * Kernel-path accumulation over pair keys the caller already built
      * (KernelOps::pairKeys8Lanes writes one key stripe per batch lane
@@ -294,12 +307,25 @@ class AccumulationEngine
                           AccumResult *results) const;
 
     /**
+     * The AccumResult of one neuron from its dense-tally outputs
+     * (KernelOps::denseTally): `sum` is the product sum over the
+     * fan-in, `distinct` the non-zero (w, u) cells and `addends` their
+     * CSD terms. Bitwise-identical to runPacked over the neuron's
+     * codes — the same count-derived costs, and the same int64 value
+     * the gather-sum computes. `countingCycles` is the neuron's hoisted
+     * weightCountingCycles().
+     */
+    AccumResult denseResult(int64_t sum, size_t distinct, size_t addends,
+                            uint32_t countingCycles, size_t fanIn,
+                            double bias, AccumScratch &scratch) const;
+
+    /**
      * countingCycles for a fixed weight-code array: the counting phase
      * drains one buffer per distinct weight code per cycle, so its
      * cycle count is the deepest buffer — max over wc of |{i : wc_i ==
      * wc}| — a pure function of the weight codes that layer contexts
      * precompute once per neuron/channel and pass back into
-     * runPacked/runKeyed. Allocates; configure-time only.
+     * runPacked. Allocates; configure-time only.
      */
     uint32_t weightCountingCycles(const uint8_t *weightCodes,
                                   size_t fanIn) const;
@@ -331,9 +357,12 @@ class AccumulationEngine
     /** Padded [w << keyShift] cell count the kernel paths tally over. */
     size_t paddedCells() const { return _w << _shift; }
 
+    /** Fixed-point products indexed by pair key (w << keyShift) | u. */
+    const int64_t *paddedProducts() const { return _padded; }
+
   private:
-    template <typename Key>
-    AccumResult runOverKeys(const simd::KernelOps &ops, const Key *keys,
+    AccumResult runOverKeys(const simd::KernelOps &ops,
+                            const uint16_t *keys,
                             size_t fanIn, double bias,
                             AccumScratch &scratch,
                             const uint32_t *countingCycles) const;

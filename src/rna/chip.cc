@@ -83,6 +83,20 @@ stageHistogram(const char *stage)
     return other;
 }
 
+/**
+ * RNA waves a layer of `neurons` neurons takes: every neuron runs on
+ * its own RNA block, in waves when the layer exceeds the physical
+ * block count (or when sharing serializes).
+ */
+size_t
+rnaWaves(const ChipConfig &config, size_t neurons)
+{
+    const double effective = static_cast<double>(config.totalRnas())
+                           * (1.0 - config.rnaSharing);
+    return static_cast<size_t>(std::ceil(
+        static_cast<double>(neurons) / std::max(1.0, effective)));
+}
+
 /** Contiguous item range [begin, end) of one shard. */
 std::pair<size_t, size_t>
 shardRange(size_t items, size_t shard, size_t shards)
@@ -365,6 +379,22 @@ Chip::buildWorkspace()
             ws.lanePtrsH.reserve(mb);
             ws.stepWorstB.reserve(mb);
         }
+        // Dense-tally buffers (runDenseTally) for up to maxBatch
+        // lanes; single samples use lane 0.
+        size_t maxIn = 0, maxCodes = 0;
+        for (const auto &ctx : ctxs) {
+            if (!ctx->hasDenseRows())
+                continue;
+            maxIn = std::max(maxIn, ctx->layer().inCount);
+            maxCodes = std::max(maxCodes, ctx->layer().inputEntries());
+        }
+        if (maxIn > 0) {
+            ws.denseInputs.resize(mb);
+            for (InputBuckets &b : ws.denseInputs)
+                b.reserve(maxIn, maxCodes);
+            ws.laneCodes.reserve(mb);
+            ws.dense.ensure(mb);
+        }
         for (size_t i = 0; i < 4 * mb; ++i) {
             std::vector<uint16_t> buf;
             buf.reserve(maxElems);
@@ -422,6 +452,12 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
       case RLayerKind::Dense: {
         const RnaLayerContext &ctx =
             *_contexts->contexts[_contexts->byLayer.at(&layer)];
+        if (_kops != nullptr && _config.fastPath && ctx.hasDenseRows()) {
+            const uint16_t *codes = in.codes.data();
+            runDenseTally(layer, ctx, &codes, 1, lastCompute, ws, threads,
+                          &run);
+            break;
+        }
         run.output.shape = {layer.outCount};
         if (!layer.outputEncoder.empty()) {
             run.output.codes = ws.takeCodes();
@@ -434,89 +470,7 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
 
         const auto &codes = layer.weightCodes[0];
         uint64_t worstNeuron = 0;
-        const bool kernel = _kops != nullptr && _config.fastPath;
-        if (kernel) {
-            // Kernel path: phase-split execution. Phase A runs every
-            // neuron's weighted accumulation through the SIMD pair-key
-            // tally (packed uint8 codes when the codebooks fit, fused
-            // 16-bit keys otherwise); phases B/C batch the activation
-            // and encoding AM lookups over contiguous value ranges.
-            // Per-neuron costs land in ws.neuronCosts and the flat
-            // reduction below replays the serial accumulation order,
-            // so results stay bitwise identical to evaluateFast().
-            const bool packed = ctx.packed();
-            const uint8_t *x8 = nullptr;
-            if (packed) {
-                ws.act8.ensure(layer.inCount);
-                _kops->narrow(in.codes.data(), layer.inCount,
-                              ws.act8.data());
-                x8 = ws.act8.data();
-            }
-            ws.vals.ensure(layer.outCount);
-            if (ws.neuronCosts.size() < layer.outCount)
-                ws.neuronCosts.resize(layer.outCount);
-            auto evalRange = [&](size_t begin, size_t end,
-                                 AccumScratch &accum, uint32_t *keys,
-                                 uint32_t *rows) {
-                for (size_t j = begin; j < end; ++j) {
-                    const AccumResult a =
-                        packed ? ctx.accumulatePacked(
-                                     0, ctx.denseColumn8(j), x8,
-                                     layer.inCount, layer.bias[j],
-                                     accum)
-                               : ctx.accumulateKeyed(
-                                     0, ctx.denseColumn(j),
-                                     in.codes.data(), layer.inCount,
-                                     layer.bias[j], accum);
-                    ws.vals[j] = a.value;
-                    ws.neuronCosts[j] = NeuronCost{};
-                    ws.neuronCosts[j].weightedAccum = a.cost.total();
-                }
-                const size_t n = end - begin;
-                double *vals = ws.vals.data() + begin;
-                ctx.activateBatch(vals, vals, n, keys, rows);
-                if (ctx.hasActivation())
-                    for (size_t j = begin; j < end; ++j)
-                        ws.neuronCosts[j].activation +=
-                            ctx.activationQueryCost();
-                if (ctx.hasEncoder()) {
-                    ctx.encodeBatch(vals, n, keys, rows,
-                                    run.output.codes.data() + begin);
-                    for (size_t j = begin; j < end; ++j)
-                        ws.neuronCosts[j].encoding +=
-                            ctx.encodingQueryCost();
-                }
-                if (lastCompute)
-                    for (size_t j = begin; j < end; ++j)
-                        run.raw[j] = ws.vals[j];
-            };
-            if (intraOp) {
-                ws.ensureLanes(threads);
-                for (auto &lane : ws.lanes) {
-                    lane.amKeys.ensure(layer.outCount);
-                    lane.amRows.ensure(layer.outCount);
-                }
-                const size_t shards = shardCount(layer.outCount);
-                TaskPool::shared().run(
-                    shards, threads, [&](size_t shard, size_t lane) {
-                        const auto [begin, end] =
-                            shardRange(layer.outCount, shard, shards);
-                        IntraOpScratch &sc = ws.lanes[lane];
-                        evalRange(begin, end, sc.accum,
-                                  sc.amKeys.data(), sc.amRows.data());
-                    });
-            } else {
-                ws.amKeys.ensure(layer.outCount);
-                ws.amRows.ensure(layer.outCount);
-                evalRange(0, layer.outCount, ws.accum,
-                          ws.amKeys.data(), ws.amRows.data());
-            }
-            for (size_t j = 0; j < layer.outCount; ++j) {
-                run.cost += ws.neuronCosts[j];
-                worstNeuron = std::max(
-                    worstNeuron, ws.neuronCosts[j].total().cycles);
-            }
-        } else if (intraOp) {
+        if (intraOp) {
             // Shard the output-neuron loop over the fixed grid. Each
             // shard writes disjoint code/raw/cost slots with its
             // lane's private scratch; the flat reduction below then
@@ -571,15 +525,7 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
                 run.raw[j] = r.rawValue;
         }
         }
-        // All neurons run on parallel RNA blocks; waves when the layer
-        // exceeds the physical block count (or when sharing serializes).
-        const double effective =
-            static_cast<double>(_config.totalRnas())
-            * (1.0 - _config.rnaSharing);
-        const size_t waves = static_cast<size_t>(std::ceil(
-            static_cast<double>(layer.outCount)
-            / std::max(1.0, effective)));
-        run.stageCycles = worstNeuron * waves;
+        run.stageCycles = worstNeuron * rnaWaves(_config, layer.outCount);
         break;
       }
       case RLayerKind::Conv: {
@@ -1439,6 +1385,137 @@ Chip::finalizeReport(InferTally &t, size_t logitCount,
 }
 
 void
+Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
+                    const uint16_t *const *inputs, size_t lanes,
+                    bool lastCompute, Workspace &ws, size_t threads,
+                    LayerRun *runs) const
+{
+    constexpr size_t kPass = DenseTallyScratch::kNeurons;
+    constexpr size_t kGroupsPerPass = kPass / simd::kDenseGroup;
+    const size_t outCount = layer.outCount;
+    const size_t groups = ctx.denseRowStride() / simd::kDenseGroup;
+    for (size_t L = 0; L < lanes; ++L) {
+        runs[L] = LayerRun{};
+        runs[L].output.shape = {outCount};
+        if (!layer.outputEncoder.empty()) {
+            runs[L].output.codes = ws.takeCodes();
+            runs[L].output.codes.assign(outCount, 0);
+        }
+        if (lastCompute) {
+            runs[L].raw = ws.takeRaw();
+            runs[L].raw.assign(outCount, 0.0);
+        }
+    }
+
+    // Group every lane's fan-in by input code once; all neurons of the
+    // layer share the grouping.
+    if (ws.denseInputs.size() < lanes)
+        ws.denseInputs.resize(lanes);
+    for (size_t L = 0; L < lanes; ++L)
+        ws.denseInputs[L].build(inputs[L], layer.inCount,
+                                layer.inputEntries());
+    const bool hasAct = ctx.hasActivation();
+    const bool hasEnc = ctx.hasEncoder();
+    const nvm::OpCost actQ =
+        hasAct ? ctx.activationQueryCost() : nvm::OpCost{};
+    const nvm::OpCost encQ =
+        hasEnc ? ctx.encodingQueryCost() : nvm::OpCost{};
+
+    // Costs of neuron j, lane L are added to the lane's totals in
+    // increasing j (the serial per-neuron order, so the sums are
+    // bitwise identical); stageCycles holds the lane's worst neuron
+    // until the wave count scales it below.
+    auto reduce = [&](size_t L, const nvm::OpCost &wa) {
+        runs[L].cost.weightedAccum += wa;
+        if (hasAct)
+            runs[L].cost.activation += actQ;
+        if (hasEnc)
+            runs[L].cost.encoding += encQ;
+        runs[L].stageCycles = std::max(
+            runs[L].stageCycles, wa.cycles + actQ.cycles + encQ.cycles);
+    };
+
+    // One pass: up to 8 groups (a cache line of each weight row, hot
+    // across the lanes) tallied for every lane, turned into values and
+    // costs, then one activation/encoding batch lookup over the pass's
+    // (neuron x lane) slots. Serial passes run in neuron order and
+    // reduce costs at once; sharded passes stage them in accumCostB.
+    auto runPass = [&](size_t g, DenseTallyScratch &st,
+                       AccumScratch &accum, bool serial) {
+        const size_t gEnd = std::min(groups, g + kGroupsPerPass);
+        for (size_t L = 0; L < lanes; ++L)
+            ctx.denseTally(ws.denseInputs[L], g, gEnd,
+                           st.sums.data() + L * kPass,
+                           st.distinct.data() + L * kPass,
+                           st.addends.data() + L * kPass);
+        const size_t begin = g * simd::kDenseGroup;
+        const size_t n =
+            std::min(outCount, gEnd * simd::kDenseGroup) - begin;
+        for (size_t k = 0; k < n; ++k) {
+            for (size_t L = 0; L < lanes; ++L) {
+                const size_t at = L * kPass + k;
+                const AccumResult a = ctx.denseResult(
+                    begin + k, st.sums[at], st.distinct[at],
+                    st.addends[at], accum);
+                st.vals[k * lanes + L] = a.value;
+                if (serial)
+                    reduce(L, a.cost.total());
+                else
+                    ws.accumCostB[(begin + k) * lanes + L] =
+                        a.cost.total();
+            }
+        }
+        double *vals = st.vals.data();
+        ctx.activateBatch(vals, vals, n * lanes, st.amKeys.data(),
+                          st.amRows.data());
+        if (hasEnc) {
+            ctx.encodeBatch(vals, n * lanes, st.amKeys.data(),
+                            st.amRows.data(), st.codes.data());
+            for (size_t k = 0; k < n; ++k)
+                for (size_t L = 0; L < lanes; ++L)
+                    runs[L].output.codes[begin + k] =
+                        st.codes[k * lanes + L];
+        }
+        if (lastCompute)
+            for (size_t k = 0; k < n; ++k)
+                for (size_t L = 0; L < lanes; ++L)
+                    runs[L].raw[begin + k] = vals[k * lanes + L];
+    };
+
+    if (threads > 1) {
+        // Pass-aligned shards over the fixed grid: each shard owns
+        // whole passes across all batch lanes and writes disjoint
+        // code, raw and cost slots with its pool lane's scratch; the
+        // flat reduction below then replays the serial order.
+        const size_t passes = (groups + kGroupsPerPass - 1) / kGroupsPerPass;
+        ws.ensureLanes(threads);
+        for (auto &lane : ws.lanes)
+            lane.dense.ensure(lanes);
+        if (ws.accumCostB.size() < lanes * outCount)
+            ws.accumCostB.resize(lanes * outCount);
+        const size_t shards = shardCount(passes);
+        TaskPool::shared().run(
+            shards, threads, [&](size_t shard, size_t lane) {
+                const auto [pb, pe] = shardRange(passes, shard, shards);
+                IntraOpScratch &sc = ws.lanes[lane];
+                for (size_t p = pb; p < pe; ++p)
+                    runPass(p * kGroupsPerPass, sc.dense, sc.accum,
+                            false);
+            });
+        for (size_t L = 0; L < lanes; ++L)
+            for (size_t j = 0; j < outCount; ++j)
+                reduce(L, ws.accumCostB[j * lanes + L]);
+    } else {
+        ws.dense.ensure(lanes);
+        for (size_t g = 0; g < groups; g += kGroupsPerPass)
+            runPass(g, ws.dense, ws.accum, true);
+    }
+    const size_t waves = rnaWaves(_config, outCount);
+    for (size_t L = 0; L < lanes; ++L)
+        runs[L].stageCycles *= waves;
+}
+
+void
 Chip::runLayerBatch(const RLayer &layer,
                     const std::vector<EncodedTensor> &ins,
                     bool lastCompute, Workspace &ws, size_t threads,
@@ -1461,153 +1538,20 @@ Chip::runLayerBatch(const RLayer &layer,
                                threads);
     };
 
-    // RNA wave count, identical to runLayer's.
-    auto wavesFor = [&](size_t neurons) {
-        const double effective =
-            static_cast<double>(_config.totalRnas())
-            * (1.0 - _config.rnaSharing);
-        return static_cast<size_t>(std::ceil(
-            static_cast<double>(neurons) / std::max(1.0, effective)));
-    };
 
     switch (layer.kind) {
       case RLayerKind::Dense: {
         const RnaLayerContext &ctx =
             *_contexts->contexts[_contexts->byLayer.at(&layer)];
-        if (!(kernel && ctx.packed() && sameShape)) {
+        if (!(kernel && ctx.hasDenseRows() && sameShape)) {
             perLane();
             return;
         }
-        // Batched dense kernel path. Per output neuron j, the weight
-        // column is loaded once and pairKeys8Lanes writes one key
-        // stripe per batch lane from it; each lane's accumulation then
-        // replays runPacked over its own keys (the shared counting
-        // scratch is all-zero between runs, so serial reuse across
-        // lanes is exact). Values land neuron-major (j * lanes + L) so
-        // phases B/C batch the activation/encoding AM lookups over a
-        // contiguous (neuron x lane) range in one call per tile.
-        ctx.prepareWorkspace(ws);
-        const size_t inCount = layer.inCount;
-        const size_t outCount = layer.outCount;
-        for (size_t L = 0; L < lanes; ++L) {
-            runs[L] = LayerRun{};
-            runs[L].output.shape = {outCount};
-            if (!layer.outputEncoder.empty()) {
-                runs[L].output.codes = ws.takeCodes();
-                runs[L].output.codes.assign(outCount, 0);
-            }
-            if (lastCompute) {
-                runs[L].raw = ws.takeRaw();
-                runs[L].raw.assign(outCount, 0.0);
-            }
-        }
-        ws.actB8.ensure(lanes * inCount);
-        ws.lanePtrsX.resize(lanes);
-        for (size_t L = 0; L < lanes; ++L) {
-            uint8_t *dst = ws.actB8.data() + L * inCount;
-            _kops->narrow(ins[L].codes.data(), inCount, dst);
-            ws.lanePtrsX[L] = dst;
-        }
-        ws.valsB.ensure(lanes * outCount);
-        ws.codesB.ensure(lanes * outCount);
-        if (ws.accumCostB.size() < lanes * outCount)
-            ws.accumCostB.resize(lanes * outCount);
-        const uint32_t shift = ctx.keyShiftFor(0);
-        const bool hasAct = ctx.hasActivation();
-        const bool hasEnc = ctx.hasEncoder();
-
-        auto evalRange = [&](size_t begin, size_t end,
-                             AccumScratch &accum, uint16_t *keys,
-                             uint32_t *amK, uint32_t *amR,
-                             AccumResult *lr) {
-            for (size_t j = begin; j < end; ++j) {
-                _kops->pairKeys8Lanes(ctx.denseColumn8(j),
-                                      ws.lanePtrsX.data(), lanes,
-                                      inCount, shift, keys, inCount);
-                ctx.accumulatePrekeyedLanes(
-                    0, keys, inCount, lanes, inCount, layer.bias[j],
-                    accum, ctx.denseCountingHint(j), lr);
-                for (size_t L = 0; L < lanes; ++L) {
-                    const size_t slot = j * lanes + L;
-                    ws.valsB[slot] = lr[L].value;
-                    ws.accumCostB[slot] = lr[L].cost.total();
-                }
-            }
-            const size_t nb = (end - begin) * lanes;
-            double *vals = ws.valsB.data() + begin * lanes;
-            ctx.activateBatch(vals, vals, nb, amK, amR);
-            if (hasEnc) {
-                ctx.encodeBatch(vals, nb, amK, amR,
-                                ws.codesB.data() + begin * lanes);
-                for (size_t j = begin; j < end; ++j)
-                    for (size_t L = 0; L < lanes; ++L)
-                        runs[L].output.codes[j] =
-                            ws.codesB[j * lanes + L];
-            }
-            if (lastCompute)
-                for (size_t j = begin; j < end; ++j)
-                    for (size_t L = 0; L < lanes; ++L)
-                        runs[L].raw[j] = ws.valsB[j * lanes + L];
-        };
-        if (intraOp) {
-            // (output-neuron x lane) tiles over the fixed shard grid:
-            // a shard owns a contiguous neuron range across all batch
-            // lanes and writes disjoint value/code/cost slots with its
-            // pool lane's private scratch.
-            ws.ensureLanes(threads);
-            for (auto &lane : ws.lanes) {
-                ctx.prepareScratch(lane);
-                lane.keysB.ensure(lanes * inCount);
-                lane.amKeys.ensure(lanes * outCount);
-                lane.amRows.ensure(lanes * outCount);
-                if (lane.accumResB.size() < lanes)
-                    lane.accumResB.resize(lanes);
-            }
-            const size_t shards = shardCount(outCount);
-            TaskPool::shared().run(
-                shards, threads, [&](size_t shard, size_t lane) {
-                    const auto [begin, end] =
-                        shardRange(outCount, shard, shards);
-                    IntraOpScratch &sc = ws.lanes[lane];
-                    evalRange(begin, end, sc.accum, sc.keysB.data(),
-                              sc.amKeys.data(), sc.amRows.data(),
-                              sc.accumResB.data());
-                });
-        } else {
-            ws.keysB.ensure(lanes * inCount);
-            ws.amKeys.ensure(lanes * outCount);
-            ws.amRows.ensure(lanes * outCount);
-            if (ws.accumResB.size() < lanes)
-                ws.accumResB.resize(lanes);
-            evalRange(0, outCount, ws.accum, ws.keysB.data(),
-                      ws.amKeys.data(), ws.amRows.data(),
-                      ws.accumResB.data());
-        }
-        // Per-lane flat reduction in neuron order: bitwise-identical
-        // cost accumulation to the serial per-sample path. The
-        // activation/encoding query costs are per-layer constants, so
-        // they are re-added per neuron here (the serial path's exact
-        // addition sequence) instead of being staged per slot.
-        const nvm::OpCost actQ =
-            hasAct ? ctx.activationQueryCost() : nvm::OpCost{};
-        const nvm::OpCost encQ =
-            hasEnc ? ctx.encodingQueryCost() : nvm::OpCost{};
-        const size_t waves = wavesFor(outCount);
-        for (size_t L = 0; L < lanes; ++L) {
-            uint64_t worstNeuron = 0;
-            for (size_t j = 0; j < outCount; ++j) {
-                const nvm::OpCost &wa = ws.accumCostB[j * lanes + L];
-                runs[L].cost.weightedAccum += wa;
-                if (hasAct)
-                    runs[L].cost.activation += actQ;
-                if (hasEnc)
-                    runs[L].cost.encoding += encQ;
-                worstNeuron = std::max(
-                    worstNeuron,
-                    wa.cycles + actQ.cycles + encQ.cycles);
-            }
-            runs[L].stageCycles = worstNeuron * waves;
-        }
+        ws.laneCodes.resize(lanes);
+        for (size_t L = 0; L < lanes; ++L)
+            ws.laneCodes[L] = ins[L].codes.data();
+        runDenseTally(layer, ctx, ws.laneCodes.data(), lanes, lastCompute,
+                      ws, threads, runs.data());
         return;
       }
       case RLayerKind::Conv: {
@@ -1737,7 +1681,7 @@ Chip::runLayerBatch(const RLayer &layer,
             hasAct ? ctx.activationQueryCost() : nvm::OpCost{};
         const nvm::OpCost encQ =
             hasEnc ? ctx.encodingQueryCost() : nvm::OpCost{};
-        const size_t waves = wavesFor(flatNeurons);
+        const size_t waves = rnaWaves(_config, flatNeurons);
         for (size_t L = 0; L < lanes; ++L) {
             uint64_t worstNeuron = 0;
             for (size_t oidx = 0; oidx < flatNeurons; ++oidx) {

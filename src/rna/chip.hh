@@ -151,11 +151,12 @@ class Chip
     /**
      * Run a batch of samples through the chip, executing each layer
      * once for the whole batch so per-output-neuron work (weight-code
-     * column loads, fused pair-key construction, counting-cycle
-     * hints, AM batch lookups) is amortized across the batch lanes
-     * (KernelOps::pairKeys8Lanes builds every lane's keys from a
-     * single column load). Logits, codes and the per-lane PerfReports
-     * are bitwise identical to inputs.size() sequential infer() calls
+     * loads, fused pair-key construction, counting-cycle hints, AM
+     * batch lookups) is amortized across the batch lanes (the dense
+     * tally reads each weight-row slice once for all lanes;
+     * KernelOps::pairKeys8Lanes builds every conv and recurrent lane's
+     * keys from one weight load). Logits, codes and the per-lane
+     * PerfReports are bitwise identical to inputs.size() sequential infer() calls
      * at any thread count and SIMD variant
      * (tests/batch_equivalence_test.cc pins this). `reports` must
      * hold at least inputs.size() entries; returns one logits vector
@@ -252,6 +253,22 @@ class Chip
                       const composer::EncodedTensor &in,
                       bool lastCompute, Workspace &ws,
                       size_t threads) const;
+
+    /**
+     * The dense kernel path, for one sample (runLayer) or a batch
+     * (runLayerBatch): groups each lane's fan-in by input code, runs
+     * the dense tally over the layer's 8-neuron groups (sharded over
+     * the fixed intra-op grid when threads > 1), batches the
+     * activation and encoding lookups, and reduces each lane's costs
+     * in serial neuron order. runs[L] matches what the per-neuron fast
+     * path produces for inputs[L], bit for bit. Requires
+     * ctx.hasDenseRows().
+     */
+    void runDenseTally(const composer::RLayer &layer,
+                       const RnaLayerContext &ctx,
+                       const uint16_t *const *inputs, size_t lanes,
+                       bool lastCompute, Workspace &ws, size_t threads,
+                       LayerRun *runs) const;
 
     /**
      * Run one layer for a whole batch, filling runs[L] with exactly

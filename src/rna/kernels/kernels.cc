@@ -18,6 +18,10 @@ extern const simd::KernelOps kAvx2Ops;
 #endif
 #ifdef RAPIDNN_BUILD_AVX512
 extern const simd::KernelOps kAvx512Ops;
+void denseTallyAvx512Lut(const simd::DenseTallyJob &job);
+#endif
+#ifdef RAPIDNN_BUILD_AVX512_VPOPCNT
+void denseTallyAvx512Vpopcnt(const simd::DenseTallyJob &job);
 #endif
 #ifdef RAPIDNN_BUILD_NEON
 extern const simd::KernelOps kNeonOps;
@@ -64,6 +68,27 @@ availableVariants()
         if (opsFor(v) != nullptr)
             out.push_back(v);
     out.push_back(simd::Variant::Scalar);
+    return out;
+}
+
+std::vector<DenseTallyImpl>
+denseTallyImpls()
+{
+    std::vector<DenseTallyImpl> out;
+    out.push_back({"scalar", kScalarOps.denseTally});
+    if (const simd::KernelOps *ops = opsFor(simd::Variant::Avx2))
+        out.push_back({"avx2", ops->denseTally});
+#ifdef RAPIDNN_BUILD_AVX512
+    if (opsFor(simd::Variant::Avx512) != nullptr)
+        out.push_back({"avx512-lut", denseTallyAvx512Lut});
+#endif
+#ifdef RAPIDNN_BUILD_AVX512_VPOPCNT
+    if (opsFor(simd::Variant::Avx512) != nullptr &&
+        simd::cpuFeatures().avx512vpopcntdq)
+        out.push_back({"avx512-vpopcnt", denseTallyAvx512Vpopcnt});
+#endif
+    if (const simd::KernelOps *ops = opsFor(simd::Variant::Neon))
+        out.push_back({"neon", ops->denseTally});
     return out;
 }
 

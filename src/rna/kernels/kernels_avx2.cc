@@ -34,6 +34,7 @@
 #include <cstring>
 
 #include "common/simd.hh"
+#include "rna/kernels/dense_tally.hh"
 
 namespace rapidnn::rna::kernels {
 
@@ -57,25 +58,6 @@ pairKeys8Avx2(const uint8_t *w, const uint8_t *x, size_t n,
     for (; i < n; ++i)
         keys[i] = static_cast<uint16_t>(
             (static_cast<uint32_t>(w[i]) << shift) | x[i]);
-}
-
-void
-pairKeys16Avx2(const uint16_t *w, const uint16_t *x, size_t n,
-               uint32_t shift, uint32_t *keys)
-{
-    const __m128i cnt = _mm_cvtsi32_si128(static_cast<int>(shift));
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i w32 = _mm256_cvtepu16_epi32(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(w + i)));
-        const __m256i x32 = _mm256_cvtepu16_epi32(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(x + i)));
-        const __m256i k =
-            _mm256_or_si256(_mm256_sll_epi32(w32, cnt), x32);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(keys + i), k);
-    }
-    for (; i < n; ++i)
-        keys[i] = (static_cast<uint32_t>(w[i]) << shift) | x[i];
 }
 
 void
@@ -275,27 +257,6 @@ gatherSum16Avx2(const int64_t *table, const uint16_t *keys, size_t n)
     return sum;
 }
 
-int64_t
-gatherSum32Avx2(const int64_t *table, const uint32_t *keys, size_t n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m128i idx = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(keys + i));
-        acc = _mm256_add_epi64(
-            acc, _mm256_i32gather_epi64(
-                     reinterpret_cast<const long long *>(table), idx,
-                     8));
-    }
-    alignas(32) int64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    int64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; i < n; ++i)
-        sum += table[keys[i]];
-    return sum;
-}
-
 void
 pairKeys8LanesAvx2(const uint8_t *w, const uint8_t *const *xs,
                    size_t lanes, size_t n, uint32_t shift,
@@ -327,13 +288,166 @@ pairKeys8LanesAvx2(const uint8_t *w, const uint8_t *const *xs,
     }
 }
 
+/**
+ * Dense-tally registers: a pair of ymm, neurons 0-3 and 4-7. AVX2 has
+ * no vector popcount, so bits are counted through a nibble table.
+ */
+struct Avx2Lanes
+{
+    struct Reg
+    {
+        __m256i a, b;
+    };
+    using Pop = Reg;
+    // Byte-wise counts reach 8 per plane; 31 planes stay below 256.
+    static constexpr int kPopBatch = 31;
+
+    template <typename F>
+    static Reg
+    map(Reg x, Reg y, F f)
+    {
+        return {f(x.a, y.a), f(x.b, y.b)};
+    }
+
+    static Reg
+    zero()
+    {
+        return {_mm256_setzero_si256(), _mm256_setzero_si256()};
+    }
+
+    static Reg
+    codes(const uint8_t *w)
+    {
+        uint64_t bytes;
+        std::memcpy(&bytes, w, sizeof(bytes));
+        const __m128i v =
+            _mm_cvtsi64_si128(static_cast<long long>(bytes));
+        return {_mm256_cvtepu8_epi64(v),
+                _mm256_cvtepu8_epi64(_mm_srli_si128(v, 4))};
+    }
+
+    static Reg
+    oneHot(Reg w, uint32_t word)
+    {
+        // VPSLLVQ yields 0 for counts >= 64, which covers codes below
+        // the word (the subtraction wraps) and above it alike.
+        const __m256i base = _mm256_set1_epi64x(int64_t(word) * 64);
+        const __m256i one = _mm256_set1_epi64x(1);
+        return map(w, w, [&](__m256i x, __m256i) {
+            return _mm256_sllv_epi64(one, _mm256_sub_epi64(x, base));
+        });
+    }
+
+    static Reg
+    products(Reg w, uint32_t shift, uint32_t u, const int64_t *table)
+    {
+        const __m128i cnt = _mm_cvtsi32_si128(static_cast<int>(shift));
+        const __m256i uv = _mm256_set1_epi64x(u);
+        const auto *base = reinterpret_cast<const long long *>(table);
+        return map(w, w, [&](__m256i x, __m256i) {
+            return _mm256_i64gather_epi64(
+                base, _mm256_or_si256(_mm256_sll_epi64(x, cnt), uv), 8);
+        });
+    }
+
+    static Reg
+    add(Reg x, Reg y)
+    {
+        return map(x, y, [](__m256i p, __m256i q) {
+            return _mm256_add_epi64(p, q);
+        });
+    }
+
+    static Reg
+    andv(Reg x, Reg y)
+    {
+        return map(x, y, [](__m256i p, __m256i q) {
+            return _mm256_and_si256(p, q);
+        });
+    }
+
+    static Reg
+    orv(Reg x, Reg y)
+    {
+        return map(x, y, [](__m256i p, __m256i q) {
+            return _mm256_or_si256(p, q);
+        });
+    }
+
+    static Reg
+    xorv(Reg x, Reg y)
+    {
+        return map(x, y, [](__m256i p, __m256i q) {
+            return _mm256_xor_si256(p, q);
+        });
+    }
+
+    static Reg xor3(Reg x, Reg y, Reg z) { return xorv(xorv(x, y), z); }
+
+    static Reg
+    maj(Reg x, Reg y, Reg z)
+    {
+        return orv(andv(x, y), andv(z, orv(x, y)));
+    }
+
+    static Pop popZero() { return zero(); }
+
+    static Pop
+    popAdd(Pop acc, Reg x)
+    {
+        const __m256i lut = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+        const __m256i nib = _mm256_set1_epi8(0x0F);
+        return map(acc, x, [&](__m256i p, __m256i q) {
+            const __m256i lo = _mm256_and_si256(q, nib);
+            const __m256i hi =
+                _mm256_and_si256(_mm256_srli_epi16(q, 4), nib);
+            return _mm256_add_epi8(
+                p, _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
+                                   _mm256_shuffle_epi8(lut, hi)));
+        });
+    }
+
+    static Reg
+    popTotal(Pop acc)
+    {
+        return map(acc, acc, [](__m256i p, __m256i) {
+            return _mm256_sad_epu8(p, _mm256_setzero_si256());
+        });
+    }
+
+    static void
+    storeSums(int64_t *dst, Reg r)
+    {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst), r.a);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + 4), r.b);
+    }
+
+    static void
+    storeCounts(uint32_t *dst, Reg r)
+    {
+        alignas(32) uint64_t v[8];
+        _mm256_store_si256(reinterpret_cast<__m256i *>(v), r.a);
+        _mm256_store_si256(reinterpret_cast<__m256i *>(v + 4), r.b);
+        for (size_t k = 0; k < 8; ++k)
+            dst[k] = static_cast<uint32_t>(v[k]);
+    }
+};
+
+void
+denseTallyAvx2(const simd::DenseTallyJob &job)
+{
+    detail::denseTally<Avx2Lanes>(job);
+}
+
 } // namespace
 
 extern const simd::KernelOps kAvx2Ops;
 const simd::KernelOps kAvx2Ops = {
-    "avx2",       pairKeys8Avx2, pairKeys16Avx2, narrowAvx2,
-    gather8Avx2,  maxU16Avx2,    quantizeAvx2,   directLookupAvx2,
-    gatherSum16Avx2, gatherSum32Avx2, pairKeys8LanesAvx2,
+    "avx2", pairKeys8Avx2, narrowAvx2, gather8Avx2, maxU16Avx2,
+    quantizeAvx2, directLookupAvx2, gatherSum16Avx2, pairKeys8LanesAvx2,
+    denseTallyAvx2,
 };
 
 } // namespace rapidnn::rna::kernels

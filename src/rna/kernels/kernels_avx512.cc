@@ -28,8 +28,21 @@
 #include <cstring>
 
 #include "common/simd.hh"
+#include "rna/kernels/dense_tally_avx512.hh"
 
 namespace rapidnn::rna::kernels {
+
+#ifdef RAPIDNN_BUILD_AVX512_VPOPCNT
+// kernels_avx512_vpopcnt.cc: the same tally with hardware VPOPCNTQ.
+void denseTallyAvx512Vpopcnt(const simd::DenseTallyJob &job);
+#endif
+
+/** The dense tally with the nibble-table popcount (no VPOPCNTDQ). */
+void
+denseTallyAvx512Lut(const simd::DenseTallyJob &job)
+{
+    detail::denseTally<Avx512Lanes>(job);
+}
 
 namespace {
 
@@ -51,25 +64,6 @@ pairKeys8Avx512(const uint8_t *w, const uint8_t *x, size_t n,
     for (; i < n; ++i)
         keys[i] = static_cast<uint16_t>(
             (static_cast<uint32_t>(w[i]) << shift) | x[i]);
-}
-
-void
-pairKeys16Avx512(const uint16_t *w, const uint16_t *x, size_t n,
-                 uint32_t shift, uint32_t *keys)
-{
-    const __m128i cnt = _mm_cvtsi32_si128(static_cast<int>(shift));
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m512i w32 = _mm512_cvtepu16_epi32(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(w + i)));
-        const __m512i x32 = _mm512_cvtepu16_epi32(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(x + i)));
-        const __m512i k =
-            _mm512_or_si512(_mm512_sll_epi32(w32, cnt), x32);
-        _mm512_storeu_si512(keys + i, k);
-    }
-    for (; i < n; ++i)
-        keys[i] = (static_cast<uint32_t>(w[i]) << shift) | x[i];
 }
 
 void
@@ -230,23 +224,6 @@ gatherSum16Avx512(const int64_t *table, const uint16_t *keys, size_t n)
     return sum;
 }
 
-int64_t
-gatherSum32Avx512(const int64_t *table, const uint32_t *keys, size_t n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i idx = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(keys + i));
-        acc = _mm512_add_epi64(acc,
-                               _mm512_i32gather_epi64(idx, table, 8));
-    }
-    int64_t sum = _mm512_reduce_add_epi64(acc);
-    for (; i < n; ++i)
-        sum += table[keys[i]];
-    return sum;
-}
-
 void
 pairKeys8LanesAvx512(const uint8_t *w, const uint8_t *const *xs,
                      size_t lanes, size_t n, uint32_t shift,
@@ -277,14 +254,25 @@ pairKeys8LanesAvx512(const uint8_t *w, const uint8_t *const *xs,
     }
 }
 
+void
+denseTallyAvx512(const simd::DenseTallyJob &job)
+{
+#ifdef RAPIDNN_BUILD_AVX512_VPOPCNT
+    if (simd::cpuFeatures().avx512vpopcntdq) {
+        denseTallyAvx512Vpopcnt(job);
+        return;
+    }
+#endif
+    denseTallyAvx512Lut(job);
+}
+
 } // namespace
 
 extern const simd::KernelOps kAvx512Ops;
 const simd::KernelOps kAvx512Ops = {
-    "avx512",        pairKeys8Avx512, pairKeys16Avx512,
-    narrowAvx512,    gather8Avx512,   maxU16Avx512,
-    quantizeAvx512,  directLookupAvx512,
-    gatherSum16Avx512, gatherSum32Avx512, pairKeys8LanesAvx512,
+    "avx512", pairKeys8Avx512, narrowAvx512, gather8Avx512,
+    maxU16Avx512, quantizeAvx512, directLookupAvx512, gatherSum16Avx512,
+    pairKeys8LanesAvx512, denseTallyAvx512,
 };
 
 } // namespace rapidnn::rna::kernels

@@ -18,6 +18,7 @@
 #include <algorithm>
 
 #include "common/simd.hh"
+#include "rna/kernels/dense_tally.hh"
 
 namespace rapidnn::rna::kernels {
 
@@ -37,21 +38,6 @@ pairKeys8Neon(const uint8_t *w, const uint8_t *x, size_t n,
     for (; i < n; ++i)
         keys[i] = static_cast<uint16_t>(
             (static_cast<uint32_t>(w[i]) << shift) | x[i]);
-}
-
-void
-pairKeys16Neon(const uint16_t *w, const uint16_t *x, size_t n,
-               uint32_t shift, uint32_t *keys)
-{
-    const int32x4_t cnt = vdupq_n_s32(static_cast<int32_t>(shift));
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const uint32x4_t w32 = vmovl_u16(vld1_u16(w + i));
-        const uint32x4_t x32 = vmovl_u16(vld1_u16(x + i));
-        vst1q_u32(keys + i, vorrq_u32(vshlq_u32(w32, cnt), x32));
-    }
-    for (; i < n; ++i)
-        keys[i] = (static_cast<uint32_t>(w[i]) << shift) | x[i];
 }
 
 void
@@ -156,15 +142,6 @@ gatherSum16Neon(const int64_t *table, const uint16_t *keys, size_t n)
     return sum;
 }
 
-int64_t
-gatherSum32Neon(const int64_t *table, const uint32_t *keys, size_t n)
-{
-    int64_t sum = 0;
-    for (size_t i = 0; i < n; ++i)
-        sum += table[keys[i]];
-    return sum;
-}
-
 void
 pairKeys8LanesNeon(const uint8_t *w, const uint8_t *const *xs,
                    size_t lanes, size_t n, uint32_t shift,
@@ -189,13 +166,187 @@ pairKeys8LanesNeon(const uint8_t *w, const uint8_t *const *xs,
     }
 }
 
+/**
+ * Dense-tally registers: four uint64x2 per 8-neuron group. Products
+ * are loaded scalar (no NEON gather); bits are counted with VCNT and
+ * widened by pairwise adds.
+ */
+struct NeonLanes
+{
+    struct Reg
+    {
+        uint64x2_t v[4];
+    };
+    struct Pop
+    {
+        uint8x16_t v[4];
+    };
+    // Byte-wise counts reach 8 per plane; 31 planes stay below 256.
+    static constexpr int kPopBatch = 31;
+
+    template <typename F>
+    static Reg
+    map(const Reg &x, const Reg &y, F f)
+    {
+        Reg r;
+        for (int k = 0; k < 4; ++k)
+            r.v[k] = f(x.v[k], y.v[k]);
+        return r;
+    }
+
+    static Reg
+    zero()
+    {
+        Reg r;
+        for (int k = 0; k < 4; ++k)
+            r.v[k] = vdupq_n_u64(0);
+        return r;
+    }
+
+    static Reg
+    codes(const uint8_t *w)
+    {
+        const uint16x8_t h = vmovl_u8(vld1_u8(w));
+        const uint32x4_t lo = vmovl_u16(vget_low_u16(h));
+        const uint32x4_t hi = vmovl_u16(vget_high_u16(h));
+        Reg r;
+        r.v[0] = vmovl_u32(vget_low_u32(lo));
+        r.v[1] = vmovl_u32(vget_high_u32(lo));
+        r.v[2] = vmovl_u32(vget_low_u32(hi));
+        r.v[3] = vmovl_u32(vget_high_u32(hi));
+        return r;
+    }
+
+    static Reg
+    oneHot(const Reg &w, uint32_t word)
+    {
+        const uint64x2_t wordV = vdupq_n_u64(word);
+        const uint64x2_t low6 = vdupq_n_u64(63);
+        const uint64x2_t one = vdupq_n_u64(1);
+        return map(w, w, [&](uint64x2_t x, uint64x2_t) {
+            const uint64x2_t inWord = vceqq_u64(vshrq_n_u64(x, 6), wordV);
+            const uint64x2_t bit = vshlq_u64(
+                one, vreinterpretq_s64_u64(vandq_u64(x, low6)));
+            return vandq_u64(bit, inWord);
+        });
+    }
+
+    static Reg
+    products(const Reg &w, uint32_t shift, uint32_t u,
+             const int64_t *table)
+    {
+        return map(w, w, [&](uint64x2_t x, uint64x2_t) {
+            const int64_t p0 = table[(vgetq_lane_u64(x, 0) << shift) | u];
+            const int64_t p1 = table[(vgetq_lane_u64(x, 1) << shift) | u];
+            return vcombine_u64(vcreate_u64(static_cast<uint64_t>(p0)),
+                                vcreate_u64(static_cast<uint64_t>(p1)));
+        });
+    }
+
+    static Reg
+    add(const Reg &x, const Reg &y)
+    {
+        return map(x, y, [](uint64x2_t p, uint64x2_t q) {
+            return vaddq_u64(p, q);
+        });
+    }
+
+    static Reg
+    andv(const Reg &x, const Reg &y)
+    {
+        return map(x, y, [](uint64x2_t p, uint64x2_t q) {
+            return vandq_u64(p, q);
+        });
+    }
+
+    static Reg
+    orv(const Reg &x, const Reg &y)
+    {
+        return map(x, y, [](uint64x2_t p, uint64x2_t q) {
+            return vorrq_u64(p, q);
+        });
+    }
+
+    static Reg
+    xorv(const Reg &x, const Reg &y)
+    {
+        return map(x, y, [](uint64x2_t p, uint64x2_t q) {
+            return veorq_u64(p, q);
+        });
+    }
+
+    static Reg
+    xor3(const Reg &x, const Reg &y, const Reg &z)
+    {
+        return xorv(xorv(x, y), z);
+    }
+
+    static Reg
+    maj(const Reg &x, const Reg &y, const Reg &z)
+    {
+        // Where x and y differ the majority is z, elsewhere x.
+        Reg r;
+        for (int k = 0; k < 4; ++k)
+            r.v[k] = vbslq_u64(veorq_u64(x.v[k], y.v[k]), z.v[k], x.v[k]);
+        return r;
+    }
+
+    static Pop
+    popZero()
+    {
+        Pop p;
+        for (int k = 0; k < 4; ++k)
+            p.v[k] = vdupq_n_u8(0);
+        return p;
+    }
+
+    static Pop
+    popAdd(const Pop &acc, const Reg &x)
+    {
+        Pop p;
+        for (int k = 0; k < 4; ++k)
+            p.v[k] = vaddq_u8(acc.v[k],
+                              vcntq_u8(vreinterpretq_u8_u64(x.v[k])));
+        return p;
+    }
+
+    static Reg
+    popTotal(const Pop &acc)
+    {
+        Reg r;
+        for (int k = 0; k < 4; ++k)
+            r.v[k] = vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(acc.v[k])));
+        return r;
+    }
+
+    static void
+    storeSums(int64_t *dst, const Reg &r)
+    {
+        for (int k = 0; k < 4; ++k)
+            vst1q_s64(dst + 2 * k, vreinterpretq_s64_u64(r.v[k]));
+    }
+
+    static void
+    storeCounts(uint32_t *dst, const Reg &r)
+    {
+        for (int k = 0; k < 4; ++k)
+            vst1_u32(dst + 2 * k, vmovn_u64(r.v[k]));
+    }
+};
+
+void
+denseTallyNeon(const simd::DenseTallyJob &job)
+{
+    detail::denseTally<NeonLanes>(job);
+}
+
 } // namespace
 
 extern const simd::KernelOps kNeonOps;
 const simd::KernelOps kNeonOps = {
-    "neon",       pairKeys8Neon, pairKeys16Neon, narrowNeon,
-    gather8Neon,  maxU16Neon,    quantizeNeon,   directLookupNeon,
-    gatherSum16Neon, gatherSum32Neon, pairKeys8LanesNeon,
+    "neon", pairKeys8Neon, narrowNeon, gather8Neon, maxU16Neon,
+    quantizeNeon, directLookupNeon, gatherSum16Neon, pairKeys8LanesNeon,
+    denseTallyNeon,
 };
 
 } // namespace rapidnn::rna::kernels

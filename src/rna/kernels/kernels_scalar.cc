@@ -11,8 +11,10 @@
  */
 
 #include <algorithm>
+#include <bit>
 
 #include "common/simd.hh"
+#include "rna/kernels/dense_tally.hh"
 
 namespace rapidnn::rna::kernels {
 
@@ -25,14 +27,6 @@ pairKeys8Scalar(const uint8_t *w, const uint8_t *x, size_t n,
     for (size_t i = 0; i < n; ++i)
         keys[i] = static_cast<uint16_t>(
             (static_cast<uint32_t>(w[i]) << shift) | x[i]);
-}
-
-void
-pairKeys16Scalar(const uint16_t *w, const uint16_t *x, size_t n,
-                 uint32_t shift, uint32_t *keys)
-{
-    for (size_t i = 0; i < n; ++i)
-        keys[i] = (static_cast<uint32_t>(w[i]) << shift) | x[i];
 }
 
 void
@@ -102,15 +96,6 @@ gatherSum16Scalar(const int64_t *table, const uint16_t *keys, size_t n)
     return sum;
 }
 
-int64_t
-gatherSum32Scalar(const int64_t *table, const uint32_t *keys, size_t n)
-{
-    int64_t sum = 0;
-    for (size_t i = 0; i < n; ++i)
-        sum += table[keys[i]];
-    return sum;
-}
-
 void
 pairKeys8LanesScalar(const uint8_t *w, const uint8_t *const *xs,
                      size_t lanes, size_t n, uint32_t shift,
@@ -125,14 +110,130 @@ pairKeys8LanesScalar(const uint8_t *w, const uint8_t *const *xs,
     }
 }
 
+/** Dense-tally registers as plain u64 arrays, one per neuron. */
+struct ScalarLanes
+{
+    struct Reg
+    {
+        uint64_t v[simd::kDenseGroup];
+    };
+    using Pop = Reg;
+    static constexpr int kPopBatch = 1 << 30;
+
+    template <typename F>
+    static Reg
+    map(F f)
+    {
+        Reg r;
+        for (size_t k = 0; k < simd::kDenseGroup; ++k)
+            r.v[k] = f(k);
+        return r;
+    }
+
+    static Reg zero() { return map([](size_t) { return uint64_t(0); }); }
+
+    static Reg
+    codes(const uint8_t *w)
+    {
+        return map([&](size_t k) { return uint64_t(w[k]); });
+    }
+
+    static Reg
+    oneHot(const Reg &w, uint32_t word)
+    {
+        return map([&](size_t k) {
+            return (w.v[k] >> 6) == word ? uint64_t(1) << (w.v[k] & 63)
+                                         : uint64_t(0);
+        });
+    }
+
+    static Reg
+    products(const Reg &w, uint32_t shift, uint32_t u,
+             const int64_t *table)
+    {
+        return map([&](size_t k) {
+            return static_cast<uint64_t>(table[(w.v[k] << shift) | u]);
+        });
+    }
+
+    static Reg
+    add(const Reg &a, const Reg &b)
+    {
+        return map([&](size_t k) { return a.v[k] + b.v[k]; });
+    }
+
+    static Reg
+    andv(const Reg &a, const Reg &b)
+    {
+        return map([&](size_t k) { return a.v[k] & b.v[k]; });
+    }
+
+    static Reg
+    orv(const Reg &a, const Reg &b)
+    {
+        return map([&](size_t k) { return a.v[k] | b.v[k]; });
+    }
+
+    static Reg
+    xorv(const Reg &a, const Reg &b)
+    {
+        return map([&](size_t k) { return a.v[k] ^ b.v[k]; });
+    }
+
+    static Reg
+    xor3(const Reg &a, const Reg &b, const Reg &c)
+    {
+        return map([&](size_t k) { return a.v[k] ^ b.v[k] ^ c.v[k]; });
+    }
+
+    static Reg
+    maj(const Reg &a, const Reg &b, const Reg &c)
+    {
+        return map([&](size_t k) {
+            return (a.v[k] & b.v[k]) | (c.v[k] & (a.v[k] | b.v[k]));
+        });
+    }
+
+    static Pop popZero() { return zero(); }
+
+    static Pop
+    popAdd(const Pop &acc, const Reg &x)
+    {
+        return map([&](size_t k) {
+            return acc.v[k] + static_cast<uint64_t>(std::popcount(x.v[k]));
+        });
+    }
+
+    static Reg popTotal(const Pop &acc) { return acc; }
+
+    static void
+    storeSums(int64_t *dst, const Reg &r)
+    {
+        for (size_t k = 0; k < simd::kDenseGroup; ++k)
+            dst[k] = static_cast<int64_t>(r.v[k]);
+    }
+
+    static void
+    storeCounts(uint32_t *dst, const Reg &r)
+    {
+        for (size_t k = 0; k < simd::kDenseGroup; ++k)
+            dst[k] = static_cast<uint32_t>(r.v[k]);
+    }
+};
+
+void
+denseTallyScalar(const simd::DenseTallyJob &job)
+{
+    detail::denseTally<ScalarLanes>(job);
+}
+
 } // namespace
 
 extern const simd::KernelOps kScalarOps;
 const simd::KernelOps kScalarOps = {
-    "scalar",         pairKeys8Scalar, pairKeys16Scalar, narrowScalar,
-    gather8Scalar,    maxU16Scalar,    quantizeScalar,
-    directLookupScalar, gatherSum16Scalar, gatherSum32Scalar,
-    pairKeys8LanesScalar,
+    "scalar", pairKeys8Scalar, narrowScalar, gather8Scalar,
+    maxU16Scalar, quantizeScalar, directLookupScalar, gatherSum16Scalar,
+    pairKeys8LanesScalar, denseTallyScalar,
 };
 
 } // namespace rapidnn::rna::kernels

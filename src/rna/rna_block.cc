@@ -141,15 +141,31 @@ RnaLayerContext::RnaLayerContext(const composer::RLayer &layer,
         packable = packable && engine.packable();
     _packed = _kops != nullptr && packable;
     _packedRec = _packed && _stateEngine && _stateEngine->packable();
-    if (_packed && layer.kind == composer::RLayerKind::Dense) {
-        if (!layer.denseColumns8.empty()) {
-            checkPacked(layer.denseColumns8, _denseColumns.data(),
-                        _denseColumns.size(),
-                        "dense packed columns mismatch");
-            _denseColumns8 = layer.denseColumns8;
+    if (_kops != nullptr && layer.kind == composer::RLayerKind::Dense &&
+        _engines[0].weightEntries() <= 256) {
+        // The dense tally's input-major rows, padded to 8-neuron
+        // groups. Blob rows are pinned code by code to the validated
+        // row-major weights, padding included.
+        _denseRowStride = composer::denseRowStride(layer.outCount);
+        if (!layer.denseRows8.empty()) {
+            const auto &codes = layer.weightCodes[0];
+            RAPIDNN_CHECK(layer.denseRows8.size() ==
+                              layer.inCount * _denseRowStride,
+                          "dense packed rows size mismatch");
+            for (size_t i = 0; i < layer.inCount; ++i) {
+                const uint8_t *row =
+                    layer.denseRows8.data() + i * _denseRowStride;
+                const uint16_t *want = codes.data() + i * layer.outCount;
+                bool same = true;
+                for (size_t j = 0; j < layer.outCount; ++j)
+                    same &= row[j] == want[j];
+                for (size_t j = layer.outCount; j < _denseRowStride; ++j)
+                    same &= row[j] == 0;
+                RAPIDNN_CHECK(same, "dense packed rows mismatch");
+            }
+            _denseRows8 = layer.denseRows8;
         } else {
-            _denseColumns8 =
-                narrowCodes(_denseColumns.data(), _denseColumns.size());
+            _denseRows8 = composer::denseRows8Of(layer);
         }
     } else if (_packed && layer.kind == composer::RLayerKind::Conv) {
         const bool fromBlob = !layer.weightCodes8.empty();
@@ -195,9 +211,9 @@ RnaLayerContext::RnaLayerContext(const composer::RLayer &layer,
     // Counting-cycle hints for the kernel paths: the parallel-counting
     // phase is a pure function of the weight codes, so each canonical
     // weight array's value is derived once here and handed back into
-    // runPacked/runKeyed per neuron instead of being re-histogrammed
-    // per accumulation. Clipped conv windows (gathered into lane
-    // scratch) keep computing it on the fly.
+    // the kernel accumulations per neuron instead of being
+    // re-histogrammed per accumulation. Clipped conv windows (gathered
+    // into lane scratch) keep computing it on the fly.
     if (_kops != nullptr) {
         if (layer.kind == composer::RLayerKind::Dense) {
             _denseCounting.resize(layer.outCount);
@@ -260,16 +276,6 @@ RnaLayerContext::countingHint(size_t channel, const void *w,
 {
     size_t j = 0;
     switch (_layer.kind) {
-      case composer::RLayerKind::Dense:
-        if (fanIn != _layer.inCount || _denseCounting.empty())
-            return nullptr;
-        if (strideIndexOf(w, _denseColumns8.data(),
-                          _denseColumns8.size(), _layer.inCount, j) ||
-            strideIndexOf(w, _denseColumns.data(),
-                          _denseColumns.size() * sizeof(uint16_t),
-                          _layer.inCount * sizeof(uint16_t), j))
-            return &_denseCounting[j];
-        return nullptr;
       case composer::RLayerKind::Conv:
         if (_convCounting.empty() || channel >= _convChannel8.size())
             return nullptr;
@@ -361,27 +367,31 @@ RnaLayerContext::accumulatePacked(size_t channel, const uint8_t *w8,
                                        countingHint(channel, w8, fanIn));
 }
 
-AccumResult
-RnaLayerContext::accumulateKeyed(size_t channel, const uint16_t *w,
-                                 const uint16_t *x, size_t fanIn,
-                                 double bias, AccumScratch &sc) const
+void
+RnaLayerContext::denseTally(const InputBuckets &inputs,
+                            size_t groupBegin, size_t groupEnd,
+                            int64_t *sums, uint32_t *distinct,
+                            uint32_t *addends) const
 {
-    RAPIDNN_ASSERT(_kops != nullptr,
-                   "accumulateKeyed without a kernel context");
-    return _engines[channel].runKeyed(*_kops, w, x, fanIn, bias, sc,
-                                      countingHint(channel, w, fanIn));
-}
-
-AccumResult
-RnaLayerContext::accumulatePrekeyed(size_t channel,
-                                    const uint16_t *keys, size_t fanIn,
-                                    double bias, AccumScratch &sc,
-                                    const uint32_t *countingCycles) const
-{
-    RAPIDNN_ASSERT(_kops != nullptr && _packed,
-                   "accumulatePrekeyed without a packed kernel context");
-    return _engines[channel].runPrekeyed(*_kops, keys, fanIn, bias, sc,
-                                         countingCycles);
+    RAPIDNN_ASSERT(hasDenseRows(), "denseTally without dense rows");
+    const AccumulationEngine &engine = _engines[0];
+    simd::DenseTallyJob job{};
+    job.rows = _denseRows8.data();
+    job.rowStride = _denseRowStride;
+    job.order = inputs.order.data();
+    job.bucketStart = inputs.start.data();
+    job.bucketCode = inputs.code.data();
+    job.buckets = inputs.buckets();
+    job.products = engine.paddedProducts();
+    job.shift = engine.keyShift();
+    job.maskWords =
+        static_cast<uint32_t>((engine.weightEntries() + 63) / 64);
+    job.groupBegin = groupBegin;
+    job.groupEnd = groupEnd;
+    job.sums = sums;
+    job.distinct = distinct;
+    job.addends = addends;
+    _kops->denseTally(job);
 }
 
 void
@@ -677,10 +687,13 @@ RnaLayerContext::prepareScratch(IntraOpScratch &scratch) const
 void
 RnaLayerContext::prepareKernelScratch(AccumScratch &accum) const
 {
-    // The kernel paths tally into a power-of-two padded key space and
-    // stage one fan-in's worth of fused pair keys; size both here so
-    // the hot loop never grows (growth would re-zero AlignedVec
-    // contents mid-inference).
+    // The conv and recurrent kernel paths tally into a power-of-two
+    // padded key space and stage one fan-in's worth of fused pair
+    // keys; size both here so the hot loop never grows (growth would
+    // re-zero AlignedVec contents mid-inference). Dense layers run the
+    // dense tally or the scalar fast path and need neither.
+    if (_layer.kind == composer::RLayerKind::Dense)
+        return;
     size_t maxFanIn = _layer.kind == composer::RLayerKind::Conv
                           ? _layer.weightCodes[0].size()
                           : _layer.inCount;

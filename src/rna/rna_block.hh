@@ -134,11 +134,38 @@ class RnaLayerContext
      *  codebook <= 256 entries); implies packed(). */
     bool packedRecurrent() const { return _packedRec; }
 
-    /** Packed (uint8) twin of denseColumn(). Valid when packed(). */
-    const uint8_t *
-    denseColumn8(size_t j) const
+    /**
+     * True when the dense tally serves this layer: a dense layer with
+     * a kernel table and a weight codebook of at most 256 entries (the
+     * packed input-major rows exist). Input codes are grouped rather
+     * than narrowed, so the input codebook may be any size.
+     */
+    bool hasDenseRows() const { return !_denseRows8.empty(); }
+
+    /** Neurons per packed dense row (outCount padded to 8). */
+    size_t denseRowStride() const { return _denseRowStride; }
+
+    /**
+     * Run the dense tally (KernelOps::denseTally) for one batch lane
+     * over the 8-neuron groups [groupBegin, groupEnd): writes the
+     * product sum, non-zero cell count and CSD-term count of every
+     * neuron in those groups, neuron groupBegin * 8 + k at index k.
+     * `inputs` is the lane's fan-in grouped by input code. Requires
+     * hasDenseRows().
+     */
+    void denseTally(const InputBuckets &inputs, size_t groupBegin,
+                    size_t groupEnd, int64_t *sums, uint32_t *distinct,
+                    uint32_t *addends) const;
+
+    /** Neuron j's AccumResult from its denseTally outputs;
+     *  bitwise-identical to the neuron's evaluateFast() accumulation. */
+    AccumResult
+    denseResult(size_t j, int64_t sum, uint32_t distinct,
+                uint32_t addends, AccumScratch &sc) const
     {
-        return _denseColumns8.data() + j * _layer.inCount;
+        return _engines[0].denseResult(sum, distinct, addends,
+                                       _denseCounting[j], _layer.inCount,
+                                       _layer.bias[j], sc);
     }
 
     /** Packed contiguous per-channel conv weight codes (full-window
@@ -170,36 +197,16 @@ class RnaLayerContext
                                  const uint8_t *x8, size_t fanIn,
                                  double bias, AccumScratch &sc) const;
 
-    /** Kernel-path weighted accumulation over 16-bit codes (codebooks
-     *  too large to pack). */
-    AccumResult accumulateKeyed(size_t channel, const uint16_t *w,
-                                const uint16_t *x, size_t fanIn,
-                                double bias, AccumScratch &sc) const;
-
     /**
-     * Kernel-path weighted accumulation over pair keys the caller
-     * already built for `channel` (the batched path constructs every
-     * lane's keys from one weight-column load via pairKeys8Lanes).
-     * Bitwise-identical to accumulatePacked over the originating code
-     * arrays. `sc` must have been sized by prepareWorkspace /
-     * prepareScratch (runPrekeyed does not grow it); `countingCycles`
-     * is the hoisted hint for the weight column, or nullptr to
-     * recompute from the keys.
-     */
-    AccumResult accumulatePrekeyed(size_t channel, const uint16_t *keys,
-                                   size_t fanIn, double bias,
-                                   AccumScratch &sc,
-                                   const uint32_t *countingCycles
-                                   = nullptr) const;
-
-    /**
-     * Batched-lanes variant: one call accumulates every batch lane of
-     * one output neuron from the lane-strided key stripes
-     * pairKeys8Lanes wrote (lane L at keys + L * keyStride), filling
-     * results[0..lanes). Bitwise-identical per lane to
-     * accumulatePrekeyed over the lane's stripe; the per-neuron
+     * Batched-lanes accumulation for conv windows: one call
+     * accumulates every batch lane of one output neuron from the
+     * lane-strided key stripes pairKeys8Lanes wrote (lane L at keys +
+     * L * keyStride), filling results[0..lanes). Bitwise-identical per
+     * lane to accumulatePacked over the lane's codes; the per-neuron
      * constants (counting cycles, bias, counting energy) are computed
-     * once and shared across the lanes — the inferBatch hot loop.
+     * once and shared across the lanes. `sc` must have been sized by
+     * prepareWorkspace / prepareScratch; `countingCycles` is the
+     * hoisted hint for the weight window, or nullptr to recompute.
      */
     void accumulatePrekeyedLanes(size_t channel, const uint16_t *keys,
                                  size_t keyStride, size_t lanes,
@@ -233,14 +240,8 @@ class RnaLayerContext
         return _stateEngine->keyShift();
     }
 
-    /** Hoisted counting-cycle hints per canonical weight column (null
-     *  when the kernel layer is off or the layer kind has none). */
-    const uint32_t *
-    denseCountingHint(size_t j) const
-    {
-        return _denseCounting.empty() ? nullptr : &_denseCounting[j];
-    }
-
+    /** Hoisted counting-cycle hints per recurrent weight column (null
+     *  when the kernel layer is off). */
     const uint32_t *
     recXCountingHint(size_t h) const
     {
@@ -384,10 +385,12 @@ class RnaLayerContext
     const simd::KernelOps *_kops = nullptr;
     bool _packed = false;     //!< forward path packs to uint8 codes
     bool _packedRec = false;  //!< feedback path also packs
-    /** Packed (uint8) twins of the weight-code arrays: views of
-     *  blob-precomputed sections when present, otherwise owned
-     *  narrowed copies derived at configure time. */
-    Array<uint8_t> _denseColumns8;
+    /** Packed (uint8) weight codes: views of blob-precomputed sections
+     *  when present, otherwise owned copies derived at configure time.
+     *  Dense layers keep only the tally's input-major rows
+     *  ([i * _denseRowStride + j], padding neurons at code 0). */
+    Array<uint8_t> _denseRows8;
+    size_t _denseRowStride = 0;
     std::vector<Array<uint8_t>> _convChannel8;  //!< per out-channel
     Array<uint8_t> _recXColumns8;
     Array<uint8_t> _recHColumns8;

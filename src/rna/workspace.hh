@@ -102,6 +102,44 @@ void buildConvGatherPlan(ConvGatherPlan &plan,
                          size_t h, size_t w);
 
 /**
+ * Staging for one pass of the dense tally (Chip::runDenseTally): the
+ * tally outputs, values, codes and accumulation costs of up to kNeurons
+ * neurons for every batch lane. Tally outputs are lane-major (lane *
+ * kNeurons + k); values, codes and costs are neuron-major (k * lanes +
+ * lane) so one AM batch lookup covers the pass. A pass is 8 groups,
+ * one cache line of each packed weight row.
+ */
+struct DenseTallyScratch
+{
+    static constexpr size_t kNeurons = 64;
+
+    simd::AlignedVec<int64_t> sums;
+    simd::AlignedVec<uint32_t> distinct;
+    simd::AlignedVec<uint32_t> addends;
+    simd::AlignedVec<double> vals;
+    simd::AlignedVec<uint16_t> codes;
+    simd::AlignedVec<uint32_t> amKeys;
+    simd::AlignedVec<uint32_t> amRows;
+    std::vector<nvm::OpCost> costs;
+
+    /** Grow to cover `lanes` batch lanes. */
+    void
+    ensure(size_t lanes)
+    {
+        const size_t n = lanes * kNeurons;
+        sums.ensure(n);
+        distinct.ensure(n);
+        addends.ensure(n);
+        vals.ensure(n);
+        codes.ensure(n);
+        amKeys.ensure(n);
+        amRows.ensure(n);
+        if (costs.size() < n)
+            costs.resize(n);
+    }
+};
+
+/**
  * Per-lane scratch for intra-op parallel shard execution: each task
  * pool lane gets a private counting scratch and conv gather buffers,
  * so shards never contend. Results cannot depend on which lane runs a
@@ -121,11 +159,8 @@ struct IntraOpScratch
     simd::AlignedVec<uint32_t> amKeys;
     simd::AlignedVec<uint32_t> amRows;
 
-    /** Batched-path pair-key stripes (one per batch lane) for the
-     *  (output-neuron x lane) tiles of Chip::inferBatch. */
-    simd::AlignedVec<uint16_t> keysB;
-    /** Per-lane results of one neuron's batched-lanes accumulation. */
-    std::vector<AccumResult> accumResB;
+    /** Dense-tally pass staging for this lane's shards. */
+    DenseTallyScratch dense;
 };
 
 /** All mutable scratch one infer() call needs, reusable across calls. */
@@ -190,6 +225,16 @@ struct Workspace
     std::vector<NeuronCost> neuronCostsB;
     /** Per-lane results of one neuron's batched-lanes accumulation. */
     std::vector<AccumResult> accumResB;
+
+    /**
+     * Dense-tally buffers (Chip::runDenseTally, single samples and
+     * batches alike): each batch lane's fan-in grouped by input code,
+     * the lanes' input-code pointers, and the serial path's pass
+     * staging.
+     */
+    std::vector<InputBuckets> denseInputs;
+    std::vector<const uint16_t *> laneCodes;
+    DenseTallyScratch dense;
     /** Neuron-major x lane accumulation-cost slots for the batched
      *  dense/conv paths: only the weighted-accumulation OpCost varies
      *  per slot (activation/encoding query costs are per-layer

@@ -12,10 +12,13 @@
  * collector reads counters back as deltas against its construction
  * baseline, so per-engine ServerStats stay exact even though the
  * registry metrics are cumulative across sequential engines. Exact
- * percentile reporting (p50/p95/p99) keeps a raw latency vector under
- * a mutex and interpolates between order statistics — never truncating
- * to a sample index (common/stats.hh percentile; pinned by
- * telemetry_test's regression vector).
+ * percentile reporting (p50/p95/p99) keeps the latencies of the most
+ * recent kLatencyWindow completed requests in a fixed ring under a
+ * mutex and interpolates between order statistics of that window —
+ * never truncating to a sample index (common/stats.hh percentile;
+ * pinned by telemetry_test's regression vector). The ring bounds both
+ * memory and snapshot cost however long the engine serves; the
+ * lifetime latency distribution stays in the registry histogram.
  *
  * Two clocks coexist deliberately. *Host wall time* measures the
  * runtime itself (queue wait, service time, end-to-end latency of this
@@ -52,15 +55,21 @@ struct ServerStats
     Summary serviceUs;        //!< host wall: claimed -> result ready
     Histogram batchSizes;     //!< requests per executed batch
 
-    double p50LatencyUs = 0.0;  //!< host wall end-to-end percentiles
-    double p95LatencyUs = 0.0;  //!< (interpolated, never truncated)
+    /** Host wall end-to-end percentiles over the most recent
+     *  StatsCollector::kLatencyWindow completed requests
+     *  (interpolated, never truncated). */
+    double p50LatencyUs = 0.0;
+    double p95LatencyUs = 0.0;
     double p99LatencyUs = 0.0;
 
-    double wallSeconds = 0.0;   //!< engine uptime at snapshot
+    /** Seconds from the engine's first submit to the snapshot (0 before
+     *  any submit): construction, replica clones, thread spawn and
+     *  idle time before the first request are not counted. */
+    double wallSeconds = 0.0;
     /** Busiest replica's accumulated simulated chip time. */
     Time modeledChipTime{};
 
-    /** Host-side requests/second over the engine's lifetime. */
+    /** Host-side requests/second since the first submit. */
     double
     throughputRps() const
     {
@@ -85,12 +94,15 @@ struct ServerStats
 /**
  * Thread-safe accumulator behind ServerStats snapshots, built on the
  * telemetry registry. Counter updates are lock-free sharded atomics;
- * only the exact-percentile latency vector and the Summary/Histogram
- * mirrors still take the mutex.
+ * only the latency ring and the Summary/Histogram mirrors take the
+ * mutex, and a snapshot holds it just long enough to copy them.
  */
 class StatsCollector
 {
   public:
+    /** Completed requests whose latencies the percentiles cover. */
+    static constexpr size_t kLatencyWindow = 8192;
+
     explicit StatsCollector(
         size_t maxBatch,
         telemetry::Registry &registry = telemetry::Registry::global())
@@ -156,7 +168,12 @@ class StatsCollector
         MutexLock lock(_mutex);
         _queueWaitUs.add(queueWaitUs);
         _serviceUs.add(serviceUs);
-        _latenciesUs.push_back(latencyUs);
+        if (_latenciesUs.size() < kLatencyWindow) {
+            _latenciesUs.push_back(latencyUs);
+        } else {
+            _latenciesUs[_latencyNext] = latencyUs;
+            _latencyNext = (_latencyNext + 1) % kLatencyWindow;
+        }
     }
 
     /** Fill the collector-owned fields of a snapshot. */
@@ -167,13 +184,28 @@ class StatsCollector
         stats.rejected = _rejected.value() - _rejected0;
         stats.completed = _completed.value() - _completed0;
         stats.batches = _batches.value() - _batches0;
+        std::vector<double> window;
+        {
+            MutexLock lock(_mutex);
+            stats.queueWaitUs = _queueWaitUs;
+            stats.serviceUs = _serviceUs;
+            stats.batchSizes = _batchSizes;
+            window = _latenciesUs;
+        }
+        // Order statistics are taken outside the lock, so workers'
+        // recordRequest() calls never wait on a snapshot's selection.
+        stats.p50LatencyUs = percentileInPlace(window, 0.50);
+        stats.p95LatencyUs = percentileInPlace(window, 0.95);
+        stats.p99LatencyUs = percentileInPlace(window, 0.99);
+    }
+
+    /** Latencies currently held for the percentiles (at most
+     *  kLatencyWindow). */
+    size_t
+    retainedLatencies() const RAPIDNN_EXCLUDES(_mutex)
+    {
         MutexLock lock(_mutex);
-        stats.queueWaitUs = _queueWaitUs;
-        stats.serviceUs = _serviceUs;
-        stats.batchSizes = _batchSizes;
-        stats.p50LatencyUs = percentile(_latenciesUs, 0.50);
-        stats.p95LatencyUs = percentile(_latenciesUs, 0.95);
-        stats.p99LatencyUs = percentile(_latenciesUs, 0.99);
+        return _latenciesUs.size();
     }
 
   private:
@@ -184,7 +216,10 @@ class StatsCollector
     Summary _queueWaitUs RAPIDNN_GUARDED_BY(_mutex);
     Summary _serviceUs RAPIDNN_GUARDED_BY(_mutex);
     Histogram _batchSizes RAPIDNN_GUARDED_BY(_mutex);
+    /** Ring of the most recent kLatencyWindow latencies; once full,
+     *  _latencyNext is the oldest slot, overwritten next. */
     std::vector<double> _latenciesUs RAPIDNN_GUARDED_BY(_mutex);
+    size_t _latencyNext RAPIDNN_GUARDED_BY(_mutex) = 0;
 
     telemetry::Counter &_submitted;
     telemetry::Counter &_rejected;

@@ -43,8 +43,7 @@ ServingEngine::ServingEngine(const composer::ReinterpretedModel &model,
       _queue(std::max<size_t>(1, config.queueCapacity)),
       _batcher(_queue, std::max<size_t>(1, config.maxBatch),
                std::chrono::microseconds(config.maxLatencyUs)),
-      _stats(std::max<size_t>(1, config.maxBatch)),
-      _start(std::chrono::steady_clock::now())
+      _stats(std::max<size_t>(1, config.maxBatch))
 {
     RAPIDNN_ASSERT(_config.workers > 0, "need at least one worker");
 
@@ -69,11 +68,15 @@ ServingEngine::ServingEngine(const composer::ReinterpretedModel &model,
         _workers[i]->thread =
             std::thread([this, i] { workerMain(i); });
 
-    // Telemetry: expose the shared pool, sample this engine's queue
-    // depth and replica count at scrape time, and (optionally) open the
-    // scrape endpoint. The gauges capture `this`; their ScopedCallback
-    // members unregister before the queues they read are destroyed.
-    telemetry::registerTaskPoolMetrics();
+    // Telemetry: expose the shared pool when this engine can use it,
+    // sample this engine's queue depth and replica count at scrape
+    // time, and (optionally) open the scrape endpoint. Registering the
+    // pool's metrics starts the pool, so an engine that never shards
+    // leaves it (and its helper threads) alone. The gauges capture
+    // `this`; their ScopedCallback members unregister before the
+    // queues they read are destroyed.
+    if (_config.intraOpThreads > 1 || replicaConfig.numThreads > 1)
+        telemetry::registerTaskPoolMetrics();
     telemetry::Registry &registry = telemetry::Registry::global();
     _gauges.emplace_back(
         registry, "rapidnn_queue_depth",
@@ -137,6 +140,13 @@ std::future<InferResult>
 ServingEngine::admit(Request request, bool &accepted, bool blocking)
 {
     std::future<InferResult> future = request.promise.get_future();
+    // The throughput window opens at the first admission attempt.
+    if (_firstSubmitTicks.load(std::memory_order_relaxed) == 0) {
+        int64_t none = 0;
+        _firstSubmitTicks.compare_exchange_strong(
+            none, request.enqueued.time_since_epoch().count(),
+            std::memory_order_relaxed);
+    }
     {
         // Pre-count so drain() can never observe finished > accepted;
         // rolled back when admission fails.
@@ -353,8 +363,14 @@ ServingEngine::stats() const
     for (const auto &worker : _workers)
         stats.queueDepth += worker->queue.size();
     stats.workers = _workers.size();
-    stats.wallSeconds =
-        elapsedUs(_start, std::chrono::steady_clock::now()) * 1e-6;
+    const int64_t first =
+        _firstSubmitTicks.load(std::memory_order_relaxed);
+    if (first != 0) {
+        const std::chrono::steady_clock::time_point start{
+            std::chrono::steady_clock::duration(first)};
+        stats.wallSeconds =
+            elapsedUs(start, std::chrono::steady_clock::now()) * 1e-6;
+    }
     MutexLock lock(_perfMutex);
     for (const auto &worker : _workers)
         stats.modeledChipTime =

@@ -209,7 +209,9 @@ class ServingEngine
     std::atomic<uint64_t> _rrNext{0};  //!< RoundRobin shard cursor
     StatsCollector _stats;
     std::vector<std::unique_ptr<Worker>> _workers;
-    std::chrono::steady_clock::time_point _start;
+    /** steady_clock ticks of the first submit/trySubmit (0 = none
+     *  yet): where ServerStats::wallSeconds starts. */
+    std::atomic<int64_t> _firstSubmitTicks{0};
 
     /** Guards per-worker perf accounting (batch granularity). */
     mutable Mutex _perfMutex;

@@ -23,6 +23,7 @@
 #include "nn/recurrent.hh"
 #include "nn/synthetic.hh"
 #include "nn/trainer.hh"
+#include "rna/chip.hh"
 
 namespace rapidnn::blob {
 namespace {
@@ -375,6 +376,39 @@ TEST_F(CorruptBlob, ConvWindowSpanInflationRejects)
     ASSERT_GT(patched, 0u) << "no conv-plan offset section found";
     EXPECT_EXIT(loadAndExit(std::move(mutated)), exitedRejected,
                 "fatal: .*exceeds fan-in");
+}
+
+TEST_F(CorruptBlob, DenseRowPaddingMismatchRejectsAtConfigure)
+{
+    // Packed dense rows (format v3) pad each input's row to a multiple
+    // of 8 neurons with code 0. The loader pins only their size; the
+    // chip's layer context pins every code, padding included, before
+    // the dense tally reads them. The MLP corpus's dense layers have 6
+    // and 3 neurons, so code 6 of each row is padding; U8 sections in
+    // this corpus are exactly its two dense row tables.
+    const std::vector<uint8_t> &bytes = mlpCorpus();
+    const uint64_t sectionCount = getU64(bytes.data() + 24);
+    std::vector<uint8_t> mutated = bytes;
+    size_t patched = 0;
+    for (uint64_t i = 0; i < sectionCount; ++i) {
+        const uint8_t *e =
+            bytes.data() + kHeaderBytes + i * kSectionEntryBytes;
+        if (getU32(e) != uint32_t(SectionKind::U8))
+            continue;
+        mutated[getU64(e + 8) + 6] = 1;
+        ++patched;
+    }
+    ASSERT_EQ(patched, 2u);
+    EXPECT_EXIT(
+        {
+            auto blob = ModelBlob::fromBytes(std::move(mutated));
+            rna::ChipConfig config;
+            config.simd = simd::Variant::Scalar;
+            rna::Chip chip(config);
+            chip.configure(blob->model());
+            std::exit(0);
+        },
+        exitedRejected, "fatal: .*dense packed rows mismatch");
 }
 
 TEST_F(CorruptBlob, TrailingBytesRejectCleanly)

@@ -10,13 +10,19 @@
  *     inputs sweeping fan-in lengths around every vector-width boundary
  *     (0, 1, 15..17, 31..33, 63..65, 127..129) and unaligned base
  *     pointers (offsets 0..3), for 8-bit and 16-bit code widths.
- *  2. The accumulation engine: runPacked/runKeyed vs the legacy run()
- *     overloads, field by field, for power-of-two and padded key grids
- *     and for codebooks too large to pack (the 16-bit keyed path).
+ *  2. The accumulation engine: runPacked vs the legacy run()
+ *     overloads, field by field, for power-of-two and padded key grids.
  *  3. Whole-chip inference: dense, conv and recurrent models through
  *     ChipConfig::simd = Off vs every available variant, at 1 and 4
  *     intra-op threads — logits, codes and PerfReports must be
  *     bit-identical.
+ *
+ * The dense tally (KernelOps::denseTally) gets its own randomized
+ * sweep: every implementation the host can run against a direct
+ * per-neuron count (and, through denseResult, against the engine's
+ * run() oracle), then whole dense layers at awkward shapes and
+ * codebook sizes through every variant, batch sizes 1 to 8 and 1 or 4
+ * threads against the fastPath = false reference chip.
  *
  * The suite runs under the asan/tsan presets like every other tier-1
  * test; the gather tail-slack contract is exercised by gathering from
@@ -25,10 +31,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "composer/composer.hh"
@@ -139,35 +149,6 @@ TEST(KernelPrimitives, PairKeys8LanesMatchesPerLanePairKeys8)
                                 << ops.name
                                 << " wrote past n in lane " << L;
                     }
-                }
-            }
-        }
-    }
-}
-
-TEST(KernelPrimitives, PairKeys16MatchesScalar)
-{
-    Rng rng(102);
-    for (Variant v : simdVariants()) {
-        const KernelOps &ops = *kernels::opsFor(v);
-        for (size_t n : kSizes) {
-            for (size_t off = 0; off < 4; ++off) {
-                std::vector<uint16_t> w(n + off), x(n + off);
-                for (auto &c : w)
-                    c = uint16_t(rng.uniformInt(0, 65535));
-                for (auto &c : x)
-                    c = uint16_t(rng.uniformInt(0, 65535));
-                for (uint32_t shift : {0u, 5u, 16u}) {
-                    std::vector<uint32_t> got(n + 1, 0xdeadbeef),
-                        want(n + 1, 0xdeadbeef);
-                    scalarOps().pairKeys16(w.data() + off,
-                                           x.data() + off, n, shift,
-                                           want.data());
-                    ops.pairKeys16(w.data() + off, x.data() + off, n,
-                                   shift, got.data());
-                    EXPECT_EQ(got, want)
-                        << ops.name << " n=" << n << " off=" << off
-                        << " shift=" << shift;
                 }
             }
         }
@@ -337,7 +318,7 @@ expectResultsEqual(const AccumResult &a, const AccumResult &b,
         << what;
 }
 
-/** run() (heap oracle) vs runPacked/runKeyed for one (w, u) table. */
+/** run() (heap oracle) vs runPacked for one (w, u) table. */
 void
 sweepEngine(size_t w, size_t u, uint64_t seed)
 {
@@ -358,18 +339,13 @@ sweepEngine(size_t w, size_t u, uint64_t seed)
         const double bias = rng.uniform() - 0.5;
         const AccumResult oracle = engine.run(wc, uc, bias);
 
+        std::vector<uint8_t> wc8(wc.begin(), wc.end());
+        std::vector<uint8_t> uc8(uc.begin(), uc.end());
         for (Variant v : kernels::availableVariants()) {
             const KernelOps &ops = *kernels::opsFor(v);
-            if (engine.packable()) {
-                std::vector<uint8_t> wc8(wc.begin(), wc.end());
-                std::vector<uint8_t> uc8(uc.begin(), uc.end());
-                const AccumResult packed = engine.runPacked(
-                    ops, wc8.data(), uc8.data(), n, bias, scratch);
-                expectResultsEqual(oracle, packed, ops.name);
-            }
-            const AccumResult keyed = engine.runKeyed(
-                ops, wc.data(), uc.data(), n, bias, scratch);
-            expectResultsEqual(oracle, keyed, ops.name);
+            const AccumResult packed = engine.runPacked(
+                ops, wc8.data(), uc8.data(), n, bias, scratch);
+            expectResultsEqual(oracle, packed, ops.name);
         }
     }
 }
@@ -385,16 +361,169 @@ TEST(EngineEquivalence, PaddedInputCodebook)
     sweepEngine(7, 3, 203);
 }
 
-TEST(EngineEquivalence, WideCodebookKeyedPath)
+// ------------------------------------------------------- dense tally
+
+TEST(DenseTally, NafWeightEqualsCsdTerms)
 {
-    // Codebooks beyond 256 entries cannot pack; the 16-bit keyed path
-    // must still match the oracle.
-    sweepEngine(300, 20, 204);
-    sweepEngine(20, 300, 205);
-    ASSERT_FALSE(
-        AccumulationEngine(Array<double>(std::vector<double>(300 * 20)),
-                           300, 20, nvm::CostModel{})
-            .packable());
+    // The tally counts CSD terms as popcount(c ^ 3c) across its
+    // planes; that must equal the CSD recoding for every count.
+    for (uint64_t c = 0; c < 100000; ++c) {
+        size_t terms = 0;
+        csdForEach(c, [&](ShiftTerm) { ++terms; });
+        ASSERT_EQ(size_t(std::popcount(c ^ (3 * c))), terms) << c;
+    }
+}
+
+/** One synthetic dense layer for the tally sweep. */
+struct TallyCase
+{
+    size_t fanIn;
+    size_t outCount;
+    size_t w;
+    size_t u;
+    bool wide;        //!< products beyond int32 (fixed point)
+    bool oneCode;     //!< every input shares one code
+};
+
+/**
+ * Every dense-tally implementation vs a direct per-neuron count over
+ * random codes: sums, distinct cells and CSD terms for every neuron
+ * (padding included), for each lane, over split group ranges; then the
+ * scalar outputs through denseResult vs the engine's run() oracle.
+ */
+void
+sweepDenseTally(const TallyCase &tc, size_t lanes, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<double> table(tc.w * tc.u);
+    for (auto &p : table)
+        p = (rng.uniform() * 2.0 - 1.0) * (tc.wide ? 4.0e6 : 1.5);
+    AccumulationEngine engine(Array<double>(std::move(table)), tc.w,
+                              tc.u, nvm::CostModel{});
+    const size_t stride = composer::denseRowStride(tc.outCount);
+    const size_t groups = stride / simd::kDenseGroup;
+
+    std::vector<uint8_t> rows(tc.fanIn * stride, 0);
+    for (size_t i = 0; i < tc.fanIn; ++i)
+        for (size_t j = 0; j < tc.outCount; ++j)
+            rows[i * stride + j] =
+                uint8_t(rng.uniformInt(0, int64_t(tc.w) - 1));
+    const int64_t *products = engine.paddedProducts();
+    const uint32_t shift = engine.keyShift();
+    const uint32_t maskWords = uint32_t((tc.w + 63) / 64);
+
+    AccumScratch scratch;
+    for (size_t L = 0; L < lanes; ++L) {
+        std::vector<uint16_t> x(tc.fanIn);
+        const uint16_t fixed = uint16_t(rng.uniformInt(0, int64_t(tc.u) - 1));
+        for (auto &c : x)
+            c = tc.oneCode ? fixed
+                           : uint16_t(rng.uniformInt(0, int64_t(tc.u) - 1));
+        InputBuckets buckets;
+        buckets.build(x.data(), tc.fanIn, tc.u);
+
+        // Direct count per neuron, padding neurons (code 0) included.
+        std::vector<int64_t> wantSum(stride);
+        std::vector<uint32_t> wantDistinct(stride), wantAddends(stride);
+        for (size_t j = 0; j < stride; ++j) {
+            std::vector<uint32_t> cells(tc.w << shift, 0);
+            int64_t sum = 0;
+            for (size_t i = 0; i < tc.fanIn; ++i) {
+                const size_t key =
+                    (size_t(rows[i * stride + j]) << shift) | x[i];
+                ++cells[key];
+                sum += products[key];
+            }
+            uint32_t distinct = 0, addends = 0;
+            for (uint32_t c : cells) {
+                distinct += c != 0;
+                csdForEach(c, [&](ShiftTerm) { ++addends; });
+            }
+            wantSum[j] = sum;
+            wantDistinct[j] = distinct;
+            wantAddends[j] = addends;
+        }
+
+        const size_t split = size_t(rng.uniformInt(0, int64_t(groups)));
+        for (const kernels::DenseTallyImpl &impl :
+             kernels::denseTallyImpls()) {
+            // One guard neuron past the stride must stay untouched.
+            std::vector<int64_t> sums(stride + 1, -7);
+            std::vector<uint32_t> distinct(stride + 1, 7),
+                addends(stride + 1, 7);
+            simd::DenseTallyJob job{};
+            job.rows = rows.data();
+            job.rowStride = stride;
+            job.order = buckets.order.data();
+            job.bucketStart = buckets.start.data();
+            job.bucketCode = buckets.code.data();
+            job.buckets = buckets.buckets();
+            job.products = products;
+            job.shift = shift;
+            job.maskWords = maskWords;
+            for (auto [gb, ge] : {std::pair<size_t, size_t>{0, split},
+                                  {split, groups}}) {
+                const size_t at = gb * simd::kDenseGroup;
+                job.groupBegin = gb;
+                job.groupEnd = ge;
+                job.sums = sums.data() + at;
+                job.distinct = distinct.data() + at;
+                job.addends = addends.data() + at;
+                impl.fn(job);
+            }
+            const std::string what = std::string(impl.name)
+                + " fanIn=" + std::to_string(tc.fanIn)
+                + " out=" + std::to_string(tc.outCount)
+                + " w=" + std::to_string(tc.w)
+                + " u=" + std::to_string(tc.u)
+                + " lane=" + std::to_string(L);
+            for (size_t j = 0; j < stride; ++j) {
+                ASSERT_EQ(sums[j], wantSum[j]) << what << " j=" << j;
+                ASSERT_EQ(distinct[j], wantDistinct[j])
+                    << what << " j=" << j;
+                ASSERT_EQ(addends[j], wantAddends[j])
+                    << what << " j=" << j;
+            }
+            EXPECT_EQ(sums[stride], -7) << what;
+            EXPECT_EQ(distinct[stride], 7u) << what;
+            EXPECT_EQ(addends[stride], 7u) << what;
+        }
+
+        // The tally outputs make the engine's AccumResult exactly.
+        for (size_t j = 0; j < tc.outCount; ++j) {
+            std::vector<uint16_t> col(tc.fanIn);
+            for (size_t i = 0; i < tc.fanIn; ++i)
+                col[i] = rows[i * stride + j];
+            const double bias = rng.uniform() - 0.5;
+            const AccumResult got = engine.denseResult(
+                wantSum[j], wantDistinct[j], wantAddends[j],
+                engine.weightCountingCycles(col.data(), tc.fanIn),
+                tc.fanIn, bias, scratch);
+            expectResultsEqual(engine.run(col, x, bias), got,
+                               "denseResult");
+        }
+    }
+}
+
+TEST(DenseTally, AllImplementationsMatchDirectCount)
+{
+    const TallyCase cases[] = {
+        // fan-in and outCount off multiples of 8, tail groups of 1
+        {19, 9, 16, 16, false, false},
+        {1, 1, 4, 4, false, false},
+        {33, 17, 64, 37, false, false},   // u not a power of two
+        {70, 25, 65, 37, false, false},   // two mask words
+        {45, 8, 256, 5, false, false},    // four mask words
+        {200, 13, 64, 16, true, false},   // wide products
+        {300, 11, 64, 37, false, true},   // one bucket, most planes
+        {4100, 3, 7, 3, false, true},     // > 12 planes
+        {70000, 2, 3, 2, false, true},    // > 16 planes
+        {257, 41, 200, 300, true, false}, // u beyond 8-bit codes
+    };
+    uint64_t seed = 401;
+    for (const TallyCase &tc : cases)
+        for (size_t lanes : {size_t(1), size_t(3)})
+            sweepDenseTally(tc, lanes, seed++);
 }
 
 // --------------------------------------------------- chip equivalence
@@ -587,6 +716,141 @@ TEST(ChipKernelEquivalence, StagedSearchModeBitwise)
                       4);
 }
 
+/** A dense stack on the tally at awkward shapes and codebook sizes. */
+struct DenseShape
+{
+    size_t inputs;
+    std::vector<size_t> hidden;
+    size_t w;  //!< first layer's weight codebook entries
+    size_t u;  //!< first layer's input codebook entries
+};
+
+void
+expectReportsEqual(const PerfReport &want, const PerfReport &got,
+                   const std::string &what)
+{
+    EXPECT_EQ(want.latency.ns(), got.latency.ns()) << what;
+    EXPECT_EQ(want.energy.j(), got.energy.j()) << what;
+    ASSERT_EQ(want.breakdown.size(), got.breakdown.size()) << what;
+    for (size_t c = 0; c < want.breakdown.size(); ++c) {
+        EXPECT_EQ(want.breakdown[c].time.ns(), got.breakdown[c].time.ns())
+            << what << " " << want.breakdown[c].name;
+        EXPECT_EQ(want.breakdown[c].energy.j(),
+                  got.breakdown[c].energy.j())
+            << what << " " << want.breakdown[c].name;
+    }
+}
+
+/**
+ * Every variant x 1 or 4 threads x batch sizes 1..8 (and single-sample
+ * infer) against the fastPath = false reference chip, logits and
+ * PerfReports bit for bit. Two of the eight inputs are constant, so
+ * one input code fills the first layer's whole fan-in.
+ */
+void
+sweepDenseChip(const DenseShape &shape, uint64_t seed)
+{
+    nn::Dataset all = nn::makeVectorTask(
+        {"kq-tally", shape.inputs, 3, 120, 0.4, 1.0, seed});
+    auto [train, validation] = all.split(0.25);
+    Rng rng(seed + 1);
+    nn::Network net = nn::buildMlp(
+        {.inputs = shape.inputs, .hidden = shape.hidden, .outputs = 3},
+        rng);
+    nn::Trainer({.epochs = 1, .batchSize = 16, .learningRate = 0.05})
+        .train(net, train);
+    ComposerConfig cc;
+    cc.weightClusters = shape.w;
+    cc.inputClusters = shape.u;
+    ReinterpretedModel model = Composer(cc).reinterpret(net, train);
+    // Clustering may merge clusters, so give the first layer exactly
+    // w weight and u input entries (random weight codes, an input
+    // encoder and product table to match); the reference and kernel
+    // paths read the same tables.
+    composer::RLayer &first = model.layers()[0];
+    ASSERT_EQ(first.kind, composer::RLayerKind::Dense);
+    auto spaced = [](size_t n, double lo, double hi) {
+        std::vector<double> v(n);
+        for (size_t k = 0; k < n; ++k)
+            v[k] = lo + (hi - lo) * double(k) / double(n - 1);
+        return v;
+    };
+    first.inputCodebook =
+        quant::Codebook::fromSorted(Array<double>(spaced(shape.u, -2.5, 2.5)));
+    model.inputEncoder() = quant::Encoder(first.inputCodebook);
+    std::vector<double> values = spaced(shape.w, -1.0, 1.0);
+    std::vector<uint16_t> codes(first.weightCodes[0].size());
+    for (auto &c : codes)
+        c = uint16_t(rng.uniformInt(0, int64_t(shape.w) - 1));
+    std::vector<double> products(shape.w * shape.u);
+    for (size_t k = 0; k < shape.w; ++k)
+        for (size_t c = 0; c < shape.u; ++c)
+            products[k * shape.u + c] =
+                values[k] * first.inputCodebook.value(c);
+    first.weightCodebooks[0] =
+        quant::Codebook::fromSorted(Array<double>(std::move(values)));
+    first.weightCodes[0] = Array<uint16_t>(std::move(codes));
+    first.productTables[0] = Array<double>(std::move(products));
+
+    std::vector<nn::Tensor> inputs;
+    for (size_t s = 0; s < 6; ++s)
+        inputs.push_back(validation.sample(s).x);
+    nn::Tensor zeros(inputs[0].shape());
+    nn::Tensor level(inputs[0].shape());
+    for (size_t i = 0; i < level.numel(); ++i)
+        level[i] = 0.7f;
+    inputs.push_back(zeros);
+    inputs.push_back(level);
+
+    ChipConfig refConfig;
+    refConfig.fastPath = false;
+    Chip reference(refConfig);
+    reference.configure(model);
+    std::vector<std::vector<double>> want(inputs.size());
+    std::vector<PerfReport> wantReports(inputs.size());
+    for (size_t s = 0; s < inputs.size(); ++s)
+        want[s] = reference.infer(inputs[s], wantReports[s]);
+
+    for (Variant v : kernels::availableVariants()) {
+        for (size_t threads : {size_t(1), size_t(4)}) {
+            ChipConfig config;
+            config.simd = v;
+            config.numThreads = threads;
+            Chip chip(config);
+            chip.configure(model);
+            const std::string tag = std::string(simd::variantName(v))
+                + " threads=" + std::to_string(threads) + " w="
+                + std::to_string(shape.w);
+            for (size_t s = 0; s < inputs.size(); ++s) {
+                PerfReport report;
+                EXPECT_EQ(chip.infer(inputs[s], report), want[s])
+                    << tag << " infer sample " << s;
+                expectReportsEqual(wantReports[s], report,
+                                   tag + " infer");
+            }
+            for (size_t batch = 1; batch <= inputs.size(); ++batch) {
+                std::vector<PerfReport> reports(batch);
+                const auto got = chip.inferBatch(
+                    std::span<const nn::Tensor>(inputs.data(), batch),
+                    reports);
+                for (size_t s = 0; s < batch; ++s) {
+                    EXPECT_EQ(got[s], want[s])
+                        << tag << " batch=" << batch << " lane " << s;
+                    expectReportsEqual(wantReports[s], reports[s],
+                                       tag + " batch");
+                }
+            }
+        }
+    }
+}
+
+TEST(ChipKernelEquivalence, DenseTallySweepMatchesReference)
+{
+    sweepDenseChip({19, {9, 1}, 64, 37}, 501);  // tail groups of 1
+    sweepDenseChip({19, {17}, 65, 37}, 502);    // two mask words
+    sweepDenseChip({40, {33}, 256, 37}, 503);   // four mask words
+}
+
 // ------------------------------------------------- dispatch policy
 
 TEST(KernelDispatch, EnvOverridesAutoExplicitWinsOverEnv)
@@ -616,15 +880,14 @@ TEST(KernelDispatch, ScalarAlwaysAvailableAndTablesNamed)
         ASSERT_NE(ops, nullptr) << simd::variantName(v);
         EXPECT_STREQ(ops->name, simd::variantName(v));
         EXPECT_NE(ops->pairKeys8, nullptr);
-        EXPECT_NE(ops->pairKeys16, nullptr);
         EXPECT_NE(ops->narrow, nullptr);
         EXPECT_NE(ops->gather8, nullptr);
         EXPECT_NE(ops->maxU16, nullptr);
         EXPECT_NE(ops->quantize, nullptr);
         EXPECT_NE(ops->directLookup, nullptr);
         EXPECT_NE(ops->gatherSum16, nullptr);
-        EXPECT_NE(ops->gatherSum32, nullptr);
         EXPECT_NE(ops->pairKeys8Lanes, nullptr);
+        EXPECT_NE(ops->denseTally, nullptr);
     }
     EXPECT_EQ(kernels::opsFor(Variant::Off), nullptr);
     EXPECT_EQ(kernels::opsFor(Variant::Auto), nullptr);

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <thread>
 
@@ -412,6 +413,67 @@ TEST(ServingEngine, ModeledThroughputScalesWithReplicas)
     // The busiest of 4 replicas carries well under the serial chip
     // time (slack for uneven work stealing on a loaded host).
     EXPECT_LT(four, one * 0.75);
+}
+
+TEST(ServingEngine, WallClockStartsAtFirstSubmit)
+{
+    // Time before the first submit (configure, clones, thread spawn,
+    // idle) is not serving time: the rate covers first submit ->
+    // snapshot only, so it is at least completed / that span.
+    auto &fx = composedMlp();
+    ServingConfig serving;
+    serving.workers = 2;
+    ServingEngine engine(fx.model, rna::ChipConfig{}, serving);
+    EXPECT_EQ(engine.stats().wallSeconds, 0.0);
+    EXPECT_EQ(engine.stats().throughputRps(), 0.0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    constexpr size_t kRequests = 40;
+    const auto firstSubmit = std::chrono::steady_clock::now();
+    std::vector<std::future<InferResult>> futures;
+    for (size_t i = 0; i < kRequests; ++i)
+        futures.push_back(engine.submit(fx.validation.sample(i % 8).x));
+    for (auto &future : futures)
+        future.get();
+    const ServerStats stats = engine.stats();
+    const double span = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - firstSubmit).count();
+
+    EXPECT_EQ(stats.completed, kRequests);
+    EXPECT_GT(stats.wallSeconds, 0.0);
+    EXPECT_LE(stats.wallSeconds, span);
+    EXPECT_GE(stats.throughputRps(), double(kRequests) / span);
+}
+
+/** Threads of this process, from /proc/self/task (0 if unreadable). */
+size_t
+processThreads()
+{
+    std::error_code ec;
+    size_t n = 0;
+    for (auto it = std::filesystem::directory_iterator("/proc/self/task",
+                                                       ec);
+         !ec && it != std::filesystem::directory_iterator();
+         it.increment(ec))
+        ++n;
+    return n;
+}
+
+TEST(ServingEngine, DefaultEngineStartsOnlyItsWorkers)
+{
+    // A default engine never shards a request, so it must not start
+    // the shared task pool's helper threads: its workers are the only
+    // threads it adds.
+    auto &fx = composedMlp();
+    const size_t before = processThreads();
+    if (before == 0)
+        GTEST_SKIP() << "/proc/self/task unavailable";
+    ServingConfig serving;
+    serving.workers = 2;
+    ServingEngine engine(fx.model, rna::ChipConfig{}, serving);
+    EXPECT_EQ(processThreads(), before + serving.workers);
+    engine.submit(fx.validation.sample(0).x).get();
+    EXPECT_EQ(processThreads(), before + serving.workers);
 }
 
 TEST(Rapidnn, ServeEntryPoint)

@@ -11,10 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/task_pool.hh"
 #include "runtime/server_stats.hh"
@@ -420,6 +423,83 @@ TEST(StatsCollector, PercentilesInterpolateNotTruncate)
     const std::vector<double> v{10.0, 20.0, 30.0, 40.0};
     EXPECT_DOUBLE_EQ(percentile(v, 0.5), 25.0);
     EXPECT_DOUBLE_EQ(percentile(v, 0.75), 32.5);
+}
+
+TEST(StatsCollector, SnapshotCostAndMemoryStayFlat)
+{
+    // The percentiles cover a fixed window of recent latencies, so a
+    // snapshot after 10^6 requests holds as many values and costs
+    // about what one after a full window does (the old full-history
+    // sort was ~100x dearer here).
+    using Clock = std::chrono::steady_clock;
+    Registry reg;
+    runtime::StatsCollector collector(8, reg);
+    auto feed = [&](size_t from, size_t to) {
+        for (size_t i = from; i < to; ++i) {
+            const double us = double(i % 997);
+            collector.recordRequest(us, us, us);
+        }
+    };
+    auto snapshotSeconds = [&] {
+        std::vector<double> times;
+        for (int rep = 0; rep < 5; ++rep) {
+            runtime::ServerStats stats;
+            const auto t0 = Clock::now();
+            collector.snapshotInto(stats);
+            times.push_back(
+                std::chrono::duration<double>(Clock::now() - t0).count());
+        }
+        std::sort(times.begin(), times.end());
+        return times[times.size() / 2];
+    };
+
+    const size_t window = runtime::StatsCollector::kLatencyWindow;
+    feed(0, window);
+    EXPECT_EQ(collector.retainedLatencies(), window);
+    const double atWindow = snapshotSeconds();
+
+    constexpr size_t kRequests = 1000000;
+    feed(window, kRequests);
+    EXPECT_EQ(collector.retainedLatencies(), window);
+    const double atMillion = snapshotSeconds();
+    EXPECT_LT(atMillion, 10.0 * atWindow + 0.002);
+
+    // The window holds exactly the last `window` latencies.
+    std::vector<double> recent;
+    for (size_t i = kRequests - window; i < kRequests; ++i)
+        recent.push_back(double(i % 997));
+    runtime::ServerStats stats;
+    collector.snapshotInto(stats);
+    EXPECT_EQ(stats.completed, kRequests);
+    EXPECT_DOUBLE_EQ(stats.p50LatencyUs, percentile(recent, 0.50));
+    EXPECT_DOUBLE_EQ(stats.p95LatencyUs, percentile(recent, 0.95));
+    EXPECT_DOUBLE_EQ(stats.p99LatencyUs, percentile(recent, 0.99));
+}
+
+TEST(StatsCollector, PercentileSelectionMatchesSortedInterpolation)
+{
+    // The selection-based percentile must equal interpolating the fully
+    // sorted sample, also when called repeatedly on one vector.
+    Rng rng(77);
+    for (size_t n : {size_t(1), size_t(2), size_t(3), size_t(10),
+                     size_t(101), size_t(1000)}) {
+        std::vector<double> xs(n);
+        for (auto &x : xs)
+            x = double(rng.uniformInt(0, 50));  // ties included
+        std::vector<double> sorted = xs;
+        std::sort(sorted.begin(), sorted.end());
+        for (double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0}) {
+            const double pos = q * double(n - 1);
+            const size_t lo = size_t(pos);
+            const size_t hi = std::min(lo + 1, n - 1);
+            const double want = sorted[lo]
+                + (sorted[hi] - sorted[lo]) * (pos - double(lo));
+            EXPECT_EQ(percentileInPlace(xs, q), want)
+                << "n=" << n << " q=" << q;
+        }
+    }
+    std::vector<double> empty;
+    EXPECT_EQ(percentileInPlace(empty, 0.5), 0.0);
 }
 
 TEST(StatsCollector, FeedsRegistryAndBaselinesPerEngine)

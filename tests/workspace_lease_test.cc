@@ -41,9 +41,17 @@ TEST(WorkspaceLease, BusyFlagGrantsAtMostOneOwner)
 
     constexpr size_t kThreads = 4;
     constexpr size_t kRounds = 2000;
+    // After the contended hammer the threads pass a token around a
+    // ring, and only the holder touches the flag: every such round is
+    // uncontended by construction, so it must win. (How many of the
+    // hammer's rounds win depends on scheduling and is not checked.)
+    constexpr size_t kHandoffRounds = 50;
+    std::atomic<size_t> hammered{0};
+    std::atomic<size_t> turn{0};
+    std::atomic<size_t> handoffLosses{0};
     std::vector<std::thread> threads;
     for (size_t t = 0; t < kThreads; ++t)
-        threads.emplace_back([&] {
+        threads.emplace_back([&, t] {
             for (size_t r = 0; r < kRounds; ++r) {
                 const bool won = !shared.busy.exchange(
                     true, std::memory_order_acquire);
@@ -61,13 +69,28 @@ TEST(WorkspaceLease, BusyFlagGrantsAtMostOneOwner)
                     losses.fetch_add(1);
                 }
             }
+            // Barrier: nobody hammers while the token circulates.
+            hammered.fetch_add(1, std::memory_order_acq_rel);
+            while (hammered.load(std::memory_order_acquire) < kThreads)
+                std::this_thread::yield();
+            for (size_t r = 0; r < kHandoffRounds; ++r) {
+                const size_t mine = r * kThreads + t;
+                while (turn.load(std::memory_order_acquire) != mine)
+                    std::this_thread::yield();
+                if (shared.busy.exchange(true, std::memory_order_acquire))
+                    handoffLosses.fetch_add(1);
+                else
+                    shared.busy.store(false, std::memory_order_release);
+                turn.store(mine + 1, std::memory_order_release);
+            }
         });
     for (auto &thread : threads)
         thread.join();
 
     EXPECT_EQ(overlaps.load(), 0);
     EXPECT_EQ(wins.load() + losses.load(), kThreads * kRounds);
-    EXPECT_GE(wins.load(), kRounds);  // uncontended rounds must win
+    EXPECT_EQ(handoffLosses.load(), 0u);  // uncontended rounds win
+    EXPECT_EQ(turn.load(), kThreads * kHandoffRounds);
     EXPECT_FALSE(shared.busy.load()); // all leases returned
 }
 

@@ -19,7 +19,7 @@ import sys
 
 MAGIC = 0x424E4E52  # "RNNB" little-endian
 MIN_VERSION = 1
-VERSION = 2  # v2 adds u8 packed weight-code sections
+VERSION = 3  # v2 adds u8 packed weight-code sections, v3 dense rows
 HEADER_BYTES = 64
 SECTION_ENTRY_BYTES = 24
 MAX_SECTIONS = 1 << 20
