@@ -11,7 +11,7 @@
  * serially and with ComposerConfig::threads task-pool lanes. The
  * parallel compose is deterministic — the composed model is
  * byte-identical at any lane count (pinned by
- * tests/intraop_determinism_test.cc) — so the speedup is free.
+ * tests/task_pool_test.cc) — so the speedup is free.
  * RAPIDNN_THREADS picks the parallel lane count; all numbers land in
  * BENCH_table3_composer_overhead.json.
  */

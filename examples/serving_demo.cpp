@@ -2,8 +2,9 @@
  * @file
  * Serving-runtime walkthrough: compose a small model, stand up the
  * batched multi-threaded engine via Rapidnn::serve(), fire a burst of
- * asynchronous requests at it, and read back the ServerStats snapshot
- * and the merged deployment PerfReport.
+ * asynchronous requests at it plus one malformed request (refused at
+ * admission), and read back the ServerStats snapshot and the merged
+ * deployment PerfReport.
  *
  * Telemetry hooks (both optional, off by default):
  *  - RAPIDNN_METRICS_PORT=<port>: serve Prometheus metrics on
@@ -20,8 +21,8 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
-#include "common/task_pool.hh"
 #include "core/rapidnn.hh"
 #include "nn/trainer.hh"
 #include "runtime/serving_engine.hh"
@@ -65,11 +66,6 @@ main()
     serving.maxBatch = 8;
     serving.maxLatencyUs = 300;
     serving.queueCapacity = 32;
-    // Borrow task-pool lanes for single requests whenever the queue is
-    // shallow; RAPIDNN_THREADS overrides the lane budget.
-    serving.intraOpThreads = TaskPool::defaultThreads();
-    std::cout << "intra-op lanes when queue is shallow: "
-              << serving.intraOpThreads << "\n";
 
     if (metricsPortEnv != nullptr)
         serving.metricsPort = static_cast<uint16_t>(
@@ -105,6 +101,14 @@ main()
             futures.push_back(engine->submit(
                 validation.sample(i % validation.size()).x));
         }
+    }
+
+    // A request of the wrong shape is refused at admission: its future
+    // fails with std::invalid_argument and no worker ever sees it.
+    try {
+        engine->submit(nn::Tensor({3})).get();
+    } catch (const std::invalid_argument &e) {
+        std::cout << "malformed request refused: " << e.what() << "\n";
     }
 
     size_t correct = 0;

@@ -193,36 +193,9 @@ encodeLayer(Writer &w, const RLayer &layer,
             w.put(w.add(SectionKind::F64, table));
     }
 
-    // Deploy-time artifacts: the transposed weight columns and (for
-    // conv layers) the gather plan at the canonical input shape, so a
-    // blob-backed Chip shares one precomputed copy across replicas.
-    std::vector<uint16_t> columns, recX, recH;
-    if (layer.kind == RLayerKind::Dense) {
-        columns = layer.denseColumns.empty()
-                      ? composer::denseColumnsOf(layer)
-                      : layer.denseColumns.toVector();
-        w.put(1);
-        w.put(w.add(SectionKind::U16, columns));
-    } else {
-        w.put(0);
-    }
-
-    if (layer.kind == RLayerKind::Recurrent) {
-        recX = layer.recXColumns.empty()
-                   ? composer::recXColumnsOf(layer)
-                   : layer.recXColumns.toVector();
-        recH = layer.recHColumns.empty()
-                   ? composer::recHColumnsOf(layer)
-                   : layer.recHColumns.toVector();
-        w.put(1);
-        w.put(w.add(SectionKind::U16, recX));
-        w.put(1);
-        w.put(w.add(SectionKind::U16, recH));
-    } else {
-        w.put(0);
-        w.put(0);
-    }
-
+    // Deploy-time artifacts: (for conv layers) the gather plan at the
+    // canonical input shape, so a blob-backed Chip shares one
+    // precomputed copy across replicas.
     if (layer.kind == RLayerKind::Conv) {
         const nn::Shape &in = inShapes.at(&layer);
         RAPIDNN_CHECK(in.size() == 3,
@@ -273,10 +246,8 @@ encodeLayer(Writer &w, const RLayer &layer,
         layer.stateWeightCodebooks[0].size() <= 256;
     if (recPacks) {
         w.put(1);
-        w.put(w.add(SectionKind::U8,
-                    narrowU8(recX.data(), recX.size())));
-        w.put(w.add(SectionKind::U8,
-                    narrowU8(recH.data(), recH.size())));
+        w.put(w.add(SectionKind::U8, composer::recXColumns8Of(layer)));
+        w.put(w.add(SectionKind::U8, composer::recHColumns8Of(layer)));
     } else {
         w.put(0);
     }
@@ -383,30 +354,6 @@ readCodebook(const Parsed &p, MetaCursor &cur, const char *what)
 void
 validateDerived(const RLayer &layer)
 {
-    if (!layer.denseColumns.empty()) {
-        RAPIDNN_CHECK(layer.kind == RLayerKind::Dense,
-                      "model blob: dense columns on a non-dense layer");
-        RAPIDNN_CHECK(layer.denseColumns.size() ==
-                          layer.weightCodes[0].size(),
-                      "model blob: dense column count ",
-                      layer.denseColumns.size(), " != weight codes ",
-                      layer.weightCodes[0].size());
-    }
-    if (!layer.recXColumns.empty() || !layer.recHColumns.empty()) {
-        RAPIDNN_CHECK(layer.kind == RLayerKind::Recurrent,
-                      "model blob: recurrent columns on a "
-                      "non-recurrent layer");
-        RAPIDNN_CHECK(layer.recXColumns.size() ==
-                          layer.weightCodes[0].size(),
-                      "model blob: recurrent x-column count ",
-                      layer.recXColumns.size(), " != weight codes ",
-                      layer.weightCodes[0].size());
-        RAPIDNN_CHECK(layer.recHColumns.size() ==
-                          layer.stateWeightCodes[0].size(),
-                      "model blob: recurrent h-column count ",
-                      layer.recHColumns.size(), " != state codes ",
-                      layer.stateWeightCodes[0].size());
-    }
     if (!layer.denseRows8.empty()) {
         RAPIDNN_CHECK(layer.kind == RLayerKind::Dense,
                       "model blob: packed dense rows on a non-dense "
@@ -582,18 +529,16 @@ readLayer(const Parsed &p, MetaCursor &cur, size_t depth)
                 "state product table"));
     }
 
-    if (cur.flag("has dense columns"))
-        layer.denseColumns = p.view<uint16_t>(
-            cur.next("dense columns"), SectionKind::U16,
-            "dense columns");
-    if (cur.flag("has recurrent x columns"))
-        layer.recXColumns = p.view<uint16_t>(
-            cur.next("recurrent x columns"), SectionKind::U16,
-            "recurrent x columns");
-    if (cur.flag("has recurrent h columns"))
-        layer.recHColumns = p.view<uint16_t>(
-            cur.next("recurrent h columns"), SectionKind::U16,
-            "recurrent h columns");
+    // Versions 1-3 stored u16 neuron-major weight columns here (dense,
+    // recurrent x, recurrent h). Nothing reads them any more: each is
+    // type- and bounds-checked like any section reference, then left
+    // unused.
+    if (p.version < 4) {
+        for (const char *what : {"dense columns", "recurrent x columns",
+                                 "recurrent h columns"})
+            if (cur.flag(what))
+                p.section(cur.next(what), SectionKind::U16, what);
+    }
 
     if (cur.flag("has conv plan")) {
         RLayer::ConvPlanData plan;

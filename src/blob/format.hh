@@ -41,13 +41,15 @@ constexpr uint32_t kBlobMagic = 0x424E4E52;
  * for layers whose codebooks fit 256 entries, feeding the SIMD kernel
  * paths without a narrowing pass at load time. Version 3 changes the
  * dense layers' packed section from neuron-major columns to the dense
- * tally's input-major rows, padded to 8-neuron groups. The loader
- * still reads version-1 and -2 files (the packed fields are
- * version-gated in the meta stream; a v2 dense section is ignored and
- * the rows are derived at configure); the writer always emits the
- * current version.
+ * tally's input-major rows, padded to 8-neuron groups. Version 4 drops
+ * the u16 neuron-major weight columns (dense, recurrent x and h) that
+ * versions 1-3 stored after the state block. The loader still reads
+ * versions 1-3 (the packed fields are version-gated in the meta
+ * stream; a v2 dense section and the v1-v3 u16 columns are
+ * type-checked and ignored); the writer always emits the current
+ * version.
  */
-constexpr uint32_t kBlobVersion = 3;
+constexpr uint32_t kBlobVersion = 4;
 constexpr uint32_t kMinBlobVersion = 1;
 constexpr uint32_t kHeaderBytes = 64;
 constexpr uint32_t kSectionEntryBytes = 24;
@@ -64,7 +66,7 @@ enum class SectionKind : uint32_t
     Meta = 0, //!< u64 scalar stream (the model tree)
     F64 = 1,  //!< doubles (codebooks, product tables, activations)
     F32 = 2,  //!< floats (bias vectors)
-    U16 = 3,  //!< uint16 (weight codes, transposed columns)
+    U16 = 3,  //!< uint16 (weight codes)
     U32 = 4,  //!< uint32 (conv gather index maps)
     U8 = 5,   //!< uint8 (packed weight codes, format v2)
 };

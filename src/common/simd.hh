@@ -2,8 +2,8 @@
  * @file
  * Runtime CPU-feature detection and the SIMD kernel dispatch surface.
  *
- * The inference hot loops (code gather + tally, transposed weighted
- * accumulation, direct-indexed NDCAM lookup) run through a table of
+ * The inference hot loops (code gather + tally, the dense tally,
+ * direct-indexed NDCAM lookup) run through a table of
  * function pointers selected once per Chip::configure from the host's
  * CPU features, a `RAPIDNN_SIMD` environment override, or an explicit
  * `ChipConfig::simd` request. The per-ISA implementations live in
@@ -42,8 +42,7 @@ namespace rapidnn::simd {
 /** Which kernel family executes the inference hot loops. */
 enum class Variant
 {
-    Off,     //!< legacy fused fast path, no kernel layer (the oracle)
-    Scalar,  //!< kernel layer with portable scalar implementations
+    Scalar,  //!< portable scalar kernels, the vector variants' oracle
     Avx2,    //!< x86-64 AVX2
     Avx512,  //!< x86-64 AVX-512 (F + BW)
     Neon,    //!< aarch64 NEON
@@ -86,7 +85,6 @@ inline const char *
 variantName(Variant v)
 {
     switch (v) {
-      case Variant::Off:    return "off";
       case Variant::Scalar: return "scalar";
       case Variant::Avx2:   return "avx2";
       case Variant::Avx512: return "avx512";
@@ -102,15 +100,14 @@ inline Variant
 parseVariant(const char *s)
 {
     RAPIDNN_CHECK(s != nullptr, "null SIMD variant name");
-    if (std::strcmp(s, "off") == 0)    return Variant::Off;
     if (std::strcmp(s, "scalar") == 0) return Variant::Scalar;
     if (std::strcmp(s, "avx2") == 0)   return Variant::Avx2;
     if (std::strcmp(s, "avx512") == 0) return Variant::Avx512;
     if (std::strcmp(s, "neon") == 0)   return Variant::Neon;
     if (std::strcmp(s, "auto") == 0)   return Variant::Auto;
     RAPIDNN_CHECK(false, "unknown RAPIDNN_SIMD value \"", s,
-                  "\" (want off|scalar|avx2|avx512|neon|auto)");
-    return Variant::Off;
+                  "\" (want scalar|avx2|avx512|neon|auto)");
+    return Variant::Auto;
 }
 
 /** Detected-feature summary for bench/telemetry attribution. */
@@ -198,10 +195,6 @@ struct KernelOps
 {
     const char *name;  //!< variantName() of the implementing ISA
 
-    /** keys[i] = (w[i] << shift) | x[i] over 8-bit packed codes. */
-    void (*pairKeys8)(const uint8_t *w, const uint8_t *x, size_t n,
-                      uint32_t shift, uint16_t *keys);
-
     /** dst[i] = uint8_t(src[i]); caller guarantees src[i] < 256. */
     void (*narrow)(const uint16_t *src, size_t n, uint8_t *dst);
 
@@ -248,13 +241,11 @@ struct KernelOps
                            size_t n);
 
     /**
-     * Batch-lane twin of pairKeys8: for every lane L < lanes,
-     * keys[L * keyStride + i] = (w[i] << shift) | xs[L][i] over
-     * [0, n). One weight column serves all lanes, so the vector
+     * Fused pair keys over 8-bit packed codes for every batch lane
+     * L < lanes: keys[L * keyStride + i] = (w[i] << shift) | xs[L][i]
+     * over [0, n). One weight column serves all lanes, so the vector
      * variants load and shift `w` once per chunk and reuse it across
-     * the lane-inner loop — the batched inference path's column
-     * amortization. Each lane's keys are bitwise identical to a
-     * per-lane pairKeys8 call; only [0, n) of every lane's stripe is
+     * the lane-inner loop. Only [0, n) of every lane's stripe is
      * written (keyStride >= n).
      */
     void (*pairKeys8Lanes)(const uint8_t *w,

@@ -27,7 +27,7 @@ TaskPool::~TaskPool()
 TaskPool &
 TaskPool::shared()
 {
-    // At least one helper even on single-core hosts: intra-op shards
+    // At least one helper even on single-core hosts: shards
     // then really cross threads (timesliced), which keeps the
     // determinism and TSan coverage meaningful everywhere.
     static TaskPool pool(std::max<size_t>(defaultThreads(), 2) - 1);

@@ -1,20 +1,19 @@
 /**
  * @file
- * A shared work-stealing task pool for deterministic intra-op
+ * A shared work-stealing task pool for deterministic sharded
  * parallelism.
  *
- * The pool mirrors the paper's intra-layer hardware parallelism on the
- * host CPU: an RNA chip computes many output neurons of one layer
- * concurrently (Section 4.3), so the simulator shards the neuron loops
- * of one operator across a fixed grid and lets pool threads steal
- * shards. Determinism is structural, not scheduled: callers shard work
+ * The composer shards its codebook and projection loops across a
+ * fixed grid and lets pool threads steal shards; benches and tools use
+ * it to run independent jobs side by side. Determinism is structural,
+ * not scheduled: callers shard work
  * over a thread-count-independent grid, give every lane its own
  * scratch, write only disjoint output slots from inside shards, and do
  * all floating-point reductions serially in shard order afterwards —
  * so results are bitwise identical at any thread count, including one.
  *
- * One process-wide pool (TaskPool::shared()) is shared by every Chip,
- * the serving engine, the composer and k-means. run() is reentrant:
+ * One process-wide pool (TaskPool::shared()) is shared by the composer
+ * and k-means. run() is reentrant:
  * the caller always participates (lane 0), so a pool helper that
  * enters a nested run() can never deadlock waiting for a free helper.
  */
@@ -46,7 +45,7 @@ class TaskPool
 
     /**
      * The process-wide pool. Sized once, on first use, to
-     * defaultThreads() lanes (but at least 2, so intra-op code paths
+     * defaultThreads() lanes (but at least 2, so sharded code paths
      * exercise real cross-thread execution even on one-core hosts).
      */
     static TaskPool &shared();
@@ -86,9 +85,7 @@ class TaskPool
      * by the slot; `steals` counts jobs the slot attached to — for a
      * helper that is a genuine steal (it joined a job another thread
      * opened), for slot 0 it counts run() calls that went parallel.
-     * Counters are cumulative over the pool's lifetime; the telemetry
-     * registry exposes them via callbacks
-     * (telemetry::registerTaskPoolMetrics).
+     * Counters are cumulative over the pool's lifetime.
      */
     struct LaneCounters
     {

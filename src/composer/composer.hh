@@ -56,7 +56,7 @@ struct ComposerConfig
      * weight projection, codebook tree builds). Clustering seeds are
      * pre-drawn in serial order and every job writes disjoint outputs,
      * so the composed model is identical at any value
-     * (tests/intraop_determinism_test.cc pins this). 1 (default)
+     * (tests/task_pool_test.cc pins this). 1 (default)
      * keeps the fully serial pipeline.
      */
     size_t threads = 1;

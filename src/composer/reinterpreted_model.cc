@@ -424,19 +424,6 @@ ReinterpretedModel::describe() const
     return os.str();
 }
 
-std::vector<uint16_t>
-denseColumnsOf(const RLayer &layer)
-{
-    RAPIDNN_ASSERT(!layer.weightCodes.empty(), "layer without weights");
-    const auto &codes = layer.weightCodes[0];
-    std::vector<uint16_t> columns(codes.size());
-    for (size_t i = 0; i < layer.inCount; ++i)
-        for (size_t j = 0; j < layer.outCount; ++j)
-            columns[j * layer.inCount + i] =
-                codes[i * layer.outCount + j];
-    return columns;
-}
-
 std::vector<uint8_t>
 denseRows8Of(const RLayer &layer)
 {
@@ -453,32 +440,41 @@ denseRows8Of(const RLayer &layer)
     return rows;
 }
 
-std::vector<uint16_t>
-recXColumnsOf(const RLayer &layer)
+namespace {
+
+/** Packed transpose of a row-major [rows][cols] code matrix. */
+std::vector<uint8_t>
+packedColumns(const Array<uint16_t> &codes, size_t rows, size_t cols)
 {
-    RAPIDNN_ASSERT(!layer.weightCodes.empty(), "layer without weights");
-    const size_t hidden = layer.outCount;
-    const size_t features = layer.inCount;
-    const auto &wx = layer.weightCodes[0];
-    std::vector<uint16_t> columns(wx.size());
-    for (size_t f = 0; f < features; ++f)
-        for (size_t h = 0; h < hidden; ++h)
-            columns[h * features + f] = wx[f * hidden + h];
+    std::vector<uint8_t> columns(rows * cols);
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t c = 0; c < cols; ++c)
+            columns[c * rows + r] =
+                static_cast<uint8_t>(codes[r * cols + c]);
     return columns;
 }
 
-std::vector<uint16_t>
-recHColumnsOf(const RLayer &layer)
+} // namespace
+
+std::vector<uint8_t>
+recXColumns8Of(const RLayer &layer)
+{
+    RAPIDNN_ASSERT(!layer.weightCodes.empty(), "layer without weights");
+    RAPIDNN_ASSERT(layer.weightCodebooks[0].size() <= 256,
+                   "packed columns need a codebook of <= 256 entries");
+    return packedColumns(layer.weightCodes[0], layer.inCount,
+                         layer.outCount);
+}
+
+std::vector<uint8_t>
+recHColumns8Of(const RLayer &layer)
 {
     RAPIDNN_ASSERT(!layer.stateWeightCodes.empty(),
                    "layer without state weights");
-    const size_t hidden = layer.outCount;
-    const auto &wh = layer.stateWeightCodes[0];
-    std::vector<uint16_t> columns(wh.size());
-    for (size_t hp = 0; hp < hidden; ++hp)
-        for (size_t h = 0; h < hidden; ++h)
-            columns[h * hidden + hp] = wh[hp * hidden + h];
-    return columns;
+    RAPIDNN_ASSERT(layer.stateWeightCodebooks[0].size() <= 256,
+                   "packed columns need a codebook of <= 256 entries");
+    return packedColumns(layer.stateWeightCodes[0], layer.outCount,
+                         layer.outCount);
 }
 
 nn::Shape

@@ -106,31 +106,18 @@ struct RLayer
     std::vector<Array<double>> stateProductTables;
 
     /**
-     * Deploy-time execution artifacts. Composer-built models leave
-     * these empty and the RNA layer contexts derive them on
-     * configure; the blob loader fills them with views into the
-     * mapped file so every Chip replica shares one precomputed copy.
-     *
-     * denseColumns is the neuron-major transpose of weightCodes[0]
-     * ([j*inCount + i]); recX/recHColumns are the hidden-unit-major
-     * transposes of the recurrent x/h weights. convPlan is the
-     * im2col-style gather plan at the canonical input shape.
-     */
-    Array<uint16_t> denseColumns;
-    Array<uint16_t> recXColumns;
-    Array<uint16_t> recHColumns;
-
-    /**
-     * Packed (uint8) weight codes for the SIMD kernel paths, for
-     * layers whose codebooks fit 256 entries. denseRows8 is the
-     * input-major dense matrix the dense tally reads, weightCodes[0]
-     * narrowed with each row padded to denseRowStride(outCount)
-     * neurons (padding codes are 0) — see denseRows8Of(). weightCodes8
-     * mirrors the per-channel conv weightCodes and recX/recHColumns8
-     * the recurrent column transposes. The blob format precomputes
-     * them into the file (dense rows from version 3); heap models
-     * leave them empty and the RNA layer contexts derive them at
-     * configure time. Loaded values are untrusted and validated
+     * Deploy-time execution artifacts: packed (uint8) weight codes for
+     * the production path, for layers whose codebooks fit 256
+     * entries. denseRows8 is the input-major dense matrix the dense
+     * tally reads, weightCodes[0] narrowed with each row padded to
+     * denseRowStride(outCount) neurons (padding codes are 0) — see
+     * denseRows8Of(). weightCodes8 mirrors the per-channel conv
+     * weightCodes and recX/recHColumns8 are the hidden-unit-major
+     * transposes of the recurrent x/h weights (recXColumns8Of()). The
+     * blob format precomputes them into the file (dense rows from
+     * version 3) so every Chip replica shares one mapped copy; heap
+     * models leave them empty and the RNA layer contexts derive them
+     * at configure time. Loaded values are untrusted and validated
      * element-wise against the 16-bit arrays.
      */
     Array<uint8_t> denseRows8;
@@ -237,14 +224,15 @@ class ReinterpretedModel
 };
 
 /**
- * Neuron-major transposes of a layer's encoded weights, the layouts
- * the fast path walks column-wise. Shared by the RNA layer contexts
- * (heap models derive them at configure time) and the blob writer
- * (which precomputes them into the file).
+ * Hidden-unit-major packed transposes of a recurrent layer's x-path
+ * ([h * inCount + f]) and feedback-path ([h * outCount + h']) weight
+ * codes, the columns the recurrent production path keys per hidden
+ * unit. Shared by the RNA layer contexts (heap models derive them at
+ * configure time) and the blob writer (which precomputes them into
+ * the file). Require codebooks of <= 256 entries.
  */
-std::vector<uint16_t> denseColumnsOf(const RLayer &layer);
-std::vector<uint16_t> recXColumnsOf(const RLayer &layer);
-std::vector<uint16_t> recHColumnsOf(const RLayer &layer);
+std::vector<uint8_t> recXColumns8Of(const RLayer &layer);
+std::vector<uint8_t> recHColumns8Of(const RLayer &layer);
 
 /** Neurons per packed dense row: outCount rounded up to the dense
  *  tally's 8-neuron group. */

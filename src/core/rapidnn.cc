@@ -25,8 +25,8 @@ Rapidnn::measure(composer::ComposeResult compose,
 
     _chip = std::make_unique<rna::Chip>(_config.chip);
     _chip->configure(_model);
-    // Top-level pipeline span; the per-sample chip_infer spans nest
-    // under it when tracing is on.
+    // Top-level pipeline span; the per-sample chip_infer_batch spans
+    // nest under it when tracing is on.
     RAPIDNN_TELEMETRY_SPAN("evaluate",
                            static_cast<int64_t>(validation.size()));
     report.acceleratorError = _chip->errorRate(validation, report.perf);

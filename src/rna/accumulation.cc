@@ -116,67 +116,6 @@ AccumulationEngine::run(const std::vector<uint16_t> &weightCodes,
     return result;
 }
 
-AccumResult
-AccumulationEngine::run(const uint16_t *weightCodes,
-                        const uint16_t *inputCodes, size_t fanIn,
-                        double bias, AccumScratch &scratch) const
-{
-    scratch.ensure(_w, _u);
-    AccumResult result;
-
-    // Parallel counting over the all-zero grid; record touched cells and
-    // weight buffers so only they need resetting afterwards, and keep a
-    // running max instead of scanning every buffer.
-    scratch.touchedCells.clear();
-    scratch.touchedWeights.clear();
-    uint32_t maxDepth = 0;
-    for (size_t i = 0; i < fanIn; ++i) {
-        const uint16_t wc = weightCodes[i];
-        const size_t cell = size_t(wc) * _u + inputCodes[i];
-        if (scratch.counters[cell]++ == 0)
-            scratch.touchedCells.push_back(static_cast<uint32_t>(cell));
-        if (scratch.bufferDepth[wc]++ == 0)
-            scratch.touchedWeights.push_back(wc);
-        maxDepth = std::max(maxDepth, scratch.bufferDepth[wc]);
-    }
-    result.countingCycles = maxDepth;
-    result.cost.counting.cycles = result.countingCycles;
-    result.cost.counting.energy =
-        _model.counterIncrementEnergy * static_cast<double>(fanIn);
-
-    // Shift-and-add terms are summed inline: the fixed-point total is
-    // order-independent, so no addend list needs materializing.
-    int64_t fixedSum = 0;
-    size_t addends = 0;
-    for (const uint32_t cell : scratch.touchedCells) {
-        const uint32_t count = scratch.counters[cell];
-        scratch.counters[cell] = 0;
-        const int64_t product = _fixedProducts[cell];
-        csdForEach(count, [&](ShiftTerm term) {
-            const int64_t shifted = product << term.shift;
-            fixedSum += term.negative ? -shifted : shifted;
-            ++addends;
-        });
-    }
-    result.distinctProducts = scratch.touchedCells.size();
-    result.addends = addends;
-    for (const uint16_t wc : scratch.touchedWeights)
-        scratch.bufferDepth[wc] = 0;
-
-    result.cost.fetch.cycles = result.distinctProducts;
-    result.cost.fetch.energy = _model.crossbarReadEnergy
-        * static_cast<double>(result.distinctProducts);
-
-    // Bias joins the reduction as one extra addend, exactly as the
-    // vector path pushes it before addMany.
-    fixedSum += _format.toFixed(bias);
-    nvm::CrossbarArray::addManyCost(result.addends + 1,
-                                    _format.accumulatorBits, _model,
-                                    result.cost.adder);
-    result.value = _format.toReal(fixedSum);
-    return result;
-}
-
 void
 AccumScratch::growCsdTerms(size_t maxCount)
 {
@@ -222,8 +161,8 @@ AccumScratch::adderCostFor(size_t addendCount, size_t resultBits,
  * Shared tally + reduction over precomputed pair keys. The counter
  * grid is the power-of-two padded [w << shift] key space; cells are
  * renumbered relative to the row-major path but carry the identical
- * (w, u) multiset of counts, so every AccumResult field matches the
- * pointer overload bit for bit:
+ * (w, u) multiset of counts, so every AccumResult field matches run()
+ * bit for bit:
  *
  *  - value: per cell the CSD terms of its count sum to exactly
  *    product * count, so the whole reduction telescopes to
@@ -297,21 +236,6 @@ AccumulationEngine::runOverKeys(const simd::KernelOps &ops,
         result.addends + 1, _format.accumulatorBits, _model);
     result.value = _format.toReal(fixedSum);
     return result;
-}
-
-AccumResult
-AccumulationEngine::runPacked(const simd::KernelOps &ops,
-                              const uint8_t *weightCodes,
-                              const uint8_t *inputCodes, size_t fanIn,
-                              double bias, AccumScratch &scratch,
-                              const uint32_t *countingCycles) const
-{
-    RAPIDNN_ASSERT(packable(), "runPacked on a >256-entry codebook");
-    scratch.ensurePadded(_w, _shift, fanIn);
-    ops.pairKeys8(weightCodes, inputCodes, fanIn, _shift,
-                  scratch.keys.data());
-    return runOverKeys(ops, scratch.keys.data(), fanIn, bias, scratch,
-                       countingCycles);
 }
 
 AccumResult
@@ -476,33 +400,15 @@ InputBuckets::build(const uint16_t *x, size_t fanIn, size_t u)
         order[fill[x[i]]++] = static_cast<uint32_t>(i);
 }
 
-namespace {
-
-template <typename Code>
-uint32_t
-weightDepthMax(const Code *weightCodes, size_t fanIn, size_t w)
-{
-    std::vector<uint32_t> depth(w, 0);
-    uint32_t maxDepth = 0;
-    for (size_t i = 0; i < fanIn; ++i)
-        maxDepth = std::max(maxDepth, ++depth[weightCodes[i]]);
-    return maxDepth;
-}
-
-} // namespace
-
 uint32_t
 AccumulationEngine::weightCountingCycles(const uint8_t *weightCodes,
                                          size_t fanIn) const
 {
-    return weightDepthMax(weightCodes, fanIn, _w);
-}
-
-uint32_t
-AccumulationEngine::weightCountingCycles(const uint16_t *weightCodes,
-                                         size_t fanIn) const
-{
-    return weightDepthMax(weightCodes, fanIn, _w);
+    std::vector<uint32_t> depth(_w, 0);
+    uint32_t maxDepth = 0;
+    for (size_t i = 0; i < fanIn; ++i)
+        maxDepth = std::max(maxDepth, ++depth[weightCodes[i]]);
+    return maxDepth;
 }
 
 uint32_t

@@ -75,13 +75,12 @@ struct AccumFormat
 };
 
 /**
- * Reusable scratch state for the allocation-free accumulation path.
- * The counter grid and buffer-depth array are kept all-zero between
- * runs: each run records exactly the cells/buckets it touched and
- * resets only those, so a neuron's cost is O(fan-in) regardless of the
- * w x u table size. Sized once (Workspace::prepare / ensure) and then
- * reused for every neuron, so the steady-state hot loop performs zero
- * heap allocations.
+ * Reusable scratch state for the production path's accumulations.
+ * The counter grids and buffer-depth array are kept all-zero between
+ * runs: each run resets exactly the cells it touched, so a neuron's
+ * cost is O(fan-in) regardless of the w x u table size. Sized once
+ * (RnaLayerContext::prepareWorkspace) and then reused for every
+ * neuron, so the steady-state hot loop performs zero heap allocations.
  */
 struct AccumScratch
 {
@@ -97,12 +96,6 @@ struct AccumScratch
      *  loop keeps counters, products and the csd-terms table L1-hot
      *  across all lanes of a neuron. All-zero at rest, like counters. */
     simd::AlignedVec<uint16_t> countersNarrow;
-    std::vector<uint32_t> touchedCells;  //!< cells hit by the last run
-    std::vector<uint16_t> touchedWeights;
-
-    // Kernel-path scratch: fused (w << shift) | u pair keys produced by
-    // KernelOps::pairKeys8 over one neuron's fan-in.
-    simd::AlignedVec<uint16_t> keys;
 
     /**
      * csdTerms[c] = number of CSD terms in the signed-digit recoding of
@@ -114,22 +107,8 @@ struct AccumScratch
      */
     std::vector<int32_t> csdTerms;
 
-    /** Grow (never shrink) to cover a w x u product table. */
-    void
-    ensure(size_t w, size_t u)
-    {
-        if (counters.size() < w * u)
-            counters.ensureZeroed(w * u);
-        if (bufferDepth.size() < w)
-            bufferDepth.ensureZeroed(w);
-        if (touchedCells.capacity() < w * u)
-            touchedCells.reserve(w * u);
-        if (touchedWeights.capacity() < w)
-            touchedWeights.reserve(w);
-    }
-
     /** Grow to cover the power-of-two padded [w << shift] key space the
-     *  kernel paths tally into, plus a fan-in's worth of key scratch. */
+     *  kernel paths tally into, and CSD terms of counts up to a fan-in. */
     void
     ensurePadded(size_t w, uint32_t shift, size_t maxFanIn)
     {
@@ -140,11 +119,6 @@ struct AccumScratch
             countersNarrow.ensureZeroed(cells);
         if (bufferDepth.size() < w)
             bufferDepth.ensureZeroed(w);
-        if (touchedCells.capacity() < cells)
-            touchedCells.reserve(cells);
-        if (touchedWeights.capacity() < w)
-            touchedWeights.reserve(w);
-        keys.ensure(maxFanIn);
         if (csdTerms.size() <= maxFanIn)
             growCsdTerms(maxFanIn);
     }
@@ -154,7 +128,7 @@ struct AccumScratch
     void growCsdTerms(size_t maxCount);
 
     /**
-     * Memoized CrossbarArray::addManyCost for the kernel path. The
+     * Memoized CrossbarArray::addManyCost for the production path. The
      * adder cost is a pure function of (addend count, result width,
      * model anchors), so each distinct count is computed once through
      * the exact shared routine and replayed — the cached OpCost is
@@ -218,7 +192,8 @@ class AccumulationEngine
                        AccumFormat format = {});
 
     /**
-     * Accumulate one neuron's incoming edges.
+     * Accumulate one neuron's incoming edges: the reference
+     * accumulation the production path is checked against.
      * @param weightCodes per-edge weight codes (size = fan-in).
      * @param inputCodes per-edge input codes (same size).
      * @param bias bias term added as one extra addend.
@@ -228,46 +203,18 @@ class AccumulationEngine
                     double bias) const;
 
     /**
-     * Allocation-free accumulation over caller-owned code arrays.
-     * Bitwise-identical to the vector overload in every AccumResult
-     * field (the fixed-point sum is order-independent and the analytic
-     * costs depend only on counts), but performs no heap allocation and
-     * touches only the O(fan-in) cells it uses via `scratch`.
-     */
-    AccumResult run(const uint16_t *weightCodes,
-                    const uint16_t *inputCodes, size_t fanIn,
-                    double bias, AccumScratch &scratch) const;
-
-    /**
-     * Kernel-path accumulation over packed 8-bit code arrays: pair keys
-     * (w << keyShift) | u are produced by `ops.pairKeys8`, tallied into
-     * the power-of-two padded counter grid, and reduced exactly like
-     * the pointer overload. Bitwise-identical to run() in every
-     * AccumResult field — same per-cell counts (the padded grid only
-     * renumbers cells), same order-independent fixed-point sum, same
-     * count-derived analytic costs. Requires packable().
-     *
-     * `countingCycles`, when non-null, is the precomputed
-     * weightCountingCycles() of this exact weight-code array — the
-     * counting phase depends only on the weight codes, so layer
-     * contexts hoist it out of the per-neuron loop. Null computes it
-     * from the keys (identical value, one extra histogram pass).
-     */
-    AccumResult runPacked(const simd::KernelOps &ops,
-                          const uint8_t *weightCodes,
-                          const uint8_t *inputCodes, size_t fanIn,
-                          double bias, AccumScratch &scratch,
-                          const uint32_t *countingCycles
-                          = nullptr) const;
-
-    /**
      * Kernel-path accumulation over pair keys the caller already built
      * (KernelOps::pairKeys8Lanes writes one key stripe per batch lane
      * from a single weight-column load). `keys[i]` must equal
      * (weightCodes[i] << keyShift()) | inputCodes[i] for some packable
-     * code pair — exactly what pairKeys8/pairKeys8Lanes produce — so
-     * the result is bitwise-identical to runPacked over those codes.
-     * The caller sizes `scratch` via ensurePadded, as runPacked does.
+     * code pair — exactly what pairKeys8Lanes produces — so the result
+     * is bitwise-identical to run() over those codes: the padded grid
+     * only renumbers cells, the fixed-point sum is order-independent
+     * and the costs are count-derived. The caller sizes `scratch` via
+     * ensurePadded. `countingCycles`, when non-null, is the
+     * precomputed weightCountingCycles() of the originating weight
+     * codes (the counting phase depends only on them, so layer
+     * contexts hoist it); null recomputes it from the keys.
      */
     AccumResult runPrekeyed(const simd::KernelOps &ops,
                             const uint16_t *keys, size_t fanIn,
@@ -284,7 +231,7 @@ class AccumulationEngine
      * paths build them from one column load). results[L] is overwritten
      * with lane L's AccumResult, bitwise-identical to
      * runPrekeyed(keys + L * keyStride, ...) and therefore to the
-     * serial per-sample path.
+     * reference walk.
      *
      * This is the batch hot loop, so it amortizes per-neuron work
      * across the lanes instead of redoing it per call: the counting
@@ -310,7 +257,7 @@ class AccumulationEngine
      * The AccumResult of one neuron from its dense-tally outputs
      * (KernelOps::denseTally): `sum` is the product sum over the
      * fan-in, `distinct` the non-zero (w, u) cells and `addends` their
-     * CSD terms. Bitwise-identical to runPacked over the neuron's
+     * CSD terms. Bitwise-identical to run() over the neuron's
      * codes — the same count-derived costs, and the same int64 value
      * the gather-sum computes. `countingCycles` is the neuron's hoisted
      * weightCountingCycles().
@@ -324,12 +271,10 @@ class AccumulationEngine
      * drains one buffer per distinct weight code per cycle, so its
      * cycle count is the deepest buffer — max over wc of |{i : wc_i ==
      * wc}| — a pure function of the weight codes that layer contexts
-     * precompute once per neuron/channel and pass back into
-     * runPacked. Allocates; configure-time only.
+     * precompute once per neuron/channel and pass back into the
+     * accumulations. Allocates; configure-time only.
      */
     uint32_t weightCountingCycles(const uint8_t *weightCodes,
-                                  size_t fanIn) const;
-    uint32_t weightCountingCycles(const uint16_t *weightCodes,
                                   size_t fanIn) const;
 
     /**

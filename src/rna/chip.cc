@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 
 #include "common/check.hh"
 #include "common/sync.hh"
-#include "common/task_pool.hh"
 #include "nvm/data_block.hh"
 #include "rna/kernels/kernels.hh"
 #include "telemetry/telemetry.hh"
@@ -19,22 +17,6 @@ using composer::RLayer;
 using composer::RLayerKind;
 
 namespace {
-
-/**
- * Fixed intra-op shard grid. The grid is a constant — never derived
- * from the thread count — so the shard boundaries, per-shard work and
- * the post-shard reduction order are identical no matter how many pool
- * lanes end up executing them. 32 shards keeps dynamic work stealing
- * balanced up to well past 8 lanes while the per-shard claim stays one
- * atomic increment.
- */
-constexpr size_t kIntraOpShardGrid = 32;
-
-size_t
-shardCount(size_t items)
-{
-    return std::min(items, kIntraOpShardGrid);
-}
 
 /**
  * PerfReport category a layer's host execution time is traced under,
@@ -95,13 +77,6 @@ rnaWaves(const ChipConfig &config, size_t neurons)
                            * (1.0 - config.rnaSharing);
     return static_cast<size_t>(std::ceil(
         static_cast<double>(neurons) / std::max(1.0, effective)));
-}
-
-/** Contiguous item range [begin, end) of one shard. */
-std::pair<size_t, size_t>
-shardRange(size_t items, size_t shard, size_t shards)
-{
-    return {items * shard / shards, items * (shard + 1) / shards};
 }
 
 /**
@@ -242,8 +217,7 @@ Chip::configure(const composer::ReinterpretedModel &model)
         .gauge("rapidnn_kernel_variant",
                "Selected SIMD kernel variant (1 = active for this "
                "process's most recent Chip::configure)",
-               std::string("variant=\"")
-                   + (_kops ? _kops->name : "off") + "\"")
+               std::string("variant=\"") + _kops->name + "\"")
         .set(1);
     auto set = std::make_shared<ContextSet>();
     configureLayers(*set, model.layers());
@@ -305,88 +279,73 @@ Chip::buildWorkspace()
     // no buffer growth. Models without a recorded shape (legacy text
     // files) warm the pools up on the first infer instead.
     const nn::Shape &shape = _model->canonicalInputShape();
-    if (!shape.empty()) {
-        size_t maxElems = 1;
-        for (size_t d : shape)
-            maxElems *= d;
-        composer::walkLayerShapes(
-            _model->layers(), shape,
-            [&](const RLayer &layer, const nn::Shape &,
-                const nn::Shape &out) {
-                size_t n = 1;
-                for (size_t d : out)
-                    n *= d;
-                maxElems = std::max(maxElems, n);
-                if (layer.kind == RLayerKind::MaxPool) {
-                    const size_t win =
-                        layer.poolWindow * layer.poolWindow;
-                    if (ws.gatherX.size() < win)
-                        ws.gatherX.resize(win);
-                }
-            });
-        // Kernel-path buffers scale with the widest activation tensor;
-        // warm them now so steady-state inference never grows one
-        // (growth would also discard AlignedVec contents).
-        if (_kops != nullptr) {
-            ws.act8.ensure(maxElems);
-            ws.h8.ensure(maxElems);
-            ws.vals.ensure(maxElems);
-            ws.amKeys.ensure(maxElems);
-            ws.amRows.ensure(maxElems);
-        }
-        // Batch-strided arenas for inferBatch, sized for maxBatch
-        // lanes (batch 1 leaves them empty; larger batches grow them
-        // on first use). The pools below also scale with maxBatch so
-        // a whole batch's activation tensors recycle without growth.
-        const size_t mb = std::max<size_t>(1, _config.maxBatch);
-        if (_kops != nullptr && mb > 1) {
-            size_t maxFanIn = 1;
-            size_t maxHidden = 0;
-            size_t windowMax = 0;
-            for (const auto &ctx : ctxs) {
-                const RLayer &layer = ctx->layer();
-                if (layer.kind == RLayerKind::Conv) {
-                    windowMax = std::max(windowMax,
-                                         layer.weightCodes[0].size());
-                    maxFanIn = std::max(maxFanIn,
-                                        layer.weightCodes[0].size());
-                } else {
-                    maxFanIn = std::max(maxFanIn, layer.inCount);
-                }
-                if (layer.kind == RLayerKind::Recurrent) {
-                    maxHidden = std::max(maxHidden, layer.outCount);
-                    maxFanIn = std::max(maxFanIn, layer.outCount);
-                }
+    if (shape.empty())
+        return;
+    size_t maxElems = 1;
+    for (size_t d : shape)
+        maxElems *= d;
+    composer::walkLayerShapes(
+        _model->layers(), shape,
+        [&](const RLayer &layer, const nn::Shape &,
+            const nn::Shape &out) {
+            size_t n = 1;
+            for (size_t d : out)
+                n *= d;
+            maxElems = std::max(maxElems, n);
+            if (layer.kind == RLayerKind::MaxPool) {
+                const size_t win = layer.poolWindow * layer.poolWindow;
+                if (ws.gatherX.size() < win)
+                    ws.gatherX.resize(win);
             }
-            ws.actB8.ensure(mb * maxElems);
-            ws.valsB.ensure(mb * maxElems);
-            ws.codesB.ensure(mb * maxElems);
-            ws.keysB.ensure(mb * maxFanIn);
-            ws.amKeys.ensure(mb * maxElems);
-            ws.amRows.ensure(mb * maxElems);
-            ws.neuronCostsB.resize(mb * maxElems);
-            if (windowMax > 0)
-                ws.gx8B.ensure(mb * windowMax);
-            if (maxHidden > 0) {
-                ws.h8B.ensure(mb * maxHidden);
-                ws.keysHB.ensure(mb * maxFanIn);
-                ws.hCodesB.reserve(mb * maxHidden);
-                ws.hNextB.reserve(mb * maxHidden);
-                ws.hRawB.reserve(mb * maxHidden);
-                ws.hRawNextB.reserve(mb * maxHidden);
-            }
-            ws.lanePtrsX.reserve(mb);
-            ws.lanePtrsH.reserve(mb);
-            ws.stepWorstB.reserve(mb);
-        }
-        // Dense-tally buffers (runDenseTally) for up to maxBatch
-        // lanes; single samples use lane 0.
+        });
+    // Batch-strided arenas of the production path, sized for maxBatch
+    // lanes (larger batches grow them on first use, which would also
+    // discard AlignedVec contents). The pools below also scale with
+    // maxBatch so a whole batch's activation tensors recycle without
+    // growth.
+    const size_t mb = std::max<size_t>(1, _config.maxBatch);
+    if (_config.fastPath) {
+        size_t maxFanIn = 1;
+        size_t maxHidden = 0;
+        size_t windowMax = 0;
         size_t maxIn = 0, maxCodes = 0;
         for (const auto &ctx : ctxs) {
-            if (!ctx->hasDenseRows())
-                continue;
-            maxIn = std::max(maxIn, ctx->layer().inCount);
-            maxCodes = std::max(maxCodes, ctx->layer().inputEntries());
+            const RLayer &layer = ctx->layer();
+            if (ctx->hasDenseRows()) {
+                maxIn = std::max(maxIn, layer.inCount);
+                maxCodes = std::max(maxCodes, layer.inputEntries());
+            } else if (layer.kind == RLayerKind::Conv && ctx->packed()) {
+                windowMax = std::max(windowMax,
+                                     layer.weightCodes[0].size());
+                maxFanIn = std::max(maxFanIn, windowMax);
+            } else if (ctx->packedRecurrent()) {
+                maxHidden = std::max(maxHidden, layer.outCount);
+                maxFanIn = std::max(
+                    {maxFanIn, layer.inCount, layer.outCount});
+            }
+        }
+        if (windowMax > 0 || maxHidden > 0) {
+            ws.actB8.ensure(mb * maxElems);
+            ws.keysB.ensure(mb * maxFanIn);
+            ws.lanePtrsX.reserve(mb);
+            ws.lanePtrsH.reserve(mb);
+        }
+        if (windowMax > 0) {
+            ws.valsB.ensure(mb * maxElems);
+            ws.codesB.ensure(mb * maxElems);
+            ws.amKeys.ensure(mb * maxElems);
+            ws.amRows.ensure(mb * maxElems);
+            ws.gx8B.ensure(mb * windowMax);
+        }
+        if (maxHidden > 0) {
+            ws.h8B.ensure(mb * maxHidden);
+            ws.keysHB.ensure(mb * maxFanIn);
+            ws.hCodesB.reserve(mb * maxHidden);
+            ws.hNextB.reserve(mb * maxHidden);
+            ws.hRawB.reserve(mb * maxHidden);
+            ws.hRawNextB.reserve(mb * maxHidden);
+            ws.neuronCostsB.resize(mb * maxHidden);
+            ws.stepWorstB.reserve(mb);
         }
         if (maxIn > 0) {
             ws.denseInputs.resize(mb);
@@ -395,31 +354,16 @@ Chip::buildWorkspace()
             ws.laneCodes.reserve(mb);
             ws.dense.ensure(mb);
         }
-        for (size_t i = 0; i < 4 * mb; ++i) {
-            std::vector<uint16_t> buf;
-            buf.reserve(maxElems);
-            ws.codePool.push_back(std::move(buf));
-        }
-        for (size_t i = 0; i < 2 * mb; ++i) {
-            std::vector<double> buf;
-            buf.reserve(maxElems);
-            ws.rawPool.push_back(std::move(buf));
-        }
     }
-
-    // Intra-op lanes: one private scratch slice per pool lane, sized
-    // now so sharded inference stays allocation-free. Per-neuron cost
-    // slots for conv layers grow on the first infer (output H/W are
-    // unknown until then), like the conv gather plans.
-    if (_config.numThreads > 1) {
-        ws.ensureLanes(_config.numThreads);
-        size_t maxNeurons = 1;
-        for (const auto &ctx : ctxs) {
-            for (auto &lane : ws.lanes)
-                ctx->prepareScratch(lane);
-            maxNeurons = std::max(maxNeurons, ctx->layer().outCount);
-        }
-        ws.neuronCosts.resize(maxNeurons);
+    for (size_t i = 0; i < 4 * mb; ++i) {
+        std::vector<uint16_t> buf;
+        buf.reserve(maxElems);
+        ws.codePool.push_back(std::move(buf));
+    }
+    for (size_t i = 0; i < 2 * mb; ++i) {
+        std::vector<double> buf;
+        buf.reserve(maxElems);
+        ws.rawPool.push_back(std::move(buf));
     }
 }
 
@@ -427,7 +371,7 @@ Chip
 Chip::clone() const
 {
     // Replicas share the immutable layer contexts (product tables, AM
-    // blocks, transposed columns) and only build a private workspace:
+    // blocks, packed weights) and only build a private workspace:
     // instantiation cost is O(activation buffers), not O(model).
     Chip replica(_config);
     replica._model = _model;
@@ -440,24 +384,15 @@ Chip::clone() const
 
 Chip::LayerRun
 Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
-               bool lastCompute, Workspace &ws, size_t threads) const
+               bool lastCompute, Workspace &ws) const
 {
     LayerRun run{};
     run.stageCycles = 0;
-    // Only the fast path shards; the reference path stays serial as
-    // the bitwise comparison baseline.
-    const bool intraOp = threads > 1 && _config.fastPath;
 
     switch (layer.kind) {
       case RLayerKind::Dense: {
         const RnaLayerContext &ctx =
             *_contexts->contexts[_contexts->byLayer.at(&layer)];
-        if (_kops != nullptr && _config.fastPath && ctx.hasDenseRows()) {
-            const uint16_t *codes = in.codes.data();
-            runDenseTally(layer, ctx, &codes, 1, lastCompute, ws, threads,
-                          &run);
-            break;
-        }
         run.output.shape = {layer.outCount};
         if (!layer.outputEncoder.empty()) {
             run.output.codes = ws.takeCodes();
@@ -470,60 +405,18 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
 
         const auto &codes = layer.weightCodes[0];
         uint64_t worstNeuron = 0;
-        if (intraOp) {
-            // Shard the output-neuron loop over the fixed grid. Each
-            // shard writes disjoint code/raw/cost slots with its
-            // lane's private scratch; the flat reduction below then
-            // replays the serial accumulation order exactly.
-            ws.ensureLanes(threads);
-            if (ws.neuronCosts.size() < layer.outCount)
-                ws.neuronCosts.resize(layer.outCount);
-            const size_t shards = shardCount(layer.outCount);
-            TaskPool::shared().run(
-                shards, threads, [&](size_t shard, size_t lane) {
-                    const auto [begin, end] =
-                        shardRange(layer.outCount, shard, shards);
-                    AccumScratch &scratch = ws.lanes[lane].accum;
-                    for (size_t j = begin; j < end; ++j) {
-                        NeuronResult r = ctx.evaluateFast(
-                            0, ctx.denseColumn(j), in.codes.data(),
-                            layer.inCount, layer.bias[j], scratch);
-                        ws.neuronCosts[j] = r.cost;
-                        if (r.encoded)
-                            run.output.codes[j] = r.code;
-                        if (lastCompute)
-                            run.raw[j] = r.rawValue;
-                    }
-                });
-            for (size_t j = 0; j < layer.outCount; ++j) {
-                run.cost += ws.neuronCosts[j];
-                worstNeuron = std::max(
-                    worstNeuron, ws.neuronCosts[j].total().cycles);
-            }
-        } else {
-        std::vector<uint16_t> wcol;
-        if (!_config.fastPath)
-            wcol.resize(layer.inCount);
+        std::vector<uint16_t> wcol(layer.inCount);
         for (size_t j = 0; j < layer.outCount; ++j) {
-            NeuronResult r;
-            if (_config.fastPath) {
-                // Transposed columns + direct input view: no gather,
-                // no allocation.
-                r = ctx.evaluateFast(0, ctx.denseColumn(j),
-                                     in.codes.data(), layer.inCount,
-                                     layer.bias[j], ws.accum);
-            } else {
-                for (size_t i = 0; i < layer.inCount; ++i)
-                    wcol[i] = codes[i * layer.outCount + j];
-                r = ctx.evaluate(0, wcol, in.codes, layer.bias[j]);
-            }
+            for (size_t i = 0; i < layer.inCount; ++i)
+                wcol[i] = codes[i * layer.outCount + j];
+            const NeuronResult r =
+                ctx.evaluate(0, wcol, in.codes, layer.bias[j]);
             run.cost += r.cost;
             worstNeuron = std::max(worstNeuron, r.cost.total().cycles);
             if (r.encoded)
                 run.output.codes[j] = r.code;
             if (lastCompute)
                 run.raw[j] = r.rawValue;
-        }
         }
         run.stageCycles = worstNeuron * rnaWaves(_config, layer.outCount);
         break;
@@ -549,246 +442,32 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
             run.raw.assign(layer.outCount * oh * ow, 0.0);
         }
 
-        // Fast path: the receptive-field gather per output position is
-        // compiled once per input shape into flat index maps, then the
-        // hot loop is two indexed copies plus the engine run. Plans for
-        // the canonical input shape are pre-installed at configure
-        // time (precomputed ones straight out of the model blob).
-        ConvGatherPlan *plan = nullptr;
-        if (_config.fastPath) {
-            plan = &ws.convPlans[_contexts->byLayer.at(&layer)];
-            if (!plan->matches(inC, h, w))
-                buildConvGatherPlan(*plan, layer, inC, h, w);
-            const size_t windowMax = layer.weightCodes[0].size();
-            if (ws.gatherW.size() < windowMax)
-                ws.gatherW.resize(windowMax);
-            if (ws.gatherX.size() < windowMax)
-                ws.gatherX.resize(windowMax);
-        }
-
         uint64_t worstNeuron = 0;
-        const size_t flatNeurons = layer.outCount * oh * ow;
-        const size_t positions = oh * ow;
-        // Conv kernel path needs the compiled plan and packed codes
-        // (conv codebooks are small in practice; 16-bit layers fall
-        // back to the scalar gather loops).
-        const bool kernel =
-            _kops != nullptr && plan != nullptr && ctx.packed();
-        const size_t fullWindow = layer.inCount;  // inC * k * k
-        if (kernel && !intraOp) {
-            // Position-major phase A: narrow the input map to uint8
-            // once, then for each output position gather its window a
-            // single time and sweep every output channel over it —
-            // interior (unclipped) windows use the channel's packed
-            // weights directly because their weight-index map is the
-            // identity. Phases B/C then batch the AM lookups per
-            // channel over the contiguous position range. The flat
-            // (oc, p) cost reduction below replays the serial
-            // accumulation order, so results stay bitwise identical.
-            ws.act8.ensure(in.codes.size());
-            _kops->narrow(in.codes.data(), in.codes.size(),
-                          ws.act8.data());
-            const size_t windowMax = layer.weightCodes[0].size();
-            ws.gx8.ensure(windowMax);
-            ws.gw8.ensure(windowMax);
-            ws.vals.ensure(flatNeurons);
-            ws.amKeys.ensure(positions);
-            ws.amRows.ensure(positions);
-            if (ws.neuronCosts.size() < flatNeurons)
-                ws.neuronCosts.resize(flatNeurons);
-            for (size_t p = 0; p < positions; ++p) {
-                const uint32_t s0 = plan->start[p];
-                const size_t n = plan->start[p + 1] - s0;
-                _kops->gather8(ws.act8.data(),
-                               plan->inputIdx.data() + s0, n,
-                               ws.gx8.data());
-                for (size_t oc = 0; oc < layer.outCount; ++oc) {
-                    const uint8_t *wp = ctx.convChannel8(oc);
-                    if (n != fullWindow) {
-                        for (size_t s = 0; s < n; ++s)
-                            ws.gw8[s] = wp[plan->weightIdx[s0 + s]];
-                        wp = ws.gw8.data();
-                    }
-                    const AccumResult a = ctx.accumulatePacked(
-                        oc, wp, ws.gx8.data(), n, layer.bias[oc],
-                        ws.accum);
-                    const size_t oidx = oc * positions + p;
-                    ws.vals[oidx] = a.value;
-                    ws.neuronCosts[oidx] = NeuronCost{};
-                    ws.neuronCosts[oidx].weightedAccum = a.cost.total();
-                }
-            }
-            for (size_t oc = 0; oc < layer.outCount; ++oc) {
-                double *vals = ws.vals.data() + oc * positions;
-                ctx.activateBatch(vals, vals, positions,
-                                  ws.amKeys.data(), ws.amRows.data());
-                if (ctx.hasActivation())
-                    for (size_t p = 0; p < positions; ++p)
-                        ws.neuronCosts[oc * positions + p].activation +=
-                            ctx.activationQueryCost();
-                if (ctx.hasEncoder()) {
-                    ctx.encodeBatch(
-                        vals, positions, ws.amKeys.data(),
-                        ws.amRows.data(),
-                        run.output.codes.data() + oc * positions);
-                    for (size_t p = 0; p < positions; ++p)
-                        ws.neuronCosts[oc * positions + p].encoding +=
-                            ctx.encodingQueryCost();
-                }
-                if (lastCompute)
-                    for (size_t p = 0; p < positions; ++p)
-                        run.raw[oc * positions + p] = vals[p];
-            }
-            for (size_t oidx = 0; oidx < flatNeurons; ++oidx) {
-                run.cost += ws.neuronCosts[oidx];
-                worstNeuron = std::max(
-                    worstNeuron, ws.neuronCosts[oidx].total().cycles);
-            }
-        } else if (kernel) {
-            // Sharded kernel path keeps the per-neuron shape (shards
-            // split the flat (oc, y, x) grid, so position-major
-            // batching would straddle shard boundaries); each lane
-            // gathers packed windows into private aligned buffers.
-            ws.act8.ensure(in.codes.size());
-            _kops->narrow(in.codes.data(), in.codes.size(),
-                          ws.act8.data());
-            ws.ensureLanes(threads);
-            if (ws.neuronCosts.size() < flatNeurons)
-                ws.neuronCosts.resize(flatNeurons);
-            const size_t windowMax = layer.weightCodes[0].size();
-            for (auto &lane : ws.lanes) {
-                lane.gx8.ensure(windowMax);
-                lane.gw8.ensure(windowMax);
-            }
-            const size_t shards = shardCount(flatNeurons);
-            TaskPool::shared().run(
-                shards, threads, [&](size_t shard, size_t lane) {
-                    const auto [begin, end] =
-                        shardRange(flatNeurons, shard, shards);
-                    IntraOpScratch &sc = ws.lanes[lane];
-                    for (size_t oidx = begin; oidx < end; ++oidx) {
-                        const size_t oc = oidx / positions;
-                        const size_t p = oidx % positions;
-                        const uint32_t s0 = plan->start[p];
-                        const size_t n = plan->start[p + 1] - s0;
-                        _kops->gather8(ws.act8.data(),
-                                       plan->inputIdx.data() + s0, n,
-                                       sc.gx8.data());
-                        const uint8_t *wp = ctx.convChannel8(oc);
-                        if (n != fullWindow) {
-                            for (size_t s = 0; s < n; ++s)
-                                sc.gw8[s] =
-                                    wp[plan->weightIdx[s0 + s]];
-                            wp = sc.gw8.data();
-                        }
-                        NeuronResult r = ctx.evaluatePacked(
-                            oc, wp, sc.gx8.data(), n, layer.bias[oc],
-                            sc.accum);
-                        ws.neuronCosts[oidx] = r.cost;
-                        if (r.encoded)
-                            run.output.codes[oidx] = r.code;
-                        if (lastCompute)
-                            run.raw[oidx] = r.rawValue;
-                    }
-                });
-            for (size_t oidx = 0; oidx < flatNeurons; ++oidx) {
-                run.cost += ws.neuronCosts[oidx];
-                worstNeuron = std::max(
-                    worstNeuron, ws.neuronCosts[oidx].total().cycles);
-            }
-        } else if (intraOp) {
-            // Shard over the flat neuron index (oc, y, x) so narrow
-            // feature maps still spread across lanes. Each shard's
-            // lane gathers into private buffers and writes disjoint
-            // code/raw/cost slots; the flat reduction below replays
-            // the serial (oc, y, x) accumulation order exactly.
-            ws.ensureLanes(threads);
-            if (ws.neuronCosts.size() < flatNeurons)
-                ws.neuronCosts.resize(flatNeurons);
-            const size_t windowMax = layer.weightCodes[0].size();
-            for (auto &lane : ws.lanes) {
-                if (lane.gatherW.size() < windowMax)
-                    lane.gatherW.resize(windowMax);
-                if (lane.gatherX.size() < windowMax)
-                    lane.gatherX.resize(windowMax);
-            }
-            const size_t shards = shardCount(flatNeurons);
-            TaskPool::shared().run(
-                shards, threads, [&](size_t shard, size_t lane) {
-                    const auto [begin, end] =
-                        shardRange(flatNeurons, shard, shards);
-                    IntraOpScratch &sc = ws.lanes[lane];
-                    for (size_t oidx = begin; oidx < end; ++oidx) {
-                        const size_t oc = oidx / (oh * ow);
-                        const size_t p = oidx % (oh * ow);
-                        const auto &codes = layer.weightCodes[oc];
-                        const uint32_t s0 = plan->start[p];
-                        const size_t n = plan->start[p + 1] - s0;
-                        for (size_t s = 0; s < n; ++s) {
-                            sc.gatherW[s] =
-                                codes[plan->weightIdx[s0 + s]];
-                            sc.gatherX[s] =
-                                in.codes[plan->inputIdx[s0 + s]];
-                        }
-                        NeuronResult r = ctx.evaluateFast(
-                            oc, sc.gatherW.data(), sc.gatherX.data(),
-                            n, layer.bias[oc], sc.accum);
-                        ws.neuronCosts[oidx] = r.cost;
-                        if (r.encoded)
-                            run.output.codes[oidx] = r.code;
-                        if (lastCompute)
-                            run.raw[oidx] = r.rawValue;
-                    }
-                });
-            for (size_t oidx = 0; oidx < flatNeurons; ++oidx) {
-                run.cost += ws.neuronCosts[oidx];
-                worstNeuron = std::max(
-                    worstNeuron, ws.neuronCosts[oidx].total().cycles);
-            }
-        } else {
         std::vector<uint16_t> wcodes, xcodes;
         for (size_t oc = 0; oc < layer.outCount; ++oc) {
             const auto &codes = layer.weightCodes[oc];
             for (size_t y = 0; y < oh; ++y) {
                 for (size_t x = 0; x < ow; ++x) {
-                    NeuronResult r;
-                    if (plan != nullptr) {
-                        const size_t p = y * ow + x;
-                        const uint32_t s0 = plan->start[p];
-                        const size_t n = plan->start[p + 1] - s0;
-                        for (size_t s = 0; s < n; ++s) {
-                            ws.gatherW[s] =
-                                codes[plan->weightIdx[s0 + s]];
-                            ws.gatherX[s] =
-                                in.codes[plan->inputIdx[s0 + s]];
-                        }
-                        r = ctx.evaluateFast(oc, ws.gatherW.data(),
-                                             ws.gatherX.data(), n,
-                                             layer.bias[oc], ws.accum);
-                    } else {
-                        wcodes.clear();
-                        xcodes.clear();
-                        for (size_t ic = 0; ic < inC; ++ic)
-                            for (size_t ky = 0; ky < k; ++ky) {
-                                const long iy =
-                                    long(y) + long(ky) + off;
-                                if (iy < 0 || iy >= long(h))
+                    wcodes.clear();
+                    xcodes.clear();
+                    for (size_t ic = 0; ic < inC; ++ic)
+                        for (size_t ky = 0; ky < k; ++ky) {
+                            const long iy = long(y) + long(ky) + off;
+                            if (iy < 0 || iy >= long(h))
+                                continue;
+                            for (size_t kx = 0; kx < k; ++kx) {
+                                const long ix = long(x) + long(kx) + off;
+                                if (ix < 0 || ix >= long(w))
                                     continue;
-                                for (size_t kx = 0; kx < k; ++kx) {
-                                    const long ix =
-                                        long(x) + long(kx) + off;
-                                    if (ix < 0 || ix >= long(w))
-                                        continue;
-                                    wcodes.push_back(
-                                        codes[(ic * k + ky) * k + kx]);
-                                    xcodes.push_back(
-                                        in.codes[(ic * h + size_t(iy))
-                                                 * w + size_t(ix)]);
-                                }
+                                wcodes.push_back(
+                                    codes[(ic * k + ky) * k + kx]);
+                                xcodes.push_back(
+                                    in.codes[(ic * h + size_t(iy)) * w
+                                             + size_t(ix)]);
                             }
-                        r = ctx.evaluate(oc, wcodes, xcodes,
-                                         layer.bias[oc]);
-                    }
+                        }
+                    const NeuronResult r = ctx.evaluate(
+                        oc, wcodes, xcodes, layer.bias[oc]);
                     run.cost += r.cost;
                     worstNeuron =
                         std::max(worstNeuron, r.cost.total().cycles);
@@ -800,14 +479,8 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
                 }
             }
         }
-        }
-        const double effective =
-            static_cast<double>(_config.totalRnas())
-            * (1.0 - _config.rnaSharing);
-        const size_t waves = static_cast<size_t>(std::ceil(
-            static_cast<double>(flatNeurons)
-            / std::max(1.0, effective)));
-        run.stageCycles = worstNeuron * waves;
+        run.stageCycles =
+            worstNeuron * rnaWaves(_config, layer.outCount * oh * ow);
         break;
       }
       case RLayerKind::MaxPool: {
@@ -822,9 +495,8 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
         run.output.codes.assign(ch * oh * ow, 0);
         nvm::OpCost poolCost;
         uint64_t worst = 0;
-        // Fast path gathers windows into the workspace buffer (sized at
-        // configure time); the reference path keeps its own vector as
-        // the allocation baseline.
+        // Production gathers windows into the workspace buffer (sized
+        // at configure time); the reference walk keeps its own vector.
         std::vector<uint16_t> windowLocal;
         if (_config.fastPath) {
             if (ws.gatherX.size() < win * win)
@@ -844,13 +516,13 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
                                 (c * h + y * win + ky) * w + x * win
                                 + kx];
                     nvm::OpCost one;
-                    // Fast path skips the per-window Ndcam object but
+                    // Production skips the per-window Ndcam object but
                     // charges the identical load + MAX-search cost.
                     run.output.codes[(c * oh + y) * ow + x] =
                         _config.fastPath
                             ? RnaLayerContext::poolMaxFast(
                                   window, win * win,
-                                  _config.cost, one, _kops)
+                                  _config.cost, one, *_kops)
                             : RnaLayerContext::poolMax(
                                   windowLocal, _config.cost, one);
                     worst = std::max(worst, one.cycles);
@@ -883,7 +555,7 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
         for (size_t c = 0; c < ch; ++c)
             for (size_t y = 0; y < oh; ++y)
                 for (size_t x = 0; x < ow; ++x) {
-                    // Fast path reuses the workspace addend buffer
+                    // Production reuses the workspace addend buffer
                     // instead of allocating one per window.
                     std::vector<int64_t> local;
                     std::vector<int64_t> &addends =
@@ -940,162 +612,39 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
         const uint16_t zeroCode = ctx.encodeState(0.0, zeroEncode);
         run.cost.encoding += zeroEncode;
 
-        std::vector<double> hRawLocal;
+        std::vector<uint16_t> hCodes(hidden, zeroCode);
+        std::vector<double> hRaw(hidden, 0.0);
+
+        const auto &wxCodes = layer.weightCodes[0];
+        const auto &whCodes = layer.stateWeightCodes[0];
+        std::vector<uint16_t> wxCol(features), whCol(hidden);
+        std::vector<uint16_t> xStep(features);
         uint64_t stepWorst = 0;
-        // Recurrent kernel path: both operand paths must pack (the
-        // feedback codebook too). The whole input sequence narrows to
-        // uint8 once; the hidden state re-narrows per step (it is
-        // rewritten by the step swap).
-        const bool kernel = _kops != nullptr && _config.fastPath &&
-                            ctx.packedRecurrent();
-        if (kernel) {
-            ws.act8.ensure(in.codes.size());
-            _kops->narrow(in.codes.data(), in.codes.size(),
-                          ws.act8.data());
-            ws.h8.ensure(hidden);
-        }
-        if (intraOp) {
-            // Steps stay serial (the feedback hazard); within a step
-            // the hidden-neuron loop shards over the fixed grid. Each
-            // shard reads the frozen previous-state buffer and writes
-            // disjoint hNext/hRawNext/cost slots; the per-step flat
-            // reduction replays the serial order.
-            ws.ensureLanes(threads);
-            if (ws.neuronCosts.size() < hidden)
-                ws.neuronCosts.resize(hidden);
-            ws.hCodes.assign(hidden, zeroCode);
-            ws.hRaw.assign(hidden, 0.0);
-            ws.hNext.resize(hidden);
-            ws.hRawNext.resize(hidden);
-            const size_t shards = shardCount(hidden);
-            for (size_t t = 0; t < layer.steps; ++t) {
-                const uint16_t *xStep = in.codes.data() + t * features;
-                const uint8_t *xStep8 = nullptr;
-                if (kernel) {
-                    // Serial per-step narrow of the frozen previous
-                    // state, before the parallel region.
-                    _kops->narrow(ws.hCodes.data(), hidden,
-                                  ws.h8.data());
-                    xStep8 = ws.act8.data() + t * features;
-                }
-                TaskPool::shared().run(
-                    shards, threads, [&](size_t shard, size_t lane) {
-                        const auto [begin, end] =
-                            shardRange(hidden, shard, shards);
-                        AccumScratch &scratch = ws.lanes[lane].accum;
-                        for (size_t h = begin; h < end; ++h) {
-                            NeuronResult r =
-                                kernel
-                                    ? ctx.evaluateRecurrentStepPacked(
-                                          ctx.recurrentXColumn8(h),
-                                          xStep8, features,
-                                          ctx.recurrentHColumn8(h),
-                                          ws.h8.data(), hidden,
-                                          layer.bias[h], scratch)
-                                    : ctx.evaluateRecurrentStepFast(
-                                          ctx.recurrentXColumn(h),
-                                          xStep, features,
-                                          ctx.recurrentHColumn(h),
-                                          ws.hCodes.data(), hidden,
-                                          layer.bias[h], scratch);
-                            ws.neuronCosts[h] = r.cost;
-                            ws.hNext[h] = r.code;
-                            ws.hRawNext[h] = r.rawValue;
-                        }
-                    });
-                uint64_t worstNeuron = 0;
-                for (size_t h = 0; h < hidden; ++h) {
-                    run.cost += ws.neuronCosts[h];
-                    worstNeuron = std::max(
-                        worstNeuron, ws.neuronCosts[h].total().cycles);
-                }
-                stepWorst += worstNeuron;
-                std::swap(ws.hCodes, ws.hNext);
-                std::swap(ws.hRaw, ws.hRawNext);
-            }
-        } else if (_config.fastPath) {
-            // Transposed weight columns, direct step views into the
-            // input codes, and double-buffered hidden state: the step
-            // loop allocates nothing.
-            ws.hCodes.assign(hidden, zeroCode);
-            ws.hRaw.assign(hidden, 0.0);
-            ws.hNext.resize(hidden);
-            ws.hRawNext.resize(hidden);
-            for (size_t t = 0; t < layer.steps; ++t) {
-                const uint16_t *xStep = in.codes.data() + t * features;
-                const uint8_t *xStep8 = nullptr;
-                if (kernel) {
-                    _kops->narrow(ws.hCodes.data(), hidden,
-                                  ws.h8.data());
-                    xStep8 = ws.act8.data() + t * features;
-                }
-                uint64_t worstNeuron = 0;
-                for (size_t h = 0; h < hidden; ++h) {
-                    NeuronResult r =
-                        kernel ? ctx.evaluateRecurrentStepPacked(
-                                     ctx.recurrentXColumn8(h), xStep8,
-                                     features,
-                                     ctx.recurrentHColumn8(h),
-                                     ws.h8.data(), hidden,
-                                     layer.bias[h], ws.accum)
-                               : ctx.evaluateRecurrentStepFast(
-                                     ctx.recurrentXColumn(h), xStep,
-                                     features,
-                                     ctx.recurrentHColumn(h),
-                                     ws.hCodes.data(), hidden,
-                                     layer.bias[h], ws.accum);
-                    run.cost += r.cost;
-                    worstNeuron =
-                        std::max(worstNeuron, r.cost.total().cycles);
-                    ws.hNext[h] = r.code;
-                    ws.hRawNext[h] = r.rawValue;
-                }
-                // Steps are inherently sequential (the feedback
-                // hazard): neurons parallel within a step, steps
-                // serialized.
-                stepWorst += worstNeuron;
-                std::swap(ws.hCodes, ws.hNext);
-                std::swap(ws.hRaw, ws.hRawNext);
-            }
-        } else {
-            std::vector<uint16_t> hCodes(hidden, zeroCode);
-            std::vector<double> hRaw(hidden, 0.0);
 
-            const auto &wxCodes = layer.weightCodes[0];
-            const auto &whCodes = layer.stateWeightCodes[0];
-            std::vector<uint16_t> wxCol(features), whCol(hidden);
-            std::vector<uint16_t> xStep(features);
-
-            for (size_t t = 0; t < layer.steps; ++t) {
+        for (size_t t = 0; t < layer.steps; ++t) {
+            for (size_t f = 0; f < features; ++f)
+                xStep[f] = in.codes[t * features + f];
+            std::vector<uint16_t> next(hidden);
+            std::vector<double> nextRaw(hidden);
+            uint64_t worstNeuron = 0;
+            for (size_t h = 0; h < hidden; ++h) {
                 for (size_t f = 0; f < features; ++f)
-                    xStep[f] = in.codes[t * features + f];
-                std::vector<uint16_t> next(hidden);
-                std::vector<double> nextRaw(hidden);
-                uint64_t worstNeuron = 0;
-                for (size_t h = 0; h < hidden; ++h) {
-                    for (size_t f = 0; f < features; ++f)
-                        wxCol[f] = wxCodes[f * hidden + h];
-                    for (size_t hp = 0; hp < hidden; ++hp)
-                        whCol[hp] = whCodes[hp * hidden + h];
-                    NeuronResult r = ctx.evaluateRecurrentStep(
-                        wxCol, xStep, whCol, hCodes, layer.bias[h]);
-                    run.cost += r.cost;
-                    worstNeuron =
-                        std::max(worstNeuron, r.cost.total().cycles);
-                    next[h] = r.code;
-                    nextRaw[h] = r.rawValue;
-                }
-                // Steps are inherently sequential (the feedback
-                // hazard): neurons parallel within a step, steps
-                // serialized.
-                stepWorst += worstNeuron;
-                hCodes = std::move(next);
-                hRaw = std::move(nextRaw);
+                    wxCol[f] = wxCodes[f * hidden + h];
+                for (size_t hp = 0; hp < hidden; ++hp)
+                    whCol[hp] = whCodes[hp * hidden + h];
+                const NeuronResult r = ctx.evaluateRecurrentStep(
+                    wxCol, xStep, whCol, hCodes, layer.bias[h]);
+                run.cost += r.cost;
+                worstNeuron = std::max(worstNeuron, r.cost.total().cycles);
+                next[h] = r.code;
+                nextRaw[h] = r.rawValue;
             }
-            hRawLocal = std::move(hRaw);
+            // Steps are inherently sequential (the feedback hazard):
+            // neurons parallel within a step, steps serialized.
+            stepWorst += worstNeuron;
+            hCodes = std::move(next);
+            hRaw = std::move(nextRaw);
         }
-        const std::vector<double> &hRaw =
-            _config.fastPath ? ws.hRaw : hRawLocal;
         run.stageCycles = stepWorst;
 
         run.output.shape = {hidden};
@@ -1118,69 +667,9 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
         }
         break;
       }
-      case RLayerKind::Residual: {
-        // Skip values wait in the input FIFO while the inner stack
-        // runs; the add folds into the crossbar as one extra
-        // carry-propagate stage per output lane (all lanes parallel).
-        EncodedTensor value;
-        value.shape = in.shape;
-        value.codes = ws.takeCodes();
-        value.codes.assign(in.codes.begin(), in.codes.end());
-        std::vector<double> innerRaw;
-        for (size_t i = 0; i < layer.inner.size(); ++i) {
-            const bool lastInner = i + 1 == layer.inner.size();
-            LayerRun innerRun = runLayer(layer.inner[i], value,
-                                         lastInner, ws, threads);
-            run.cost += innerRun.cost;
-            run.stageCycles += innerRun.stageCycles;
-            if (lastInner)
-                innerRaw = std::move(innerRun.raw);
-            std::vector<uint16_t> spent = std::move(value.codes);
-            value = std::move(innerRun.output);
-            ws.giveCodes(std::move(spent));
-        }
-        ws.giveCodes(std::move(value.codes));
-        RAPIDNN_ASSERT(innerRaw.size() == in.codes.size(),
-                       "residual inner stack changed shape");
-
-        AccumFormat format;
-        const nvm::CostModel &m = _config.cost;
-        nvm::OpCost addCost{
-            m.carryPropagateCyclesPerBit * format.accumulatorBits,
-            m.norEnergyPerBit
-                * double(format.accumulatorBits
-                         * m.carryPropagateCyclesPerBit)
-                * double(in.codes.size())};
-        run.cost.weightedAccum += addCost;
-        run.stageCycles += addCost.cycles;
-
-        run.output.shape = in.shape;
-        const bool last = layer.outputEncoder.empty();
-        if (!last) {
-            run.output.codes = ws.takeCodes();
-            run.output.codes.assign(innerRaw.size(), 0);
-        }
-        if (lastCompute) {
-            run.raw = ws.takeRaw();
-            run.raw.assign(innerRaw.size(), 0.0);
-        }
-        for (size_t i = 0; i < innerRaw.size(); ++i) {
-            // Fixed-point sum, exactly as the crossbar computes it.
-            const int64_t sum = format.toFixed(innerRaw[i])
-                + format.toFixed(
-                      layer.inputCodebook.value(in.codes[i]));
-            double summed = format.toReal(sum);
-            if (layer.activation)
-                summed = layer.activation->lookup(summed);
-            if (lastCompute)
-                run.raw[i] = summed;
-            if (!last)
-                run.output.codes[i] = static_cast<uint16_t>(
-                    layer.outputEncoder.encode(summed));
-        }
-        ws.giveRaw(std::move(innerRaw));
+      case RLayerKind::Residual:
+        RAPIDNN_ASSERT(false, "residual layers run in runLayerBatch");
         break;
-      }
     }
     return run;
 }
@@ -1188,84 +677,8 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
 std::vector<double>
 Chip::infer(const nn::Tensor &x, PerfReport &report) const
 {
-    return infer(x, report, 0);
-}
-
-std::vector<double>
-Chip::infer(const nn::Tensor &x, PerfReport &report,
-            size_t numThreadsOverride) const
-{
-    RAPIDNN_ASSERT(_model != nullptr, "chip not configured");
-    // Whole-call span; layer stage spans nest under it. Inert (one
-    // relaxed atomic load, no clock read) while tracing is disabled.
-    RAPIDNN_TELEMETRY_SPAN("chip_infer");
-    const size_t threads = std::max<size_t>(
-        numThreadsOverride != 0 ? numThreadsOverride
-                                : _config.numThreads,
-        1);
-    const auto &model = *_model;
-
-    // Lease the shared workspace for this call; concurrent callers on
-    // the same chip fall back to private spares (see WorkspaceLease).
-    WorkspaceLease lease(_workspace.get());
-    Workspace &ws = lease.get();
-    if (ws.convPlans.size() < _contexts->contexts.size())
-        ws.convPlans.resize(_contexts->contexts.size());
-
-    // Virtual input layer: encode raw data (charged as AM searches on
-    // the input-encoding block, all lanes in parallel).
-    EncodedTensor enc;
-    enc.shape = x.shape();
-    enc.codes = ws.takeCodes();
-    enc.codes.assign(x.numel(), 0);
-    {
-        RAPIDNN_TELEMETRY_STAGE("encoding",
-                                stageHistogram("encoding"));
-        for (size_t i = 0; i < x.numel(); ++i)
-            enc.codes[i] = static_cast<uint16_t>(
-                model.inputEncoder().encode(x[i]));
-    }
-
-    report.reset();
-    InferTally tally;
-    tally.inputEncode = inputEncodeCost(x.numel());
-    tally.latencyCycles = tally.inputEncode.cycles;
-    tally.worstStage = tally.inputEncode.cycles;
-    tally.totalEnergy = tally.inputEncode.energy;
-
-    std::vector<double> logits;
-    size_t lastCompute = model.layers().size();
-    for (size_t l = model.layers().size(); l-- > 0;) {
-        const RLayerKind kind = model.layers()[l].kind;
-        if (kind == RLayerKind::Dense || kind == RLayerKind::Conv ||
-            kind == RLayerKind::Residual ||
-            kind == RLayerKind::Recurrent) {
-            lastCompute = l;
-            break;
-        }
-    }
-
-    for (size_t l = 0; l < model.layers().size(); ++l) {
-        LayerRun run{};
-        {
-            const char *stage = stageName(model.layers()[l].kind);
-            RAPIDNN_TELEMETRY_SPAN(stage, static_cast<int64_t>(l), 0,
-                                   stageHistogram(stage));
-            run = runLayer(model.layers()[l], enc, l == lastCompute,
-                           ws, threads);
-        }
-        tallyLayerRun(tally, run, model.layers()[l], l == lastCompute);
-
-        if (l == lastCompute)
-            logits = std::move(run.raw);
-        std::vector<uint16_t> spent = std::move(enc.codes);
-        enc = std::move(run.output);
-        ws.giveCodes(std::move(spent));
-    }
-    ws.giveCodes(std::move(enc.codes));
-
-    finalizeReport(tally, logits.size(), report);
-    return logits;
+    return std::move(inferBatch(std::span<const nn::Tensor>(&x, 1),
+                                std::span<PerfReport>(&report, 1))[0]);
 }
 
 nvm::OpCost
@@ -1387,7 +800,7 @@ Chip::finalizeReport(InferTally &t, size_t logitCount,
 void
 Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
                     const uint16_t *const *inputs, size_t lanes,
-                    bool lastCompute, Workspace &ws, size_t threads,
+                    bool lastCompute, Workspace &ws,
                     LayerRun *runs) const
 {
     constexpr size_t kPass = DenseTallyScratch::kNeurons;
@@ -1422,7 +835,7 @@ Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
         hasEnc ? ctx.encodingQueryCost() : nvm::OpCost{};
 
     // Costs of neuron j, lane L are added to the lane's totals in
-    // increasing j (the serial per-neuron order, so the sums are
+    // increasing j (the reference walk's order, so the sums are
     // bitwise identical); stageCycles holds the lane's worst neuron
     // until the wave count scales it below.
     auto reduce = [&](size_t L, const nvm::OpCost &wa) {
@@ -1437,11 +850,11 @@ Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
 
     // One pass: up to 8 groups (a cache line of each weight row, hot
     // across the lanes) tallied for every lane, turned into values and
-    // costs, then one activation/encoding batch lookup over the pass's
-    // (neuron x lane) slots. Serial passes run in neuron order and
-    // reduce costs at once; sharded passes stage them in accumCostB.
-    auto runPass = [&](size_t g, DenseTallyScratch &st,
-                       AccumScratch &accum, bool serial) {
+    // costs in neuron order, then one activation/encoding batch lookup
+    // over the pass's (neuron x lane) slots.
+    DenseTallyScratch &st = ws.dense;
+    st.ensure(lanes);
+    for (size_t g = 0; g < groups; g += kGroupsPerPass) {
         const size_t gEnd = std::min(groups, g + kGroupsPerPass);
         for (size_t L = 0; L < lanes; ++L)
             ctx.denseTally(ws.denseInputs[L], g, gEnd,
@@ -1456,13 +869,9 @@ Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
                 const size_t at = L * kPass + k;
                 const AccumResult a = ctx.denseResult(
                     begin + k, st.sums[at], st.distinct[at],
-                    st.addends[at], accum);
+                    st.addends[at], ws.accum);
                 st.vals[k * lanes + L] = a.value;
-                if (serial)
-                    reduce(L, a.cost.total());
-                else
-                    ws.accumCostB[(begin + k) * lanes + L] =
-                        a.cost.total();
+                reduce(L, a.cost.total());
             }
         }
         double *vals = st.vals.data();
@@ -1480,35 +889,6 @@ Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
             for (size_t k = 0; k < n; ++k)
                 for (size_t L = 0; L < lanes; ++L)
                     runs[L].raw[begin + k] = vals[k * lanes + L];
-    };
-
-    if (threads > 1) {
-        // Pass-aligned shards over the fixed grid: each shard owns
-        // whole passes across all batch lanes and writes disjoint
-        // code, raw and cost slots with its pool lane's scratch; the
-        // flat reduction below then replays the serial order.
-        const size_t passes = (groups + kGroupsPerPass - 1) / kGroupsPerPass;
-        ws.ensureLanes(threads);
-        for (auto &lane : ws.lanes)
-            lane.dense.ensure(lanes);
-        if (ws.accumCostB.size() < lanes * outCount)
-            ws.accumCostB.resize(lanes * outCount);
-        const size_t shards = shardCount(passes);
-        TaskPool::shared().run(
-            shards, threads, [&](size_t shard, size_t lane) {
-                const auto [pb, pe] = shardRange(passes, shard, shards);
-                IntraOpScratch &sc = ws.lanes[lane];
-                for (size_t p = pb; p < pe; ++p)
-                    runPass(p * kGroupsPerPass, sc.dense, sc.accum,
-                            false);
-            });
-        for (size_t L = 0; L < lanes; ++L)
-            for (size_t j = 0; j < outCount; ++j)
-                reduce(L, ws.accumCostB[j * lanes + L]);
-    } else {
-        ws.dense.ensure(lanes);
-        for (size_t g = 0; g < groups; g += kGroupsPerPass)
-            runPass(g, ws.dense, ws.accum, true);
     }
     const size_t waves = rnaWaves(_config, outCount);
     for (size_t L = 0; L < lanes; ++L)
@@ -1517,33 +897,36 @@ Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
 
 void
 Chip::runLayerBatch(const RLayer &layer,
-                    const std::vector<EncodedTensor> &ins,
-                    bool lastCompute, Workspace &ws, size_t threads,
-                    std::vector<LayerRun> &runs) const
+                    std::span<const EncodedTensor> ins,
+                    bool lastCompute, Workspace &ws,
+                    std::span<LayerRun> runs) const
 {
     const size_t lanes = ins.size();
-    const bool intraOp = threads > 1 && _config.fastPath;
-    const bool kernel = _kops != nullptr && _config.fastPath;
+    // Lanes of one batch share a layer's shape-dependent work, so a
+    // mixed-shape batch runs as batches of one.
     bool sameShape = true;
     for (size_t L = 1; L < lanes; ++L)
         sameShape = sameShape && ins[L].shape == ins[0].shape
                  && ins[L].codes.size() == ins[0].codes.size();
+    if (!sameShape) {
+        for (size_t L = 0; L < lanes; ++L)
+            runLayerBatch(layer, ins.subspan(L, 1), lastCompute, ws,
+                          runs.subspan(L, 1));
+        return;
+    }
 
-    // Per-lane fallback: sequential runLayer calls in lane order are
-    // trivially identical to sequential infer() calls (the workspace
-    // is reset-per-use state, not carried data).
+    // The reference walk (fastPath = false, codebooks that do not
+    // pack) and the pool and flatten layers run one lane at a time.
     auto perLane = [&] {
         for (size_t L = 0; L < lanes; ++L)
-            runs[L] = runLayer(layer, ins[L], lastCompute, ws,
-                               threads);
+            runs[L] = runLayer(layer, ins[L], lastCompute, ws);
     };
-
 
     switch (layer.kind) {
       case RLayerKind::Dense: {
         const RnaLayerContext &ctx =
             *_contexts->contexts[_contexts->byLayer.at(&layer)];
-        if (!(kernel && ctx.hasDenseRows() && sameShape)) {
+        if (!(_config.fastPath && ctx.hasDenseRows())) {
             perLane();
             return;
         }
@@ -1551,22 +934,24 @@ Chip::runLayerBatch(const RLayer &layer,
         for (size_t L = 0; L < lanes; ++L)
             ws.laneCodes[L] = ins[L].codes.data();
         runDenseTally(layer, ctx, ws.laneCodes.data(), lanes, lastCompute,
-                      ws, threads, runs.data());
+                      ws, runs.data());
         return;
       }
       case RLayerKind::Conv: {
         const RnaLayerContext &ctx =
             *_contexts->contexts[_contexts->byLayer.at(&layer)];
-        if (!(kernel && ctx.packed() && sameShape && !intraOp)) {
+        if (!(_config.fastPath && ctx.packed())) {
             perLane();
             return;
         }
-        // Batched conv kernel path (serial executor; the sharded
-        // executor falls back to per-lane runLayer, which shards
-        // itself). Position-major like the serial kernel path, with
-        // the per-(position, channel) work — window clipping, the
-        // counting-cycle histogram, the weight-chunk loads inside
-        // pairKeys8Lanes — done once and shared across the lanes.
+        // Position-major: narrow every lane's input map to uint8 once,
+        // then for each output position gather every lane's window and
+        // sweep every output channel over them. The per-(position,
+        // channel) work — window clipping, the counting-cycle
+        // histogram, the weight-chunk loads inside pairKeys8Lanes — is
+        // done once and shared across the lanes; interior windows use
+        // the channel's packed weights directly because their
+        // weight-index map is the identity.
         RAPIDNN_ASSERT(ins[0].shape.size() == 3,
                        "conv needs [C, H, W]");
         const size_t inC = ins[0].shape[0];
@@ -1703,16 +1088,14 @@ Chip::runLayerBatch(const RLayer &layer,
       case RLayerKind::Recurrent: {
         const RnaLayerContext &ctx =
             *_contexts->contexts[_contexts->byLayer.at(&layer)];
-        if (!(kernel && ctx.packedRecurrent() && sameShape
-              && !intraOp)) {
+        if (!(_config.fastPath && ctx.packedRecurrent())) {
             perLane();
             return;
         }
-        // Batched recurrent kernel path (serial executor). Steps stay
-        // serial (the feedback hazard); within a step, each hidden
-        // neuron's two weight columns are keyed once for all lanes and
-        // the per-lane step evaluations replay the serial order from
-        // their own key stripes and state stripes.
+        // Steps stay serial (the feedback hazard); within a step, each
+        // hidden neuron's two weight columns are keyed once for all
+        // lanes and the per-lane step evaluations replay the reference
+        // walk's order from their own key stripes and state stripes.
         const size_t hidden = layer.outCount;
         const size_t features = layer.inCount;
         const size_t inElems = ins[0].codes.size();
@@ -1724,9 +1107,9 @@ Chip::runLayerBatch(const RLayer &layer,
         const uint16_t zeroCode = ctx.encodeState(0.0, zeroEncode);
         for (size_t L = 0; L < lanes; ++L) {
             runs[L] = LayerRun{};
-            // One zero-state encode per sample, exactly as infer()
-            // charges it (the code itself is shared — it is a pure
-            // function of the codebook).
+            // One zero-state encode per sample, exactly as the
+            // reference walk charges it (the code itself is shared — it
+            // is a pure function of the codebook).
             runs[L].cost.encoding += zeroEncode;
         }
 
@@ -1752,7 +1135,7 @@ Chip::runLayerBatch(const RLayer &layer,
         for (size_t t = 0; t < layer.steps; ++t) {
             for (size_t L = 0; L < lanes; ++L) {
                 // Per-step narrow of each lane's frozen previous
-                // state, as the serial step loop does.
+                // state (the step swap rewrites it).
                 _kops->narrow(ws.hCodesB.data() + L * hidden, hidden,
                               ws.h8B.data() + L * hidden);
                 ws.lanePtrsH[L] = ws.h8B.data() + L * hidden;
@@ -1820,8 +1203,7 @@ Chip::runLayerBatch(const RLayer &layer,
       }
       case RLayerKind::Residual: {
         // Recurse batched through the inner stack, then the per-lane
-        // skip add — the add is elementwise per lane, so the serial
-        // residual tail runs unchanged per lane.
+        // skip add, elementwise per lane.
         std::vector<EncodedTensor> values(lanes);
         for (size_t L = 0; L < lanes; ++L) {
             values[L].shape = ins[L].shape;
@@ -1835,7 +1217,7 @@ Chip::runLayerBatch(const RLayer &layer,
         for (size_t i = 0; i < layer.inner.size(); ++i) {
             const bool lastInner = i + 1 == layer.inner.size();
             runLayerBatch(layer.inner[i], values, lastInner, ws,
-                          threads, innerRuns);
+                          innerRuns);
             for (size_t L = 0; L < lanes; ++L) {
                 runs[L].cost += innerRuns[L].cost;
                 runs[L].stageCycles += innerRuns[L].stageCycles;
@@ -1894,7 +1276,6 @@ Chip::runLayerBatch(const RLayer &layer,
         return;
       }
       default:
-        // Pools, flatten, reference-path layers: per-lane execution.
         perLane();
         return;
     }
@@ -1902,8 +1283,7 @@ Chip::runLayerBatch(const RLayer &layer,
 
 std::vector<std::vector<double>>
 Chip::inferBatch(std::span<const nn::Tensor> inputs,
-                 std::span<PerfReport> reports,
-                 size_t numThreadsOverride) const
+                 std::span<PerfReport> reports) const
 {
     RAPIDNN_ASSERT(_model != nullptr, "chip not configured");
     RAPIDNN_ASSERT(reports.size() >= inputs.size(),
@@ -1913,18 +1293,17 @@ Chip::inferBatch(std::span<const nn::Tensor> inputs,
     if (lanes == 0)
         return logits;
     RAPIDNN_TELEMETRY_SPAN("chip_infer_batch");
-    const size_t threads = std::max<size_t>(
-        numThreadsOverride != 0 ? numThreadsOverride
-                                : _config.numThreads,
-        1);
     const auto &model = *_model;
 
+    // Lease the shared workspace for this call; concurrent callers on
+    // the same chip fall back to private spares (see WorkspaceLease).
     WorkspaceLease lease(_workspace.get());
     Workspace &ws = lease.get();
     if (ws.convPlans.size() < _contexts->contexts.size())
         ws.convPlans.resize(_contexts->contexts.size());
 
-    // Virtual input layer, one encode per lane (identical to infer()).
+    // Virtual input layer: encode raw data (charged as AM searches on
+    // the input-encoding block, all lanes in parallel).
     std::vector<EncodedTensor> encs(lanes);
     {
         RAPIDNN_TELEMETRY_STAGE("encoding",
@@ -1967,8 +1346,7 @@ Chip::inferBatch(std::span<const nn::Tensor> inputs,
             const char *stage = stageName(layer.kind);
             RAPIDNN_TELEMETRY_SPAN(stage, static_cast<int64_t>(l), 0,
                                    stageHistogram(stage));
-            runLayerBatch(layer, encs, l == lastCompute, ws, threads,
-                          runs);
+            runLayerBatch(layer, encs, l == lastCompute, ws, runs);
         }
         for (size_t L = 0; L < lanes; ++L) {
             tallyLayerRun(tallies[L], runs[L], layer,

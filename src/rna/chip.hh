@@ -4,11 +4,11 @@
  * and a controller that maps reinterpreted layers onto them (paper
  * Section 4.3, Figure 9, Table 1).
  *
- * The simulator runs a reinterpreted model sample-by-sample through the
- * per-neuron RNA engines, scheduling neurons onto the available RNA
+ * The simulator runs batches of samples through the per-neuron RNA
+ * engines layer by layer, scheduling neurons onto the available RNA
  * blocks in waves and pipelining layers across tiles. It produces both
  * the functional output (identical to the software reinterpreted model,
- * which tests assert) and a cycle/energy report.
+ * which tests assert) and a cycle/energy report per sample.
  */
 
 #ifndef RAPIDNN_RNA_CHIP_HH
@@ -36,34 +36,24 @@ struct ChipConfig
     double rnaSharing = 0.0;
     nvm::SearchMode searchMode = nvm::SearchMode::AbsoluteExact;
     /**
-     * Use the zero-allocation fused-lookup inference path. Results are
-     * bitwise-identical either way (values, codes, PerfReport —
-     * tests/fastpath_equivalence_test.cc pins this); false keeps the
-     * original allocating reference path, kept as the comparison
-     * baseline for benchmarks and the equivalence guard.
+     * true (default) runs the one production path, inferBatch's
+     * batched layer walk; false runs the paper-faithful reference walk
+     * instead: every neuron gathers its own weight and input codes into
+     * fresh vectors and runs RnaLayerContext::evaluate(). Both give
+     * bitwise-identical logits and PerfReports
+     * (tests/batch_equivalence_test.cc sweeps them against each
+     * other); the reference is the oracle servebench and the tests
+     * check production against. A compute layer whose codebooks exceed
+     * 256 entries does not pack into 8-bit codes and runs the reference
+     * evaluator on the production path too.
      */
     bool fastPath = true;
     /**
-     * Intra-op parallelism: task-pool lanes one infer() call may use
-     * to run a layer's neuron shards concurrently (the host analogue
-     * of the chip's parallel RNA blocks). The shard grid is fixed and
-     * thread-count independent, every lane gets private scratch, and
-     * all floating-point reductions run serially in neuron order — so
-     * logits, codes, OpCost and PerfReport are bitwise identical at
-     * any value (tests/intraop_determinism_test.cc pins this).
-     * 1 (default) keeps the serial fast path. Only the fast path
-     * shards; the reference path (fastPath = false) stays serial as
-     * the comparison baseline.
-     */
-    size_t numThreads = 1;
-    /**
-     * SIMD kernel dispatch for the fast path's inner loops. Auto
-     * (default) picks the best variant the build and host support
-     * (overridable via the RAPIDNN_SIMD environment variable); Off
-     * disables the kernel layer entirely, keeping the scalar reference
-     * loops. Results are bitwise identical for every value — variant
-     * selection is a pure speed knob (tests/kernel_equivalence_test.cc
-     * pins this).
+     * SIMD kernel table the production path dispatches through. Auto
+     * (default) picks the best variant the build and host support,
+     * overridable via the RAPIDNN_SIMD environment variable; Scalar is
+     * the portable bitwise oracle of the vector variants. Results are
+     * bitwise identical for every value, so this is a pure speed knob.
      */
     simd::Variant simd = simd::Variant::Auto;
     /**
@@ -71,9 +61,8 @@ struct ChipConfig
      * the workspace's batch-strided buffers are sized for at
      * configure() time (the serving engine passes its
      * ServingConfig::maxBatch through here). Larger batches still
-     * work — the buffers grow on first use; 1 (default) keeps the
-     * batch arenas unallocated. A pure capacity knob: results are
-     * identical at any value.
+     * work — the buffers grow on first use. A pure capacity knob:
+     * results are identical at any value.
      */
     size_t maxBatch = 1;
 
@@ -130,42 +119,29 @@ class Chip
     void configure(const composer::ReinterpretedModel &model);
 
     /**
-     * Run one sample. Returns raw logits (bit-identical to the software
-     * reinterpreted model) and fills the report. Const and free of
-     * shared mutable state: concurrent calls on one chip (or on
-     * clones) produce bitwise-identical results to serial calls.
+     * Run one sample: inferBatch() over a batch of one. Returns raw
+     * logits (bit-identical to the software reinterpreted model) and
+     * fills the report. Const and free of shared mutable state:
+     * concurrent calls on one chip (or on clones) produce
+     * bitwise-identical results to serial calls.
      */
     std::vector<double> infer(const nn::Tensor &x,
                               PerfReport &report) const;
 
     /**
-     * infer() with a per-call intra-op thread budget: 0 uses
-     * ChipConfig::numThreads, any other value overrides it for this
-     * call only. The serving engine uses this to borrow pool lanes
-     * when its admission queue is shallow. Results are bitwise
-     * identical at any budget.
-     */
-    std::vector<double> infer(const nn::Tensor &x, PerfReport &report,
-                              size_t numThreadsOverride) const;
-
-    /**
      * Run a batch of samples through the chip, executing each layer
-     * once for the whole batch so per-output-neuron work (weight-code
-     * loads, fused pair-key construction, counting-cycle hints, AM
-     * batch lookups) is amortized across the batch lanes (the dense
-     * tally reads each weight-row slice once for all lanes;
-     * KernelOps::pairKeys8Lanes builds every conv and recurrent lane's
-     * keys from one weight load). Logits, codes and the per-lane
-     * PerfReports are bitwise identical to inputs.size() sequential infer() calls
-     * at any thread count and SIMD variant
-     * (tests/batch_equivalence_test.cc pins this). `reports` must
-     * hold at least inputs.size() entries; returns one logits vector
-     * per input, in order.
+     * once for the whole batch so per-output-neuron work (weight-row
+     * loads, pair-key construction, counting-cycle hints, AM batch
+     * lookups) is shared by the batch lanes. This is the one
+     * production path; infer() is a batch of one. Logits, codes and
+     * the per-lane PerfReports are bitwise identical to the reference
+     * walk (fastPath = false) at any batch size and SIMD variant.
+     * `reports` must hold at least inputs.size() entries; returns one
+     * logits vector per input, in order.
      */
     std::vector<std::vector<double>>
     inferBatch(std::span<const nn::Tensor> inputs,
-               std::span<PerfReport> reports,
-               size_t numThreadsOverride = 0) const;
+               std::span<PerfReport> reports) const;
 
     /** Classification error rate with cost accounting folded into one
      *  averaged report. */
@@ -175,8 +151,8 @@ class Chip
      * A fresh chip with the same configuration, wired to the same
      * (shared, read-only) reinterpreted model — one replica per
      * serving-runtime worker. The replica shares the configured chip's
-     * immutable layer contexts (product tables, AM blocks, transposed
-     * columns) and only builds its own mutable workspace, so replica
+     * immutable layer contexts (product tables, AM blocks, packed
+     * weights) and only builds its own mutable workspace, so replica
      * instantiation is O(workspace), not O(model).
      */
     Chip clone() const;
@@ -208,8 +184,8 @@ class Chip
 
     ChipConfig _config;
     const composer::ReinterpretedModel *_model = nullptr;
-    /** Resolved kernel dispatch table (nullptr = scalar reference
-     *  loops); set once by configure(), shared by clones. */
+    /** Resolved kernel dispatch table; set once by configure(),
+     *  shared by clones. */
     const simd::KernelOps *_kops = nullptr;
     std::shared_ptr<const ContextSet> _contexts;
     /** Shared inference workspace, built at configure time and leased
@@ -224,12 +200,8 @@ class Chip
         uint64_t stageCycles;   //!< wall cycles with RNA parallelism
     };
 
-    /**
-     * Per-sample accounting accumulated across the layer walk. infer()
-     * keeps one, inferBatch() keeps one per lane; both feed the same
-     * tally/finalize helpers so the per-lane PerfReports of a batch
-     * are bitwise identical to sequential infer() reports.
-     */
+    /** Per-sample accounting accumulated across the layer walk, one
+     *  per batch lane. */
     struct InferTally
     {
         uint64_t latencyCycles = 0;
@@ -245,43 +217,46 @@ class Chip
                          const std::vector<composer::RLayer> &layers);
 
     /** Build this chip's private workspace from the shared contexts
-     *  (pool seeding, conv plans, lane scratch). */
+     *  (pool seeding, conv plans, batch arenas). */
     void buildWorkspace();
 
-    /** @param threads intra-op lane budget for this call (>= 1). */
+    /**
+     * The reference walk of one layer for one sample (fastPath =
+     * false, and compute layers whose codebooks do not pack), plus the
+     * pool and flatten layers, which runLayerBatch() hands over one
+     * lane at a time.
+     */
     LayerRun runLayer(const composer::RLayer &layer,
                       const composer::EncodedTensor &in,
-                      bool lastCompute, Workspace &ws,
-                      size_t threads) const;
+                      bool lastCompute, Workspace &ws) const;
 
     /**
-     * The dense kernel path, for one sample (runLayer) or a batch
-     * (runLayerBatch): groups each lane's fan-in by input code, runs
-     * the dense tally over the layer's 8-neuron groups (sharded over
-     * the fixed intra-op grid when threads > 1), batches the
-     * activation and encoding lookups, and reduces each lane's costs
-     * in serial neuron order. runs[L] matches what the per-neuron fast
-     * path produces for inputs[L], bit for bit. Requires
+     * The dense layer's production path: groups each lane's fan-in by
+     * input code, runs the dense tally over the layer's 8-neuron
+     * groups, batches the activation and encoding lookups, and reduces
+     * each lane's costs in serial neuron order. runs[L] matches the
+     * reference walk of inputs[L], bit for bit. Requires
      * ctx.hasDenseRows().
      */
     void runDenseTally(const composer::RLayer &layer,
                        const RnaLayerContext &ctx,
                        const uint16_t *const *inputs, size_t lanes,
-                       bool lastCompute, Workspace &ws, size_t threads,
+                       bool lastCompute, Workspace &ws,
                        LayerRun *runs) const;
 
     /**
      * Run one layer for a whole batch, filling runs[L] with exactly
-     * what runLayer(layer, ins[L], ...) would produce. Dense, conv and
-     * recurrent layers with a packed kernel context take the batched
-     * kernel path (shared weight-column work, per-lane key stripes);
-     * everything else falls back to per-lane runLayer calls in lane
-     * order, which is trivially identical.
+     * what the reference walk of ins[L] produces. Dense, conv and
+     * recurrent layers with a packed context take the batched kernel
+     * path (shared weight work, per-lane key stripes); a batch whose
+     * lanes differ in shape runs as batches of one; everything else
+     * (the reference walk, pools, flatten) runs runLayer() per lane in
+     * lane order.
      */
     void runLayerBatch(const composer::RLayer &layer,
-                       const std::vector<composer::EncodedTensor> &ins,
-                       bool lastCompute, Workspace &ws, size_t threads,
-                       std::vector<LayerRun> &runs) const;
+                       std::span<const composer::EncodedTensor> ins,
+                       bool lastCompute, Workspace &ws,
+                       std::span<LayerRun> runs) const;
 
     /** Input-encoding cost of one sample (CAM search per element plus
      *  the data-block stream-out). */

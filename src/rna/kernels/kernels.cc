@@ -52,7 +52,6 @@ opsFor(simd::Variant v)
             return &kNeonOps;
 #endif
         return nullptr;
-      case simd::Variant::Off:
       case simd::Variant::Auto:
         return nullptr;
     }
@@ -102,8 +101,6 @@ resolve(simd::Variant requested)
     }
     if (v == simd::Variant::Auto)
         return availableVariants().front();
-    if (v == simd::Variant::Off)
-        return v;
     RAPIDNN_CHECK(opsFor(v) != nullptr, "SIMD variant \"",
                   simd::variantName(v),
                   "\" is not available on this host/build");

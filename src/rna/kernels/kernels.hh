@@ -27,15 +27,15 @@ namespace rapidnn::rna::kernels {
 
 /**
  * The KernelOps table for one concrete variant, or nullptr when this
- * build/host cannot run it (also for Off and Auto, which name no
+ * build/host cannot run it (also for Auto, which names no
  * implementation).
  */
 const simd::KernelOps *opsFor(simd::Variant v);
 
 /**
  * Concrete variants this process can execute right now (build flags
- * AND cpu features), best first, Scalar always last. Off/Auto are
- * policies, not implementations, and are never listed.
+ * AND cpu features), best first, Scalar always last. Auto is a
+ * policy, not an implementation, and is never listed.
  */
 std::vector<simd::Variant> availableVariants();
 
@@ -60,7 +60,7 @@ std::vector<DenseTallyImpl> denseTallyImpls();
  * RAPIDNN_SIMD override when the request is Auto, falls back to the
  * best available for Auto, and is fatal when an explicitly requested
  * (or env-forced) variant is not available on this host/build.
- * Returns Off only when explicitly requested.
+ * Never returns Auto.
  */
 simd::Variant resolve(simd::Variant requested);
 

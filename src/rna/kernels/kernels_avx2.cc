@@ -41,26 +41,6 @@ namespace rapidnn::rna::kernels {
 namespace {
 
 void
-pairKeys8Avx2(const uint8_t *w, const uint8_t *x, size_t n,
-              uint32_t shift, uint16_t *keys)
-{
-    const __m128i cnt = _mm_cvtsi32_si128(static_cast<int>(shift));
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m256i w16 = _mm256_cvtepu8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(w + i)));
-        const __m256i x16 = _mm256_cvtepu8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(x + i)));
-        const __m256i k =
-            _mm256_or_si256(_mm256_sll_epi16(w16, cnt), x16);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(keys + i), k);
-    }
-    for (; i < n; ++i)
-        keys[i] = static_cast<uint16_t>(
-            (static_cast<uint32_t>(w[i]) << shift) | x[i]);
-}
-
-void
 narrowAvx2(const uint16_t *src, size_t n, uint8_t *dst)
 {
     size_t i = 0;
@@ -445,7 +425,7 @@ denseTallyAvx2(const simd::DenseTallyJob &job)
 
 extern const simd::KernelOps kAvx2Ops;
 const simd::KernelOps kAvx2Ops = {
-    "avx2", pairKeys8Avx2, narrowAvx2, gather8Avx2, maxU16Avx2,
+    "avx2", narrowAvx2, gather8Avx2, maxU16Avx2,
     quantizeAvx2, directLookupAvx2, gatherSum16Avx2, pairKeys8LanesAvx2,
     denseTallyAvx2,
 };

@@ -47,26 +47,6 @@ denseTallyAvx512Lut(const simd::DenseTallyJob &job)
 namespace {
 
 void
-pairKeys8Avx512(const uint8_t *w, const uint8_t *x, size_t n,
-                uint32_t shift, uint16_t *keys)
-{
-    const __m128i cnt = _mm_cvtsi32_si128(static_cast<int>(shift));
-    size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m512i w16 = _mm512_cvtepu8_epi16(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(w + i)));
-        const __m512i x16 = _mm512_cvtepu8_epi16(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(x + i)));
-        const __m512i k =
-            _mm512_or_si512(_mm512_sll_epi16(w16, cnt), x16);
-        _mm512_storeu_si512(keys + i, k);
-    }
-    for (; i < n; ++i)
-        keys[i] = static_cast<uint16_t>(
-            (static_cast<uint32_t>(w[i]) << shift) | x[i]);
-}
-
-void
 narrowAvx512(const uint16_t *src, size_t n, uint8_t *dst)
 {
     size_t i = 0;
@@ -270,7 +250,7 @@ denseTallyAvx512(const simd::DenseTallyJob &job)
 
 extern const simd::KernelOps kAvx512Ops;
 const simd::KernelOps kAvx512Ops = {
-    "avx512", pairKeys8Avx512, narrowAvx512, gather8Avx512,
+    "avx512", narrowAvx512, gather8Avx512,
     maxU16Avx512, quantizeAvx512, directLookupAvx512, gatherSum16Avx512,
     pairKeys8LanesAvx512, denseTallyAvx512,
 };

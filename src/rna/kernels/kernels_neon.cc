@@ -25,22 +25,6 @@ namespace rapidnn::rna::kernels {
 namespace {
 
 void
-pairKeys8Neon(const uint8_t *w, const uint8_t *x, size_t n,
-              uint32_t shift, uint16_t *keys)
-{
-    const int16x8_t cnt = vdupq_n_s16(static_cast<int16_t>(shift));
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const uint16x8_t w16 = vmovl_u8(vld1_u8(w + i));
-        const uint16x8_t x16 = vmovl_u8(vld1_u8(x + i));
-        vst1q_u16(keys + i, vorrq_u16(vshlq_u16(w16, cnt), x16));
-    }
-    for (; i < n; ++i)
-        keys[i] = static_cast<uint16_t>(
-            (static_cast<uint32_t>(w[i]) << shift) | x[i]);
-}
-
-void
 narrowNeon(const uint16_t *src, size_t n, uint8_t *dst)
 {
     size_t i = 0;
@@ -344,7 +328,7 @@ denseTallyNeon(const simd::DenseTallyJob &job)
 
 extern const simd::KernelOps kNeonOps;
 const simd::KernelOps kNeonOps = {
-    "neon", pairKeys8Neon, narrowNeon, gather8Neon, maxU16Neon,
+    "neon", narrowNeon, gather8Neon, maxU16Neon,
     quantizeNeon, directLookupNeon, gatherSum16Neon, pairKeys8LanesNeon,
     denseTallyNeon,
 };

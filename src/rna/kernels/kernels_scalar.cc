@@ -21,15 +21,6 @@ namespace rapidnn::rna::kernels {
 namespace {
 
 void
-pairKeys8Scalar(const uint8_t *w, const uint8_t *x, size_t n,
-                uint32_t shift, uint16_t *keys)
-{
-    for (size_t i = 0; i < n; ++i)
-        keys[i] = static_cast<uint16_t>(
-            (static_cast<uint32_t>(w[i]) << shift) | x[i]);
-}
-
-void
 narrowScalar(const uint16_t *src, size_t n, uint8_t *dst)
 {
     for (size_t i = 0; i < n; ++i)
@@ -231,7 +222,7 @@ denseTallyScalar(const simd::DenseTallyJob &job)
 
 extern const simd::KernelOps kScalarOps;
 const simd::KernelOps kScalarOps = {
-    "scalar", pairKeys8Scalar, narrowScalar, gather8Scalar,
+    "scalar", narrowScalar, gather8Scalar,
     maxU16Scalar, quantizeScalar, directLookupScalar, gatherSum16Scalar,
     pairKeys8LanesScalar, denseTallyScalar,
 };

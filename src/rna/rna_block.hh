@@ -20,8 +20,8 @@ namespace rapidnn::rna {
 
 // NeuronCost (the per-phase cost breakdown of one neuron evaluation,
 // Figure 13) is defined in rna/workspace.hh, which this header
-// includes: the workspace stores one per neuron for the deterministic
-// intra-op reduction.
+// includes: the workspace stores one per neuron and batch lane for the
+// batched recurrent reduction.
 
 /** Output of one neuron evaluation. */
 struct NeuronResult
@@ -42,9 +42,11 @@ class RnaLayerContext
   public:
     /**
      * Build the context for a compute layer.
-     * @param layer reinterpreted Dense/Conv layer.
+     * @param layer reinterpreted Dense/Conv/Recurrent layer.
      * @param model circuit-cost anchors.
      * @param mode NDCAM search behaviour.
+     * @param kops kernel table of the production path; without one the
+     *        context serves only the reference evaluate() calls.
      */
     RnaLayerContext(const composer::RLayer &layer,
                     const nvm::CostModel &model,
@@ -52,7 +54,8 @@ class RnaLayerContext
                     const simd::KernelOps *kops = nullptr);
 
     /**
-     * Evaluate one neuron.
+     * Evaluate one neuron: the paper-faithful reference evaluator that
+     * the production path is checked against.
      * @param channel weight-codebook index (0 for dense layers).
      * @param weightCodes the neuron's encoded weights.
      * @param inputCodes encoded inputs, parallel to weightCodes.
@@ -64,16 +67,6 @@ class RnaLayerContext
                           double bias) const;
 
     /**
-     * Allocation-free twin of evaluate() over caller-owned code arrays
-     * plus reusable counting scratch. Bitwise-identical results
-     * (value, code, every cost field); tests pin the equivalence.
-     */
-    NeuronResult evaluateFast(size_t channel,
-                              const uint16_t *weightCodes,
-                              const uint16_t *inputCodes, size_t fanIn,
-                              double bias, AccumScratch &scratch) const;
-
-    /**
      * Max-pool a window of encoded values by loading them into the
      * encoding/pooling AM and issuing one MAX search (Section 4.2.1).
      */
@@ -82,16 +75,15 @@ class RnaLayerContext
                             nvm::OpCost &cost);
 
     /**
-     * Allocation-free twin of poolMax(): charges the identical load +
+     * The production twin of poolMax(): charges the identical load +
      * MAX-search cost without materializing an Ndcam, and resolves the
-     * same winner (first occurrence of the maximum code). When a
-     * kernel table is supplied the max reduction runs vectorized
-     * (bitwise-identical winner; codes are order-preserving values).
+     * same winner through the kernel table's max reduction (codes are
+     * order-preserving values).
      */
     static uint16_t poolMaxFast(const uint16_t *codes, size_t count,
                                 const nvm::CostModel &model,
                                 nvm::OpCost &cost,
-                                const simd::KernelOps *ops = nullptr);
+                                const simd::KernelOps &ops);
 
     /**
      * One unrolled step of a recurrent neuron: accumulate the x-path
@@ -106,25 +98,14 @@ class RnaLayerContext
         const std::vector<uint16_t> &hWeightCodes,
         const std::vector<uint16_t> &hCodes, double bias) const;
 
-    /** Allocation-free twin of evaluateRecurrentStep(). */
-    NeuronResult evaluateRecurrentStepFast(
-        const uint16_t *xWeightCodes, const uint16_t *xCodes,
-        size_t features, const uint16_t *hWeightCodes,
-        const uint16_t *hCodes, size_t hidden, double bias,
-        AccumScratch &scratch) const;
-
     /** Encode a raw value into the recurrent state codebook. */
     uint16_t encodeState(double value, nvm::OpCost &cost) const;
 
     // ------------------------------------------------------------------
-    // SIMD kernel path (PR 8). Only usable when the context was built
-    // with a kernel table; every method is bitwise-identical to its
-    // scalar twin (tests/kernel_equivalence_test.cc pins the contract).
+    // Production path. Only usable when the context was built with a
+    // kernel table and its codebooks pack; every result is bitwise
+    // identical to evaluate() (tests/batch_equivalence_test.cc).
     // ------------------------------------------------------------------
-
-    /** The kernel table this context dispatches through (nullptr when
-     *  the kernel layer is off). */
-    const simd::KernelOps *kernelOps() const { return _kops; }
 
     /** True when every forward-path codebook fits 8-bit packed codes
      *  (weight + input codebooks <= 256 entries). */
@@ -158,7 +139,7 @@ class RnaLayerContext
                     uint32_t *addends) const;
 
     /** Neuron j's AccumResult from its denseTally outputs;
-     *  bitwise-identical to the neuron's evaluateFast() accumulation. */
+     *  bitwise-identical to the neuron's evaluate() accumulation. */
     AccumResult
     denseResult(size_t j, int64_t sum, uint32_t distinct,
                 uint32_t addends, AccumScratch &sc) const
@@ -168,45 +149,40 @@ class RnaLayerContext
                                        _layer.bias[j], sc);
     }
 
-    /** Packed contiguous per-channel conv weight codes (full-window
-     *  fast path feeds these straight to pairKeys8). Valid when
-     *  packed(). */
+    /** Packed contiguous per-channel conv weight codes (full windows
+     *  feed these straight to pairKeys8Lanes). Valid when packed(). */
     const uint8_t *
     convChannel8(size_t oc) const
     {
         return _convChannel8[oc].data();
     }
 
-    /** Packed twin of recurrentXColumn(). Valid when packedRecurrent(). */
+    /** Neuron-major packed input-path weight codes of hidden unit h.
+     *  Valid when packedRecurrent(). */
     const uint8_t *
     recurrentXColumn8(size_t h) const
     {
         return _recXColumns8.data() + h * _layer.inCount;
     }
 
-    /** Packed twin of recurrentHColumn(). Valid when packedRecurrent(). */
+    /** Neuron-major packed feedback-path weight codes of hidden unit
+     *  h. Valid when packedRecurrent(). */
     const uint8_t *
     recurrentHColumn8(size_t h) const
     {
         return _recHColumns8.data() + h * _layer.outCount;
     }
 
-    /** Kernel-path weighted accumulation over packed codes (accum
-     *  stage only; the caller batches activation/encoding). */
-    AccumResult accumulatePacked(size_t channel, const uint8_t *w8,
-                                 const uint8_t *x8, size_t fanIn,
-                                 double bias, AccumScratch &sc) const;
-
     /**
      * Batched-lanes accumulation for conv windows: one call
      * accumulates every batch lane of one output neuron from the
      * lane-strided key stripes pairKeys8Lanes wrote (lane L at keys +
      * L * keyStride), filling results[0..lanes). Bitwise-identical per
-     * lane to accumulatePacked over the lane's codes; the per-neuron
-     * constants (counting cycles, bias, counting energy) are computed
-     * once and shared across the lanes. `sc` must have been sized by
-     * prepareWorkspace / prepareScratch; `countingCycles` is the
-     * hoisted hint for the weight window, or nullptr to recompute.
+     * lane to evaluate()'s accumulation over the lane's codes; the
+     * per-neuron constants (counting cycles, bias, counting energy)
+     * are computed once and shared across the lanes. `sc` must have
+     * been sized by prepareWorkspace; `countingCycles` is the hoisted
+     * hint for the weight window, or nullptr to recompute.
      */
     void accumulatePrekeyedLanes(size_t channel, const uint16_t *keys,
                                  size_t keyStride, size_t lanes,
@@ -216,12 +192,11 @@ class RnaLayerContext
                                  AccumResult *results) const;
 
     /**
-     * Counting cycles for an arbitrary packed weight window of
-     * `channel` (clipped conv windows gathered into scratch): returns
-     * the hoisted hint when the pointer is a canonical weight array,
-     * otherwise recomputes allocation-free through `sc`. The batched
-     * conv path derives this once per (position, channel) and shares
-     * it across every lane.
+     * Counting cycles for a packed conv weight window of `channel`:
+     * the hoisted hint when w8 is the channel's full window, otherwise
+     * (a clipped window gathered into scratch) recomputed
+     * allocation-free through `sc`. The conv path derives this once per
+     * (position, channel) and shares it across every lane.
      */
     uint32_t packedCountingCycles(size_t channel, const uint8_t *w8,
                                   size_t fanIn, AccumScratch &sc) const;
@@ -240,40 +215,25 @@ class RnaLayerContext
         return _stateEngine->keyShift();
     }
 
-    /** Hoisted counting-cycle hints per recurrent weight column (null
-     *  when the kernel layer is off). */
+    /** Hoisted counting-cycle hints per recurrent weight column.
+     *  Valid when packedRecurrent(). */
     const uint32_t *
     recXCountingHint(size_t h) const
     {
-        return _recXCounting.empty() ? nullptr : &_recXCounting[h];
+        return &_recXCounting[h];
     }
 
     const uint32_t *
     recHCountingHint(size_t h) const
     {
-        return _recHCounting.empty() ? nullptr : &_recHCounting[h];
+        return &_recHCounting[h];
     }
 
-    /** Per-neuron kernel-path evaluation (packed accumulation + scalar
-     *  AM lookups) for the sharded executors; bitwise-identical to
-     *  evaluateFast(). */
-    NeuronResult evaluatePacked(size_t channel, const uint8_t *w8,
-                                const uint8_t *x8, size_t fanIn,
-                                double bias, AccumScratch &sc) const;
-
-    /** Per-neuron kernel-path recurrent step over packed codes;
-     *  bitwise-identical to evaluateRecurrentStepFast(). */
-    NeuronResult evaluateRecurrentStepPacked(
-        const uint8_t *xWeightCodes, const uint8_t *xCodes,
-        size_t features, const uint8_t *hWeightCodes,
-        const uint8_t *hCodes, size_t hidden, double bias,
-        AccumScratch &scratch) const;
-
     /**
-     * Prekeyed twin of evaluateRecurrentStepPacked: both operand
-     * paths' pair keys are built by the caller (one weight-column load
-     * per pairKeys8Lanes call serving every batch lane).
-     * Bitwise-identical to the packed form over the originating codes.
+     * One recurrent step of one hidden neuron over pair keys the
+     * caller built for both operand paths (one weight-column load per
+     * pairKeys8Lanes call serving every batch lane). Bitwise-identical
+     * to evaluateRecurrentStep() over the originating codes.
      */
     NeuronResult evaluateRecurrentStepPrekeyed(
         const uint16_t *xKeys, size_t features, const uint16_t *hKeys,
@@ -313,38 +273,9 @@ class RnaLayerContext
     void encodeBatch(const double *in, size_t n, uint32_t *keyScratch,
                      uint32_t *rowScratch, uint16_t *codes) const;
 
-    /**
-     * Column-major (neuron-major) weight codes, transposed once at
-     * configure time so the fast path hands the engine a contiguous
-     * run instead of striding through the row-major layer arrays.
-     */
-    const uint16_t *
-    denseColumn(size_t j) const
-    {
-        return _denseColumns.data() + j * _layer.inCount;
-    }
-
-    /** Neuron-major input-path weight codes (recurrent layers). */
-    const uint16_t *
-    recurrentXColumn(size_t h) const
-    {
-        return _recXColumns.data() + h * _layer.inCount;
-    }
-
-    /** Neuron-major feedback-path weight codes (recurrent layers). */
-    const uint16_t *
-    recurrentHColumn(size_t h) const
-    {
-        return _recHColumns.data() + h * _layer.outCount;
-    }
-
     /** Pre-size a workspace's buffers for this layer (configure time),
      *  so steady-state inference never grows them. */
     void prepareWorkspace(Workspace &ws) const;
-
-    /** Pre-size one intra-op lane's scratch for this layer (configure
-     *  time), the per-lane analogue of prepareWorkspace(). */
-    void prepareScratch(IntraOpScratch &scratch) const;
 
     const composer::RLayer &layer() const { return _layer; }
 
@@ -352,21 +283,6 @@ class RnaLayerContext
     size_t productRows() const;
 
   private:
-    /** Shared sizing of one AccumScratch's kernel-path buffers. */
-    void prepareKernelScratch(AccumScratch &accum) const;
-
-    /**
-     * The precomputed counting-cycle hint for a weight-code pointer the
-     * caller passed into a kernel accumulation, or nullptr when the
-     * pointer is not one of this context's canonical weight arrays
-     * (e.g. a clipped conv window gathered into lane scratch — the
-     * engine then recomputes the identical value from the keys).
-     * Counting cycles depend only on the weight codes, so each
-     * canonical array's value is hoisted to configure time.
-     */
-    const uint32_t *countingHint(size_t channel, const void *w,
-                                 size_t fanIn) const;
-
     const composer::RLayer &_layer;
     nvm::CostModel _model;
     std::vector<AccumulationEngine> _engines;  //!< one per codebook
@@ -375,13 +291,7 @@ class RnaLayerContext
     /** Feedback-path engine and state-encoding AM (recurrent only). */
     std::optional<AccumulationEngine> _stateEngine;
     std::optional<nvm::AmBlock> _stateEncodingAm;
-    /** Transposed weight-code matrices for the fast path. Views of
-     *  the layer's precomputed (blob-loaded) columns when present,
-     *  otherwise owning copies derived at configure time. */
-    Array<uint16_t> _denseColumns;
-    Array<uint16_t> _recXColumns;
-    Array<uint16_t> _recHColumns;
-    /** Kernel dispatch table (nullptr = kernel layer off). */
+    /** Kernel dispatch table (nullptr = reference evaluator only). */
     const simd::KernelOps *_kops = nullptr;
     bool _packed = false;     //!< forward path packs to uint8 codes
     bool _packedRec = false;  //!< feedback path also packs
@@ -399,7 +309,7 @@ class RnaLayerContext
     nvm::OpCost _activationQueryCost;
     nvm::OpCost _encodingQueryCost;
     /** Precomputed AccumulationEngine::weightCountingCycles() per
-     *  canonical weight array (kernel contexts only): dense/recurrent
+     *  canonical weight array (packed contexts only): dense/recurrent
      *  per neuron column, conv per output channel's full window. */
     std::vector<uint32_t> _denseCounting;
     std::vector<uint32_t> _convCounting;

@@ -3,10 +3,10 @@
  * Reusable per-chip inference workspace.
  *
  * One Workspace is built at Chip::configure time and leased to each
- * infer() call, so the steady-state per-neuron hot loop performs zero
- * heap allocations: the counting scratch resets sparsely, the conv
- * gather buffers and recurrent state double-buffers are sized up front,
- * and conv im2col-style index plans are cached per input shape.
+ * inferBatch() call, so the steady-state per-neuron hot loop performs
+ * zero heap allocations: the counting scratch resets sparsely, the
+ * batch-strided arenas are sized up front for ChipConfig::maxBatch
+ * lanes, and conv im2col-style index plans are cached per input shape.
  * The busy flag lets concurrent infer() calls on one chip stay safe:
  * the loser of the exchange falls back to a private spare workspace.
  */
@@ -32,8 +32,8 @@ namespace rapidnn::rna {
 /**
  * Per-phase cost breakdown of one neuron evaluation (Figure 13).
  * Lives here (rather than rna_block.hh, which includes this header)
- * because the workspace stores one per neuron for the deterministic
- * intra-op reduction.
+ * because the workspace stores one per neuron and batch lane for the
+ * batched recurrent reduction.
  */
 struct NeuronCost
 {
@@ -66,7 +66,7 @@ struct NeuronCost
  * tensor, with same-padding boundary clipping folded in. Built on the
  * first infer (input H/W are unknown at configure) and reused while the
  * shape matches. Slot order mirrors the reference gather loops
- * (channel, then valid ky, then valid kx) so results stay identical.
+ * (channel, then valid ky, then valid kx).
  */
 struct ConvGatherPlan
 {
@@ -92,8 +92,8 @@ struct ConvGatherPlan
 /**
  * Build the gather plan for a conv layer at input shape [inC, h, w].
  * Slot order is channel, then valid ky, then valid kx — the exact
- * order of the reference gather loops, so fast-path results stay
- * bitwise identical. Shared by Chip::infer (on-demand plans for
+ * order of the reference gather loops. Shared by Chip::inferBatch
+ * (on-demand plans for
  * non-canonical shapes) and the blob writer (precomputed plans at the
  * canonical shape).
  */
@@ -103,11 +103,11 @@ void buildConvGatherPlan(ConvGatherPlan &plan,
 
 /**
  * Staging for one pass of the dense tally (Chip::runDenseTally): the
- * tally outputs, values, codes and accumulation costs of up to kNeurons
- * neurons for every batch lane. Tally outputs are lane-major (lane *
- * kNeurons + k); values, codes and costs are neuron-major (k * lanes +
- * lane) so one AM batch lookup covers the pass. A pass is 8 groups,
- * one cache line of each packed weight row.
+ * tally outputs, values and codes of up to kNeurons neurons for every
+ * batch lane. Tally outputs are lane-major (lane * kNeurons + k);
+ * values and codes are neuron-major (k * lanes + lane) so one AM batch
+ * lookup covers the pass. A pass is 8 groups, one cache line of each
+ * packed weight row.
  */
 struct DenseTallyScratch
 {
@@ -120,7 +120,6 @@ struct DenseTallyScratch
     simd::AlignedVec<uint16_t> codes;
     simd::AlignedVec<uint32_t> amKeys;
     simd::AlignedVec<uint32_t> amRows;
-    std::vector<nvm::OpCost> costs;
 
     /** Grow to cover `lanes` batch lanes. */
     void
@@ -134,74 +133,32 @@ struct DenseTallyScratch
         codes.ensure(n);
         amKeys.ensure(n);
         amRows.ensure(n);
-        if (costs.size() < n)
-            costs.resize(n);
     }
 };
 
-/**
- * Per-lane scratch for intra-op parallel shard execution: each task
- * pool lane gets a private counting scratch and conv gather buffers,
- * so shards never contend. Results cannot depend on which lane runs a
- * shard — the scratch is reset-to-zero state, not carried data.
- */
-struct IntraOpScratch
-{
-    AccumScratch accum;
-    std::vector<uint16_t> gatherW;
-    std::vector<uint16_t> gatherX;
-
-    /** Kernel-path (SIMD) lane buffers: packed conv window gathers and
-     *  per-neuron AM batch scratch. gx8 is a gather8 target/source so
-     *  it lives in slack-padded aligned storage. */
-    simd::AlignedVec<uint8_t> gx8;
-    simd::AlignedVec<uint8_t> gw8;
-    simd::AlignedVec<uint32_t> amKeys;
-    simd::AlignedVec<uint32_t> amRows;
-
-    /** Dense-tally pass staging for this lane's shards. */
-    DenseTallyScratch dense;
-};
-
-/** All mutable scratch one infer() call needs, reusable across calls. */
+/** All mutable scratch one inferBatch() call needs, reusable across
+ *  calls. */
 struct Workspace
 {
     AccumScratch accum;
 
-    /** Conv/pool window gather targets (sized to the widest window). */
-    std::vector<uint16_t> gatherW;
+    /** Max-pool window gather target (sized to the widest window). */
     std::vector<uint16_t> gatherX;
 
-    /**
-     * Kernel-path (SIMD) buffers. act8/h8 hold a whole layer's input /
-     * hidden-state codes narrowed to uint8 once per layer; gx8/gw8 are
-     * per-window packed gather targets; vals stages a layer's
-     * pre-/post-activation values for the batched AM lookups keyed
-     * through amKeys/amRows. act8 and gx8 feed KernelOps::gather8, so
-     * they must stay in slack-padded AlignedVec storage.
-     */
-    simd::AlignedVec<uint8_t> act8;
-    simd::AlignedVec<uint8_t> h8;
-    simd::AlignedVec<uint8_t> gx8;
+    /** Clipped conv weight window (packed) and the AM batch lookups'
+     *  key/row scratch. */
     simd::AlignedVec<uint8_t> gw8;
-    simd::AlignedVec<double> vals;
     simd::AlignedVec<uint32_t> amKeys;
     simd::AlignedVec<uint32_t> amRows;
 
-    /** Recurrent hidden-state double buffers. */
-    std::vector<uint16_t> hCodes;
-    std::vector<uint16_t> hNext;
-    std::vector<double> hRaw;
-    std::vector<double> hRawNext;
-
     /**
-     * Batch-strided buffers for Chip::inferBatch, arena-sized at
-     * configure time from ChipConfig::maxBatch (larger batches still
-     * work — buffers grow on first use). Lane L's stripe of a
-     * lane-strided buffer starts at L * stride; actB8 stripes are
-     * gather8 sources, which is safe because an interior lane's <= 3
-     * byte overread lands in the next lane's (readable) stripe and the
-     * last lane is covered by the AlignedVec tail slack. valsB /
+     * Batch-strided buffers, arena-sized at configure time from
+     * ChipConfig::maxBatch (larger batches still work — buffers grow
+     * on first use). Lane L's stripe of a lane-strided buffer starts
+     * at L * stride; actB8 stripes are gather8 sources, which is safe
+     * because an interior lane's <= 3 byte overread lands in the next
+     * lane's (readable) stripe and the last lane is covered by the
+     * AlignedVec tail slack. valsB /
      * codesB / neuronCostsB are neuron-major (slot = neuron * lanes +
      * lane) so a contiguous neuron range over all lanes feeds one
      * cross-lane AM batch lookup.
@@ -220,26 +177,26 @@ struct Workspace
     std::vector<double> hRawB;
     std::vector<double> hRawNextB;
     std::vector<uint64_t> stepWorstB;  //!< per-lane recurrent cycles
-    /** Neuron-major x lane cost slots; each lane's flat reduction
-     *  replays the serial per-neuron accumulation order exactly. */
+    /** Neuron-major x lane cost slots of one recurrent step (sized
+     *  for the widest packed recurrent layer); each lane's flat
+     *  reduction replays the reference walk's neuron order exactly. */
     std::vector<NeuronCost> neuronCostsB;
     /** Per-lane results of one neuron's batched-lanes accumulation. */
     std::vector<AccumResult> accumResB;
 
     /**
-     * Dense-tally buffers (Chip::runDenseTally, single samples and
-     * batches alike): each batch lane's fan-in grouped by input code,
-     * the lanes' input-code pointers, and the serial path's pass
-     * staging.
+     * Dense-tally buffers (Chip::runDenseTally): each batch lane's
+     * fan-in grouped by input code, the lanes' input-code pointers,
+     * and the pass staging.
      */
     std::vector<InputBuckets> denseInputs;
     std::vector<const uint16_t *> laneCodes;
     DenseTallyScratch dense;
-    /** Neuron-major x lane accumulation-cost slots for the batched
-     *  dense/conv paths: only the weighted-accumulation OpCost varies
-     *  per slot (activation/encoding query costs are per-layer
-     *  constants the reduction re-adds per neuron in serial order), so
-     *  staging 16-byte OpCosts instead of NeuronCosts quarters the
+    /** Neuron-major x lane accumulation-cost slots for the conv path:
+     *  only the weighted-accumulation OpCost varies per slot
+     *  (activation/encoding query costs are per-layer constants the
+     *  reduction re-adds per neuron in serial order), so staging
+     *  16-byte OpCosts instead of NeuronCosts quarters the
      *  cost-staging traffic. */
     std::vector<nvm::OpCost> accumCostB;
 
@@ -249,20 +206,9 @@ struct Workspace
     /** One cached conv plan per layer context index. */
     std::vector<ConvGatherPlan> convPlans;
 
-    /** One scratch slice per task-pool lane (intra-op parallelism). */
-    std::vector<IntraOpScratch> lanes;
-
-    /**
-     * Per-neuron costs of the layer currently being sharded. Shards
-     * fill disjoint slots; the caller then reduces the flat array in
-     * neuron order, reproducing the serial path's floating-point
-     * accumulation order exactly (bitwise-identical energies).
-     */
-    std::vector<NeuronCost> neuronCosts;
-
     /**
      * Recycled buffer pools for the per-layer activation tensors and
-     * raw-value staging that flow through infer(). take*() hands out
+     * raw-value staging that flow through inferBatch(). take*() hands out
      * the deepest pooled buffer (capacity intact, size clobbered by
      * the caller); give*() returns it. Seeded at configure time from
      * the model's canonical input shape, so the steady-state serve
@@ -307,8 +253,8 @@ struct Workspace
     }
 
     /**
-     * Lease flag: set while an infer() call owns this workspace. This
-     * is a lock-free capability guarding every other field of the
+     * Lease flag: set while an inferBatch() call owns this workspace.
+     * This is a lock-free capability guarding every other field of the
      * struct — conceptually GUARDED_BY(busy), but atomics are outside
      * clang's thread-safety analysis, so the protocol lives in
      * WorkspaceLease (rna/chip.cc) under a documented
@@ -318,14 +264,6 @@ struct Workspace
      */
     std::atomic<bool> busy{false};
 
-    /** Grow (never shrink) the per-lane scratch array. Must be called
-     *  before the parallel region — lanes must not resize inside it. */
-    void
-    ensureLanes(size_t n)
-    {
-        if (lanes.size() < n)
-            lanes.resize(n);
-    }
 };
 
 } // namespace rapidnn::rna

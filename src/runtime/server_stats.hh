@@ -46,6 +46,8 @@ struct ServerStats
 {
     uint64_t submitted = 0;   //!< accepted into the queue
     uint64_t rejected = 0;    //!< refused by trySubmit (queue full)
+    uint64_t invalid = 0;     //!< refused at admission: wrong shape or
+                              //!< a non-finite value
     uint64_t completed = 0;   //!< results delivered
     uint64_t batches = 0;     //!< batches executed
     size_t queueDepth = 0;    //!< requests waiting at snapshot time
@@ -111,9 +113,11 @@ class StatsCollector
           _submitted(registry.counter(
               "rapidnn_requests_submitted_total",
               "Requests accepted into the admission queue")),
-          _rejected(registry.counter(
-              "rapidnn_requests_rejected_total",
-              "Requests refused by trySubmit (queue full)")),
+          _rejected(registry.counter("rapidnn_requests_rejected_total",
+                                     kRejectedHelp,
+                                     "reason=\"queue_full\"")),
+          _invalid(registry.counter("rapidnn_requests_rejected_total",
+                                    kRejectedHelp, "reason=\"invalid\"")),
           _completed(registry.counter(
               "rapidnn_requests_completed_total",
               "Requests whose results were delivered")),
@@ -138,6 +142,7 @@ class StatsCollector
           _maxBatch(std::max<size_t>(1, maxBatch)),
           _submitted0(_submitted.value()),
           _rejected0(_rejected.value()),
+          _invalid0(_invalid.value()),
           _completed0(_completed.value()),
           _batches0(_batches.value())
     {
@@ -146,6 +151,8 @@ class StatsCollector
     void recordSubmitted() { _submitted.add(1); }
 
     void recordRejected() { _rejected.add(1); }
+
+    void recordInvalid() { _invalid.add(1); }
 
     void
     recordBatch(size_t batchSize) RAPIDNN_EXCLUDES(_mutex)
@@ -182,6 +189,7 @@ class StatsCollector
     {
         stats.submitted = _submitted.value() - _submitted0;
         stats.rejected = _rejected.value() - _rejected0;
+        stats.invalid = _invalid.value() - _invalid0;
         stats.completed = _completed.value() - _completed0;
         stats.batches = _batches.value() - _batches0;
         std::vector<double> window;
@@ -209,6 +217,10 @@ class StatsCollector
     }
 
   private:
+    static constexpr const char *kRejectedHelp =
+        "Requests refused at admission (queue_full: trySubmit found "
+        "the queue full; invalid: wrong shape or a non-finite value)";
+
     mutable Mutex _mutex;
     /** Exact-percentile mirrors of the registry histograms; the
      *  registry's sharded atomics handle the hot-path counts, these
@@ -223,6 +235,7 @@ class StatsCollector
 
     telemetry::Counter &_submitted;
     telemetry::Counter &_rejected;
+    telemetry::Counter &_invalid;
     telemetry::Counter &_completed;
     telemetry::Counter &_batches;
     telemetry::Histogram &_latencySeconds;
@@ -235,6 +248,7 @@ class StatsCollector
      *  deltas against these construction-time baselines. */
     const uint64_t _submitted0;
     const uint64_t _rejected0;
+    const uint64_t _invalid0;
     const uint64_t _completed0;
     const uint64_t _batches0;
 };

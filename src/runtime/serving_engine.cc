@@ -1,8 +1,10 @@
 #include "runtime/serving_engine.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/check.hh"
 
@@ -26,6 +28,16 @@ modelOf(const std::shared_ptr<const blob::ModelBlob> &blob)
     return blob->model();
 }
 
+/** A future that already failed with std::invalid_argument(why). */
+std::future<InferResult>
+invalidRequest(const std::string &why)
+{
+    std::promise<InferResult> promise;
+    promise.set_exception(
+        std::make_exception_ptr(std::invalid_argument(why)));
+    return promise.get_future();
+}
+
 } // namespace
 
 ServingEngine::ServingEngine(std::shared_ptr<const blob::ModelBlob> blob,
@@ -40,6 +52,7 @@ ServingEngine::ServingEngine(const composer::ReinterpretedModel &model,
                              const rna::ChipConfig &chipConfig,
                              const ServingConfig &config)
     : _config(config),
+      _inputShape(model.canonicalInputShape()),
       _queue(std::max<size_t>(1, config.queueCapacity)),
       _batcher(_queue, std::max<size_t>(1, config.maxBatch),
                std::chrono::microseconds(config.maxLatencyUs)),
@@ -68,15 +81,10 @@ ServingEngine::ServingEngine(const composer::ReinterpretedModel &model,
         _workers[i]->thread =
             std::thread([this, i] { workerMain(i); });
 
-    // Telemetry: expose the shared pool when this engine can use it,
-    // sample this engine's queue depth and replica count at scrape
-    // time, and (optionally) open the scrape endpoint. Registering the
-    // pool's metrics starts the pool, so an engine that never shards
-    // leaves it (and its helper threads) alone. The gauges capture
-    // `this`; their ScopedCallback members unregister before the
-    // queues they read are destroyed.
-    if (_config.intraOpThreads > 1 || replicaConfig.numThreads > 1)
-        telemetry::registerTaskPoolMetrics();
+    // Telemetry: sample this engine's queue depth and replica count at
+    // scrape time, and (optionally) open the scrape endpoint. The
+    // gauges capture `this`; their ScopedCallback members unregister
+    // before the queues they read are destroyed.
     telemetry::Registry &registry = telemetry::Registry::global();
     _gauges.emplace_back(
         registry, "rapidnn_queue_depth",
@@ -165,9 +173,26 @@ ServingEngine::admit(Request request, bool &accepted, bool blocking)
     return future;
 }
 
+std::string
+ServingEngine::invalidReason(const nn::Tensor &input) const
+{
+    if (!_inputShape.empty() && input.shape() != _inputShape)
+        return "request shape " + nn::shapeToString(input.shape())
+             + " != model input shape " + nn::shapeToString(_inputShape);
+    for (size_t i = 0; i < input.numel(); ++i)
+        if (!std::isfinite(input[i]))
+            return "request value " + std::to_string(i)
+                 + " is not finite";
+    return {};
+}
+
 std::future<InferResult>
 ServingEngine::submit(nn::Tensor input)
 {
+    if (std::string why = invalidReason(input); !why.empty()) {
+        _stats.recordInvalid();
+        return invalidRequest(why);
+    }
     Request request{std::move(input), {},
                     std::chrono::steady_clock::now()};
     bool accepted = false;
@@ -179,6 +204,10 @@ ServingEngine::submit(nn::Tensor input)
 std::optional<std::future<InferResult>>
 ServingEngine::trySubmit(nn::Tensor input)
 {
+    if (std::string why = invalidReason(input); !why.empty()) {
+        _stats.recordInvalid();
+        return invalidRequest(why);
+    }
     Request request{std::move(input), {},
                     std::chrono::steady_clock::now()};
     bool accepted = false;
@@ -199,7 +228,6 @@ ServingEngine::workerMain(size_t index)
         _config.dispatch == DispatchPolicy::RoundRobin;
     MicroBatcher<Request> &batcher =
         sharded ? worker.batcher : _batcher;
-    BoundedQueue<Request> &feed = sharded ? worker.queue : _queue;
     telemetry::Tracer &tracer = telemetry::Tracer::global();
     for (;;) {
         const uint64_t formStartNs =
@@ -234,61 +262,32 @@ ServingEngine::workerMain(size_t index)
                     claimedNs, tracer.nextId(), batchSpanId);
         }
 
-        // Adaptive intra-op policy: with a shallow backlog the pool
-        // has idle lanes, so borrow them inside each request for
-        // latency; with a deep backlog inter-request parallelism
-        // already fills the pool, so run serial for throughput.
-        // Either way the logits are bitwise identical (the chip's
-        // determinism guarantee), so the policy only moves time.
-        size_t lanes = 1;
-        if (_config.intraOpThreads > 1 &&
-            feed.size() <= _config.intraOpShallowQueue)
-            lanes = _config.intraOpThreads;
-
-        // Run the whole batch first...
+        // Run the whole batch first: one inferBatch call runs every
+        // layer once for the whole batch and emits per-lane
+        // PerfReports...
+        std::vector<nn::Tensor> inputs;
+        inputs.reserve(batch.size());
+        for (Request &request : batch)
+            inputs.push_back(std::move(request.input));
+        std::vector<rna::PerfReport> perfs(batch.size());
+        std::vector<std::vector<double>> logits;
+        {
+            // Batched span, parented to the batch; the chip's own
+            // per-layer stage spans nest under it. arg = worker.
+            telemetry::ScopedSpan inferSpan(
+                tracer, "batch_infer", static_cast<int64_t>(index),
+                batchSpanId);
+            logits = worker.chip.inferBatch(
+                std::span<const nn::Tensor>(inputs),
+                std::span<rna::PerfReport>(perfs));
+        }
         std::vector<InferResult> results(batch.size());
         Time batchChipTime{};
         rna::PerfReport batchPerf;
-        if (_config.batchedInfer) {
-            // One inferBatch call runs every layer once for the whole
-            // batch; the chip emits per-lane PerfReports, so the
-            // per-request accounting below is identical to the
-            // per-request loop (batch_equivalence_test pins it).
-            std::vector<nn::Tensor> inputs;
-            inputs.reserve(batch.size());
-            for (Request &request : batch)
-                inputs.push_back(std::move(request.input));
-            std::vector<rna::PerfReport> perfs(batch.size());
-            std::vector<std::vector<double>> logits;
-            {
-                // Batched span, parented to the batch; the chip's own
-                // per-layer stage spans nest under it. arg = worker.
-                telemetry::ScopedSpan inferSpan(
-                    tracer, "batch_infer",
-                    static_cast<int64_t>(index), batchSpanId);
-                logits = worker.chip.inferBatch(
-                    std::span<const nn::Tensor>(inputs),
-                    std::span<rna::PerfReport>(perfs), lanes);
-            }
-            for (size_t i = 0; i < batch.size(); ++i) {
-                InferResult &result = results[i];
-                result.logits = std::move(logits[i]);
-                result.perf = std::move(perfs[i]);
-            }
-        } else {
-            for (size_t i = 0; i < batch.size(); ++i) {
-                // Per-request span, parented to the batch;
-                // Chip::infer's own stage spans nest under it via the
-                // thread-local current-span chain. arg = worker index.
-                telemetry::ScopedSpan requestSpan(
-                    tracer, "request_infer",
-                    static_cast<int64_t>(index), batchSpanId);
-                results[i].logits = worker.chip.infer(
-                    batch[i].input, results[i].perf, lanes);
-            }
-        }
         for (size_t i = 0; i < batch.size(); ++i) {
             InferResult &result = results[i];
+            result.logits = std::move(logits[i]);
+            result.perf = std::move(perfs[i]);
             result.perf.inferences = 1;
             result.batchSize = batch.size();
             result.workerId = index;

@@ -9,11 +9,17 @@
  * across them, so serving throughput scales with replicas while each
  * request keeps single-chip latency.
  *
- * Determinism guarantee: Chip::infer/inferBatch are const and replicas
+ * Each micro-batch runs as one Chip::inferBatch call on the worker's
+ * replica. Determinism guarantee: inferBatch is const and replicas
  * share no mutable state, so for a fixed request set the logits are
  * bitwise identical to serial single-chip inference regardless of
- * worker count, batch boundaries, batched-vs-per-request execution
- * (ServingConfig::batchedInfer), or scheduling order.
+ * worker count, batch boundaries, or scheduling order.
+ *
+ * Requests are validated at admission: an input whose shape differs
+ * from the model's canonical input shape, or that holds a NaN or
+ * infinity, is refused with std::invalid_argument before it reaches a
+ * queue, and counted as rapidnn_requests_rejected_total{reason=
+ * "invalid"}.
  */
 
 #ifndef RAPIDNN_RUNTIME_SERVING_ENGINE_HH
@@ -24,6 +30,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -59,38 +66,13 @@ enum class DispatchPolicy
 struct ServingConfig
 {
     size_t workers = 2;          //!< chip replicas / worker threads
-    size_t maxBatch = 8;         //!< flush a batch at this size...
+    /** Flush a batch at this size (also the replicas'
+     *  ChipConfig::maxBatch arena hint)... */
+    size_t maxBatch = 8;
     uint64_t maxLatencyUs = 200; //!< ...or this long after its first
                                  //!< request, whichever comes first
     size_t queueCapacity = 64;   //!< admission-queue bound (backpressure)
     DispatchPolicy dispatch = DispatchPolicy::WorkStealing;
-    /**
-     * Adaptive intra-op parallelism: pool lanes one request may borrow
-     * (via Chip::infer's per-call override) when the worker's admission
-     * queue is shallow. A shallow queue means replicas sit idle, so
-     * spending them inside one request cuts latency; a deep queue
-     * means inter-request parallelism already saturates the pool, so
-     * requests run serial for throughput. 1 (default) disables
-     * borrowing. Logits stay bitwise identical either way.
-     */
-    size_t intraOpThreads = 1;
-    /** Backlog at or below which a worker switches to latency mode
-     *  and borrows intraOpThreads lanes for each request. */
-    size_t intraOpShallowQueue = 2;
-    /**
-     * Run each micro-batch through one Chip::inferBatch call (true,
-     * the default) instead of per-request Chip::infer calls. The
-     * batched path runs every layer once for the whole batch, so
-     * per-output-neuron work (weight-column loads, pair-key
-     * construction, counting-cycle hints, AM lookups) amortizes
-     * across the batch lanes; logits and per-request PerfReports are
-     * bitwise identical either way (tests/batch_equivalence_test.cc).
-     * maxBatch is passed to the replicas as ChipConfig::maxBatch so
-     * the batch-strided workspace arenas are sized at configure time.
-     * False keeps the per-request loop, retained as the comparison
-     * baseline for bench_serving_throughput's batched-speedup gate.
-     */
-    bool batchedInfer = true;
     /**
      * Loopback TCP port for the Prometheus scrape endpoint. 0 (the
      * default) disables the endpoint entirely; the registry still
@@ -139,11 +121,16 @@ class ServingEngine
     /**
      * Enqueue a request, blocking while the queue is full
      * (backpressure). After shutdown() the returned future fails with
-     * std::future_error (broken_promise).
+     * std::future_error (broken_promise). An invalid request (shape
+     * other than the model's canonical input shape, or a non-finite
+     * value) is not admitted: the future fails with
+     * std::invalid_argument.
      */
     std::future<InferResult> submit(nn::Tensor input);
 
-    /** Non-blocking admission; nullopt when the queue is full. */
+    /** Non-blocking admission; nullopt when the queue is full. An
+     *  invalid request returns a future failed with
+     *  std::invalid_argument, as submit() does. */
     std::optional<std::future<InferResult>> trySubmit(nn::Tensor input);
 
     /** Block until every accepted request has completed. */
@@ -196,11 +183,16 @@ class ServingEngine
 
     void workerMain(size_t index);
     BoundedQueue<Request> &targetQueue();
+    /** Empty when `input` may be served, else why it may not. */
+    std::string invalidReason(const nn::Tensor &input) const;
     std::future<InferResult> admit(Request request, bool &accepted,
                                    bool blocking)
         RAPIDNN_EXCLUDES(_inflightMutex);
 
     ServingConfig _config;
+    /** The model's canonical input shape, which every request must
+     *  match (empty for models that record none: any shape passes). */
+    nn::Shape _inputShape;
     /** Keeps a blob-backed model's mapping alive (null for heap
      *  models, which the caller owns). */
     std::shared_ptr<const blob::ModelBlob> _blob;

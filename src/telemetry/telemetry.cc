@@ -1,9 +1,5 @@
 #include "telemetry/telemetry.hh"
 
-#include <string>
-
-#include "common/task_pool.hh"
-
 namespace rapidnn::telemetry {
 
 std::vector<double>
@@ -30,48 +26,6 @@ std::vector<double>
 utilizationBuckets()
 {
     return {0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0};
-}
-
-void
-registerTaskPoolMetrics(Registry &registry)
-{
-    // The shared pool has static storage duration, so callbacks that
-    // capture it can never dangle within the process lifetime.
-    TaskPool &pool = TaskPool::shared();
-    const size_t lanes = pool.lanes();
-    for (size_t i = 0; i < lanes; ++i) {
-        const std::string lane = "lane=\"" + std::to_string(i) + "\"";
-        registry.addCallback(
-            "rapidnn_taskpool_tasks_total",
-            "Shards executed per task-pool lane slot (slot 0 = "
-            "calling threads)",
-            MetricKind::Counter,
-            [&pool, i] {
-                return static_cast<double>(
-                    pool.laneCounters()[i].executed);
-            },
-            lane);
-        registry.addCallback(
-            "rapidnn_taskpool_steals_total",
-            "Jobs a lane slot attached to (helper slots: jobs stolen "
-            "from other threads; slot 0: parallel run() calls)",
-            MetricKind::Counter,
-            [&pool, i] {
-                return static_cast<double>(
-                    pool.laneCounters()[i].steals);
-            },
-            lane);
-    }
-    registry.addCallback(
-        "rapidnn_taskpool_busy_helpers",
-        "Helper threads currently executing shards",
-        MetricKind::Gauge,
-        [&pool] { return static_cast<double>(pool.busyHelpers()); });
-    registry.addCallback(
-        "rapidnn_taskpool_lanes",
-        "Usable task-pool lanes (helpers + caller)",
-        MetricKind::Gauge,
-        [lanes] { return static_cast<double>(lanes); });
 }
 
 void

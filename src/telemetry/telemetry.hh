@@ -40,15 +40,6 @@ std::vector<double> batchSizeBuckets();
 std::vector<double> utilizationBuckets();
 
 /**
- * Expose the shared TaskPool through the registry: per-lane
- * tasks-executed and steal counters plus busy-helper and lane-count
- * gauges, all as snapshot-time callbacks (the pool's own atomics stay
- * the single source of truth). Idempotent; re-registration refreshes
- * the callbacks.
- */
-void registerTaskPoolMetrics(Registry &registry = Registry::global());
-
-/**
  * Render everything the process knows into `out` as Prometheus text —
  * the one-call dump used by benches and serving_demo at exit, and the
  * same body the TCP endpoint serves.

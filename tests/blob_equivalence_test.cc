@@ -285,8 +285,8 @@ TEST(BlobEquivalence, BlobModelIsZeroCopy)
         if (!layer.bias.empty()) {
             EXPECT_FALSE(layer.bias.owning());
         }
-        if (!layer.denseColumns.empty()) {
-            EXPECT_FALSE(layer.denseColumns.owning());
+        if (!layer.denseRows8.empty()) {
+            EXPECT_FALSE(layer.denseRows8.owning());
         }
         if (layer.convPlan.has_value()) {
             EXPECT_FALSE(layer.convPlan->start.owning());
@@ -294,9 +294,9 @@ TEST(BlobEquivalence, BlobModelIsZeroCopy)
             EXPECT_FALSE(layer.convPlan->inputIdx.owning());
         }
     }
-    // The recurrent layer carries its precomputed transposes.
-    EXPECT_FALSE(m.layers()[0].recXColumns.empty());
-    EXPECT_FALSE(m.layers()[0].recXColumns.owning());
+    // The recurrent layer carries its precomputed packed transposes.
+    EXPECT_FALSE(m.layers()[0].recXColumns8.empty());
+    EXPECT_FALSE(m.layers()[0].recXColumns8.owning());
     EXPECT_EQ(m.canonicalInputShape(), fx.model.canonicalInputShape());
 }
 

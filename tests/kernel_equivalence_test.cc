@@ -4,25 +4,22 @@
  *
  * The contract (common/simd.hh): every KernelOps variant the host can
  * run is bit-exact against the scalar implementation, so RAPIDNN_SIMD
- * and ChipConfig::simd are pure speed knobs. Three levels pin it:
+ * and ChipConfig::simd are pure speed knobs. Two levels pin it here:
  *
  *  1. Kernel primitives: each variant vs the scalar table over randomized
  *     inputs sweeping fan-in lengths around every vector-width boundary
  *     (0, 1, 15..17, 31..33, 63..65, 127..129) and unaligned base
  *     pointers (offsets 0..3), for 8-bit and 16-bit code widths.
- *  2. The accumulation engine: runPacked vs the legacy run()
- *     overloads, field by field, for power-of-two and padded key grids.
- *  3. Whole-chip inference: dense, conv and recurrent models through
- *     ChipConfig::simd = Off vs every available variant, at 1 and 4
- *     intra-op threads — logits, codes and PerfReports must be
- *     bit-identical.
+ *  2. The accumulation engine: the prekeyed kernel accumulations vs
+ *     the reference run(), field by field, for power-of-two and padded
+ *     key grids.
  *
  * The dense tally (KernelOps::denseTally) gets its own randomized
  * sweep: every implementation the host can run against a direct
- * per-neuron count (and, through denseResult, against the engine's
- * run() oracle), then whole dense layers at awkward shapes and
- * codebook sizes through every variant, batch sizes 1 to 8 and 1 or 4
- * threads against the fastPath = false reference chip.
+ * per-neuron count and, through denseResult, against the engine's
+ * run() oracle. Whole-chip equivalence (every variant, batch sizes 1
+ * to 8, both search modes, against the fastPath = false reference) is
+ * tests/batch_equivalence_test.cc.
  *
  * The suite runs under the asan/tsan presets like every other tier-1
  * test; the gather tail-slack contract is exercised by gathering from
@@ -33,20 +30,14 @@
 
 #include <bit>
 #include <cstdlib>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/bitops.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
-#include "composer/composer.hh"
-#include "nn/recurrent.hh"
-#include "nn/synthetic.hh"
-#include "nn/trainer.hh"
+#include "composer/reinterpreted_model.hh"
 #include "rna/accumulation.hh"
-#include "rna/chip.hh"
 #include "rna/kernels/kernels.hh"
 
 namespace rapidnn::rna {
@@ -81,6 +72,8 @@ simdVariants()
 
 TEST(KernelPrimitives, PairKeys8MatchesScalar)
 {
+    // One lane at unaligned offsets: every variant's keys equal the
+    // scalar table's.
     Rng rng(101);
     for (Variant v : simdVariants()) {
         const KernelOps &ops = *kernels::opsFor(v);
@@ -91,14 +84,14 @@ TEST(KernelPrimitives, PairKeys8MatchesScalar)
                     c = uint8_t(rng.uniformInt(0, 255));
                 for (auto &c : x)
                     c = uint8_t(rng.uniformInt(0, 255));
+                const uint8_t *xp = x.data() + off;
                 for (uint32_t shift : {0u, 3u, 8u}) {
                     std::vector<uint16_t> got(n + 1, 0xabcd),
                         want(n + 1, 0xabcd);
-                    scalarOps().pairKeys8(w.data() + off,
-                                          x.data() + off, n, shift,
-                                          want.data());
-                    ops.pairKeys8(w.data() + off, x.data() + off, n,
-                                  shift, got.data());
+                    scalarOps().pairKeys8Lanes(w.data() + off, &xp, 1, n,
+                                               shift, want.data(), n);
+                    ops.pairKeys8Lanes(w.data() + off, &xp, 1, n, shift,
+                                       got.data(), n);
                     EXPECT_EQ(got, want)
                         << ops.name << " n=" << n << " off=" << off
                         << " shift=" << shift;
@@ -110,9 +103,9 @@ TEST(KernelPrimitives, PairKeys8MatchesScalar)
 
 TEST(KernelPrimitives, PairKeys8LanesMatchesPerLanePairKeys8)
 {
-    // The batch-lane twin: every lane's key stripe must equal a
-    // per-lane scalar pairKeys8 call, and only [0, n) of each stripe
-    // may be written (keyStride > n leaves guard cells untouched).
+    // Every lane's key stripe must equal that lane's pair keys
+    // (w << shift) | x, and only [0, n) of each stripe may be written
+    // (keyStride > n leaves guard cells untouched).
     Rng rng(108);
     for (Variant v : kernels::availableVariants()) {
         const KernelOps &ops = *kernels::opsFor(v);
@@ -136,11 +129,10 @@ TEST(KernelPrimitives, PairKeys8LanesMatchesPerLanePairKeys8)
                     ops.pairKeys8Lanes(w.data(), xPtrs.data(), lanes,
                                        n, shift, got.data(), stride);
                     for (size_t L = 0; L < lanes; ++L) {
-                        std::vector<uint16_t> want(n);
-                        scalarOps().pairKeys8(w.data(), xs[L].data(),
-                                              n, shift, want.data());
                         for (size_t i = 0; i < n; ++i)
-                            EXPECT_EQ(got[L * stride + i], want[i])
+                            EXPECT_EQ(got[L * stride + i],
+                                      uint16_t((uint32_t(w[i]) << shift)
+                                               | xs[L][i]))
                                 << ops.name << " n=" << n << " lane="
                                 << L << " i=" << i
                                 << " shift=" << shift;
@@ -318,7 +310,11 @@ expectResultsEqual(const AccumResult &a, const AccumResult &b,
         << what;
 }
 
-/** run() (heap oracle) vs runPacked for one (w, u) table. */
+/**
+ * run() (the reference) vs the kernel accumulations over pair keys —
+ * runPrekeyed per lane and runPrekeyedLanes over three lanes — for
+ * one (w, u) table.
+ */
 void
 sweepEngine(size_t w, size_t u, uint64_t seed)
 {
@@ -329,23 +325,50 @@ sweepEngine(size_t w, size_t u, uint64_t seed)
     AccumulationEngine engine(Array<double>(std::move(table)), w, u,
                               nvm::CostModel{});
     AccumScratch scratch;
+    constexpr size_t kLanes = 3;
 
     for (size_t n : kSizes) {
-        std::vector<uint16_t> wc(n), uc(n);
-        for (auto &c : wc)
-            c = uint16_t(rng.uniformInt(0, int64_t(w) - 1));
-        for (auto &c : uc)
-            c = uint16_t(rng.uniformInt(0, int64_t(u) - 1));
+        scratch.ensurePadded(w, engine.keyShift(), n);
+        std::vector<uint8_t> wc8(n);
+        for (auto &c : wc8)
+            c = uint8_t(rng.uniformInt(0, int64_t(w) - 1));
+        std::vector<uint16_t> wc(wc8.begin(), wc8.end());
         const double bias = rng.uniform() - 0.5;
-        const AccumResult oracle = engine.run(wc, uc, bias);
+        std::vector<std::vector<uint8_t>> uc8(kLanes,
+                                              std::vector<uint8_t>(n));
+        std::vector<const uint8_t *> xs(kLanes);
+        std::vector<AccumResult> oracles(kLanes);
+        for (size_t L = 0; L < kLanes; ++L) {
+            for (auto &c : uc8[L])
+                c = uint8_t(rng.uniformInt(0, int64_t(u) - 1));
+            xs[L] = uc8[L].data();
+            oracles[L] = engine.run(
+                wc, std::vector<uint16_t>(uc8[L].begin(), uc8[L].end()),
+                bias);
+        }
+        const uint32_t cc = engine.weightCountingCycles(wc8.data(), n);
 
-        std::vector<uint8_t> wc8(wc.begin(), wc.end());
-        std::vector<uint8_t> uc8(uc.begin(), uc.end());
         for (Variant v : kernels::availableVariants()) {
             const KernelOps &ops = *kernels::opsFor(v);
-            const AccumResult packed = engine.runPacked(
-                ops, wc8.data(), uc8.data(), n, bias, scratch);
-            expectResultsEqual(oracle, packed, ops.name);
+            std::vector<uint16_t> keys(kLanes * n + 1);
+            ops.pairKeys8Lanes(wc8.data(), xs.data(), kLanes, n,
+                               engine.keyShift(), keys.data(), n);
+            std::vector<AccumResult> lanes(kLanes);
+            engine.runPrekeyedLanes(ops, keys.data(), n, kLanes, n, bias,
+                                    scratch, nullptr, lanes.data());
+            for (size_t L = 0; L < kLanes; ++L) {
+                expectResultsEqual(oracles[L],
+                                   engine.runPrekeyed(ops,
+                                                      keys.data() + L * n,
+                                                      n, bias, scratch),
+                                   ops.name);
+                expectResultsEqual(oracles[L],
+                                   engine.runPrekeyed(ops,
+                                                      keys.data() + L * n,
+                                                      n, bias, scratch, &cc),
+                                   ops.name);
+                expectResultsEqual(oracles[L], lanes[L], ops.name);
+            }
         }
     }
 }
@@ -491,7 +514,7 @@ sweepDenseTally(const TallyCase &tc, size_t lanes, uint64_t seed)
 
         // The tally outputs make the engine's AccumResult exactly.
         for (size_t j = 0; j < tc.outCount; ++j) {
-            std::vector<uint16_t> col(tc.fanIn);
+            std::vector<uint8_t> col(tc.fanIn);
             for (size_t i = 0; i < tc.fanIn; ++i)
                 col[i] = rows[i * stride + j];
             const double bias = rng.uniform() - 0.5;
@@ -499,8 +522,10 @@ sweepDenseTally(const TallyCase &tc, size_t lanes, uint64_t seed)
                 wantSum[j], wantDistinct[j], wantAddends[j],
                 engine.weightCountingCycles(col.data(), tc.fanIn),
                 tc.fanIn, bias, scratch);
-            expectResultsEqual(engine.run(col, x, bias), got,
-                               "denseResult");
+            expectResultsEqual(
+                engine.run(std::vector<uint16_t>(col.begin(), col.end()),
+                           x, bias),
+                got, "denseResult");
         }
     }
 }
@@ -526,350 +551,27 @@ TEST(DenseTally, AllImplementationsMatchDirectCount)
             sweepDenseTally(tc, lanes, seed++);
 }
 
-// --------------------------------------------------- chip equivalence
-
-using composer::Composer;
-using composer::ComposerConfig;
-using composer::ReinterpretedModel;
-
-composer::ReinterpretedModel
-compose(nn::Network &net, const nn::Dataset &train)
-{
-    ComposerConfig config;
-    config.weightClusters = 16;
-    config.inputClusters = 16;
-    Composer composer(config);
-    return composer.reinterpret(net, train);
-}
-
-struct Fixture
-{
-    nn::Dataset train;
-    nn::Dataset validation;
-    ReinterpretedModel model;
-};
-
-Fixture &
-denseFixture()
-{
-    static Fixture *fx = [] {
-        auto *f = new Fixture;
-        nn::Dataset all = nn::makeVectorTask(
-            {"kq-dense", 18, 4, 260, 0.35, 1.0, 301});
-        auto [tr, va] = all.split(0.25);
-        f->train = std::move(tr);
-        f->validation = std::move(va);
-        Rng rng(302);
-        nn::Network net = nn::buildMlp(
-            {.inputs = 18, .hidden = {20, 14}, .outputs = 4}, rng);
-        nn::Trainer({.epochs = 4, .batchSize = 16,
-                     .learningRate = 0.05})
-            .train(net, f->train);
-        f->model = compose(net, f->train);
-        return f;
-    }();
-    return *fx;
-}
-
-Fixture &
-convFixture()
-{
-    static Fixture *fx = [] {
-        auto *f = new Fixture;
-        nn::ImageTaskSpec spec;
-        spec.name = "kq-conv";
-        spec.side = 8;
-        spec.classes = 3;
-        spec.samples = 200;
-        spec.seed = 303;
-        nn::Dataset all = nn::makeImageTask(spec);
-        auto [tr, va] = all.split(0.25);
-        f->train = std::move(tr);
-        f->validation = std::move(va);
-        Rng rng(304);
-        nn::CnnSpec cnn;
-        cnn.channels = 3;
-        cnn.height = cnn.width = 8;
-        cnn.convChannels = {5, 6};
-        cnn.denseWidths = {20};
-        cnn.outputs = 3;
-        nn::Network net = nn::buildCnn(cnn, rng);
-        nn::Trainer({.epochs = 3, .batchSize = 16,
-                     .learningRate = 0.05})
-            .train(net, f->train);
-        f->model = compose(net, f->train);
-        return f;
-    }();
-    return *fx;
-}
-
-Fixture &
-recurrentFixture()
-{
-    static Fixture *fx = [] {
-        auto *f = new Fixture;
-        nn::SequenceTaskSpec spec;
-        spec.name = "kq-seq";
-        spec.features = 5;
-        spec.steps = 7;
-        spec.classes = 3;
-        spec.samples = 240;
-        spec.noise = 0.25;
-        spec.seed = 305;
-        nn::Dataset all = nn::makeSequenceTask(spec);
-        auto [tr, va] = all.split(0.25);
-        f->train = std::move(tr);
-        f->validation = std::move(va);
-        Rng rng(306);
-        nn::Network net;
-        net.add(std::make_unique<nn::ElmanLayer>(
-            5, 12, 7, nn::ActKind::Tanh, rng));
-        net.add(std::make_unique<nn::DenseLayer>(12, 3, rng));
-        nn::Trainer({.epochs = 4, .batchSize = 16,
-                     .learningRate = 0.05})
-            .train(net, f->train);
-        f->model = compose(net, f->train);
-        return f;
-    }();
-    return *fx;
-}
-
-/**
- * The scalar oracle is simd = Off (the pre-kernel fused fast path,
- * byte-for-byte untouched); every variant × thread count must
- * reproduce its logits, codes and PerfReport bit-for-bit.
- */
-void
-expectChipBitwise(const Fixture &fx, nvm::SearchMode mode,
-                  size_t samples = 8)
-{
-    ChipConfig offConfig;
-    offConfig.simd = Variant::Off;
-    offConfig.searchMode = mode;
-    Chip oracle(offConfig);
-    oracle.configure(fx.model);
-
-    std::vector<Variant> variants = kernels::availableVariants();
-    for (Variant v : variants) {
-        for (size_t threads : {size_t(1), size_t(4)}) {
-            ChipConfig config;
-            config.simd = v;
-            config.searchMode = mode;
-            config.numThreads = threads;
-            Chip chip(config);
-            chip.configure(fx.model);
-
-            for (size_t s = 0;
-                 s < samples && s < fx.validation.size(); ++s) {
-                const nn::Tensor &x = fx.validation.sample(s).x;
-                PerfReport refReport, report;
-                const std::vector<double> want =
-                    oracle.infer(x, refReport);
-                const std::vector<double> got = chip.infer(x, report);
-
-                ASSERT_EQ(want.size(), got.size());
-                for (size_t j = 0; j < want.size(); ++j)
-                    EXPECT_EQ(want[j], got[j])
-                        << simd::variantName(v) << " threads="
-                        << threads << " logit " << j << " sample " << s;
-                EXPECT_EQ(refReport.latency.ns(), report.latency.ns())
-                    << simd::variantName(v) << " threads=" << threads;
-                EXPECT_EQ(refReport.energy.j(), report.energy.j())
-                    << simd::variantName(v) << " threads=" << threads;
-                ASSERT_EQ(refReport.breakdown.size(),
-                          report.breakdown.size());
-                for (size_t c = 0; c < refReport.breakdown.size();
-                     ++c) {
-                    EXPECT_EQ(refReport.breakdown[c].time.ns(),
-                              report.breakdown[c].time.ns())
-                        << refReport.breakdown[c].name;
-                    EXPECT_EQ(refReport.breakdown[c].energy.j(),
-                              report.breakdown[c].energy.j())
-                        << refReport.breakdown[c].name;
-                }
-            }
-        }
-    }
-}
-
-TEST(ChipKernelEquivalence, DenseBitwise)
-{
-    expectChipBitwise(denseFixture(), nvm::SearchMode::AbsoluteExact);
-}
-
-TEST(ChipKernelEquivalence, ConvBitwise)
-{
-    expectChipBitwise(convFixture(), nvm::SearchMode::AbsoluteExact);
-}
-
-TEST(ChipKernelEquivalence, RecurrentBitwise)
-{
-    expectChipBitwise(recurrentFixture(),
-                      nvm::SearchMode::AbsoluteExact);
-}
-
-TEST(ChipKernelEquivalence, StagedSearchModeBitwise)
-{
-    // CircuitStaged has no direct index, so the batched AM path runs
-    // the per-query staged search — costs must still match Off.
-    expectChipBitwise(denseFixture(), nvm::SearchMode::CircuitStaged,
-                      4);
-}
-
-/** A dense stack on the tally at awkward shapes and codebook sizes. */
-struct DenseShape
-{
-    size_t inputs;
-    std::vector<size_t> hidden;
-    size_t w;  //!< first layer's weight codebook entries
-    size_t u;  //!< first layer's input codebook entries
-};
-
-void
-expectReportsEqual(const PerfReport &want, const PerfReport &got,
-                   const std::string &what)
-{
-    EXPECT_EQ(want.latency.ns(), got.latency.ns()) << what;
-    EXPECT_EQ(want.energy.j(), got.energy.j()) << what;
-    ASSERT_EQ(want.breakdown.size(), got.breakdown.size()) << what;
-    for (size_t c = 0; c < want.breakdown.size(); ++c) {
-        EXPECT_EQ(want.breakdown[c].time.ns(), got.breakdown[c].time.ns())
-            << what << " " << want.breakdown[c].name;
-        EXPECT_EQ(want.breakdown[c].energy.j(),
-                  got.breakdown[c].energy.j())
-            << what << " " << want.breakdown[c].name;
-    }
-}
-
-/**
- * Every variant x 1 or 4 threads x batch sizes 1..8 (and single-sample
- * infer) against the fastPath = false reference chip, logits and
- * PerfReports bit for bit. Two of the eight inputs are constant, so
- * one input code fills the first layer's whole fan-in.
- */
-void
-sweepDenseChip(const DenseShape &shape, uint64_t seed)
-{
-    nn::Dataset all = nn::makeVectorTask(
-        {"kq-tally", shape.inputs, 3, 120, 0.4, 1.0, seed});
-    auto [train, validation] = all.split(0.25);
-    Rng rng(seed + 1);
-    nn::Network net = nn::buildMlp(
-        {.inputs = shape.inputs, .hidden = shape.hidden, .outputs = 3},
-        rng);
-    nn::Trainer({.epochs = 1, .batchSize = 16, .learningRate = 0.05})
-        .train(net, train);
-    ComposerConfig cc;
-    cc.weightClusters = shape.w;
-    cc.inputClusters = shape.u;
-    ReinterpretedModel model = Composer(cc).reinterpret(net, train);
-    // Clustering may merge clusters, so give the first layer exactly
-    // w weight and u input entries (random weight codes, an input
-    // encoder and product table to match); the reference and kernel
-    // paths read the same tables.
-    composer::RLayer &first = model.layers()[0];
-    ASSERT_EQ(first.kind, composer::RLayerKind::Dense);
-    auto spaced = [](size_t n, double lo, double hi) {
-        std::vector<double> v(n);
-        for (size_t k = 0; k < n; ++k)
-            v[k] = lo + (hi - lo) * double(k) / double(n - 1);
-        return v;
-    };
-    first.inputCodebook =
-        quant::Codebook::fromSorted(Array<double>(spaced(shape.u, -2.5, 2.5)));
-    model.inputEncoder() = quant::Encoder(first.inputCodebook);
-    std::vector<double> values = spaced(shape.w, -1.0, 1.0);
-    std::vector<uint16_t> codes(first.weightCodes[0].size());
-    for (auto &c : codes)
-        c = uint16_t(rng.uniformInt(0, int64_t(shape.w) - 1));
-    std::vector<double> products(shape.w * shape.u);
-    for (size_t k = 0; k < shape.w; ++k)
-        for (size_t c = 0; c < shape.u; ++c)
-            products[k * shape.u + c] =
-                values[k] * first.inputCodebook.value(c);
-    first.weightCodebooks[0] =
-        quant::Codebook::fromSorted(Array<double>(std::move(values)));
-    first.weightCodes[0] = Array<uint16_t>(std::move(codes));
-    first.productTables[0] = Array<double>(std::move(products));
-
-    std::vector<nn::Tensor> inputs;
-    for (size_t s = 0; s < 6; ++s)
-        inputs.push_back(validation.sample(s).x);
-    nn::Tensor zeros(inputs[0].shape());
-    nn::Tensor level(inputs[0].shape());
-    for (size_t i = 0; i < level.numel(); ++i)
-        level[i] = 0.7f;
-    inputs.push_back(zeros);
-    inputs.push_back(level);
-
-    ChipConfig refConfig;
-    refConfig.fastPath = false;
-    Chip reference(refConfig);
-    reference.configure(model);
-    std::vector<std::vector<double>> want(inputs.size());
-    std::vector<PerfReport> wantReports(inputs.size());
-    for (size_t s = 0; s < inputs.size(); ++s)
-        want[s] = reference.infer(inputs[s], wantReports[s]);
-
-    for (Variant v : kernels::availableVariants()) {
-        for (size_t threads : {size_t(1), size_t(4)}) {
-            ChipConfig config;
-            config.simd = v;
-            config.numThreads = threads;
-            Chip chip(config);
-            chip.configure(model);
-            const std::string tag = std::string(simd::variantName(v))
-                + " threads=" + std::to_string(threads) + " w="
-                + std::to_string(shape.w);
-            for (size_t s = 0; s < inputs.size(); ++s) {
-                PerfReport report;
-                EXPECT_EQ(chip.infer(inputs[s], report), want[s])
-                    << tag << " infer sample " << s;
-                expectReportsEqual(wantReports[s], report,
-                                   tag + " infer");
-            }
-            for (size_t batch = 1; batch <= inputs.size(); ++batch) {
-                std::vector<PerfReport> reports(batch);
-                const auto got = chip.inferBatch(
-                    std::span<const nn::Tensor>(inputs.data(), batch),
-                    reports);
-                for (size_t s = 0; s < batch; ++s) {
-                    EXPECT_EQ(got[s], want[s])
-                        << tag << " batch=" << batch << " lane " << s;
-                    expectReportsEqual(wantReports[s], reports[s],
-                                       tag + " batch");
-                }
-            }
-        }
-    }
-}
-
-TEST(ChipKernelEquivalence, DenseTallySweepMatchesReference)
-{
-    sweepDenseChip({19, {9, 1}, 64, 37}, 501);  // tail groups of 1
-    sweepDenseChip({19, {17}, 65, 37}, 502);    // two mask words
-    sweepDenseChip({40, {33}, 256, 37}, 503);   // four mask words
-}
-
 // ------------------------------------------------- dispatch policy
 
 TEST(KernelDispatch, EnvOverridesAutoExplicitWinsOverEnv)
 {
+    const std::vector<Variant> avail = kernels::availableVariants();
+    ASSERT_FALSE(avail.empty());
+    EXPECT_EQ(avail.back(), Variant::Scalar);
+
     ASSERT_EQ(setenv("RAPIDNN_SIMD", "scalar", 1), 0);
     EXPECT_EQ(kernels::resolve(Variant::Auto), Variant::Scalar);
     // An explicit (non-Auto) request beats the environment.
-    for (Variant v : kernels::availableVariants())
+    for (Variant v : avail)
         EXPECT_EQ(kernels::resolve(v), v);
-    EXPECT_EQ(kernels::resolve(Variant::Off), Variant::Off);
-    ASSERT_EQ(setenv("RAPIDNN_SIMD", "off", 1), 0);
-    EXPECT_EQ(kernels::resolve(Variant::Auto), Variant::Off);
+    ASSERT_EQ(setenv("RAPIDNN_SIMD", simd::variantName(avail.front()), 1),
+              0);
+    EXPECT_EQ(kernels::resolve(Variant::Auto), avail.front());
+    EXPECT_EQ(kernels::resolve(Variant::Scalar), Variant::Scalar);
     ASSERT_EQ(unsetenv("RAPIDNN_SIMD"), 0);
 
     // Without an override, Auto resolves to the best available
     // variant, which availableVariants() lists first.
-    const std::vector<Variant> avail = kernels::availableVariants();
-    ASSERT_FALSE(avail.empty());
-    EXPECT_EQ(avail.back(), Variant::Scalar);
     EXPECT_EQ(kernels::resolve(Variant::Auto), avail.front());
 }
 
@@ -879,7 +581,6 @@ TEST(KernelDispatch, ScalarAlwaysAvailableAndTablesNamed)
         const KernelOps *ops = kernels::opsFor(v);
         ASSERT_NE(ops, nullptr) << simd::variantName(v);
         EXPECT_STREQ(ops->name, simd::variantName(v));
-        EXPECT_NE(ops->pairKeys8, nullptr);
         EXPECT_NE(ops->narrow, nullptr);
         EXPECT_NE(ops->gather8, nullptr);
         EXPECT_NE(ops->maxU16, nullptr);
@@ -889,7 +590,6 @@ TEST(KernelDispatch, ScalarAlwaysAvailableAndTablesNamed)
         EXPECT_NE(ops->pairKeys8Lanes, nullptr);
         EXPECT_NE(ops->denseTally, nullptr);
     }
-    EXPECT_EQ(kernels::opsFor(Variant::Off), nullptr);
     EXPECT_EQ(kernels::opsFor(Variant::Auto), nullptr);
 }
 

@@ -4,7 +4,8 @@
  * semantics, micro-batch flush policy (size and deadline), graceful
  * shutdown with in-flight requests, per-worker PerfReport merging, and
  * the headline determinism guarantee — parallel serving produces
- * bitwise-identical logits to serial Chip::infer at any worker count.
+ * bitwise-identical logits to serial Chip::infer at any worker count —
+ * and request validation at admission.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 
 #include "composer/composer.hh"
@@ -474,6 +477,46 @@ TEST(ServingEngine, DefaultEngineStartsOnlyItsWorkers)
     EXPECT_EQ(processThreads(), before + serving.workers);
     engine.submit(fx.validation.sample(0).x).get();
     EXPECT_EQ(processThreads(), before + serving.workers);
+}
+
+TEST(ServingEngine, InvalidRequestsFailCleanly)
+{
+    // A request of the wrong shape or with a non-finite value fails
+    // its future with std::invalid_argument without entering a queue;
+    // the engine keeps serving, and the next valid request gets the
+    // serial chip's answer bit for bit.
+    auto &fx = composedMlp();
+    const nn::Tensor &valid = fx.validation.sample(0).x;
+    rna::Chip serial{rna::ChipConfig{}};
+    serial.configure(fx.model);
+    rna::PerfReport report;
+    const std::vector<double> expected = serial.infer(valid, report);
+
+    ServingConfig serving;
+    serving.workers = 1;
+    ServingEngine engine(fx.model, rna::ChipConfig{}, serving);
+
+    std::future<InferResult> shortRequest =
+        engine.submit(nn::Tensor({3}));
+    EXPECT_THROW(shortRequest.get(), std::invalid_argument);
+    nn::Tensor nan = valid;
+    nan[5] = std::numeric_limits<float>::quiet_NaN();
+    std::optional<std::future<InferResult>> nanRequest =
+        engine.trySubmit(std::move(nan));
+    ASSERT_TRUE(nanRequest.has_value());
+    EXPECT_THROW(nanRequest->get(), std::invalid_argument);
+    nn::Tensor inf = valid;
+    inf[0] = std::numeric_limits<float>::infinity();
+    EXPECT_THROW(engine.submit(std::move(inf)).get(),
+                 std::invalid_argument);
+
+    EXPECT_EQ(engine.submit(valid).get().logits, expected);
+    engine.drain();
+    const ServerStats stats = engine.stats();
+    EXPECT_EQ(stats.invalid, 3u);
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_EQ(stats.submitted, 1u);
+    EXPECT_EQ(stats.completed, 1u);
 }
 
 TEST(Rapidnn, ServeEntryPoint)

@@ -387,20 +387,6 @@ TEST(TaskPoolMetrics, LaneCountersTrackExecutedShards)
     EXPECT_EQ(pool.busyHelpers(), 0);
 }
 
-TEST(TaskPoolMetrics, RegisterExposesAllSeries)
-{
-    Registry reg;
-    registerTaskPoolMetrics(reg);
-    const std::string text = renderPrometheus(reg);
-    EXPECT_NE(text.find("rapidnn_taskpool_tasks_total{lane=\"0\"}"),
-              std::string::npos);
-    EXPECT_NE(text.find("rapidnn_taskpool_steals_total{lane=\"0\"}"),
-              std::string::npos);
-    EXPECT_NE(text.find("rapidnn_taskpool_busy_helpers"),
-              std::string::npos);
-    EXPECT_NE(text.find("rapidnn_taskpool_lanes"), std::string::npos);
-}
-
 // ------------------------------------- serving stats / percentiles
 
 TEST(StatsCollector, PercentilesInterpolateNotTruncate)
@@ -500,6 +486,28 @@ TEST(StatsCollector, PercentileSelectionMatchesSortedInterpolation)
     }
     std::vector<double> empty;
     EXPECT_EQ(percentileInPlace(empty, 0.5), 0.0);
+}
+
+TEST(StatsCollector, RejectionsRenderByReason)
+{
+    Registry reg;
+    runtime::StatsCollector collector(4, reg);
+    collector.recordRejected();
+    collector.recordInvalid();
+    collector.recordInvalid();
+    const std::string expected =
+        "# HELP rapidnn_requests_rejected_total Requests refused at "
+        "admission (queue_full: trySubmit found the queue full; "
+        "invalid: wrong shape or a non-finite value)\n"
+        "# TYPE rapidnn_requests_rejected_total counter\n"
+        "rapidnn_requests_rejected_total{reason=\"invalid\"} 2\n"
+        "rapidnn_requests_rejected_total{reason=\"queue_full\"} 1\n";
+    EXPECT_NE(renderPrometheus(reg).find(expected), std::string::npos)
+        << renderPrometheus(reg);
+    runtime::ServerStats stats;
+    collector.snapshotInto(stats);
+    EXPECT_EQ(stats.rejected, 1u);
+    EXPECT_EQ(stats.invalid, 2u);
 }
 
 TEST(StatsCollector, FeedsRegistryAndBaselinesPerEngine)

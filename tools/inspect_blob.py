@@ -19,7 +19,7 @@ import sys
 
 MAGIC = 0x424E4E52  # "RNNB" little-endian
 MIN_VERSION = 1
-VERSION = 3  # v2 adds u8 packed weight-code sections, v3 dense rows
+VERSION = 4  # v2 u8 packed codes, v3 dense rows, v4 drops u16 columns
 HEADER_BYTES = 64
 SECTION_ENTRY_BYTES = 24
 MAX_SECTIONS = 1 << 20
