@@ -4,8 +4,7 @@
  * format.
  *
  * Sections:
- *   1. Cold-start load: text-format loadModelFile vs blob
- *      ModelBlob::open from a warm page cache.
+ *   1. Cold-start load: ModelBlob::open from a warm page cache.
  *   2. Replica instantiation: legacy per-replica Chip::configure
  *      (re-deriving columns and conv plans per replica) vs
  *      Chip::clone over the shared immutable context set. The
@@ -35,7 +34,6 @@
 #include "bench_util.hh"
 #include "blob/blob.hh"
 #include "composer/composer.hh"
-#include "composer/serialization.hh"
 #include "nn/synthetic.hh"
 #include "nn/trainer.hh"
 #include "rna/chip.hh"
@@ -186,8 +184,8 @@ main(int argc, char **argv)
         smoke = true;
 
     const bench::BenchScale scale = bench::BenchScale::fromEnv();
-    bench::banner("Model cold-start and replica scaling: text/heap vs "
-                  "mmap blob",
+    bench::banner("Model cold-start and replica scaling: heap vs mmap "
+                  "blob",
                   scale, false);
     if (smoke)
         std::cout << "(smoke mode: reduced iterations, gate off)\n\n";
@@ -205,29 +203,18 @@ main(int argc, char **argv)
     double worstCloneSpeedup = 1e30;
 
     for (const BenchModel &bm : models) {
-        const std::string textPath =
-            "/tmp/rapidnn_bench_" + bm.name + ".txt";
         // Left in the working directory (gitignored) so CI can run
         // tools/inspect_blob.py --validate over a fresh blob.
         const std::string blobPath = "bench_" + bm.name + ".rnnb";
-        composer::saveModelFile(bm.model, textPath);
         blob::writeBlobFile(bm.model, blobPath);
 
         // 1. Cold-start load (warm page cache; best-of to drop one-off
         // stalls).
-        const double textLoadSec = bestSeconds(loadReps, [&] {
-            composer::ReinterpretedModel loaded =
-                composer::loadModelFile(textPath);
-            volatile size_t sink = loaded.layers().size();
-            (void)sink;
-        });
         const double blobLoadSec = bestSeconds(loadReps, [&] {
             auto blob = blob::ModelBlob::open(blobPath);
             volatile size_t sink = blob->model().layers().size();
             (void)sink;
         });
-        const double loadSpeedup =
-            blobLoadSec > 0.0 ? textLoadSec / blobLoadSec : 0.0;
 
         // 2. Replica instantiation: per-replica configure vs clone of
         // a blob-backed prototype.
@@ -294,10 +281,8 @@ main(int argc, char **argv)
 
         std::cout << "== " << bm.name << " ==\n" << std::fixed
                   << std::setprecision(1)
-                  << "  text load:        " << textLoadSec * 1e6
-                  << " us\n"
                   << "  blob load (mmap): " << blobLoadSec * 1e6
-                  << " us   (" << bench::times(loadSpeedup) << ")\n"
+                  << " us\n"
                   << "  configure:        " << configureSec * 1e6
                   << " us\n"
                   << "  clone:            " << cloneSec * 1e6
@@ -311,11 +296,8 @@ main(int argc, char **argv)
                   << "  blob file: "
                   << double(blob->fileBytes()) / 1024.0 << " KiB\n\n";
 
-        metrics.emplace_back(bm.name + ".text_load_us",
-                             textLoadSec * 1e6);
         metrics.emplace_back(bm.name + ".blob_load_us",
                              blobLoadSec * 1e6);
-        metrics.emplace_back(bm.name + ".load_speedup", loadSpeedup);
         metrics.emplace_back(bm.name + ".configure_us",
                              configureSec * 1e6);
         metrics.emplace_back(bm.name + ".clone_us", cloneSec * 1e6);
@@ -331,12 +313,10 @@ main(int argc, char **argv)
                              allocCallsPerInfer);
         metrics.emplace_back(bm.name + ".blob_file_bytes",
                              double(blob->fileBytes()));
-
-        std::remove(textPath.c_str());
     }
 
-    // Smoke dumps shrink every workload, so bench_compare.py skips
-    // comparing them against full-run baselines via this flag.
+    // Smoke dumps shrink every workload; the flag keeps them apart
+    // from full runs.
     metrics.emplace_back("smoke", smoke ? 1.0 : 0.0);
     bench::writeBenchJson("model_load", metrics);
 

@@ -139,18 +139,12 @@ escapeJson(const std::string &raw)
  * plus the detected CPU features, the kernel variant an Auto chip
  * would select, and any RAPIDNN_SIMD override in effect — so two
  * BENCH_*.json files are only comparable when their kernel attribution
- * matches (tools/bench_compare.py warns otherwise).
- *
- * `batchLanes`, when nonzero, records the batch-lane count the bench's
- * batched sections ran with (Chip::inferBatch / ServingConfig::
- * maxBatch) as `batch_lanes` metadata, so batched numbers are only
- * compared against baselines taken at the same lane count.
+ * matches.
  */
 inline void
 writeBenchJson(
     const std::string &name,
-    const std::vector<std::pair<std::string, double>> &metricsIn,
-    size_t batchLanes = 0)
+    const std::vector<std::pair<std::string, double>> &metricsIn)
 {
     const std::string path = "BENCH_" + name + ".json";
     std::ofstream out(path);
@@ -163,8 +157,6 @@ writeBenchJson(
                          double(TaskPool::envThreadOverride()));
     metrics.emplace_back("default_threads",
                          double(TaskPool::defaultThreads()));
-    if (batchLanes != 0)
-        metrics.emplace_back("batch_lanes", double(batchLanes));
     out.precision(12);
     out << "{\n  \"bench\": \"" << escapeJson(name) << "\"";
     out << ",\n  \"simd_variant\": \""

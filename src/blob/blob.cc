@@ -14,7 +14,6 @@
 
 #include "blob/format.hh"
 #include "common/check.hh"
-#include "composer/serialization.hh"
 #include "rna/workspace.hh"
 #include "telemetry/metrics.hh"
 
@@ -25,9 +24,9 @@ using composer::RLayerKind;
 
 namespace {
 
-// Meta-stream bounds, mirroring the text-format loader: a corrupt or
-// adversarial blob can claim arbitrary counts, so every one is capped
-// before it sizes an allocation or a loop.
+// Meta-stream bounds: a corrupt or adversarial blob can claim
+// arbitrary counts, so every one is capped before it sizes an
+// allocation or a loop.
 constexpr uint64_t kMaxBlockCount = uint64_t(1) << 16;
 constexpr uint64_t kMaxLayerDim = uint64_t(1) << 24;
 constexpr uint64_t kMaxShapeRank = 4;
@@ -346,6 +345,107 @@ readCodebook(const Parsed &p, MetaCursor &cur, const char *what)
 }
 
 /**
+ * Structural invariants of a fully assembled layer: every size
+ * relation and code range the inference loops index without further
+ * checks.
+ */
+void
+validateLayer(const RLayer &layer)
+{
+    const bool compute = layer.kind == RLayerKind::Dense ||
+                         layer.kind == RLayerKind::Conv ||
+                         layer.kind == RLayerKind::Recurrent;
+    if (compute) {
+        RAPIDNN_CHECK(layer.inCount >= 1 && layer.outCount >= 1,
+                      "model blob: compute layer with zero fan");
+        RAPIDNN_CHECK(!layer.inputCodebook.empty(),
+                      "model blob: compute layer missing input "
+                      "codebook");
+        RAPIDNN_CHECK(layer.bias.size() == layer.outCount,
+                      "model blob: bias size ", layer.bias.size(),
+                      " != outCount ", layer.outCount);
+        const size_t channels =
+            layer.kind == RLayerKind::Conv ? layer.outCount : 1;
+        RAPIDNN_CHECK(layer.weightCodebooks.size() == channels,
+                      "model blob: ", layer.weightCodebooks.size(),
+                      " weight codebooks, want ", channels);
+        RAPIDNN_CHECK(layer.weightCodes.size() == channels,
+                      "model blob: ", layer.weightCodes.size(),
+                      " weight-code blocks, want ", channels);
+        RAPIDNN_CHECK(layer.productTables.size() == channels,
+                      "model blob: ", layer.productTables.size(),
+                      " product tables, want ", channels);
+        const size_t u = layer.inputCodebook.size();
+        const size_t perChannel =
+            layer.kind == RLayerKind::Dense ||
+            layer.kind == RLayerKind::Recurrent
+                ? layer.inCount * layer.outCount
+                : layer.inCount;
+        for (size_t ch = 0; ch < channels; ++ch) {
+            const size_t w = layer.weightCodebooks[ch].size();
+            RAPIDNN_CHECK(layer.weightCodes[ch].size() == perChannel,
+                          "model blob: weight-code block ", ch,
+                          " has ", layer.weightCodes[ch].size(),
+                          " codes, want ", perChannel);
+            for (uint16_t code : layer.weightCodes[ch])
+                RAPIDNN_CHECK(code < w, "model blob: weight code ",
+                              code, " outside codebook of ", w);
+            RAPIDNN_CHECK(layer.productTables[ch].size() == w * u,
+                          "model blob: product table ", ch, " has ",
+                          layer.productTables[ch].size(),
+                          " entries, want ", w * u);
+        }
+    }
+    if (layer.kind == RLayerKind::Conv) {
+        RAPIDNN_CHECK(layer.kernel >= 1 && layer.inChannels >= 1,
+                      "model blob: conv without kernel/channels");
+        RAPIDNN_CHECK(layer.inCount ==
+                          layer.inChannels * layer.kernel * layer.kernel,
+                      "model blob: conv fan-in ", layer.inCount,
+                      " != inC*k*k");
+    }
+    if (layer.kind == RLayerKind::Recurrent) {
+        RAPIDNN_CHECK(layer.steps >= 1,
+                      "model blob: recurrent layer with zero steps");
+        RAPIDNN_CHECK(!layer.stateCodebook.empty(),
+                      "model blob: recurrent layer missing state "
+                      "codebook");
+        RAPIDNN_CHECK(layer.stateWeightCodebooks.size() == 1 &&
+                          layer.stateWeightCodes.size() == 1 &&
+                          layer.stateProductTables.size() == 1,
+                      "model blob: recurrent state tables must have "
+                      "one block each");
+        const size_t sw = layer.stateWeightCodebooks[0].size();
+        const size_t s = layer.stateCodebook.size();
+        RAPIDNN_CHECK(layer.stateWeightCodes[0].size() ==
+                          layer.outCount * layer.outCount,
+                      "model blob: recurrent state codes must be "
+                      "hidden x hidden");
+        for (uint16_t code : layer.stateWeightCodes[0])
+            RAPIDNN_CHECK(code < sw, "model blob: state weight code ",
+                          code, " outside codebook of ", sw);
+        RAPIDNN_CHECK(layer.stateProductTables[0].size() == sw * s,
+                      "model blob: state product table has ",
+                      layer.stateProductTables[0].size(),
+                      " entries, want ", sw * s);
+    }
+    if (layer.kind == RLayerKind::MaxPool ||
+        layer.kind == RLayerKind::AvgPool)
+        RAPIDNN_CHECK(layer.poolWindow >= 1,
+                      "model blob: pooling layer without a window");
+    if (layer.kind == RLayerKind::AvgPool)
+        RAPIDNN_CHECK(!layer.inputCodebook.empty(),
+                      "model blob: avgpool missing consumer codebook");
+    if (layer.kind == RLayerKind::Residual) {
+        RAPIDNN_CHECK(!layer.inner.empty(),
+                      "model blob: empty residual block");
+        RAPIDNN_CHECK(!layer.inputCodebook.empty(),
+                      "model blob: residual block missing input "
+                      "codebook");
+    }
+}
+
+/**
  * Derived-artifact invariants the chip trusts without re-deriving:
  * the conv gather plan feeds the hot loop's indexed reads directly,
  * so every index is range-checked here, against this layer, before
@@ -599,7 +699,7 @@ readLayer(const Parsed &p, MetaCursor &cur, size_t depth)
     RAPIDNN_CHECK(cur.next("layer end sentinel") == kLayerEndSentinel,
                   "model blob: layer record not closed by sentinel");
 
-    composer::validateLayer(layer);
+    validateLayer(layer);
     validateDerived(layer);
     return layer;
 }

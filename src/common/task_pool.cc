@@ -6,11 +6,10 @@
 namespace rapidnn {
 
 TaskPool::TaskPool(size_t helperThreads)
-    : _laneStats(helperThreads + 1)
 {
     _helpers.reserve(helperThreads);
     for (size_t i = 0; i < helperThreads; ++i)
-        _helpers.emplace_back([this, i] { helperMain(i + 1); });
+        _helpers.emplace_back([this] { helperMain(); });
 }
 
 TaskPool::~TaskPool()
@@ -56,25 +55,6 @@ TaskPool::defaultThreads()
     return std::max<size_t>(std::thread::hardware_concurrency(), 1);
 }
 
-std::vector<TaskPool::LaneCounters>
-TaskPool::laneCounters() const
-{
-    std::vector<LaneCounters> out(_laneStats.size());
-    for (size_t i = 0; i < _laneStats.size(); ++i) {
-        out[i].executed =
-            _laneStats[i].executed.load(std::memory_order_relaxed);
-        out[i].steals =
-            _laneStats[i].steals.load(std::memory_order_relaxed);
-    }
-    return out;
-}
-
-int64_t
-TaskPool::busyHelpers() const
-{
-    return _busyHelpers.load(std::memory_order_relaxed);
-}
-
 TaskPool::Job *
 TaskPool::openJob()
 {
@@ -97,8 +77,6 @@ TaskPool::run(size_t shards, size_t maxLanes,
         // bitwise-identical to any parallel schedule by construction.
         for (size_t shard = 0; shard < shards; ++shard)
             fn(shard, 0);
-        _laneStats[0].executed.fetch_add(shards,
-                                         std::memory_order_relaxed);
         return;
     }
 
@@ -111,10 +89,8 @@ TaskPool::run(size_t shards, size_t maxLanes,
         _jobs.push_back(&job);
     }
     _workCv.notifyAll();
-    _laneStats[0].steals.fetch_add(1, std::memory_order_relaxed);
 
     // The caller is lane 0 and steals shards like any helper.
-    size_t executed = 0;
     for (;;) {
         const size_t shard =
             job.nextShard.fetch_add(1, std::memory_order_relaxed);
@@ -122,10 +98,7 @@ TaskPool::run(size_t shards, size_t maxLanes,
             break;
         fn(shard, 0);
         job.completed.fetch_add(1, std::memory_order_release);
-        ++executed;
     }
-    _laneStats[0].executed.fetch_add(executed,
-                                     std::memory_order_relaxed);
 
     MutexLock lock(_mutex);
     _jobs.erase(std::find(_jobs.begin(), _jobs.end(), &job));
@@ -135,7 +108,7 @@ TaskPool::run(size_t shards, size_t maxLanes,
 }
 
 void
-TaskPool::helperMain(size_t slot)
+TaskPool::helperMain()
 {
     _mutex.lock();
     for (;;) {
@@ -151,11 +124,7 @@ TaskPool::helperMain(size_t slot)
         const size_t lane = job->nextLane++;
         ++job->activeHelpers;
         _mutex.unlock();
-        _laneStats[slot].steals.fetch_add(1,
-                                          std::memory_order_relaxed);
-        _busyHelpers.fetch_add(1, std::memory_order_relaxed);
 
-        size_t executed = 0;
         for (;;) {
             const size_t shard =
                 job->nextShard.fetch_add(1, std::memory_order_relaxed);
@@ -163,11 +132,7 @@ TaskPool::helperMain(size_t slot)
                 break;
             (*job->fn)(shard, lane);
             job->completed.fetch_add(1, std::memory_order_release);
-            ++executed;
         }
-        _laneStats[slot].executed.fetch_add(
-            executed, std::memory_order_relaxed);
-        _busyHelpers.fetch_add(-1, std::memory_order_relaxed);
 
         _mutex.lock();
         // The caller may only destroy the job (its stack frame) after

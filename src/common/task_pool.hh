@@ -78,27 +78,6 @@ class TaskPool
     void run(size_t shards, size_t maxLanes,
              const std::function<void(size_t shard, size_t lane)> &fn);
 
-    /**
-     * Point-in-time execution counters for one lane slot. Slot 0
-     * aggregates every calling thread (callers always run as lane 0);
-     * slot i >= 1 is helper thread i-1. `executed` counts shards run
-     * by the slot; `steals` counts jobs the slot attached to — for a
-     * helper that is a genuine steal (it joined a job another thread
-     * opened), for slot 0 it counts run() calls that went parallel.
-     * Counters are cumulative over the pool's lifetime.
-     */
-    struct LaneCounters
-    {
-        uint64_t executed = 0;
-        uint64_t steals = 0;
-    };
-
-    /** Counters for every lane slot (size == lanes()). */
-    std::vector<LaneCounters> laneCounters() const;
-
-    /** Helpers currently executing shards (busy-vs-idle gauge). */
-    int64_t busyHelpers() const;
-
   private:
     /** One in-flight run() call, owned by its caller's stack frame.
      *  nextLane/activeHelpers are guarded by the owning pool's _mutex;
@@ -115,14 +94,7 @@ class TaskPool
         std::atomic<size_t> completed{0};
     };
 
-    /** Per-slot counters, cache-line separated (relaxed atomics). */
-    struct alignas(64) LaneStat
-    {
-        std::atomic<uint64_t> executed{0};
-        std::atomic<uint64_t> steals{0};
-    };
-
-    void helperMain(size_t slot);
+    void helperMain();
     Job *openJob() RAPIDNN_REQUIRES(_mutex);
 
     Mutex _mutex;
@@ -131,8 +103,6 @@ class TaskPool
     /** Jobs with shards/lanes left. */
     std::vector<Job *> _jobs RAPIDNN_GUARDED_BY(_mutex);
     std::vector<std::thread> _helpers;
-    std::vector<LaneStat> _laneStats; //!< slot 0 = callers, i = helper
-    std::atomic<int64_t> _busyHelpers{0};
     bool _stop RAPIDNN_GUARDED_BY(_mutex) = false;
 };
 

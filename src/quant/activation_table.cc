@@ -8,24 +8,6 @@
 namespace rapidnn::quant {
 
 ActivationTable
-ActivationTable::fromRows(std::vector<double> inputs,
-                          std::vector<double> outputs)
-{
-    RAPIDNN_ASSERT(inputs.size() == outputs.size() &&
-                   inputs.size() >= 2,
-                   "fromRows needs >= 2 parallel rows");
-    for (size_t i = 1; i < inputs.size(); ++i)
-        RAPIDNN_ASSERT(inputs[i - 1] <= inputs[i],
-                       "fromRows inputs must be sorted");
-    ActivationTable table;
-    table._lo = inputs.front();
-    table._hi = inputs.back();
-    table._y = std::move(inputs);
-    table._z = std::move(outputs);
-    return table;
-}
-
-ActivationTable
 ActivationTable::fromViews(Array<double> inputs, Array<double> outputs)
 {
     RAPIDNN_CHECK(inputs.size() == outputs.size() && inputs.size() >= 2,

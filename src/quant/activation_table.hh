@@ -50,20 +50,6 @@ class ActivationTable
                                      TableSpacing::DerivativeWeighted);
 
     /**
-     * Reconstruct a table from explicit (y, z) rows (deserialization).
-     * Rows must be sorted by y.
-     */
-    static ActivationTable fromRows(std::vector<double> inputs,
-                                    std::vector<double> outputs);
-
-    /** Convenience overload for callers holding Arrays (copies). */
-    static ActivationTable
-    fromRows(const Array<double> &inputs, const Array<double> &outputs)
-    {
-        return fromRows(inputs.toVector(), outputs.toVector());
-    }
-
-    /**
      * Adopt parallel (y, z) row sequences without copying — typically
      * views into a memory-mapped model blob. The rows are untrusted:
      * sortedness and the >= 2 row minimum fail cleanly (RAPIDNN_CHECK)

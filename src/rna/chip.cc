@@ -158,6 +158,17 @@ countOccupiedRnas(const std::vector<RLayer> &layers)
     return n;
 }
 
+/**
+ * Make a lane's layer output its next input. The spent input codes go
+ * back to the pool and both shape buffers keep their capacity.
+ */
+void
+advanceLane(EncodedTensor &in, LayerRun &run, Workspace &ws)
+{
+    std::swap(in, run.output);
+    ws.giveCodes(std::move(run.output.codes));
+}
+
 } // namespace
 
 void
@@ -382,12 +393,11 @@ Chip::clone() const
     return replica;
 }
 
-Chip::LayerRun
+void
 Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
-               bool lastCompute, Workspace &ws) const
+               bool lastCompute, Workspace &ws, LayerRun &run) const
 {
-    LayerRun run{};
-    run.stageCycles = 0;
+    run.reset();
 
     switch (layer.kind) {
       case RLayerKind::Dense: {
@@ -671,14 +681,16 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
         RAPIDNN_ASSERT(false, "residual layers run in runLayerBatch");
         break;
     }
-    return run;
 }
 
 std::vector<double>
 Chip::infer(const nn::Tensor &x, PerfReport &report) const
 {
-    return std::move(inferBatch(std::span<const nn::Tensor>(&x, 1),
-                                std::span<PerfReport>(&report, 1))[0]);
+    std::vector<double> logits;
+    runBatch(std::span<const nn::Tensor>(&x, 1),
+             std::span<PerfReport>(&report, 1),
+             std::span<std::vector<double>>(&logits, 1));
+    return logits;
 }
 
 nvm::OpCost
@@ -808,7 +820,7 @@ Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
     const size_t outCount = layer.outCount;
     const size_t groups = ctx.denseRowStride() / simd::kDenseGroup;
     for (size_t L = 0; L < lanes; ++L) {
-        runs[L] = LayerRun{};
+        runs[L].reset();
         runs[L].output.shape = {outCount};
         if (!layer.outputEncoder.empty()) {
             runs[L].output.codes = ws.takeCodes();
@@ -919,7 +931,7 @@ Chip::runLayerBatch(const RLayer &layer,
     // pack) and the pool and flatten layers run one lane at a time.
     auto perLane = [&] {
         for (size_t L = 0; L < lanes; ++L)
-            runs[L] = runLayer(layer, ins[L], lastCompute, ws);
+            runLayer(layer, ins[L], lastCompute, ws, runs[L]);
     };
 
     switch (layer.kind) {
@@ -971,7 +983,7 @@ Chip::runLayerBatch(const RLayer &layer,
         const size_t windowMax = layer.weightCodes[0].size();
         const size_t inElems = ins[0].codes.size();
         for (size_t L = 0; L < lanes; ++L) {
-            runs[L] = LayerRun{};
+            runs[L].reset();
             runs[L].output.shape = {layer.outCount, oh, ow};
             if (!layer.outputEncoder.empty()) {
                 runs[L].output.codes = ws.takeCodes();
@@ -1106,7 +1118,7 @@ Chip::runLayerBatch(const RLayer &layer,
         nvm::OpCost zeroEncode;
         const uint16_t zeroCode = ctx.encodeState(0.0, zeroEncode);
         for (size_t L = 0; L < lanes; ++L) {
-            runs[L] = LayerRun{};
+            runs[L].reset();
             // One zero-state encode per sample, exactly as the
             // reference walk charges it (the code itself is shared — it
             // is a pure function of the codebook).
@@ -1204,16 +1216,25 @@ Chip::runLayerBatch(const RLayer &layer,
       case RLayerKind::Residual: {
         // Recurse batched through the inner stack, then the per-lane
         // skip add, elementwise per lane.
-        std::vector<EncodedTensor> values(lanes);
+        if (ws.residual.size() <= ws.residualDepth)
+            ws.residual.emplace_back();
+        ResidualLanes &block = ws.residual[ws.residualDepth];
+        if (block.values.size() < lanes) {
+            block.values.resize(lanes);
+            block.innerRaws.resize(lanes);
+            block.innerRuns.resize(lanes);
+        }
+        const std::span<EncodedTensor> values(block.values.data(), lanes);
+        const std::span<LayerRun> innerRuns(block.innerRuns.data(),
+                                            lanes);
         for (size_t L = 0; L < lanes; ++L) {
             values[L].shape = ins[L].shape;
             values[L].codes = ws.takeCodes();
             values[L].codes.assign(ins[L].codes.begin(),
                                    ins[L].codes.end());
-            runs[L] = LayerRun{};
+            runs[L].reset();
         }
-        std::vector<std::vector<double>> innerRaws(lanes);
-        std::vector<LayerRun> innerRuns(lanes);
+        ++ws.residualDepth;
         for (size_t i = 0; i < layer.inner.size(); ++i) {
             const bool lastInner = i + 1 == layer.inner.size();
             runLayerBatch(layer.inner[i], values, lastInner, ws,
@@ -1222,13 +1243,11 @@ Chip::runLayerBatch(const RLayer &layer,
                 runs[L].cost += innerRuns[L].cost;
                 runs[L].stageCycles += innerRuns[L].stageCycles;
                 if (lastInner)
-                    innerRaws[L] = std::move(innerRuns[L].raw);
-                std::vector<uint16_t> spent =
-                    std::move(values[L].codes);
-                values[L] = std::move(innerRuns[L].output);
-                ws.giveCodes(std::move(spent));
+                    block.innerRaws[L] = std::move(innerRuns[L].raw);
+                advanceLane(values[L], innerRuns[L], ws);
             }
         }
+        --ws.residualDepth;
         for (size_t L = 0; L < lanes; ++L)
             ws.giveCodes(std::move(values[L].codes));
 
@@ -1237,7 +1256,7 @@ Chip::runLayerBatch(const RLayer &layer,
         const bool last = layer.outputEncoder.empty();
         for (size_t L = 0; L < lanes; ++L) {
             const EncodedTensor &in = ins[L];
-            std::vector<double> &innerRaw = innerRaws[L];
+            std::vector<double> &innerRaw = block.innerRaws[L];
             RAPIDNN_ASSERT(innerRaw.size() == in.codes.size(),
                            "residual inner stack changed shape");
             nvm::OpCost addCost{
@@ -1285,13 +1304,22 @@ std::vector<std::vector<double>>
 Chip::inferBatch(std::span<const nn::Tensor> inputs,
                  std::span<PerfReport> reports) const
 {
+    std::vector<std::vector<double>> logits(inputs.size());
+    runBatch(inputs, reports, logits);
+    return logits;
+}
+
+void
+Chip::runBatch(std::span<const nn::Tensor> inputs,
+               std::span<PerfReport> reports,
+               std::span<std::vector<double>> logits) const
+{
     RAPIDNN_ASSERT(_model != nullptr, "chip not configured");
     RAPIDNN_ASSERT(reports.size() >= inputs.size(),
                    "inferBatch needs one report per input");
     const size_t lanes = inputs.size();
-    std::vector<std::vector<double>> logits(lanes);
     if (lanes == 0)
-        return logits;
+        return;
     RAPIDNN_TELEMETRY_SPAN("chip_infer_batch");
     const auto &model = *_model;
 
@@ -1301,10 +1329,16 @@ Chip::inferBatch(std::span<const nn::Tensor> inputs,
     Workspace &ws = lease.get();
     if (ws.convPlans.size() < _contexts->contexts.size())
         ws.convPlans.resize(_contexts->contexts.size());
+    if (ws.lanesIn.size() < lanes) {
+        ws.lanesIn.resize(lanes);
+        ws.lanesRun.resize(lanes);
+        ws.tallies.resize(lanes);
+    }
+    const std::span<EncodedTensor> encs(ws.lanesIn.data(), lanes);
+    const std::span<LayerRun> runs(ws.lanesRun.data(), lanes);
 
     // Virtual input layer: encode raw data (charged as AM searches on
     // the input-encoding block, all lanes in parallel).
-    std::vector<EncodedTensor> encs(lanes);
     {
         RAPIDNN_TELEMETRY_STAGE("encoding",
                                 stageHistogram("encoding"));
@@ -1318,10 +1352,10 @@ Chip::inferBatch(std::span<const nn::Tensor> inputs,
                     model.inputEncoder().encode(x[i]));
         }
     }
-    std::vector<InferTally> tallies(lanes);
     for (size_t L = 0; L < lanes; ++L) {
         reports[L].reset();
-        InferTally &t = tallies[L];
+        InferTally &t = ws.tallies[L];
+        t = InferTally{};
         t.inputEncode = inputEncodeCost(inputs[L].numel());
         t.latencyCycles = t.inputEncode.cycles;
         t.worstStage = t.inputEncode.cycles;
@@ -1339,7 +1373,6 @@ Chip::inferBatch(std::span<const nn::Tensor> inputs,
         }
     }
 
-    std::vector<LayerRun> runs(lanes);
     for (size_t l = 0; l < model.layers().size(); ++l) {
         const RLayer &layer = model.layers()[l];
         {
@@ -1349,21 +1382,17 @@ Chip::inferBatch(std::span<const nn::Tensor> inputs,
             runLayerBatch(layer, encs, l == lastCompute, ws, runs);
         }
         for (size_t L = 0; L < lanes; ++L) {
-            tallyLayerRun(tallies[L], runs[L], layer,
+            tallyLayerRun(ws.tallies[L], runs[L], layer,
                           l == lastCompute);
             if (l == lastCompute)
                 logits[L] = std::move(runs[L].raw);
-            std::vector<uint16_t> spent = std::move(encs[L].codes);
-            encs[L] = std::move(runs[L].output);
-            ws.giveCodes(std::move(spent));
+            advanceLane(encs[L], runs[L], ws);
         }
     }
-    for (size_t L = 0; L < lanes; ++L)
+    for (size_t L = 0; L < lanes; ++L) {
         ws.giveCodes(std::move(encs[L].codes));
-
-    for (size_t L = 0; L < lanes; ++L)
-        finalizeReport(tallies[L], logits[L].size(), reports[L]);
-    return logits;
+        finalizeReport(ws.tallies[L], logits[L].size(), reports[L]);
+    }
 }
 
 double

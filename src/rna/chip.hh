@@ -192,27 +192,6 @@ class Chip
      *  per infer() call (concurrent callers fall back to spares). */
     mutable std::unique_ptr<Workspace> _workspace;
 
-    struct LayerRun
-    {
-        composer::EncodedTensor output;
-        std::vector<double> raw;
-        NeuronCost cost;        //!< summed over all neurons
-        uint64_t stageCycles;   //!< wall cycles with RNA parallelism
-    };
-
-    /** Per-sample accounting accumulated across the layer walk, one
-     *  per batch lane. */
-    struct InferTally
-    {
-        uint64_t latencyCycles = 0;
-        uint64_t worstStage = 0;
-        Energy totalEnergy{};
-        NeuronCost totals;
-        uint64_t bufferCycles = 0;
-        Energy bufferEnergy{};
-        nvm::OpCost inputEncode;
-    };
-
     void configureLayers(ContextSet &set,
                          const std::vector<composer::RLayer> &layers);
 
@@ -226,9 +205,9 @@ class Chip
      * pool and flatten layers, which runLayerBatch() hands over one
      * lane at a time.
      */
-    LayerRun runLayer(const composer::RLayer &layer,
-                      const composer::EncodedTensor &in,
-                      bool lastCompute, Workspace &ws) const;
+    void runLayer(const composer::RLayer &layer,
+                  const composer::EncodedTensor &in, bool lastCompute,
+                  Workspace &ws, LayerRun &run) const;
 
     /**
      * The dense layer's production path: groups each lane's fan-in by
@@ -257,6 +236,12 @@ class Chip
                        std::span<const composer::EncodedTensor> ins,
                        bool lastCompute, Workspace &ws,
                        std::span<LayerRun> runs) const;
+
+    /** inferBatch() into caller-owned logits, so infer() allocates
+     *  only the vector it returns. */
+    void runBatch(std::span<const nn::Tensor> inputs,
+                  std::span<PerfReport> reports,
+                  std::span<std::vector<double>> logits) const;
 
     /** Input-encoding cost of one sample (CAM search per element plus
      *  the data-block stream-out). */

@@ -16,16 +16,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <utility>
 #include <vector>
 
 #include "common/array.hh"
+#include "common/units.hh"
+#include "composer/reinterpreted_model.hh"
 #include "nvm/op_cost.hh"
 #include "rna/accumulation.hh"
-
-namespace rapidnn::composer {
-struct RLayer;
-} // namespace rapidnn::composer
 
 namespace rapidnn::rna {
 
@@ -57,6 +56,49 @@ struct NeuronCost
         pooling += o.pooling;
         return *this;
     }
+};
+
+/** One sample's result of one layer. */
+struct LayerRun
+{
+    composer::EncodedTensor output;
+    std::vector<double> raw;
+    NeuronCost cost;             //!< summed over all neurons
+    uint64_t stageCycles = 0;    //!< wall cycles with RNA parallelism
+
+    /**
+     * Ready for the next layer. The output codes and raw values must
+     * already have been handed on; the shape keeps its capacity, so
+     * a steady-state layer walk never reallocates it.
+     */
+    void
+    reset()
+    {
+        output.shape.clear();
+        cost = NeuronCost{};
+        stageCycles = 0;
+    }
+};
+
+/** Per-sample accounting accumulated across the layer walk, one per
+ *  batch lane. */
+struct InferTally
+{
+    uint64_t latencyCycles = 0;
+    uint64_t worstStage = 0;
+    Energy totalEnergy{};
+    NeuronCost totals;
+    uint64_t bufferCycles = 0;
+    Energy bufferEnergy{};
+    nvm::OpCost inputEncode;
+};
+
+/** Per-lane state of one residual block's inner walk. */
+struct ResidualLanes
+{
+    std::vector<composer::EncodedTensor> values;
+    std::vector<std::vector<double>> innerRaws;
+    std::vector<LayerRun> innerRuns;
 };
 
 /**
@@ -205,6 +247,20 @@ struct Workspace
 
     /** One cached conv plan per layer context index. */
     std::vector<ConvGatherPlan> convPlans;
+
+    /**
+     * Per-lane state of the layer walk: each lane's current encoded
+     * tensor, the runs of the layer in flight and the samples' cost
+     * tallies. They only grow, so a steady-state inferBatch() call
+     * allocates nothing but the logits it returns.
+     */
+    std::vector<composer::EncodedTensor> lanesIn;
+    std::vector<LayerRun> lanesRun;
+    std::vector<InferTally> tallies;
+    /** The same for residual blocks, one entry per nesting depth; a
+     *  deque, so growing it keeps the outer blocks' entries in place. */
+    std::deque<ResidualLanes> residual;
+    size_t residualDepth = 0;
 
     /**
      * Recycled buffer pools for the per-layer activation tensors and

@@ -59,6 +59,9 @@ ServingEngine::ServingEngine(const composer::ReinterpretedModel &model,
       _stats(std::max<size_t>(1, config.maxBatch))
 {
     RAPIDNN_ASSERT(_config.workers > 0, "need at least one worker");
+    if (_inputShape.empty())
+        throw std::invalid_argument(
+            "ServingEngine: model records no canonical input shape");
 
     // One configured prototype, cloned per worker: every replica reads
     // the same const model, none shares mutable state. The engine's
@@ -69,14 +72,9 @@ ServingEngine::ServingEngine(const composer::ReinterpretedModel &model,
         replicaConfig.maxBatch, std::max<size_t>(1, config.maxBatch));
     rna::Chip prototype(replicaConfig);
     prototype.configure(model);
-    const size_t shardCapacity = std::max<size_t>(
-        1, _queue.capacity() / _config.workers);
     _workers.reserve(_config.workers);
     for (size_t i = 0; i < _config.workers; ++i)
-        _workers.push_back(std::make_unique<Worker>(
-            prototype.clone(), shardCapacity,
-            std::max<size_t>(1, config.maxBatch),
-            std::chrono::microseconds(config.maxLatencyUs)));
+        _workers.push_back(std::make_unique<Worker>(prototype.clone()));
     for (size_t i = 0; i < _config.workers; ++i)
         _workers[i]->thread =
             std::thread([this, i] { workerMain(i); });
@@ -84,17 +82,13 @@ ServingEngine::ServingEngine(const composer::ReinterpretedModel &model,
     // Telemetry: sample this engine's queue depth and replica count at
     // scrape time, and (optionally) open the scrape endpoint. The
     // gauges capture `this`; their ScopedCallback members unregister
-    // before the queues they read are destroyed.
+    // before the queue they read is destroyed.
     telemetry::Registry &registry = telemetry::Registry::global();
     _gauges.emplace_back(
         registry, "rapidnn_queue_depth",
-        "Requests waiting in the admission queue(s)",
-        telemetry::MetricKind::Gauge, [this] {
-            size_t depth = _queue.size();
-            for (const auto &worker : _workers)
-                depth += worker->queue.size();
-            return static_cast<double>(depth);
-        });
+        "Requests waiting in the admission queue",
+        telemetry::MetricKind::Gauge,
+        [this] { return static_cast<double>(_queue.size()); });
     _gauges.emplace_back(
         registry, "rapidnn_serving_workers",
         "Worker threads (chip replicas) in the serving engine",
@@ -132,18 +126,6 @@ ServingEngine::~ServingEngine()
     shutdown();
 }
 
-BoundedQueue<ServingEngine::Request> &
-ServingEngine::targetQueue()
-{
-    if (_config.dispatch == DispatchPolicy::RoundRobin) {
-        const size_t shard =
-            _rrNext.fetch_add(1, std::memory_order_relaxed)
-            % _workers.size();
-        return _workers[shard]->queue;
-    }
-    return _queue;
-}
-
 std::future<InferResult>
 ServingEngine::admit(Request request, bool &accepted, bool blocking)
 {
@@ -161,9 +143,8 @@ ServingEngine::admit(Request request, bool &accepted, bool blocking)
         MutexLock lock(_inflightMutex);
         ++_accepted;
     }
-    BoundedQueue<Request> &queue = targetQueue();
-    accepted = blocking ? queue.push(std::move(request))
-                        : queue.tryPush(std::move(request));
+    accepted = blocking ? _queue.push(std::move(request))
+                        : _queue.tryPush(std::move(request));
     if (accepted) {
         _stats.recordSubmitted();
     } else {
@@ -176,7 +157,7 @@ ServingEngine::admit(Request request, bool &accepted, bool blocking)
 std::string
 ServingEngine::invalidReason(const nn::Tensor &input) const
 {
-    if (!_inputShape.empty() && input.shape() != _inputShape)
+    if (input.shape() != _inputShape)
         return "request shape " + nn::shapeToString(input.shape())
              + " != model input shape " + nn::shapeToString(_inputShape);
     for (size_t i = 0; i < input.numel(); ++i)
@@ -224,15 +205,11 @@ void
 ServingEngine::workerMain(size_t index)
 {
     Worker &worker = *_workers[index];
-    const bool sharded =
-        _config.dispatch == DispatchPolicy::RoundRobin;
-    MicroBatcher<Request> &batcher =
-        sharded ? worker.batcher : _batcher;
     telemetry::Tracer &tracer = telemetry::Tracer::global();
     for (;;) {
         const uint64_t formStartNs =
             tracer.enabled() ? telemetry::Tracer::nowNs() : 0;
-        std::vector<Request> batch = batcher.nextBatch();
+        std::vector<Request> batch = _batcher.nextBatch();
         if (batch.empty())
             return;  // queue closed and drained
         const auto claimed = std::chrono::steady_clock::now();
@@ -345,8 +322,6 @@ ServingEngine::shutdown()
         // close() refuses new work; workers drain what was accepted
         // and exit on end-of-stream.
         _queue.close();
-        for (auto &worker : _workers)
-            worker->queue.close();
     }
     for (auto &worker : _workers)
         if (worker->thread.joinable())
@@ -359,8 +334,6 @@ ServingEngine::stats() const
     ServerStats stats;
     _stats.snapshotInto(stats);
     stats.queueDepth = _queue.size();
-    for (const auto &worker : _workers)
-        stats.queueDepth += worker->queue.size();
     stats.workers = _workers.size();
     const int64_t first =
         _firstSubmitTicks.load(std::memory_order_relaxed);

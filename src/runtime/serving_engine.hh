@@ -48,20 +48,6 @@
 
 namespace rapidnn::runtime {
 
-/** How requests reach the worker pool. */
-enum class DispatchPolicy
-{
-    /** All workers claim batches from one shared queue: adapts to
-     *  uneven request costs, but distribution across replicas is up
-     *  to the host scheduler. */
-    WorkStealing,
-    /** Requests shard round-robin across per-worker queues: exact
-     *  1/N distribution (the metric a replicated deployment sizes
-     *  against), at the cost of not rebalancing around slow
-     *  requests. */
-    RoundRobin,
-};
-
 /** Serving-engine knobs. */
 struct ServingConfig
 {
@@ -72,7 +58,6 @@ struct ServingConfig
     uint64_t maxLatencyUs = 200; //!< ...or this long after its first
                                  //!< request, whichever comes first
     size_t queueCapacity = 64;   //!< admission-queue bound (backpressure)
-    DispatchPolicy dispatch = DispatchPolicy::WorkStealing;
     /**
      * Loopback TCP port for the Prometheus scrape endpoint. 0 (the
      * default) disables the endpoint entirely; the registry still
@@ -96,7 +81,9 @@ class ServingEngine
   public:
     /**
      * Spin up the worker pool. The model must outlive the engine; it
-     * is shared read-only by every replica.
+     * is shared read-only by every replica. Throws
+     * std::invalid_argument if the model records no canonical input
+     * shape (the composer and the blob loader always set one).
      */
     ServingEngine(const composer::ReinterpretedModel &model,
                   const rna::ChipConfig &chipConfig,
@@ -163,16 +150,9 @@ class ServingEngine
 
     struct Worker
     {
-        Worker(rna::Chip replica, size_t queueCapacity,
-               size_t maxBatch, std::chrono::microseconds maxLatency)
-            : chip(std::move(replica)), queue(queueCapacity),
-              batcher(queue, maxBatch, maxLatency)
-        {
-        }
+        explicit Worker(rna::Chip replica) : chip(std::move(replica)) {}
 
         rna::Chip chip;
-        BoundedQueue<Request> queue;     //!< RoundRobin shard
-        MicroBatcher<Request> batcher;   //!< RoundRobin shard
         /** perf/busyChipTime are guarded by the engine's _perfMutex —
          *  a cross-object guard the static analysis cannot express;
          *  enforced by TSan and review (DESIGN.md §11). */
@@ -182,7 +162,6 @@ class ServingEngine
     };
 
     void workerMain(size_t index);
-    BoundedQueue<Request> &targetQueue();
     /** Empty when `input` may be served, else why it may not. */
     std::string invalidReason(const nn::Tensor &input) const;
     std::future<InferResult> admit(Request request, bool &accepted,
@@ -191,14 +170,14 @@ class ServingEngine
 
     ServingConfig _config;
     /** The model's canonical input shape, which every request must
-     *  match (empty for models that record none: any shape passes). */
+     *  match. */
     nn::Shape _inputShape;
     /** Keeps a blob-backed model's mapping alive (null for heap
      *  models, which the caller owns). */
     std::shared_ptr<const blob::ModelBlob> _blob;
+    /** One admission queue; every worker claims its batches here. */
     BoundedQueue<Request> _queue;
     MicroBatcher<Request> _batcher;
-    std::atomic<uint64_t> _rrNext{0};  //!< RoundRobin shard cursor
     StatsCollector _stats;
     std::vector<std::unique_ptr<Worker>> _workers;
     /** steady_clock ticks of the first submit/trySubmit (0 = none
@@ -217,7 +196,7 @@ class ServingEngine
     std::atomic<bool> _shutdown{false};
 
     /** Snapshot-time gauges sampling this engine (queue depth,
-     *  workers). Declared after the queues/workers they read so they
+     *  workers). Declared after the queue/workers they read so they
      *  unregister first on destruction. */
     std::vector<telemetry::ScopedCallback> _gauges;
     /** Optional scrape endpoint; declared last so it stops first. */

@@ -6,8 +6,7 @@
  *
  * Tracing is off by default and zero-cost-when-disabled: a ScopedSpan
  * constructor checks one relaxed atomic and, when tracing is off, reads
- * no clock and touches no shared state. This is the property the
- * bench_inference_hotpath telemetry section enforces.
+ * no clock and touches no shared state.
  *
  * Wall-clock policy: the steady_clock reads live HERE, inside the
  * telemetry layer, and feed only observability data — never model

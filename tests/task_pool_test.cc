@@ -13,15 +13,14 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "blob/blob.hh"
 #include "common/rng.hh"
 #include "common/task_pool.hh"
 #include "composer/composer.hh"
-#include "composer/serialization.hh"
 #include "nn/synthetic.hh"
 #include "nn/trainer.hh"
 #include "quant/codebook.hh"
@@ -168,8 +167,8 @@ TEST(IntraOpDeterminism, TreeCodebookIdenticalAcrossThreads)
 TEST(IntraOpDeterminism, ComposedModelByteIdenticalAcrossThreads)
 {
     // The full composer pipeline (input codebooks, weight projection,
-    // codebook trees) must emit a byte-identical serialized model at
-    // any thread count.
+    // codebook trees) must emit a byte-identical model blob at any
+    // thread count.
     auto composeAt = [](size_t threads) {
         nn::Dataset all = nn::makeVectorTask(
             {"iop-composer", 12, 3, 220, 0.35, 1.0, 91});
@@ -189,12 +188,10 @@ TEST(IntraOpDeterminism, ComposedModelByteIdenticalAcrossThreads)
         Composer composer(config);
         composer.projectWeights(net);
         ReinterpretedModel model = composer.reinterpret(net, train);
-        std::ostringstream out;
-        composer::saveModel(model, out);
-        return out.str();
+        return blob::buildBlob(model);
     };
 
-    const std::string serial = composeAt(1);
+    const std::vector<uint8_t> serial = composeAt(1);
     EXPECT_EQ(serial, composeAt(2));
     EXPECT_EQ(serial, composeAt(8));
 }

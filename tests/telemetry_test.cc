@@ -3,7 +3,7 @@
  * Tests for the telemetry layer: registry semantics under concurrency,
  * histogram bucketing and interpolated quantiles, span lifecycle and
  * ring-buffer wrap, golden-string Prometheus and Chrome-trace
- * rendering, the loopback scrape endpoint, task-pool counters, and the
+ * rendering, the loopback scrape endpoint, and the
  * StatsCollector percentile regression (interpolated, never truncated).
  *
  * Labeled "runtime" so the whole file runs under the TSan preset.
@@ -19,7 +19,6 @@
 
 #include "common/rng.hh"
 #include "common/stats.hh"
-#include "common/task_pool.hh"
 #include "runtime/server_stats.hh"
 #include "telemetry/telemetry.hh"
 
@@ -366,25 +365,6 @@ TEST(MetricsServer, ScrapeOfClosedPortFailsCleanly)
         port = server.port();
     }
     EXPECT_EQ(scrapeLocal(port), "");
-}
-
-// ------------------------------------------------- task-pool counters
-
-TEST(TaskPoolMetrics, LaneCountersTrackExecutedShards)
-{
-    TaskPool &pool = TaskPool::shared();
-    auto total = [&pool] {
-        uint64_t executed = 0;
-        for (const TaskPool::LaneCounters &lane : pool.laneCounters())
-            executed += lane.executed;
-        return executed;
-    };
-    const uint64_t before = total();
-    std::atomic<int> ran{0};
-    pool.run(16, pool.lanes(), [&ran](size_t, size_t) { ++ran; });
-    EXPECT_EQ(ran.load(), 16);
-    EXPECT_EQ(total() - before, 16u);
-    EXPECT_EQ(pool.busyHelpers(), 0);
 }
 
 // ------------------------------------- serving stats / percentiles
