@@ -112,28 +112,6 @@ putCodebook(Writer &w, const quant::Codebook &cb)
     w.put(w.add(SectionKind::F64, cb.values()));
 }
 
-/** uint8 narrowing of codes already known to be < 256. */
-std::vector<uint8_t>
-narrowU8(const uint16_t *codes, size_t n)
-{
-    std::vector<uint8_t> out(n);
-    for (size_t i = 0; i < n; ++i)
-        out[i] = static_cast<uint8_t>(codes[i]);
-    return out;
-}
-
-/** True when every forward-path codebook fits 8-bit packed codes. */
-bool
-layerPacks(const RLayer &layer)
-{
-    if (layer.inputCodebook.size() > 256)
-        return false;
-    for (const auto &cb : layer.weightCodebooks)
-        if (cb.size() > 256)
-            return false;
-    return !layer.weightCodebooks.empty();
-}
-
 void
 encodeLayer(Writer &w, const RLayer &layer,
             const std::map<const RLayer *, nn::Shape> &inShapes)
@@ -215,41 +193,18 @@ encodeLayer(Writer &w, const RLayer &layer,
         w.put(0);
     }
 
-    // Packed (uint8) weight codes for layers whose codebooks fit 256
-    // entries, precomputed so the SIMD kernel paths map them zero-copy
-    // instead of narrowing at configure time. Dense layers store the
-    // dense tally's padded input-major rows (format v3); they need
-    // only the weight codebook to pack, since input codes are grouped,
-    // not narrowed.
-    const bool packs = layerPacks(layer);
-    if (layer.kind == RLayerKind::Dense &&
-        layer.weightCodebooks[0].size() <= 256) {
-        w.put(1);
-        w.put(w.add(SectionKind::U8, composer::denseRows8Of(layer)));
-    } else {
-        w.put(0);
-    }
-    if (layer.kind == RLayerKind::Conv && packs) {
-        w.put(layer.weightCodes.size());
-        for (const auto &codes : layer.weightCodes)
-            w.put(w.add(SectionKind::U8,
-                        narrowU8(codes.data(), codes.size())));
-    } else {
-        w.put(0);
-    }
-    const bool recPacks = packs &&
-        layer.kind == RLayerKind::Recurrent &&
-        !layer.stateCodebook.empty() &&
-        layer.stateCodebook.size() <= 256 &&
-        !layer.stateWeightCodebooks.empty() &&
-        layer.stateWeightCodebooks[0].size() <= 256;
-    if (recPacks) {
-        w.put(1);
-        w.put(w.add(SectionKind::U8, composer::recXColumns8Of(layer)));
-        w.put(w.add(SectionKind::U8, composer::recHColumns8Of(layer)));
-    } else {
-        w.put(0);
-    }
+    // The tally's packed weight rows (format v5) for compute layers
+    // whose weight codebooks fit 256 entries, precomputed so every
+    // replica maps them zero-copy instead of packing at configure
+    // time; recurrent layers add their feedback path's rows.
+    const bool rows = composer::tallyPacks(layer);
+    w.put(rows ? 1 : 0);
+    if (rows)
+        w.put(w.add(SectionKind::U8, composer::tallyRows8Of(layer)));
+    const bool stateRows = rows && layer.kind == RLayerKind::Recurrent;
+    w.put(stateRows ? 1 : 0);
+    if (stateRows)
+        w.put(w.add(SectionKind::U8, composer::tallyRows8Of(layer, true)));
 
     w.put(layer.inner.size());
     for (const RLayer &inner : layer.inner)
@@ -454,46 +409,25 @@ validateLayer(const RLayer &layer)
 void
 validateDerived(const RLayer &layer)
 {
-    if (!layer.denseRows8.empty()) {
-        RAPIDNN_CHECK(layer.kind == RLayerKind::Dense,
-                      "model blob: packed dense rows on a non-dense "
-                      "layer");
-        const size_t want =
-            layer.inCount * composer::denseRowStride(layer.outCount);
-        RAPIDNN_CHECK(layer.denseRows8.size() == want,
-                      "model blob: packed dense row table of ",
-                      layer.denseRows8.size(), " codes != ", want);
+    const size_t stride = composer::tallyRowStride(layer.outCount);
+    if (!layer.tallyRows8.empty()) {
+        RAPIDNN_CHECK(composer::tallyPacks(layer),
+                      "model blob: tally rows on a layer the tally does "
+                      "not serve");
+        const size_t want = composer::tallyRowCount(layer, false) * stride;
+        RAPIDNN_CHECK(layer.tallyRows8.size() == want,
+                      "model blob: tally row table of ",
+                      layer.tallyRows8.size(), " codes != ", want);
     }
-    if (!layer.weightCodes8.empty()) {
-        RAPIDNN_CHECK(layer.kind == RLayerKind::Conv,
-                      "model blob: packed weight codes on a non-conv "
-                      "layer");
-        RAPIDNN_CHECK(layer.weightCodes8.size() ==
-                          layer.weightCodes.size(),
-                      "model blob: ", layer.weightCodes8.size(),
-                      " packed weight-code blocks != ",
-                      layer.weightCodes.size(), " channels");
-        for (size_t c = 0; c < layer.weightCodes8.size(); ++c)
-            RAPIDNN_CHECK(layer.weightCodes8[c].size() ==
-                              layer.weightCodes[c].size(),
-                          "model blob: packed weight-code block ", c,
-                          " of ", layer.weightCodes8[c].size(),
-                          " codes != ", layer.weightCodes[c].size());
-    }
-    if (!layer.recXColumns8.empty() || !layer.recHColumns8.empty()) {
-        RAPIDNN_CHECK(layer.kind == RLayerKind::Recurrent,
-                      "model blob: packed recurrent columns on a "
-                      "non-recurrent layer");
-        RAPIDNN_CHECK(layer.recXColumns8.size() ==
-                          layer.weightCodes[0].size(),
-                      "model blob: packed recurrent x-column count ",
-                      layer.recXColumns8.size(), " != weight codes ",
-                      layer.weightCodes[0].size());
-        RAPIDNN_CHECK(layer.recHColumns8.size() ==
-                          layer.stateWeightCodes[0].size(),
-                      "model blob: packed recurrent h-column count ",
-                      layer.recHColumns8.size(), " != state codes ",
-                      layer.stateWeightCodes[0].size());
+    if (!layer.stateRows8.empty()) {
+        RAPIDNN_CHECK(layer.kind == RLayerKind::Recurrent &&
+                          composer::tallyPacks(layer),
+                      "model blob: state rows on a layer the tally does "
+                      "not serve");
+        const size_t want = composer::tallyRowCount(layer, true) * stride;
+        RAPIDNN_CHECK(layer.stateRows8.size() == want,
+                      "model blob: state row table of ",
+                      layer.stateRows8.size(), " codes != ", want);
     }
     if (layer.convPlan.has_value()) {
         RAPIDNN_CHECK(layer.kind == RLayerKind::Conv,
@@ -527,9 +461,9 @@ validateDerived(const RLayer &layer)
             RAPIDNN_CHECK(p.start[i - 1] <= p.start[i],
                           "model blob: conv plan window offsets not "
                           "monotonic");
-            // The serve path gathers a window into buffers sized to
-            // weightCodes[0].size() == inCount (inC*k*k), so a window
-            // wider than the fan-in would write out of bounds.
+            // A window holds at most one slot per weight offset, and
+            // the serve path's window buffers are sized to the fan-in
+            // (inCount = inC*k*k), so a wider window is malformed.
             RAPIDNN_CHECK(p.start[i] - p.start[i - 1] <= layer.inCount,
                           "model blob: conv plan window of ",
                           p.start[i] - p.start[i - 1],
@@ -659,37 +593,33 @@ readLayer(const Parsed &p, MetaCursor &cur, size_t depth)
         layer.convPlan = std::move(plan);
     }
 
-    // Format v2: packed (uint8) weight-code twins. Version-gated so
-    // v1 blobs (whose streams end a layer right after the conv plan)
-    // still parse; sizes are pinned in validateDerived and element
-    // equality against the 16-bit arrays is re-checked by the RNA
-    // layer context before the codes are ever dispatched on. The
-    // dense slot holds the padded input-major rows from v3 on; a v2
-    // file's neuron-major packed columns are type-checked and left
-    // unused, and the context derives the rows from weightCodes at
-    // configure time.
-    if (p.version >= 2) {
-        if (cur.flag("has packed dense codes")) {
-            Array<uint8_t> dense = p.view<uint8_t>(
-                cur.next("packed dense codes"), SectionKind::U8,
-                "packed dense codes");
-            if (p.version >= 3)
-                layer.denseRows8 = std::move(dense);
-        }
+    // Format v5: the tally rows. Sizes are pinned in validateDerived,
+    // and every code is re-checked against the 16-bit arrays by the RNA
+    // layer context before the tally reads it. Versions 2-4 stored
+    // other packed layouts here (dense rows or columns, per-channel
+    // conv codes, recurrent columns); each is type- and bounds-checked
+    // like any section reference, then left unused, and the context
+    // derives the rows at configure time.
+    if (p.version >= 5) {
+        if (cur.flag("has tally rows"))
+            layer.tallyRows8 = p.view<uint8_t>(
+                cur.next("tally rows"), SectionKind::U8, "tally rows");
+        if (cur.flag("has state rows"))
+            layer.stateRows8 = p.view<uint8_t>(
+                cur.next("state rows"), SectionKind::U8, "state rows");
+    } else if (p.version >= 2) {
+        if (cur.flag("has packed dense codes"))
+            p.section(cur.next("packed dense codes"), SectionKind::U8,
+                      "packed dense codes");
         count = cur.bounded("packed weight code blocks",
                             kMaxBlockCount);
         for (uint64_t i = 0; i < count; ++i)
-            layer.weightCodes8.push_back(p.view<uint8_t>(
-                cur.next("packed weight codes"), SectionKind::U8,
-                "packed weight codes"));
-        if (cur.flag("has packed recurrent columns")) {
-            layer.recXColumns8 = p.view<uint8_t>(
-                cur.next("packed recurrent x columns"),
-                SectionKind::U8, "packed recurrent x columns");
-            layer.recHColumns8 = p.view<uint8_t>(
-                cur.next("packed recurrent h columns"),
-                SectionKind::U8, "packed recurrent h columns");
-        }
+            p.section(cur.next("packed weight codes"), SectionKind::U8,
+                      "packed weight codes");
+        if (cur.flag("has packed recurrent columns"))
+            for (const char *what : {"packed recurrent x columns",
+                                     "packed recurrent h columns"})
+                p.section(cur.next(what), SectionKind::U8, what);
     }
 
     count = cur.bounded("inner layers", kMaxBlockCount);

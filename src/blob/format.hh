@@ -43,13 +43,15 @@ constexpr uint32_t kBlobMagic = 0x424E4E52;
  * dense layers' packed section from neuron-major columns to the dense
  * tally's input-major rows, padded to 8-neuron groups. Version 4 drops
  * the u16 neuron-major weight columns (dense, recurrent x and h) that
- * versions 1-3 stored after the state block. The loader still reads
- * versions 1-3 (the packed fields are version-gated in the meta
- * stream; a v2 dense section and the v1-v3 u16 columns are
- * type-checked and ignored); the writer always emits the current
- * version.
+ * versions 1-3 stored after the state block. Version 5 replaces the
+ * packed sections with the tally's rows for every compute layer (dense,
+ * conv window offsets, recurrent x) plus the recurrent feedback rows.
+ * The loader still reads versions 1-4 (the packed fields are
+ * version-gated in the meta stream; their sections and the v1-v3 u16
+ * columns are type-checked and ignored, and the rows are derived at
+ * configure time); the writer always emits the current version.
  */
-constexpr uint32_t kBlobVersion = 4;
+constexpr uint32_t kBlobVersion = 5;
 constexpr uint32_t kMinBlobVersion = 1;
 constexpr uint32_t kHeaderBytes = 64;
 constexpr uint32_t kSectionEntryBytes = 24;

@@ -2,8 +2,8 @@
  * @file
  * Runtime CPU-feature detection and the SIMD kernel dispatch surface.
  *
- * The inference hot loops (code gather + tally, the dense tally,
- * direct-indexed NDCAM lookup) run through a table of
+ * The inference hot loops (the weighted-accumulation tally, NDCAM
+ * lookups, max pooling) run through a table of
  * function pointers selected once per Chip::configure from the host's
  * CPU features, a `RAPIDNN_SIMD` environment override, or an explicit
  * `ChipConfig::simd` request. The per-ISA implementations live in
@@ -54,8 +54,8 @@ struct CpuFeatures
 {
     bool avx2 = false;
     bool avx512 = false;  //!< AVX-512 F and BW
-    /** AVX-512 VPOPCNTDQ: the dense tally's hardware popcount; without
-     *  it the AVX-512 tally counts bits through a nibble table. */
+    /** AVX-512 VPOPCNTDQ: the tally's hardware popcount; without it
+     *  the AVX-512 tally counts bits through a nibble table. */
     bool avx512vpopcntdq = false;
     bool neon = false;
 };
@@ -132,39 +132,45 @@ featureString()
     return s;
 }
 
-/** Neurons one dense-tally group covers (one u64 lane each). */
-inline constexpr size_t kDenseGroup = 8;
+/** Neurons one tally group covers (one u64 lane each). */
+inline constexpr size_t kTallyGroup = 8;
 
 /**
- * One call of KernelOps::denseTally: a range of 8-neuron groups of one
- * dense layer for one batch lane.
+ * One call of KernelOps::tally: a range of 8-neuron groups of one
+ * weight matrix for one batch lane (a dense layer, one conv output
+ * position, or one recurrent operand path).
  *
- * The lane's fan-in indices arrive grouped by input code (`order`,
- * split into non-empty buckets by `bucketStart`), so within a bucket
- * every edge shares its input code u and a neuron's (w, u) counts are
- * just the histogram of its weight codes over the bucket. The kernel
- * keeps that histogram for 8 neurons at once as bit-sliced counter
- * planes (one u64 per neuron and plane, bit w of plane p = bit p of
- * count(w, u)) and reads it out at bucket end: `distinct` grows by the
- * popcount of the OR of the planes, `addends` by popcount(c ^ 3c)
- * taken across the planes, which is the number of non-zero digits in
- * the non-adjacent form of c (csdTerms[c]). `sums` is the int64 sum of
- * the padded products over all edges, order-free and exact.
+ * The lane's fan-in arrives grouped by input code: `order` lists the
+ * weight-row index of every edge, split into non-empty buckets by
+ * `bucketStart`, so within a bucket every edge shares its input code u
+ * and a neuron's (w, u) counts are just the histogram of its weight
+ * codes over the bucket. The kernel keeps that histogram for 8 neurons
+ * at once as bit-sliced counter planes (one u64 per neuron and plane,
+ * bit w of plane p = bit p of count(w, u)) and reads it out at bucket
+ * end: `distinct` grows by the popcount of the OR of the planes,
+ * `addends` by popcount(c ^ 3c) taken across the planes, which is the
+ * number of non-zero digits in the non-adjacent form of c (the CSD
+ * terms of c). `sums` is the int64 sum of the products over all edges,
+ * order-free and exact; neuron j reads its product of (w, u) at
+ * products[productBase[j] + ((w << shift) | u)], so neurons with their
+ * own codebooks (conv channels) read their own padded table. Every
+ * productBase must be a multiple of 1 << shift.
  *
  * Outputs are written for every neuron of [groupBegin * 8,
  * groupEnd * 8), padding neurons included, neuron groupBegin * 8 + k
  * at index k; weight codes must be below maskWords * 64 (at most 256
  * entries).
  */
-struct DenseTallyJob
+struct TallyJob
 {
     const uint8_t *rows;          //!< [fanIn][rowStride] weight codes
-    size_t rowStride;             //!< neurons padded to kDenseGroup
-    const uint32_t *order;        //!< fan-in indices grouped by code
+    size_t rowStride;             //!< neurons padded to kTallyGroup
+    const uint32_t *order;        //!< row indices grouped by code
     const uint32_t *bucketStart;  //!< [buckets + 1] offsets into order
     const uint16_t *bucketCode;   //!< input code of each bucket
     size_t buckets;               //!< non-empty buckets only
-    const int64_t *products;      //!< padded table at (w << shift) | u
+    const int64_t *products;      //!< padded tables, end to end
+    const uint64_t *productBase;  //!< [rowStride] table start per neuron
     uint32_t shift;
     uint32_t maskWords;           //!< ceil(weight entries / 64), 1..4
     size_t groupBegin;
@@ -179,29 +185,13 @@ struct DenseTallyJob
  * primitive, filled by the per-ISA translation units under
  * `src/rna/kernels/`. Consumers receive a resolved table by reference
  * (never a variant to re-resolve), so the selection cost is paid once
- * per Chip::configure.
- *
- * Buffer contracts (asserted by the equivalence tests, relied on by
- * the gather implementations):
- *  - `gather8` may read up to 3 bytes past the addressed element, so
- *    its source must carry >= `kTailSlackBytes` of tail padding —
- *    every AlignedVec below guarantees this; plain model arrays and
- *    blob views must NOT be gather sources.
- *  - All other kernels only read/write the exact [0, n) ranges they
- *    are given (vector bodies are bounded, tails run scalar), so they
- *    are safe on unpadded, unaligned memory.
+ * per Chip::configure. Every kernel reads and writes only the exact
+ * ranges it is given (vector bodies are bounded, tails run scalar), so
+ * all are safe on unpadded, unaligned memory.
  */
 struct KernelOps
 {
     const char *name;  //!< variantName() of the implementing ISA
-
-    /** dst[i] = uint8_t(src[i]); caller guarantees src[i] < 256. */
-    void (*narrow)(const uint16_t *src, size_t n, uint8_t *dst);
-
-    /** dst[i] = src[idx[i]]. `src` needs kTailSlackBytes of padding
-     *  past its last addressable element (AlignedVec sources only). */
-    void (*gather8)(const uint8_t *src, const uint32_t *idx, size_t n,
-                    uint8_t *dst);
 
     /** Maximum element of v[0..n); n >= 1. */
     uint16_t (*maxU16)(const uint16_t *v, size_t n);
@@ -229,51 +219,25 @@ struct KernelOps
                          uint32_t *rows);
 
     /**
-     * Sum of table[keys[i]] over [0, n) as one int64 total — the
-     * fixed-point accumulation value (per tallied cell the CSD terms
-     * of its count sum to exactly product * count, so the whole
-     * reduction telescopes to this gather-sum). Integer addition is
-     * associative, so lane order is free while the total stays
-     * bit-exact. Only [0, n) of keys is read; every key must index a
-     * readable table slot (the padded product table guarantees this).
+     * The weighted-accumulation tally of every compute layer (see
+     * TallyJob): counts, CSD terms and product sums of 8 neurons at a
+     * time, held in registers. Every variant writes bitwise-identical
+     * outputs; only `rows` is read through `order` and only the job's
+     * group range is written.
      */
-    int64_t (*gatherSum16)(const int64_t *table, const uint16_t *keys,
-                           size_t n);
-
-    /**
-     * Fused pair keys over 8-bit packed codes for every batch lane
-     * L < lanes: keys[L * keyStride + i] = (w[i] << shift) | xs[L][i]
-     * over [0, n). One weight column serves all lanes, so the vector
-     * variants load and shift `w` once per chunk and reuse it across
-     * the lane-inner loop. Only [0, n) of every lane's stripe is
-     * written (keyStride >= n).
-     */
-    void (*pairKeys8Lanes)(const uint8_t *w,
-                           const uint8_t *const *xs, size_t lanes,
-                           size_t n, uint32_t shift, uint16_t *keys,
-                           size_t keyStride);
-
-    /**
-     * The dense-layer tally (see DenseTallyJob): counts, CSD terms and
-     * product sums of 8 neurons at a time, held in registers. Every
-     * variant writes bitwise-identical outputs; only `rows` is read
-     * through `order` and only the job's group range is written.
-     */
-    void (*denseTally)(const DenseTallyJob &job);
+    void (*tally)(const TallyJob &job);
 };
 
 /** Alignment of every kernel scratch buffer (one cache line). */
 inline constexpr size_t kKernelAlign = 64;
 
-/** Guaranteed readable slack past an AlignedVec's last element, so
- *  4-byte-per-lane gathers never fault on the tail. */
+/** Guaranteed readable slack past an AlignedVec's last element. */
 inline constexpr size_t kTailSlackBytes = 64;
 
 /**
  * Grow-only scratch buffer with kKernelAlign alignment and
  * kTailSlackBytes of allocated (readable, unspecified-value) tail
- * slack: the layout every gather kernel requires of its sources and
- * the cache-line-aligned lanes the workspace hands each shard.
+ * slack, so vector loads near the end never fault.
  * Contents are NOT preserved across ensure() growth — this is reset-
  * per-use scratch, not carried data.
  */

@@ -424,57 +424,34 @@ ReinterpretedModel::describe() const
     return os.str();
 }
 
-std::vector<uint8_t>
-denseRows8Of(const RLayer &layer)
+bool
+tallyPacks(const RLayer &layer)
 {
-    RAPIDNN_ASSERT(!layer.weightCodes.empty(), "layer without weights");
-    RAPIDNN_ASSERT(layer.weightCodebooks[0].size() <= 256,
-                   "dense rows need a weight codebook of <= 256 entries");
-    const auto &codes = layer.weightCodes[0];
-    const size_t stride = denseRowStride(layer.outCount);
-    std::vector<uint8_t> rows(layer.inCount * stride, 0);
-    for (size_t i = 0; i < layer.inCount; ++i)
+    if (layer.kind != RLayerKind::Dense && layer.kind != RLayerKind::Conv &&
+        layer.kind != RLayerKind::Recurrent)
+        return false;
+    bool packs = !layer.weightCodebooks.empty();
+    for (const auto &cb : layer.weightCodebooks)
+        packs = packs && cb.size() <= 256;
+    if (layer.kind == RLayerKind::Recurrent)
+        packs = packs && !layer.stateWeightCodebooks.empty() &&
+                layer.stateWeightCodebooks[0].size() <= 256;
+    return packs;
+}
+
+std::vector<uint8_t>
+tallyRows8Of(const RLayer &layer, bool statePath)
+{
+    RAPIDNN_ASSERT(tallyPacks(layer),
+                   "tally rows need weight codebooks of <= 256 entries");
+    const size_t stride = tallyRowStride(layer.outCount);
+    const size_t rows = tallyRowCount(layer, statePath);
+    std::vector<uint8_t> out(rows * stride, 0);
+    for (size_t i = 0; i < rows; ++i)
         for (size_t j = 0; j < layer.outCount; ++j)
-            rows[i * stride + j] =
-                static_cast<uint8_t>(codes[i * layer.outCount + j]);
-    return rows;
-}
-
-namespace {
-
-/** Packed transpose of a row-major [rows][cols] code matrix. */
-std::vector<uint8_t>
-packedColumns(const Array<uint16_t> &codes, size_t rows, size_t cols)
-{
-    std::vector<uint8_t> columns(rows * cols);
-    for (size_t r = 0; r < rows; ++r)
-        for (size_t c = 0; c < cols; ++c)
-            columns[c * rows + r] =
-                static_cast<uint8_t>(codes[r * cols + c]);
-    return columns;
-}
-
-} // namespace
-
-std::vector<uint8_t>
-recXColumns8Of(const RLayer &layer)
-{
-    RAPIDNN_ASSERT(!layer.weightCodes.empty(), "layer without weights");
-    RAPIDNN_ASSERT(layer.weightCodebooks[0].size() <= 256,
-                   "packed columns need a codebook of <= 256 entries");
-    return packedColumns(layer.weightCodes[0], layer.inCount,
-                         layer.outCount);
-}
-
-std::vector<uint8_t>
-recHColumns8Of(const RLayer &layer)
-{
-    RAPIDNN_ASSERT(!layer.stateWeightCodes.empty(),
-                   "layer without state weights");
-    RAPIDNN_ASSERT(layer.stateWeightCodebooks[0].size() <= 256,
-                   "packed columns need a codebook of <= 256 entries");
-    return packedColumns(layer.stateWeightCodes[0], layer.outCount,
-                         layer.outCount);
+            out[i * stride + j] = static_cast<uint8_t>(
+                tallyWeightCode(layer, statePath, i, j));
+    return out;
 }
 
 nn::Shape

@@ -106,24 +106,19 @@ struct RLayer
     std::vector<Array<double>> stateProductTables;
 
     /**
-     * Deploy-time execution artifacts: packed (uint8) weight codes for
-     * the production path, for layers whose codebooks fit 256
-     * entries. denseRows8 is the input-major dense matrix the dense
-     * tally reads, weightCodes[0] narrowed with each row padded to
-     * denseRowStride(outCount) neurons (padding codes are 0) — see
-     * denseRows8Of(). weightCodes8 mirrors the per-channel conv
-     * weightCodes and recX/recHColumns8 are the hidden-unit-major
-     * transposes of the recurrent x/h weights (recXColumns8Of()). The
-     * blob format precomputes them into the file (dense rows from
-     * version 3) so every Chip replica shares one mapped copy; heap
-     * models leave them empty and the RNA layer contexts derive them
-     * at configure time. Loaded values are untrusted and validated
-     * element-wise against the 16-bit arrays.
+     * Deploy-time execution artifacts: the packed (uint8) weight rows
+     * the production path's tally reads, for compute layers whose
+     * weight codebooks fit 256 entries (tallyPacks()). tallyRows8 holds
+     * the forward path (dense fan-in, conv window offsets, recurrent
+     * x), stateRows8 the recurrent feedback path; see tallyRows8Of().
+     * The blob format precomputes them into the file (version 5) so
+     * every Chip replica shares one mapped copy; heap models leave them
+     * empty and the RNA layer contexts derive them at configure time.
+     * Loaded values are untrusted and validated element-wise against
+     * the 16-bit arrays.
      */
-    Array<uint8_t> denseRows8;
-    std::vector<Array<uint8_t>> weightCodes8;
-    Array<uint8_t> recXColumns8;
-    Array<uint8_t> recHColumns8;
+    Array<uint8_t> tallyRows8;
+    Array<uint8_t> stateRows8;
 
     struct ConvPlanData
     {
@@ -223,32 +218,53 @@ class ReinterpretedModel
                                  std::vector<double> *rawOut) const;
 };
 
-/**
- * Hidden-unit-major packed transposes of a recurrent layer's x-path
- * ([h * inCount + f]) and feedback-path ([h * outCount + h']) weight
- * codes, the columns the recurrent production path keys per hidden
- * unit. Shared by the RNA layer contexts (heap models derive them at
- * configure time) and the blob writer (which precomputes them into
- * the file). Require codebooks of <= 256 entries.
- */
-std::vector<uint8_t> recXColumns8Of(const RLayer &layer);
-std::vector<uint8_t> recHColumns8Of(const RLayer &layer);
-
-/** Neurons per packed dense row: outCount rounded up to the dense
- *  tally's 8-neuron group. */
+/** Neurons per packed tally row: outCount rounded up to the tally's
+ *  8-neuron group. */
 inline size_t
-denseRowStride(size_t outCount)
+tallyRowStride(size_t outCount)
 {
     return (outCount + 7) / 8 * 8;
 }
 
 /**
- * The packed input-major dense matrix: row i holds the uint8 weight
- * codes of input i for every neuron, [i * denseRowStride(outCount) +
- * j], with padding neurons at code 0. Requires a weight codebook of
- * at most 256 entries.
+ * True when the production tally serves this compute layer: every
+ * weight codebook it reads fits 8-bit codes (the state path's too, for
+ * a recurrent layer). Input codes are grouped, not narrowed, so the
+ * input codebooks may be any size.
  */
-std::vector<uint8_t> denseRows8Of(const RLayer &layer);
+bool tallyPacks(const RLayer &layer);
+
+/**
+ * Weight code on tally row i of neuron j: the dense weight of input i,
+ * the conv weight at window offset i of output channel j, the
+ * recurrent x weight of feature i, or (statePath) the recurrent
+ * feedback weight of hidden unit i.
+ */
+inline uint16_t
+tallyWeightCode(const RLayer &layer, bool statePath, size_t i, size_t j)
+{
+    if (statePath)
+        return layer.stateWeightCodes[0][i * layer.outCount + j];
+    if (layer.kind == RLayerKind::Conv)
+        return layer.weightCodes[j][i];
+    return layer.weightCodes[0][i * layer.outCount + j];
+}
+
+/** Tally rows of a layer: inCount rows, or outCount on the state
+ *  path. */
+inline size_t
+tallyRowCount(const RLayer &layer, bool statePath)
+{
+    return statePath ? layer.outCount : layer.inCount;
+}
+
+/**
+ * The packed rows the tally reads: row i holds tallyWeightCode(layer,
+ * statePath, i, j) for every neuron j, [i * tallyRowStride(outCount) +
+ * j], with padding neurons at code 0. Requires tallyPacks(layer).
+ */
+std::vector<uint8_t> tallyRows8Of(const RLayer &layer,
+                                  bool statePath = false);
 
 /** Output shape of one layer for a given input shape. */
 nn::Shape layerOutputShape(const RLayer &layer, const nn::Shape &in);

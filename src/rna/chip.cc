@@ -214,6 +214,7 @@ buildConvGatherPlan(ConvGatherPlan &plan, const composer::RLayer &layer,
     plan.start = std::move(start);
     plan.weightIdx = std::move(weightIdx);
     plan.inputIdx = std::move(inputIdx);
+    plan.counting.clear();
 }
 
 void
@@ -262,8 +263,6 @@ Chip::buildWorkspace()
     Workspace &ws = *_workspace;
     const auto &ctxs = _contexts->contexts;
     ws.convPlans.resize(ctxs.size());
-    for (const auto &ctx : ctxs)
-        ctx->prepareWorkspace(ws);
 
     // Blob-loaded models carry precomputed gather plans for the
     // canonical input shape; install them as zero-copy views so the
@@ -316,54 +315,38 @@ Chip::buildWorkspace()
     // growth.
     const size_t mb = std::max<size_t>(1, _config.maxBatch);
     if (_config.fastPath) {
-        size_t maxFanIn = 1;
-        size_t maxHidden = 0;
-        size_t windowMax = 0;
-        size_t maxIn = 0, maxCodes = 0;
+        // Tally inputs and outputs for the widest layer: one grouped
+        // fan-in per lane, kPassNeurons output slots per lane (a conv
+        // position needs one stride, a recurrent step two).
+        size_t maxFanIn = 0, maxCodes = 0, slots = 0, staged = 0;
         for (const auto &ctx : ctxs) {
+            if (!ctx->hasTally())
+                continue;
             const RLayer &layer = ctx->layer();
-            if (ctx->hasDenseRows()) {
-                maxIn = std::max(maxIn, layer.inCount);
-                maxCodes = std::max(maxCodes, layer.inputEntries());
-            } else if (layer.kind == RLayerKind::Conv && ctx->packed()) {
-                windowMax = std::max(windowMax,
-                                     layer.weightCodes[0].size());
-                maxFanIn = std::max(maxFanIn, windowMax);
-            } else if (ctx->packedRecurrent()) {
-                maxHidden = std::max(maxHidden, layer.outCount);
-                maxFanIn = std::max(
-                    {maxFanIn, layer.inCount, layer.outCount});
+            maxFanIn = std::max({maxFanIn, layer.inCount, layer.outCount});
+            maxCodes = std::max(
+                {maxCodes, layer.inputEntries(), layer.stateCodebook.size()});
+            slots = std::max({slots, mb * TallyScratch::kPassNeurons,
+                              2 * ctx->tallyStride()});
+            staged = std::max(staged, mb * TallyScratch::kPassNeurons);
+            if (layer.kind == RLayerKind::Conv)
+                staged = std::max(staged, mb * maxElems);
+            if (layer.kind == RLayerKind::Recurrent) {
+                ws.hCodes.reserve(layer.outCount);
+                ws.hNext.reserve(layer.outCount);
+                ws.hRaw.reserve(layer.outCount);
+                ws.hRawNext.reserve(layer.outCount);
             }
         }
-        if (windowMax > 0 || maxHidden > 0) {
-            ws.actB8.ensure(mb * maxElems);
-            ws.keysB.ensure(mb * maxFanIn);
-            ws.lanePtrsX.reserve(mb);
-            ws.lanePtrsH.reserve(mb);
-        }
-        if (windowMax > 0) {
-            ws.valsB.ensure(mb * maxElems);
-            ws.codesB.ensure(mb * maxElems);
-            ws.amKeys.ensure(mb * maxElems);
-            ws.amRows.ensure(mb * maxElems);
-            ws.gx8B.ensure(mb * windowMax);
-        }
-        if (maxHidden > 0) {
-            ws.h8B.ensure(mb * maxHidden);
-            ws.keysHB.ensure(mb * maxFanIn);
-            ws.hCodesB.reserve(mb * maxHidden);
-            ws.hNextB.reserve(mb * maxHidden);
-            ws.hRawB.reserve(mb * maxHidden);
-            ws.hRawNextB.reserve(mb * maxHidden);
-            ws.neuronCostsB.resize(mb * maxHidden);
-            ws.stepWorstB.reserve(mb);
-        }
-        if (maxIn > 0) {
-            ws.denseInputs.resize(mb);
-            for (InputBuckets &b : ws.denseInputs)
-                b.reserve(maxIn, maxCodes);
-            ws.laneCodes.reserve(mb);
-            ws.dense.ensure(mb);
+        if (slots > 0) {
+            ws.inputs.resize(std::max<size_t>(mb, 2));
+            for (InputBuckets &b : ws.inputs)
+                b.reserve(maxFanIn, maxCodes);
+            ws.tally.ensure(slots);
+            ws.valsB.ensure(staged);
+            ws.codesB.ensure(staged);
+            ws.amKeys.ensure(staged);
+            ws.amRows.ensure(staged);
         }
     }
     for (size_t i = 0; i < 4 * mb; ++i) {
@@ -811,14 +794,14 @@ Chip::finalizeReport(InferTally &t, size_t logitCount,
 
 void
 Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
-                    const uint16_t *const *inputs, size_t lanes,
-                    bool lastCompute, Workspace &ws,
-                    LayerRun *runs) const
+                    std::span<const EncodedTensor> ins, bool lastCompute,
+                    Workspace &ws, LayerRun *runs) const
 {
-    constexpr size_t kPass = DenseTallyScratch::kNeurons;
-    constexpr size_t kGroupsPerPass = kPass / simd::kDenseGroup;
+    const size_t lanes = ins.size();
+    constexpr size_t kPass = TallyScratch::kPassNeurons;
+    constexpr size_t kGroupsPerPass = kPass / simd::kTallyGroup;
     const size_t outCount = layer.outCount;
-    const size_t groups = ctx.denseRowStride() / simd::kDenseGroup;
+    const size_t groups = ctx.tallyStride() / simd::kTallyGroup;
     for (size_t L = 0; L < lanes; ++L) {
         runs[L].reset();
         runs[L].output.shape = {outCount};
@@ -834,11 +817,11 @@ Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
 
     // Group every lane's fan-in by input code once; all neurons of the
     // layer share the grouping.
-    if (ws.denseInputs.size() < lanes)
-        ws.denseInputs.resize(lanes);
+    if (ws.inputs.size() < lanes)
+        ws.inputs.resize(lanes);
     for (size_t L = 0; L < lanes; ++L)
-        ws.denseInputs[L].build(inputs[L], layer.inCount,
-                                layer.inputEntries());
+        ws.inputs[L].build(ins[L].codes.data(), layer.inCount,
+                           layer.inputEntries());
     const bool hasAct = ctx.hasActivation();
     const bool hasEnc = ctx.hasEncoder();
     const nvm::OpCost actQ =
@@ -864,38 +847,42 @@ Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
     // across the lanes) tallied for every lane, turned into values and
     // costs in neuron order, then one activation/encoding batch lookup
     // over the pass's (neuron x lane) slots.
-    DenseTallyScratch &st = ws.dense;
-    st.ensure(lanes);
+    TallyScratch &st = ws.tally;
+    st.ensure(lanes * kPass);
+    ws.valsB.ensure(lanes * kPass);
+    ws.codesB.ensure(lanes * kPass);
+    ws.amKeys.ensure(lanes * kPass);
+    ws.amRows.ensure(lanes * kPass);
     for (size_t g = 0; g < groups; g += kGroupsPerPass) {
         const size_t gEnd = std::min(groups, g + kGroupsPerPass);
         for (size_t L = 0; L < lanes; ++L)
-            ctx.denseTally(ws.denseInputs[L], g, gEnd,
-                           st.sums.data() + L * kPass,
-                           st.distinct.data() + L * kPass,
-                           st.addends.data() + L * kPass);
-        const size_t begin = g * simd::kDenseGroup;
+            ctx.tally(ws.inputs[L], g, gEnd, st.sums.data() + L * kPass,
+                      st.distinct.data() + L * kPass,
+                      st.addends.data() + L * kPass);
+        const size_t begin = g * simd::kTallyGroup;
         const size_t n =
-            std::min(outCount, gEnd * simd::kDenseGroup) - begin;
+            std::min(outCount, gEnd * simd::kTallyGroup) - begin;
         for (size_t k = 0; k < n; ++k) {
+            const size_t j = begin + k;
             for (size_t L = 0; L < lanes; ++L) {
                 const size_t at = L * kPass + k;
-                const AccumResult a = ctx.denseResult(
-                    begin + k, st.sums[at], st.distinct[at],
-                    st.addends[at], ws.accum);
-                st.vals[k * lanes + L] = a.value;
+                const AccumResult a = ctx.tallyResult(
+                    j, st.sums[at], st.distinct[at], st.addends[at],
+                    layer.inCount, ctx.countingCycles(j), ws.accum);
+                ws.valsB[k * lanes + L] = a.value;
                 reduce(L, a.cost.total());
             }
         }
-        double *vals = st.vals.data();
-        ctx.activateBatch(vals, vals, n * lanes, st.amKeys.data(),
-                          st.amRows.data());
+        double *vals = ws.valsB.data();
+        ctx.activateBatch(vals, vals, n * lanes, ws.amKeys.data(),
+                          ws.amRows.data());
         if (hasEnc) {
-            ctx.encodeBatch(vals, n * lanes, st.amKeys.data(),
-                            st.amRows.data(), st.codes.data());
+            ctx.encodeBatch(vals, n * lanes, ws.amKeys.data(),
+                            ws.amRows.data(), ws.codesB.data());
             for (size_t k = 0; k < n; ++k)
                 for (size_t L = 0; L < lanes; ++L)
                     runs[L].output.codes[begin + k] =
-                        st.codes[k * lanes + L];
+                        ws.codesB[k * lanes + L];
         }
         if (lastCompute)
             for (size_t k = 0; k < n; ++k)
@@ -905,6 +892,205 @@ Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
     const size_t waves = rnaWaves(_config, outCount);
     for (size_t L = 0; L < lanes; ++L)
         runs[L].stageCycles *= waves;
+}
+
+void
+Chip::runConvTally(const RLayer &layer, const RnaLayerContext &ctx,
+                   std::span<const EncodedTensor> ins, bool lastCompute,
+                   Workspace &ws, LayerRun *runs) const
+{
+    // Position-major: at each output position every lane groups its
+    // window by input code once and tallies all output channels over
+    // it. The counting cycles depend only on the (clipped) weight
+    // window, so the plan keeps them for every lane and call.
+    const size_t lanes = ins.size();
+    RAPIDNN_ASSERT(ins[0].shape.size() == 3, "conv needs [C, H, W]");
+    const size_t inC = ins[0].shape[0];
+    const size_t h = ins[0].shape[1], w = ins[0].shape[2];
+    const size_t k = layer.kernel;
+    const size_t oh = layer.samePadding ? h : h - k + 1;
+    const size_t ow = layer.samePadding ? w : w - k + 1;
+    ConvGatherPlan *plan = &ws.convPlans[_contexts->byLayer.at(&layer)];
+    if (!plan->matches(inC, h, w))
+        buildConvGatherPlan(*plan, layer, inC, h, w);
+
+    const size_t positions = oh * ow;
+    const size_t flatNeurons = layer.outCount * positions;
+    const size_t groups = ctx.tallyStride() / simd::kTallyGroup;
+    if (plan->counting.empty())
+        plan->counting = ctx.windowCountingCycles(*plan);
+    for (size_t L = 0; L < lanes; ++L) {
+        runs[L].reset();
+        runs[L].output.shape = {layer.outCount, oh, ow};
+        if (!layer.outputEncoder.empty()) {
+            runs[L].output.codes = ws.takeCodes();
+            runs[L].output.codes.assign(flatNeurons, 0);
+        }
+        if (lastCompute) {
+            runs[L].raw = ws.takeRaw();
+            runs[L].raw.assign(flatNeurons, 0.0);
+        }
+    }
+    ws.valsB.ensure(lanes * flatNeurons);
+    ws.codesB.ensure(lanes * flatNeurons);
+    ws.amKeys.ensure(lanes * positions);
+    ws.amRows.ensure(lanes * positions);
+    if (ws.accumCostB.size() < lanes * flatNeurons)
+        ws.accumCostB.resize(lanes * flatNeurons);
+    TallyScratch &st = ws.tally;
+    st.ensure(ctx.tallyStride());
+    if (ws.inputs.empty())
+        ws.inputs.resize(1);
+    InputBuckets &window = ws.inputs[0];
+
+    for (size_t p = 0; p < positions; ++p) {
+        const uint32_t s0 = plan->start[p];
+        const size_t n = plan->start[p + 1] - s0;
+        const uint32_t *counting = plan->counting.data() + p * layer.outCount;
+        for (size_t L = 0; L < lanes; ++L) {
+            window.build(ins[L].codes.data(), plan->inputIdx.data() + s0,
+                         plan->weightIdx.data() + s0, n,
+                         layer.inputEntries());
+            ctx.tally(window, 0, groups, st.sums.data(),
+                      st.distinct.data(), st.addends.data());
+            for (size_t oc = 0; oc < layer.outCount; ++oc) {
+                const AccumResult a = ctx.tallyResult(
+                    oc, st.sums[oc], st.distinct[oc], st.addends[oc], n,
+                    counting[oc], ws.accum);
+                const size_t slot = (oc * positions + p) * lanes + L;
+                ws.valsB[slot] = a.value;
+                ws.accumCostB[slot] = a.cost.total();
+            }
+        }
+    }
+    const bool hasAct = ctx.hasActivation();
+    const bool hasEnc = ctx.hasEncoder();
+    for (size_t oc = 0; oc < layer.outCount; ++oc) {
+        // Slots for one channel span a contiguous (position x lane)
+        // range in the neuron-major layout: one AM batch call per
+        // channel covers every lane.
+        const size_t base = oc * positions * lanes;
+        const size_t nb = positions * lanes;
+        double *vals = ws.valsB.data() + base;
+        ctx.activateBatch(vals, vals, nb, ws.amKeys.data(),
+                          ws.amRows.data());
+        if (hasEnc)
+            ctx.encodeBatch(vals, nb, ws.amKeys.data(), ws.amRows.data(),
+                            ws.codesB.data() + base);
+    }
+    for (size_t L = 0; L < lanes; ++L) {
+        if (hasEnc)
+            for (size_t oidx = 0; oidx < flatNeurons; ++oidx)
+                runs[L].output.codes[oidx] = ws.codesB[oidx * lanes + L];
+        if (lastCompute)
+            for (size_t oidx = 0; oidx < flatNeurons; ++oidx)
+                runs[L].raw[oidx] = ws.valsB[oidx * lanes + L];
+    }
+    // Per-lane flat reduction with the per-layer-constant AM query
+    // costs re-added per neuron, exactly as the dense path above.
+    const nvm::OpCost actQ =
+        hasAct ? ctx.activationQueryCost() : nvm::OpCost{};
+    const nvm::OpCost encQ =
+        hasEnc ? ctx.encodingQueryCost() : nvm::OpCost{};
+    const size_t waves = rnaWaves(_config, flatNeurons);
+    for (size_t L = 0; L < lanes; ++L) {
+        uint64_t worstNeuron = 0;
+        for (size_t oidx = 0; oidx < flatNeurons; ++oidx) {
+            const nvm::OpCost &wa = ws.accumCostB[oidx * lanes + L];
+            runs[L].cost.weightedAccum += wa;
+            if (hasAct)
+                runs[L].cost.activation += actQ;
+            if (hasEnc)
+                runs[L].cost.encoding += encQ;
+            worstNeuron = std::max(worstNeuron,
+                                   wa.cycles + actQ.cycles + encQ.cycles);
+        }
+        runs[L].stageCycles = worstNeuron * waves;
+    }
+}
+
+void
+Chip::runRecurrentTally(const RLayer &layer, const RnaLayerContext &ctx,
+                        std::span<const EncodedTensor> ins,
+                        bool lastCompute, Workspace &ws,
+                        LayerRun *runs) const
+{
+    // Lane by lane, steps in order (the feedback hazard): each step
+    // groups x_t and the previous state by code, tallies both operand
+    // paths, and finishes every hidden neuron in the reference walk's
+    // order.
+    const size_t hidden = layer.outCount;
+    const size_t features = layer.inCount;
+    const size_t stride = ctx.tallyStride();
+    const size_t groups = stride / simd::kTallyGroup;
+    nvm::OpCost zeroEncode;
+    const uint16_t zeroCode = ctx.encodeState(0.0, zeroEncode);
+    TallyScratch &st = ws.tally;
+    st.ensure(2 * stride);
+    if (ws.inputs.size() < 2)
+        ws.inputs.resize(2);
+    InputBuckets &xs = ws.inputs[0];
+    InputBuckets &hs = ws.inputs[1];
+    const bool last = layer.outputEncoder.empty();
+
+    for (size_t L = 0; L < ins.size(); ++L) {
+        RAPIDNN_ASSERT(ins[L].codes.size() == layer.steps * features,
+                       "recurrent layer code count mismatch");
+        LayerRun &run = runs[L];
+        run.reset();
+        run.cost.encoding += zeroEncode;
+        ws.hCodes.assign(hidden, zeroCode);
+        ws.hRaw.assign(hidden, 0.0);
+        ws.hNext.resize(hidden);
+        ws.hRawNext.resize(hidden);
+        uint64_t stepWorst = 0;
+        for (size_t t = 0; t < layer.steps; ++t) {
+            xs.build(ins[L].codes.data() + t * features, features,
+                     layer.inputEntries());
+            hs.build(ws.hCodes.data(), hidden, layer.stateCodebook.size());
+            ctx.tally(xs, 0, groups, st.sums.data(), st.distinct.data(),
+                      st.addends.data());
+            ctx.tally(hs, 0, groups, st.sums.data() + stride,
+                      st.distinct.data() + stride,
+                      st.addends.data() + stride, true);
+            uint64_t worstNeuron = 0;
+            for (size_t hn = 0; hn < hidden; ++hn) {
+                const AccumResult x = ctx.tallyResult(
+                    hn, st.sums[hn], st.distinct[hn], st.addends[hn],
+                    features, ctx.countingCycles(hn), ws.accum);
+                const size_t at = stride + hn;
+                const AccumResult hAccum = ctx.tallyResult(
+                    hn, st.sums[at], st.distinct[at], st.addends[at],
+                    hidden, ctx.countingCycles(hn, true), ws.accum, true);
+                const NeuronResult r = ctx.finishRecurrentStep(x, hAccum);
+                run.cost += r.cost;
+                worstNeuron = std::max(worstNeuron, r.cost.total().cycles);
+                ws.hNext[hn] = r.code;
+                ws.hRawNext[hn] = r.rawValue;
+            }
+            stepWorst += worstNeuron;
+            std::swap(ws.hCodes, ws.hNext);
+            std::swap(ws.hRaw, ws.hRawNext);
+        }
+        run.stageCycles = stepWorst;
+        run.output.shape = {hidden};
+        if (lastCompute) {
+            run.raw = ws.takeRaw();
+            run.raw.assign(ws.hRaw.begin(), ws.hRaw.end());
+        }
+        if (!last) {
+            // Re-encode the final state for the consumer layer.
+            run.output.codes = ws.takeCodes();
+            run.output.codes.assign(hidden, 0);
+            for (size_t hn = 0; hn < hidden; ++hn)
+                run.output.codes[hn] = static_cast<uint16_t>(
+                    layer.outputEncoder.encode(ws.hRaw[hn]));
+            nvm::OpCost encodeCost;
+            encodeCost += _config.cost.camSearch(
+                layer.outputEncoder.entries(), 32);
+            run.cost.encoding += encodeCost;
+        }
+    }
 }
 
 void
@@ -927,289 +1113,28 @@ Chip::runLayerBatch(const RLayer &layer,
         return;
     }
 
-    // The reference walk (fastPath = false, codebooks that do not
-    // pack) and the pool and flatten layers run one lane at a time.
+    // The reference walk (fastPath = false, weight codebooks that do
+    // not pack) and the pool and flatten layers run one lane at a time.
     auto perLane = [&] {
         for (size_t L = 0; L < lanes; ++L)
             runLayer(layer, ins[L], lastCompute, ws, runs[L]);
     };
 
     switch (layer.kind) {
-      case RLayerKind::Dense: {
-        const RnaLayerContext &ctx =
-            *_contexts->contexts[_contexts->byLayer.at(&layer)];
-        if (!(_config.fastPath && ctx.hasDenseRows())) {
-            perLane();
-            return;
-        }
-        ws.laneCodes.resize(lanes);
-        for (size_t L = 0; L < lanes; ++L)
-            ws.laneCodes[L] = ins[L].codes.data();
-        runDenseTally(layer, ctx, ws.laneCodes.data(), lanes, lastCompute,
-                      ws, runs.data());
-        return;
-      }
-      case RLayerKind::Conv: {
-        const RnaLayerContext &ctx =
-            *_contexts->contexts[_contexts->byLayer.at(&layer)];
-        if (!(_config.fastPath && ctx.packed())) {
-            perLane();
-            return;
-        }
-        // Position-major: narrow every lane's input map to uint8 once,
-        // then for each output position gather every lane's window and
-        // sweep every output channel over them. The per-(position,
-        // channel) work — window clipping, the counting-cycle
-        // histogram, the weight-chunk loads inside pairKeys8Lanes — is
-        // done once and shared across the lanes; interior windows use
-        // the channel's packed weights directly because their
-        // weight-index map is the identity.
-        RAPIDNN_ASSERT(ins[0].shape.size() == 3,
-                       "conv needs [C, H, W]");
-        const size_t inC = ins[0].shape[0];
-        const size_t h = ins[0].shape[1], w = ins[0].shape[2];
-        const size_t k = layer.kernel;
-        const size_t oh = layer.samePadding ? h : h - k + 1;
-        const size_t ow = layer.samePadding ? w : w - k + 1;
-        ConvGatherPlan *plan =
-            &ws.convPlans[_contexts->byLayer.at(&layer)];
-        if (!plan->matches(inC, h, w))
-            buildConvGatherPlan(*plan, layer, inC, h, w);
-
-        ctx.prepareWorkspace(ws);
-        const size_t positions = oh * ow;
-        const size_t flatNeurons = layer.outCount * positions;
-        const size_t fullWindow = layer.inCount;  // inC * k * k
-        const size_t windowMax = layer.weightCodes[0].size();
-        const size_t inElems = ins[0].codes.size();
-        for (size_t L = 0; L < lanes; ++L) {
-            runs[L].reset();
-            runs[L].output.shape = {layer.outCount, oh, ow};
-            if (!layer.outputEncoder.empty()) {
-                runs[L].output.codes = ws.takeCodes();
-                runs[L].output.codes.assign(flatNeurons, 0);
-            }
-            if (lastCompute) {
-                runs[L].raw = ws.takeRaw();
-                runs[L].raw.assign(flatNeurons, 0.0);
-            }
-        }
-        ws.actB8.ensure(lanes * inElems);
-        for (size_t L = 0; L < lanes; ++L)
-            _kops->narrow(ins[L].codes.data(), inElems,
-                          ws.actB8.data() + L * inElems);
-        ws.gx8B.ensure(lanes * windowMax);
-        ws.gw8.ensure(windowMax);
-        ws.keysB.ensure(lanes * windowMax);
-        ws.valsB.ensure(lanes * flatNeurons);
-        ws.codesB.ensure(lanes * flatNeurons);
-        ws.amKeys.ensure(lanes * positions);
-        ws.amRows.ensure(lanes * positions);
-        if (ws.accumCostB.size() < lanes * flatNeurons)
-            ws.accumCostB.resize(lanes * flatNeurons);
-        if (ws.accumResB.size() < lanes)
-            ws.accumResB.resize(lanes);
-        ws.lanePtrsH.resize(lanes);
-        for (size_t L = 0; L < lanes; ++L)
-            ws.lanePtrsH[L] = ws.gx8B.data() + L * windowMax;
-
-        for (size_t p = 0; p < positions; ++p) {
-            const uint32_t s0 = plan->start[p];
-            const size_t n = plan->start[p + 1] - s0;
-            for (size_t L = 0; L < lanes; ++L)
-                _kops->gather8(ws.actB8.data() + L * inElems,
-                               plan->inputIdx.data() + s0, n,
-                               ws.gx8B.data() + L * windowMax);
-            for (size_t oc = 0; oc < layer.outCount; ++oc) {
-                const uint8_t *wp = ctx.convChannel8(oc);
-                if (n != fullWindow) {
-                    for (size_t s = 0; s < n; ++s)
-                        ws.gw8[s] = wp[plan->weightIdx[s0 + s]];
-                    wp = ws.gw8.data();
-                }
-                // Counting cycles depend only on the (clipped) weight
-                // window: one histogram serves every lane.
-                const uint32_t cc =
-                    ctx.packedCountingCycles(oc, wp, n, ws.accum);
-                _kops->pairKeys8Lanes(wp, ws.lanePtrsH.data(), lanes,
-                                      n, ctx.keyShiftFor(oc),
-                                      ws.keysB.data(), windowMax);
-                const size_t oidx = oc * positions + p;
-                ctx.accumulatePrekeyedLanes(
-                    oc, ws.keysB.data(), windowMax, lanes, n,
-                    layer.bias[oc], ws.accum, &cc,
-                    ws.accumResB.data());
-                for (size_t L = 0; L < lanes; ++L) {
-                    const size_t slot = oidx * lanes + L;
-                    ws.valsB[slot] = ws.accumResB[L].value;
-                    ws.accumCostB[slot] =
-                        ws.accumResB[L].cost.total();
-                }
-            }
-        }
-        const bool hasAct = ctx.hasActivation();
-        const bool hasEnc = ctx.hasEncoder();
-        for (size_t oc = 0; oc < layer.outCount; ++oc) {
-            // Slots for one channel span a contiguous (position x
-            // lane) range in the neuron-major layout: one AM batch
-            // call per channel covers every lane.
-            const size_t base = oc * positions * lanes;
-            const size_t nb = positions * lanes;
-            double *vals = ws.valsB.data() + base;
-            ctx.activateBatch(vals, vals, nb, ws.amKeys.data(),
-                              ws.amRows.data());
-            if (hasEnc)
-                ctx.encodeBatch(vals, nb, ws.amKeys.data(),
-                                ws.amRows.data(),
-                                ws.codesB.data() + base);
-        }
-        for (size_t L = 0; L < lanes; ++L) {
-            if (hasEnc)
-                for (size_t oidx = 0; oidx < flatNeurons; ++oidx)
-                    runs[L].output.codes[oidx] =
-                        ws.codesB[oidx * lanes + L];
-            if (lastCompute)
-                for (size_t oidx = 0; oidx < flatNeurons; ++oidx)
-                    runs[L].raw[oidx] = ws.valsB[oidx * lanes + L];
-        }
-        // Per-lane flat reduction with the per-layer-constant AM query
-        // costs re-added per neuron, exactly as the dense path above.
-        const nvm::OpCost actQ =
-            hasAct ? ctx.activationQueryCost() : nvm::OpCost{};
-        const nvm::OpCost encQ =
-            hasEnc ? ctx.encodingQueryCost() : nvm::OpCost{};
-        const size_t waves = rnaWaves(_config, flatNeurons);
-        for (size_t L = 0; L < lanes; ++L) {
-            uint64_t worstNeuron = 0;
-            for (size_t oidx = 0; oidx < flatNeurons; ++oidx) {
-                const nvm::OpCost &wa =
-                    ws.accumCostB[oidx * lanes + L];
-                runs[L].cost.weightedAccum += wa;
-                if (hasAct)
-                    runs[L].cost.activation += actQ;
-                if (hasEnc)
-                    runs[L].cost.encoding += encQ;
-                worstNeuron = std::max(
-                    worstNeuron,
-                    wa.cycles + actQ.cycles + encQ.cycles);
-            }
-            runs[L].stageCycles = worstNeuron * waves;
-        }
-        return;
-      }
+      case RLayerKind::Dense:
+      case RLayerKind::Conv:
       case RLayerKind::Recurrent: {
         const RnaLayerContext &ctx =
             *_contexts->contexts[_contexts->byLayer.at(&layer)];
-        if (!(_config.fastPath && ctx.packedRecurrent())) {
+        if (!(_config.fastPath && ctx.hasTally())) {
             perLane();
-            return;
-        }
-        // Steps stay serial (the feedback hazard); within a step, each
-        // hidden neuron's two weight columns are keyed once for all
-        // lanes and the per-lane step evaluations replay the reference
-        // walk's order from their own key stripes and state stripes.
-        const size_t hidden = layer.outCount;
-        const size_t features = layer.inCount;
-        const size_t inElems = ins[0].codes.size();
-        RAPIDNN_ASSERT(inElems == layer.steps * features,
-                       "recurrent layer code count mismatch");
-        ctx.prepareWorkspace(ws);
-
-        nvm::OpCost zeroEncode;
-        const uint16_t zeroCode = ctx.encodeState(0.0, zeroEncode);
-        for (size_t L = 0; L < lanes; ++L) {
-            runs[L].reset();
-            // One zero-state encode per sample, exactly as the
-            // reference walk charges it (the code itself is shared — it
-            // is a pure function of the codebook).
-            runs[L].cost.encoding += zeroEncode;
-        }
-
-        ws.actB8.ensure(lanes * inElems);
-        for (size_t L = 0; L < lanes; ++L)
-            _kops->narrow(ins[L].codes.data(), inElems,
-                          ws.actB8.data() + L * inElems);
-        ws.h8B.ensure(lanes * hidden);
-        ws.keysB.ensure(lanes * features);
-        ws.keysHB.ensure(lanes * hidden);
-        ws.hCodesB.assign(lanes * hidden, zeroCode);
-        ws.hRawB.assign(lanes * hidden, 0.0);
-        ws.hNextB.resize(lanes * hidden);
-        ws.hRawNextB.resize(lanes * hidden);
-        if (ws.neuronCostsB.size() < lanes * hidden)
-            ws.neuronCostsB.resize(lanes * hidden);
-        ws.stepWorstB.assign(lanes, 0);
-        ws.lanePtrsX.resize(lanes);
-        ws.lanePtrsH.resize(lanes);
-        const uint32_t shiftX = ctx.keyShiftFor(0);
-        const uint32_t shiftH = ctx.stateKeyShift();
-
-        for (size_t t = 0; t < layer.steps; ++t) {
-            for (size_t L = 0; L < lanes; ++L) {
-                // Per-step narrow of each lane's frozen previous
-                // state (the step swap rewrites it).
-                _kops->narrow(ws.hCodesB.data() + L * hidden, hidden,
-                              ws.h8B.data() + L * hidden);
-                ws.lanePtrsH[L] = ws.h8B.data() + L * hidden;
-                ws.lanePtrsX[L] =
-                    ws.actB8.data() + L * inElems + t * features;
-            }
-            for (size_t hn = 0; hn < hidden; ++hn) {
-                _kops->pairKeys8Lanes(ctx.recurrentXColumn8(hn),
-                                      ws.lanePtrsX.data(), lanes,
-                                      features, shiftX,
-                                      ws.keysB.data(), features);
-                _kops->pairKeys8Lanes(ctx.recurrentHColumn8(hn),
-                                      ws.lanePtrsH.data(), lanes,
-                                      hidden, shiftH,
-                                      ws.keysHB.data(), hidden);
-                const uint32_t *xc = ctx.recXCountingHint(hn);
-                const uint32_t *hc = ctx.recHCountingHint(hn);
-                for (size_t L = 0; L < lanes; ++L) {
-                    NeuronResult r = ctx.evaluateRecurrentStepPrekeyed(
-                        ws.keysB.data() + L * features, features,
-                        ws.keysHB.data() + L * hidden, hidden,
-                        layer.bias[hn], ws.accum, xc, hc);
-                    ws.neuronCostsB[hn * lanes + L] = r.cost;
-                    ws.hNextB[L * hidden + hn] = r.code;
-                    ws.hRawNextB[L * hidden + hn] = r.rawValue;
-                }
-            }
-            for (size_t L = 0; L < lanes; ++L) {
-                uint64_t worstNeuron = 0;
-                for (size_t hn = 0; hn < hidden; ++hn) {
-                    const NeuronCost &c =
-                        ws.neuronCostsB[hn * lanes + L];
-                    runs[L].cost += c;
-                    worstNeuron =
-                        std::max(worstNeuron, c.total().cycles);
-                }
-                ws.stepWorstB[L] += worstNeuron;
-            }
-            std::swap(ws.hCodesB, ws.hNextB);
-            std::swap(ws.hRawB, ws.hRawNextB);
-        }
-
-        const bool last = layer.outputEncoder.empty();
-        for (size_t L = 0; L < lanes; ++L) {
-            runs[L].stageCycles = ws.stepWorstB[L];
-            runs[L].output.shape = {hidden};
-            const double *hRaw = ws.hRawB.data() + L * hidden;
-            if (lastCompute) {
-                runs[L].raw = ws.takeRaw();
-                runs[L].raw.assign(hRaw, hRaw + hidden);
-            }
-            if (!last) {
-                runs[L].output.codes = ws.takeCodes();
-                runs[L].output.codes.assign(hidden, 0);
-                nvm::OpCost encodeCost;
-                for (size_t hn = 0; hn < hidden; ++hn)
-                    runs[L].output.codes[hn] = static_cast<uint16_t>(
-                        layer.outputEncoder.encode(hRaw[hn]));
-                encodeCost += _config.cost.camSearch(
-                    layer.outputEncoder.entries(), 32);
-                runs[L].cost.encoding += encodeCost;
-            }
+        } else if (layer.kind == RLayerKind::Dense) {
+            runDenseTally(layer, ctx, ins, lastCompute, ws, runs.data());
+        } else if (layer.kind == RLayerKind::Conv) {
+            runConvTally(layer, ctx, ins, lastCompute, ws, runs.data());
+        } else {
+            runRecurrentTally(layer, ctx, ins, lastCompute, ws,
+                              runs.data());
         }
         return;
       }

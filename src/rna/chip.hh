@@ -130,9 +130,9 @@ class Chip
 
     /**
      * Run a batch of samples through the chip, executing each layer
-     * once for the whole batch so per-output-neuron work (weight-row
-     * loads, pair-key construction, counting-cycle hints, AM batch
-     * lookups) is shared by the batch lanes. This is the one
+     * once for the whole batch so work that does not depend on the
+     * sample (weight-row loads, counting cycles, AM batch lookups) is
+     * shared by the batch lanes. This is the one
      * production path; infer() is a batch of one. Logits, codes and
      * the per-lane PerfReports are bitwise identical to the reference
      * walk (fastPath = false) at any batch size and SIMD variant.
@@ -211,26 +211,49 @@ class Chip
 
     /**
      * The dense layer's production path: groups each lane's fan-in by
-     * input code, runs the dense tally over the layer's 8-neuron
-     * groups, batches the activation and encoding lookups, and reduces
-     * each lane's costs in serial neuron order. runs[L] matches the
-     * reference walk of inputs[L], bit for bit. Requires
-     * ctx.hasDenseRows().
+     * input code, runs the tally over the layer's 8-neuron groups,
+     * batches the activation and encoding lookups, and reduces each
+     * lane's costs in serial neuron order. runs[L] matches the
+     * reference walk of ins[L], bit for bit. Requires ctx.hasTally(),
+     * as do the two below.
      */
     void runDenseTally(const composer::RLayer &layer,
                        const RnaLayerContext &ctx,
-                       const uint16_t *const *inputs, size_t lanes,
+                       std::span<const composer::EncodedTensor> ins,
                        bool lastCompute, Workspace &ws,
                        LayerRun *runs) const;
 
     /**
+     * The conv layer's production path: per output position and lane,
+     * the window grouped by input code once and every output channel
+     * tallied over it; then the dense path's batched lookups and
+     * serial cost reduction.
+     */
+    void runConvTally(const composer::RLayer &layer,
+                      const RnaLayerContext &ctx,
+                      std::span<const composer::EncodedTensor> ins,
+                      bool lastCompute, Workspace &ws,
+                      LayerRun *runs) const;
+
+    /**
+     * The recurrent layer's production path: per lane and step, x_t
+     * and the previous state grouped by code and tallied over the x
+     * and feedback rows, each hidden neuron finished in the reference
+     * order.
+     */
+    void runRecurrentTally(const composer::RLayer &layer,
+                           const RnaLayerContext &ctx,
+                           std::span<const composer::EncodedTensor> ins,
+                           bool lastCompute, Workspace &ws,
+                           LayerRun *runs) const;
+
+    /**
      * Run one layer for a whole batch, filling runs[L] with exactly
      * what the reference walk of ins[L] produces. Dense, conv and
-     * recurrent layers with a packed context take the batched kernel
-     * path (shared weight work, per-lane key stripes); a batch whose
-     * lanes differ in shape runs as batches of one; everything else
-     * (the reference walk, pools, flatten) runs runLayer() per lane in
-     * lane order.
+     * recurrent layers the tally serves take their production path; a
+     * batch whose lanes differ in shape runs as batches of one;
+     * everything else (the reference walk, pools, flatten) runs
+     * runLayer() per lane in lane order.
      */
     void runLayerBatch(const composer::RLayer &layer,
                        std::span<const composer::EncodedTensor> ins,

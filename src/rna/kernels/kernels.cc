@@ -18,10 +18,10 @@ extern const simd::KernelOps kAvx2Ops;
 #endif
 #ifdef RAPIDNN_BUILD_AVX512
 extern const simd::KernelOps kAvx512Ops;
-void denseTallyAvx512Lut(const simd::DenseTallyJob &job);
+void tallyAvx512Lut(const simd::TallyJob &job);
 #endif
 #ifdef RAPIDNN_BUILD_AVX512_VPOPCNT
-void denseTallyAvx512Vpopcnt(const simd::DenseTallyJob &job);
+void tallyAvx512Vpopcnt(const simd::TallyJob &job);
 #endif
 #ifdef RAPIDNN_BUILD_NEON
 extern const simd::KernelOps kNeonOps;
@@ -70,24 +70,24 @@ availableVariants()
     return out;
 }
 
-std::vector<DenseTallyImpl>
-denseTallyImpls()
+std::vector<TallyImpl>
+tallyImpls()
 {
-    std::vector<DenseTallyImpl> out;
-    out.push_back({"scalar", kScalarOps.denseTally});
+    std::vector<TallyImpl> out;
+    out.push_back({"scalar", kScalarOps.tally});
     if (const simd::KernelOps *ops = opsFor(simd::Variant::Avx2))
-        out.push_back({"avx2", ops->denseTally});
+        out.push_back({"avx2", ops->tally});
 #ifdef RAPIDNN_BUILD_AVX512
     if (opsFor(simd::Variant::Avx512) != nullptr)
-        out.push_back({"avx512-lut", denseTallyAvx512Lut});
+        out.push_back({"avx512-lut", tallyAvx512Lut});
 #endif
 #ifdef RAPIDNN_BUILD_AVX512_VPOPCNT
     if (opsFor(simd::Variant::Avx512) != nullptr &&
         simd::cpuFeatures().avx512vpopcntdq)
-        out.push_back({"avx512-vpopcnt", denseTallyAvx512Vpopcnt});
+        out.push_back({"avx512-vpopcnt", tallyAvx512Vpopcnt});
 #endif
     if (const simd::KernelOps *ops = opsFor(simd::Variant::Neon))
-        out.push_back({"neon", ops->denseTally});
+        out.push_back({"neon", ops->tally});
     return out;
 }
 

@@ -39,21 +39,21 @@ const simd::KernelOps *opsFor(simd::Variant v);
  */
 std::vector<simd::Variant> availableVariants();
 
-/** One dense-tally implementation, named for tests and benches. */
-struct DenseTallyImpl
+/** One tally implementation, named for tests and benches. */
+struct TallyImpl
 {
     const char *name;
-    void (*fn)(const simd::DenseTallyJob &job);
+    void (*fn)(const simd::TallyJob &job);
 };
 
 /**
- * Every dense-tally implementation this process can run, scalar first.
+ * Every tally implementation this process can run, scalar first.
  * The AVX-512 table picks its popcount at run time (VPOPCNTQ when the
  * host has VPOPCNTDQ, a nibble table otherwise), so both appear here
  * separately and the equivalence tests cover the one a table would not
  * pick on this host.
  */
-std::vector<DenseTallyImpl> denseTallyImpls();
+std::vector<TallyImpl> tallyImpls();
 
 /**
  * Resolve a requested variant to the concrete one to run: applies the

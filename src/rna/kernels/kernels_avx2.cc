@@ -7,10 +7,7 @@
  * Bitwise-exactness notes (the equivalence suite pins all of this):
  *  - Integer kernels compute the identical values lane-wise; vector
  *    bodies stop at the last full vector and tails run scalar, so no
- *    out-of-range element is ever touched — except gather8, whose
- *    4-byte-per-lane vpgatherdd may overread up to 3 bytes past the
- *    addressed element and therefore requires the AlignedVec tail
- *    slack its contract demands.
+ *    out-of-range element is ever touched.
  *  - quantize performs the exact scalar double sequence per lane
  *    (sub, div, clamp, mul, add); the final double->uint32 truncation
  *    runs scalar because vcvttpd2dq saturates through *signed* int32,
@@ -34,59 +31,11 @@
 #include <cstring>
 
 #include "common/simd.hh"
-#include "rna/kernels/dense_tally.hh"
+#include "rna/kernels/tally.hh"
 
 namespace rapidnn::rna::kernels {
 
 namespace {
-
-void
-narrowAvx2(const uint16_t *src, size_t n, uint8_t *dst)
-{
-    size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i a = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i));
-        const __m256i b = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i + 16));
-        // packus interleaves the 128-bit lanes; permute restores the
-        // element order. Values are < 256, so saturation is a no-op.
-        const __m256i packed = _mm256_permute4x64_epi64(
-            _mm256_packus_epi16(a, b), 0xD8);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            packed);
-    }
-    for (; i < n; ++i)
-        dst[i] = static_cast<uint8_t>(src[i]);
-}
-
-void
-gather8Avx2(const uint8_t *src, const uint32_t *idx, size_t n,
-            uint8_t *dst)
-{
-    const __m256i byteMask = _mm256_set1_epi32(0xFF);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i vidx = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(idx + i));
-        // 4-byte gather per lane at scale 1: reads up to 3 bytes past
-        // the addressed element — covered by the source's tail slack.
-        const __m256i g = _mm256_and_si256(
-            _mm256_i32gather_epi32(
-                reinterpret_cast<const int *>(src), vidx, 1),
-            byteMask);
-        const __m256i p16 = _mm256_packus_epi32(g, g);
-        const __m256i p8 = _mm256_packus_epi16(p16, p16);
-        const uint32_t lo = static_cast<uint32_t>(
-            _mm256_extract_epi32(p8, 0));
-        const uint32_t hi = static_cast<uint32_t>(
-            _mm256_extract_epi32(p8, 4));
-        std::memcpy(dst + i, &lo, 4);
-        std::memcpy(dst + i + 4, &hi, 4);
-    }
-    for (; i < n; ++i)
-        dst[i] = src[idx[i]];
-}
 
 uint16_t
 maxU16Avx2(const uint16_t *v, size_t n)
@@ -205,71 +154,8 @@ directLookupAvx2(const uint32_t *queries, size_t n,
     }
 }
 
-int64_t
-gatherSum16Avx2(const int64_t *table, const uint16_t *keys, size_t n)
-{
-    // Two independent 4-lane accumulators keep the gathers pipelined;
-    // int64 addition is associative, so the lane split cannot change
-    // the total.
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i k32 = _mm256_cvtepu16_epi32(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(keys + i)));
-        const __m128i lo = _mm256_castsi256_si128(k32);
-        const __m128i hi = _mm256_extracti128_si256(k32, 1);
-        acc0 = _mm256_add_epi64(
-            acc0, _mm256_i32gather_epi64(
-                      reinterpret_cast<const long long *>(table), lo,
-                      8));
-        acc1 = _mm256_add_epi64(
-            acc1, _mm256_i32gather_epi64(
-                      reinterpret_cast<const long long *>(table), hi,
-                      8));
-    }
-    alignas(32) int64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes),
-                       _mm256_add_epi64(acc0, acc1));
-    int64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; i < n; ++i)
-        sum += table[keys[i]];
-    return sum;
-}
-
-void
-pairKeys8LanesAvx2(const uint8_t *w, const uint8_t *const *xs,
-                   size_t lanes, size_t n, uint32_t shift,
-                   uint16_t *keys, size_t keyStride)
-{
-    const __m128i cnt = _mm_cvtsi32_si128(static_cast<int>(shift));
-    size_t i = 0;
-    // Chunk-outer, lane-inner: each shifted weight chunk is loaded and
-    // widened once, then OR'd against every lane's activation chunk.
-    for (; i + 16 <= n; i += 16) {
-        const __m256i ws = _mm256_sll_epi16(
-            _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(w + i))),
-            cnt);
-        for (size_t lane = 0; lane < lanes; ++lane) {
-            const __m256i x16 = _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(xs[lane] + i)));
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(keys + lane * keyStride +
-                                            i),
-                _mm256_or_si256(ws, x16));
-        }
-    }
-    for (; i < n; ++i) {
-        const uint32_t ws = static_cast<uint32_t>(w[i]) << shift;
-        for (size_t lane = 0; lane < lanes; ++lane)
-            keys[lane * keyStride + i] =
-                static_cast<uint16_t>(ws | xs[lane][i]);
-    }
-}
-
 /**
- * Dense-tally registers: a pair of ymm, neurons 0-3 and 4-7. AVX2 has
+ * Tally registers: a pair of ymm, neurons 0-3 and 4-7. AVX2 has
  * no vector popcount, so bits are counted through a nibble table.
  */
 struct Avx2Lanes
@@ -296,6 +182,21 @@ struct Avx2Lanes
     }
 
     static Reg
+    load(const uint64_t *p)
+    {
+        return {_mm256_loadu_si256(reinterpret_cast<const __m256i *>(p)),
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(p + 4))};
+    }
+
+    static Reg
+    splat(uint64_t x)
+    {
+        const __m256i v = _mm256_set1_epi64x(int64_t(x));
+        return {v, v};
+    }
+
+    static Reg
     codes(const uint8_t *w)
     {
         uint64_t bytes;
@@ -319,14 +220,13 @@ struct Avx2Lanes
     }
 
     static Reg
-    products(Reg w, uint32_t shift, uint32_t u, const int64_t *table)
+    products(Reg w, uint32_t shift, Reg at, const int64_t *table)
     {
         const __m128i cnt = _mm_cvtsi32_si128(static_cast<int>(shift));
-        const __m256i uv = _mm256_set1_epi64x(u);
         const auto *base = reinterpret_cast<const long long *>(table);
-        return map(w, w, [&](__m256i x, __m256i) {
+        return map(w, at, [&](__m256i x, __m256i a) {
             return _mm256_i64gather_epi64(
-                base, _mm256_or_si256(_mm256_sll_epi64(x, cnt), uv), 8);
+                base, _mm256_add_epi64(_mm256_sll_epi64(x, cnt), a), 8);
         });
     }
 
@@ -416,18 +316,16 @@ struct Avx2Lanes
 };
 
 void
-denseTallyAvx2(const simd::DenseTallyJob &job)
+tallyAvx2(const simd::TallyJob &job)
 {
-    detail::denseTally<Avx2Lanes>(job);
+    detail::tally<Avx2Lanes>(job);
 }
 
 } // namespace
 
 extern const simd::KernelOps kAvx2Ops;
 const simd::KernelOps kAvx2Ops = {
-    "avx2", narrowAvx2, gather8Avx2, maxU16Avx2,
-    quantizeAvx2, directLookupAvx2, gatherSum16Avx2, pairKeys8LanesAvx2,
-    denseTallyAvx2,
+    "avx2", maxU16Avx2, quantizeAvx2, directLookupAvx2, tallyAvx2,
 };
 
 } // namespace rapidnn::rna::kernels

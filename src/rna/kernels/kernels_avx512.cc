@@ -28,56 +28,23 @@
 #include <cstring>
 
 #include "common/simd.hh"
-#include "rna/kernels/dense_tally_avx512.hh"
+#include "rna/kernels/tally_avx512.hh"
 
 namespace rapidnn::rna::kernels {
 
 #ifdef RAPIDNN_BUILD_AVX512_VPOPCNT
 // kernels_avx512_vpopcnt.cc: the same tally with hardware VPOPCNTQ.
-void denseTallyAvx512Vpopcnt(const simd::DenseTallyJob &job);
+void tallyAvx512Vpopcnt(const simd::TallyJob &job);
 #endif
 
-/** The dense tally with the nibble-table popcount (no VPOPCNTDQ). */
+/** The tally with the nibble-table popcount (no VPOPCNTDQ). */
 void
-denseTallyAvx512Lut(const simd::DenseTallyJob &job)
+tallyAvx512Lut(const simd::TallyJob &job)
 {
-    detail::denseTally<Avx512Lanes>(job);
+    detail::tally<Avx512Lanes>(job);
 }
 
 namespace {
-
-void
-narrowAvx512(const uint16_t *src, size_t n, uint8_t *dst)
-{
-    size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m512i v = _mm512_loadu_si512(src + i);
-        // vpmovwb truncates each u16 lane; values are < 256.
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            _mm512_cvtepi16_epi8(v));
-    }
-    for (; i < n; ++i)
-        dst[i] = static_cast<uint8_t>(src[i]);
-}
-
-void
-gather8Avx512(const uint8_t *src, const uint32_t *idx, size_t n,
-              uint8_t *dst)
-{
-    const __m512i byteMask = _mm512_set1_epi32(0xFF);
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m512i vidx = _mm512_loadu_si512(idx + i);
-        // 4-byte gather per lane at scale 1: needs the source's tail
-        // slack, same as the AVX2 variant.
-        const __m512i g = _mm512_and_si512(
-            _mm512_i32gather_epi32(vidx, src, 1), byteMask);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + i),
-                         _mm512_cvtepi32_epi8(g));
-    }
-    for (; i < n; ++i)
-        dst[i] = src[idx[i]];
-}
 
 uint16_t
 maxU16Avx512(const uint16_t *v, size_t n)
@@ -179,80 +146,24 @@ directLookupAvx512(const uint32_t *queries, size_t n,
     }
 }
 
-int64_t
-gatherSum16Avx512(const int64_t *table, const uint16_t *keys, size_t n)
-{
-    // Two independent 8-lane accumulators keep the gathers pipelined;
-    // int64 addition is associative, so the lane split cannot change
-    // the total.
-    __m512i acc0 = _mm512_setzero_si512();
-    __m512i acc1 = _mm512_setzero_si512();
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m512i k32 = _mm512_cvtepu16_epi32(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(keys + i)));
-        const __m256i lo = _mm512_castsi512_si256(k32);
-        const __m256i hi = _mm512_extracti64x4_epi64(k32, 1);
-        acc0 = _mm512_add_epi64(acc0,
-                                _mm512_i32gather_epi64(lo, table, 8));
-        acc1 = _mm512_add_epi64(acc1,
-                                _mm512_i32gather_epi64(hi, table, 8));
-    }
-    int64_t sum = _mm512_reduce_add_epi64(_mm512_add_epi64(acc0, acc1));
-    for (; i < n; ++i)
-        sum += table[keys[i]];
-    return sum;
-}
-
 void
-pairKeys8LanesAvx512(const uint8_t *w, const uint8_t *const *xs,
-                     size_t lanes, size_t n, uint32_t shift,
-                     uint16_t *keys, size_t keyStride)
-{
-    const __m128i cnt = _mm_cvtsi32_si128(static_cast<int>(shift));
-    size_t i = 0;
-    // Chunk-outer, lane-inner: each shifted weight chunk is loaded and
-    // widened once, then OR'd against every lane's activation chunk.
-    for (; i + 32 <= n; i += 32) {
-        const __m512i ws = _mm512_sll_epi16(
-            _mm512_cvtepu8_epi16(_mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(w + i))),
-            cnt);
-        for (size_t lane = 0; lane < lanes; ++lane) {
-            const __m512i x16 = _mm512_cvtepu8_epi16(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                    xs[lane] + i)));
-            _mm512_storeu_si512(keys + lane * keyStride + i,
-                                _mm512_or_si512(ws, x16));
-        }
-    }
-    for (; i < n; ++i) {
-        const uint32_t ws = static_cast<uint32_t>(w[i]) << shift;
-        for (size_t lane = 0; lane < lanes; ++lane)
-            keys[lane * keyStride + i] =
-                static_cast<uint16_t>(ws | xs[lane][i]);
-    }
-}
-
-void
-denseTallyAvx512(const simd::DenseTallyJob &job)
+tallyAvx512(const simd::TallyJob &job)
 {
 #ifdef RAPIDNN_BUILD_AVX512_VPOPCNT
     if (simd::cpuFeatures().avx512vpopcntdq) {
-        denseTallyAvx512Vpopcnt(job);
+        tallyAvx512Vpopcnt(job);
         return;
     }
 #endif
-    denseTallyAvx512Lut(job);
+    tallyAvx512Lut(job);
 }
 
 } // namespace
 
 extern const simd::KernelOps kAvx512Ops;
 const simd::KernelOps kAvx512Ops = {
-    "avx512", narrowAvx512, gather8Avx512,
-    maxU16Avx512, quantizeAvx512, directLookupAvx512, gatherSum16Avx512,
-    pairKeys8LanesAvx512, denseTallyAvx512,
+    "avx512", maxU16Avx512, quantizeAvx512, directLookupAvx512,
+    tallyAvx512,
 };
 
 } // namespace rapidnn::rna::kernels

@@ -1,6 +1,6 @@
 /**
  * @file
- * The AVX-512 dense tally with the hardware VPOPCNTQ bit count.
+ * The AVX-512 tally with the hardware VPOPCNTQ bit count.
  * Compiled with -mavx512f -mavx512bw -mavx512vpopcntdq (this
  * translation unit only); kernels_avx512.cc calls it only after the
  * runtime probe confirms VPOPCNTDQ, and otherwise runs the same tally
@@ -14,14 +14,14 @@
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-#include "rna/kernels/dense_tally_avx512.hh"
+#include "rna/kernels/tally_avx512.hh"
 
 namespace rapidnn::rna::kernels {
 
 void
-denseTallyAvx512Vpopcnt(const simd::DenseTallyJob &job)
+tallyAvx512Vpopcnt(const simd::TallyJob &job)
 {
-    detail::denseTally<Avx512Lanes>(job);
+    detail::tally<Avx512Lanes>(job);
 }
 
 } // namespace rapidnn::rna::kernels

@@ -4,11 +4,10 @@
  * on aarch64, so this translation unit needs no special compile flags
  * and the feature probe always reports it.
  *
- * Gathers have no NEON equivalent and stay scalar (dst[i] =
- * src[idx[i]]), which also means this variant never overreads — it is
- * still declared with the same gather8 tail-slack contract so callers
- * need no per-ISA special cases. quantize follows the AVX2 rule: SIMD
- * for the correctly-rounded double arithmetic, scalar final cast.
+ * Gathers have no NEON equivalent: the tally loads its products and the
+ * direct lookup walks its segments scalar. quantize follows the AVX2
+ * rule: SIMD for the correctly-rounded double arithmetic, scalar final
+ * cast.
  */
 
 #if defined(__aarch64__)
@@ -18,32 +17,11 @@
 #include <algorithm>
 
 #include "common/simd.hh"
-#include "rna/kernels/dense_tally.hh"
+#include "rna/kernels/tally.hh"
 
 namespace rapidnn::rna::kernels {
 
 namespace {
-
-void
-narrowNeon(const uint16_t *src, size_t n, uint8_t *dst)
-{
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const uint8x8_t lo = vmovn_u16(vld1q_u16(src + i));
-        const uint8x8_t hi = vmovn_u16(vld1q_u16(src + i + 8));
-        vst1q_u8(dst + i, vcombine_u8(lo, hi));
-    }
-    for (; i < n; ++i)
-        dst[i] = static_cast<uint8_t>(src[i]);
-}
-
-void
-gather8Neon(const uint8_t *src, const uint32_t *idx, size_t n,
-            uint8_t *dst)
-{
-    for (size_t i = 0; i < n; ++i)
-        dst[i] = src[idx[i]];
-}
 
 uint16_t
 maxU16Neon(const uint16_t *v, size_t n)
@@ -115,43 +93,8 @@ directLookupNeon(const uint32_t *queries, size_t n,
     }
 }
 
-int64_t
-gatherSum16Neon(const int64_t *table, const uint16_t *keys, size_t n)
-{
-    // NEON has no gather; the scalar loop already saturates the load
-    // ports, and int64 addition order is free anyway.
-    int64_t sum = 0;
-    for (size_t i = 0; i < n; ++i)
-        sum += table[keys[i]];
-    return sum;
-}
-
-void
-pairKeys8LanesNeon(const uint8_t *w, const uint8_t *const *xs,
-                   size_t lanes, size_t n, uint32_t shift,
-                   uint16_t *keys, size_t keyStride)
-{
-    const int16x8_t cnt = vdupq_n_s16(static_cast<int16_t>(shift));
-    size_t i = 0;
-    // Chunk-outer, lane-inner: each shifted weight chunk is loaded and
-    // widened once, then OR'd against every lane's activation chunk.
-    for (; i + 8 <= n; i += 8) {
-        const uint16x8_t ws = vshlq_u16(vmovl_u8(vld1_u8(w + i)), cnt);
-        for (size_t lane = 0; lane < lanes; ++lane) {
-            const uint16x8_t x16 = vmovl_u8(vld1_u8(xs[lane] + i));
-            vst1q_u16(keys + lane * keyStride + i, vorrq_u16(ws, x16));
-        }
-    }
-    for (; i < n; ++i) {
-        const uint32_t ws = static_cast<uint32_t>(w[i]) << shift;
-        for (size_t lane = 0; lane < lanes; ++lane)
-            keys[lane * keyStride + i] =
-                static_cast<uint16_t>(ws | xs[lane][i]);
-    }
-}
-
 /**
- * Dense-tally registers: four uint64x2 per 8-neuron group. Products
+ * Tally registers: four uint64x2 per 8-neuron group. Products
  * are loaded scalar (no NEON gather); bits are counted with VCNT and
  * widened by pairwise adds.
  */
@@ -188,6 +131,24 @@ struct NeonLanes
     }
 
     static Reg
+    load(const uint64_t *p)
+    {
+        Reg r;
+        for (int k = 0; k < 4; ++k)
+            r.v[k] = vld1q_u64(p + 2 * k);
+        return r;
+    }
+
+    static Reg
+    splat(uint64_t x)
+    {
+        Reg r;
+        for (int k = 0; k < 4; ++k)
+            r.v[k] = vdupq_n_u64(x);
+        return r;
+    }
+
+    static Reg
     codes(const uint8_t *w)
     {
         const uint16x8_t h = vmovl_u8(vld1_u8(w));
@@ -216,12 +177,14 @@ struct NeonLanes
     }
 
     static Reg
-    products(const Reg &w, uint32_t shift, uint32_t u,
+    products(const Reg &w, uint32_t shift, const Reg &at,
              const int64_t *table)
     {
-        return map(w, w, [&](uint64x2_t x, uint64x2_t) {
-            const int64_t p0 = table[(vgetq_lane_u64(x, 0) << shift) | u];
-            const int64_t p1 = table[(vgetq_lane_u64(x, 1) << shift) | u];
+        return map(w, at, [&](uint64x2_t x, uint64x2_t a) {
+            const int64_t p0 = table[(vgetq_lane_u64(x, 0) << shift) +
+                                     vgetq_lane_u64(a, 0)];
+            const int64_t p1 = table[(vgetq_lane_u64(x, 1) << shift) +
+                                     vgetq_lane_u64(a, 1)];
             return vcombine_u64(vcreate_u64(static_cast<uint64_t>(p0)),
                                 vcreate_u64(static_cast<uint64_t>(p1)));
         });
@@ -319,18 +282,16 @@ struct NeonLanes
 };
 
 void
-denseTallyNeon(const simd::DenseTallyJob &job)
+tallyNeon(const simd::TallyJob &job)
 {
-    detail::denseTally<NeonLanes>(job);
+    detail::tally<NeonLanes>(job);
 }
 
 } // namespace
 
 extern const simd::KernelOps kNeonOps;
 const simd::KernelOps kNeonOps = {
-    "neon", narrowNeon, gather8Neon, maxU16Neon,
-    quantizeNeon, directLookupNeon, gatherSum16Neon, pairKeys8LanesNeon,
-    denseTallyNeon,
+    "neon", maxU16Neon, quantizeNeon, directLookupNeon, tallyNeon,
 };
 
 } // namespace rapidnn::rna::kernels

@@ -3,8 +3,8 @@
  * Portable scalar implementations of the kernel primitives.
  *
  * These are the semantic reference every vector variant must match
- * bit-for-bit (tests/kernel_equivalence_test.cc): same key values,
- * same gathered bytes, same quantized codes, same NDCAM rows. The
+ * bit-for-bit (tests/kernel_equivalence_test.cc): same maxima, same
+ * quantized codes, same NDCAM rows, same tally outputs. The
  * loops are written straight-line so the compiler may autovectorize
  * them, but they use no intrinsics and no alignment or tail-slack
  * assumptions.
@@ -14,26 +14,11 @@
 #include <bit>
 
 #include "common/simd.hh"
-#include "rna/kernels/dense_tally.hh"
+#include "rna/kernels/tally.hh"
 
 namespace rapidnn::rna::kernels {
 
 namespace {
-
-void
-narrowScalar(const uint16_t *src, size_t n, uint8_t *dst)
-{
-    for (size_t i = 0; i < n; ++i)
-        dst[i] = static_cast<uint8_t>(src[i]);
-}
-
-void
-gather8Scalar(const uint8_t *src, const uint32_t *idx, size_t n,
-              uint8_t *dst)
-{
-    for (size_t i = 0; i < n; ++i)
-        dst[i] = src[idx[i]];
-}
 
 uint16_t
 maxU16Scalar(const uint16_t *v, size_t n)
@@ -78,35 +63,12 @@ directLookupScalar(const uint32_t *queries, size_t n,
     }
 }
 
-int64_t
-gatherSum16Scalar(const int64_t *table, const uint16_t *keys, size_t n)
-{
-    int64_t sum = 0;
-    for (size_t i = 0; i < n; ++i)
-        sum += table[keys[i]];
-    return sum;
-}
-
-void
-pairKeys8LanesScalar(const uint8_t *w, const uint8_t *const *xs,
-                     size_t lanes, size_t n, uint32_t shift,
-                     uint16_t *keys, size_t keyStride)
-{
-    for (size_t lane = 0; lane < lanes; ++lane) {
-        const uint8_t *x = xs[lane];
-        uint16_t *out = keys + lane * keyStride;
-        for (size_t i = 0; i < n; ++i)
-            out[i] = static_cast<uint16_t>(
-                (static_cast<uint32_t>(w[i]) << shift) | x[i]);
-    }
-}
-
-/** Dense-tally registers as plain u64 arrays, one per neuron. */
+/** Tally registers as plain u64 arrays, one per neuron. */
 struct ScalarLanes
 {
     struct Reg
     {
-        uint64_t v[simd::kDenseGroup];
+        uint64_t v[simd::kTallyGroup];
     };
     using Pop = Reg;
     static constexpr int kPopBatch = 1 << 30;
@@ -116,12 +78,20 @@ struct ScalarLanes
     map(F f)
     {
         Reg r;
-        for (size_t k = 0; k < simd::kDenseGroup; ++k)
+        for (size_t k = 0; k < simd::kTallyGroup; ++k)
             r.v[k] = f(k);
         return r;
     }
 
     static Reg zero() { return map([](size_t) { return uint64_t(0); }); }
+
+    static Reg
+    load(const uint64_t *p)
+    {
+        return map([&](size_t k) { return p[k]; });
+    }
+
+    static Reg splat(uint64_t x) { return map([&](size_t) { return x; }); }
 
     static Reg
     codes(const uint8_t *w)
@@ -139,11 +109,11 @@ struct ScalarLanes
     }
 
     static Reg
-    products(const Reg &w, uint32_t shift, uint32_t u,
+    products(const Reg &w, uint32_t shift, const Reg &at,
              const int64_t *table)
     {
         return map([&](size_t k) {
-            return static_cast<uint64_t>(table[(w.v[k] << shift) | u]);
+            return static_cast<uint64_t>(table[(w.v[k] << shift) + at.v[k]]);
         });
     }
 
@@ -200,31 +170,30 @@ struct ScalarLanes
     static void
     storeSums(int64_t *dst, const Reg &r)
     {
-        for (size_t k = 0; k < simd::kDenseGroup; ++k)
+        for (size_t k = 0; k < simd::kTallyGroup; ++k)
             dst[k] = static_cast<int64_t>(r.v[k]);
     }
 
     static void
     storeCounts(uint32_t *dst, const Reg &r)
     {
-        for (size_t k = 0; k < simd::kDenseGroup; ++k)
+        for (size_t k = 0; k < simd::kTallyGroup; ++k)
             dst[k] = static_cast<uint32_t>(r.v[k]);
     }
 };
 
 void
-denseTallyScalar(const simd::DenseTallyJob &job)
+tallyScalar(const simd::TallyJob &job)
 {
-    detail::denseTally<ScalarLanes>(job);
+    detail::tally<ScalarLanes>(job);
 }
 
 } // namespace
 
 extern const simd::KernelOps kScalarOps;
 const simd::KernelOps kScalarOps = {
-    "scalar", narrowScalar, gather8Scalar,
-    maxU16Scalar, quantizeScalar, directLookupScalar, gatherSum16Scalar,
-    pairKeys8LanesScalar, denseTallyScalar,
+    "scalar", maxU16Scalar, quantizeScalar, directLookupScalar,
+    tallyScalar,
 };
 
 } // namespace rapidnn::rna::kernels

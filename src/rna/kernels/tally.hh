@@ -1,15 +1,17 @@
 /**
  * @file
- * The bit-sliced dense tally (KernelOps::denseTally), written once over
- * a per-ISA register type.
+ * The bit-sliced tally (KernelOps::tally), written once over a per-ISA
+ * register type.
  *
  * Each kernel translation unit supplies a traits struct `V` whose
  * `Reg` holds one u64 per neuron of an 8-neuron group and whose static
  * members are the handful of bitwise ops the algorithm needs:
  *
- *   zero, codes (widen 8 packed weight codes), oneHot (bit w - 64*word
- *   when w falls in that mask word, else 0), products (the 8 padded
- *   products at (w << shift) | u), add (u64 lanes), andv, orv, xorv,
+ *   zero, load (8 u64), splat (one u64 in every lane), codes (widen 8
+ *   packed weight codes), oneHot (bit w - 64*word when w falls in that
+ *   mask word, else 0), products (the 8 products at (w << shift) + at,
+ *   where `at` holds each neuron's table base plus the input code),
+ *   add (u64 lanes), andv, orv, xorv,
  *   xor3, maj, and a popcount accumulator: popZero, popAdd, popTotal
  *   (per-lane bit counts as u64), with at most kPopBatch popAdds
  *   between popTotals.
@@ -18,8 +20,8 @@
  * kernel translation units under src/rna/kernels/.
  */
 
-#ifndef RAPIDNN_RNA_KERNELS_DENSE_TALLY_HH
-#define RAPIDNN_RNA_KERNELS_DENSE_TALLY_HH
+#ifndef RAPIDNN_RNA_KERNELS_TALLY_HH
+#define RAPIDNN_RNA_KERNELS_TALLY_HH
 
 #include <algorithm>
 #include <array>
@@ -96,7 +98,8 @@ ripple(typename V::Reg *c, int from, typename V::Reg carry)
 
 /**
  * Tally one input-code bucket of n edges (n < 2^K) for the group whose
- * weight codes start at `base`, into K counter planes. Buckets of 16
+ * weight codes start at `base`, into K counter planes; `at` is the
+ * group's product-table bases plus the bucket's input code. Buckets of 16
  * edges or more are counted 16 edges at a time through a Harley-Seal
  * carry-save tree into planes 0-3, whose carry-out (worth 16) ripples
  * into the planes above; the rest go in pairs through one carry-save
@@ -105,8 +108,8 @@ ripple(typename V::Reg *c, int from, typename V::Reg carry)
  */
 template <class V, int K>
 void
-tallyBucket(const simd::DenseTallyJob &job, const uint8_t *base,
-            const uint32_t *idx, size_t n, uint32_t u,
+tallyBucket(const simd::TallyJob &job, const uint8_t *base,
+            const uint32_t *idx, size_t n, typename V::Reg at,
             typename V::Reg &sum, typename V::Reg &distinct,
             typename V::Reg &addends)
 {
@@ -119,7 +122,7 @@ tallyBucket(const simd::DenseTallyJob &job, const uint8_t *base,
             const Reg w = V::codes(base + size_t(i) * stride);
             if (word == 0)
                 sum = V::add(sum,
-                             V::products(w, job.shift, u, job.products));
+                             V::products(w, job.shift, at, job.products));
             return V::oneHot(w, word);
         };
         Reg c[K];
@@ -157,8 +160,8 @@ tallyBucket(const simd::DenseTallyJob &job, const uint8_t *base,
 }
 
 template <class V>
-using BucketFn = void (*)(const simd::DenseTallyJob &, const uint8_t *,
-                          const uint32_t *, size_t, uint32_t,
+using BucketFn = void (*)(const simd::TallyJob &, const uint8_t *,
+                          const uint32_t *, size_t, typename V::Reg,
                           typename V::Reg &, typename V::Reg &,
                           typename V::Reg &);
 
@@ -173,14 +176,15 @@ bucketTable(std::integer_sequence<int, Ks...>)
 
 template <class V>
 void
-denseTally(const simd::DenseTallyJob &job)
+tally(const simd::TallyJob &job)
 {
     using Reg = typename V::Reg;
     static constexpr auto table =
         bucketTable<V>(std::make_integer_sequence<int, 16>{});
     for (size_t g = job.groupBegin; g < job.groupEnd; ++g) {
-        const size_t j0 = g * simd::kDenseGroup;
+        const size_t j0 = g * simd::kTallyGroup;
         const uint8_t *base = job.rows + j0;
+        const Reg tables = V::load(job.productBase + j0);
         Reg sum = V::zero();
         Reg distinct = V::zero();
         Reg addends = V::zero();
@@ -189,10 +193,11 @@ denseTally(const simd::DenseTallyJob &job)
             const size_t n = job.bucketStart[b + 1] - first;
             const size_t k = std::bit_width(n);
             table[std::min<size_t>(k, 17) - 1](
-                job, base, job.order + first, n, job.bucketCode[b], sum,
-                distinct, addends);
+                job, base, job.order + first, n,
+                V::add(tables, V::splat(job.bucketCode[b])), sum, distinct,
+                addends);
         }
-        const size_t out = (g - job.groupBegin) * simd::kDenseGroup;
+        const size_t out = (g - job.groupBegin) * simd::kTallyGroup;
         V::storeSums(job.sums + out, sum);
         V::storeCounts(job.distinct + out, distinct);
         V::storeCounts(job.addends + out, addends);
@@ -201,4 +206,4 @@ denseTally(const simd::DenseTallyJob &job)
 
 } // namespace rapidnn::rna::kernels::detail
 
-#endif // RAPIDNN_RNA_KERNELS_DENSE_TALLY_HH
+#endif // RAPIDNN_RNA_KERNELS_TALLY_HH

@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX-512 registers for the bit-sliced dense tally: one zmm holds the
+ * AVX-512 registers for the bit-sliced tally: one zmm holds the
  * u64 lanes of all 8 neurons of a group.
  *
  * Included by two translation units: kernels_avx512.cc (F + BW) and
@@ -10,14 +10,14 @@
  * built with VPOPCNTDQ and a nibble-table VPSHUFB count otherwise.
  */
 
-#ifndef RAPIDNN_RNA_KERNELS_DENSE_TALLY_AVX512_HH
-#define RAPIDNN_RNA_KERNELS_DENSE_TALLY_AVX512_HH
+#ifndef RAPIDNN_RNA_KERNELS_TALLY_AVX512_HH
+#define RAPIDNN_RNA_KERNELS_TALLY_AVX512_HH
 
 #include <immintrin.h>
 
 #include <cstdint>
 
-#include "rna/kernels/dense_tally.hh"
+#include "rna/kernels/tally.hh"
 
 namespace rapidnn::rna::kernels {
 namespace {
@@ -34,6 +34,8 @@ struct Avx512Lanes
 #endif
 
     static Reg zero() { return _mm512_setzero_si512(); }
+    static Reg load(const uint64_t *p) { return _mm512_loadu_si512(p); }
+    static Reg splat(uint64_t x) { return _mm512_set1_epi64(int64_t(x)); }
 
     static Reg
     codes(const uint8_t *w)
@@ -55,11 +57,10 @@ struct Avx512Lanes
     }
 
     static Reg
-    products(Reg w, uint32_t shift, uint32_t u, const int64_t *table)
+    products(Reg w, uint32_t shift, Reg at, const int64_t *table)
     {
-        const Reg idx = _mm512_or_si512(
-            _mm512_sllv_epi64(w, _mm512_set1_epi64(shift)),
-            _mm512_set1_epi64(u));
+        const Reg idx = _mm512_add_epi64(
+            _mm512_sllv_epi64(w, _mm512_set1_epi64(shift)), at);
         return _mm512_i64gather_epi64(idx, table, 8);
     }
 
@@ -128,4 +129,4 @@ struct Avx512Lanes
 } // namespace
 } // namespace rapidnn::rna::kernels
 
-#endif // RAPIDNN_RNA_KERNELS_DENSE_TALLY_AVX512_HH
+#endif // RAPIDNN_RNA_KERNELS_TALLY_AVX512_HH

@@ -8,27 +8,31 @@ namespace rapidnn::rna {
 
 namespace {
 
-/** Pin a blob-supplied packed array to the codes it must equal. */
+/**
+ * Deepest weight buffer of every neuron over the weight rows rowIdx[0..n)
+ * (rows 0..n-1 when rowIdx is null): out[j] = max over w of |{s :
+ * rows[row_s * stride + j] == w}| for j < neurons. `depth` ([neurons *
+ * w], all-zero) is left all-zero.
+ */
 void
-checkPacked(const Array<uint8_t> &packed,
-            const std::vector<uint8_t> &codes, const char *what)
+rowCountingCycles(const uint8_t *rows, size_t stride, size_t neurons,
+                  size_t w, const uint32_t *rowIdx, size_t n,
+                  uint32_t *depth, uint32_t *out)
 {
-    RAPIDNN_CHECK(packed.size() == codes.size(), what);
-    for (size_t i = 0; i < codes.size(); ++i)
-        RAPIDNN_CHECK(packed[i] == codes[i], what);
-}
-
-/** Max buffer depth of every neuron-major column of `columns`, each
- *  `fanIn` codes long (the counting-cycle hint of each neuron). */
-std::vector<uint32_t>
-columnCountingCycles(const AccumulationEngine &engine,
-                     const Array<uint8_t> &columns, size_t fanIn)
-{
-    std::vector<uint32_t> out(fanIn == 0 ? 0 : columns.size() / fanIn);
-    for (size_t h = 0; h < out.size(); ++h)
-        out[h] = engine.weightCountingCycles(columns.data() + h * fanIn,
-                                             fanIn);
-    return out;
+    std::fill(out, out + neurons, 0u);
+    auto row = [&](size_t s) {
+        return rows + size_t(rowIdx != nullptr ? rowIdx[s] : s) * stride;
+    };
+    for (size_t s = 0; s < n; ++s) {
+        const uint8_t *r = row(s);
+        for (size_t j = 0; j < neurons; ++j)
+            out[j] = std::max(out[j], ++depth[j * w + r[j]]);
+    }
+    for (size_t s = 0; s < n; ++s) {
+        const uint8_t *r = row(s);
+        for (size_t j = 0; j < neurons; ++j)
+            depth[j * w + r[j]] = 0;
+    }
 }
 
 } // namespace
@@ -91,105 +95,90 @@ RnaLayerContext::RnaLayerContext(const composer::RLayer &layer,
             RAPIDNN_ASSERT(code < _stateEngine->weightEntries(),
                            "state weight code out of table range");
 
-    // Packed (uint8) code mirrors for the production path. Every code
-    // is range-validated above, so narrowing is lossless when the
-    // codebooks fit 256 entries. Blob-supplied packed sections are
-    // untrusted: their sizes and elements are pinned to the (equally
-    // validated) 16-bit arrays. Counting cycles are a pure function of
-    // the weight codes, so each canonical weight array's value is
-    // derived once here and handed back into the accumulations.
-    bool packable = !_engines.empty();
-    for (const auto &engine : _engines)
-        packable = packable && engine.packable();
-    _packed = _kops != nullptr && packable;
-    _packedRec = _packed && _stateEngine && _stateEngine->packable();
-    if (_kops != nullptr && layer.kind == composer::RLayerKind::Dense &&
-        _engines[0].weightEntries() <= 256) {
-        // The dense tally's input-major rows, padded to 8-neuron
-        // groups. Blob rows are pinned code by code to the validated
-        // row-major weights, padding included.
-        _denseRowStride = composer::denseRowStride(layer.outCount);
-        const auto &codes = layer.weightCodes[0];
-        if (!layer.denseRows8.empty()) {
-            RAPIDNN_CHECK(layer.denseRows8.size() ==
-                              layer.inCount * _denseRowStride,
-                          "dense packed rows size mismatch");
-            for (size_t i = 0; i < layer.inCount; ++i) {
-                const uint8_t *row =
-                    layer.denseRows8.data() + i * _denseRowStride;
-                const uint16_t *want = codes.data() + i * layer.outCount;
-                bool same = true;
-                for (size_t j = 0; j < layer.outCount; ++j)
-                    same &= row[j] == want[j];
-                for (size_t j = layer.outCount; j < _denseRowStride; ++j)
-                    same &= row[j] == 0;
-                RAPIDNN_CHECK(same, "dense packed rows mismatch");
-            }
-            _denseRows8 = layer.denseRows8;
-        } else {
-            _denseRows8 = composer::denseRows8Of(layer);
-        }
-        // Deepest weight buffer per neuron: one histogram row of w
-        // counters per neuron, filled row by row.
-        const size_t w = _engines[0].weightEntries();
-        std::vector<uint32_t> depth(layer.outCount * w, 0);
-        _denseCounting.assign(layer.outCount, 0);
-        for (size_t i = 0; i < layer.inCount; ++i)
-            for (size_t j = 0; j < layer.outCount; ++j) {
-                const uint32_t d =
-                    ++depth[j * w + codes[i * layer.outCount + j]];
-                _denseCounting[j] = std::max(_denseCounting[j], d);
-            }
-    } else if (_packed && layer.kind == composer::RLayerKind::Conv) {
-        const bool fromBlob = !layer.weightCodes8.empty();
-        if (fromBlob)
-            RAPIDNN_CHECK(layer.weightCodes8.size() ==
-                              layer.weightCodes.size(),
-                          "conv packed channel count mismatch");
-        _convChannel8.reserve(layer.weightCodes.size());
-        _convCounting.reserve(layer.weightCodes.size());
-        for (size_t oc = 0; oc < layer.weightCodes.size(); ++oc) {
-            const auto &codes = layer.weightCodes[oc];
-            std::vector<uint8_t> narrow(codes.begin(), codes.end());
-            if (fromBlob) {
-                checkPacked(layer.weightCodes8[oc], narrow,
-                            "conv packed weights mismatch");
-                _convChannel8.push_back(layer.weightCodes8[oc]);
-            } else {
-                _convChannel8.push_back(std::move(narrow));
-            }
-            _convCounting.push_back(_engines[oc].weightCountingCycles(
-                _convChannel8[oc].data(), _convChannel8[oc].size()));
-        }
-    } else if (_packedRec &&
-               layer.kind == composer::RLayerKind::Recurrent) {
-        std::vector<uint8_t> recX = composer::recXColumns8Of(layer);
-        std::vector<uint8_t> recH = composer::recHColumns8Of(layer);
-        if (!layer.recXColumns8.empty()) {
-            checkPacked(layer.recXColumns8, recX,
-                        "recurrent x packed columns mismatch");
-            _recXColumns8 = layer.recXColumns8;
-        } else {
-            _recXColumns8 = std::move(recX);
-        }
-        if (!layer.recHColumns8.empty()) {
-            checkPacked(layer.recHColumns8, recH,
-                        "recurrent h packed columns mismatch");
-            _recHColumns8 = layer.recHColumns8;
-        } else {
-            _recHColumns8 = std::move(recH);
-        }
-        _recXCounting = columnCountingCycles(_engines[0], _recXColumns8,
-                                             layer.inCount);
-        _recHCounting = columnCountingCycles(*_stateEngine,
-                                             _recHColumns8,
-                                             layer.outCount);
+    // The tally's packed rows for the production path. Every code is
+    // range-validated above, so packing is lossless when the weight
+    // codebooks fit 256 entries.
+    _hasTally = _kops != nullptr && composer::tallyPacks(layer);
+    if (_hasTally) {
+        _stride = composer::tallyRowStride(layer.outCount);
+        for (const auto &engine : _engines)
+            _maxWeightEntries =
+                std::max(_maxWeightEntries, engine.weightEntries());
+        buildTally(_tally, false);
+        if (_stateEngine)
+            buildTally(_stateTally, true);
     }
 
     if (_activationAm)
         _activationQueryCost = _activationAm->queryCost();
     if (_encodingAm)
         _encodingQueryCost = _encodingAm->queryCost();
+}
+
+void
+RnaLayerContext::buildTally(TallyRows &t, bool statePath)
+{
+    // Blob-supplied rows are untrusted: pin them code by code to the
+    // validated 16-bit weights, padding included.
+    const composer::RLayer &layer = _layer;
+    const Array<uint8_t> &blobRows =
+        statePath ? layer.stateRows8 : layer.tallyRows8;
+    const size_t rows = composer::tallyRowCount(layer, statePath);
+    if (blobRows.empty()) {
+        t.rows = composer::tallyRows8Of(layer, statePath);
+    } else {
+        const char *what =
+            statePath ? "recurrent state packed rows mismatch"
+            : layer.kind == composer::RLayerKind::Conv
+                ? "conv packed rows mismatch"
+            : layer.kind == composer::RLayerKind::Recurrent
+                ? "recurrent packed rows mismatch"
+                : "dense packed rows mismatch";
+        RAPIDNN_CHECK(blobRows.size() == rows * _stride, what);
+        bool same = true;
+        for (size_t i = 0; i < rows; ++i)
+            for (size_t j = 0; j < _stride; ++j)
+                same &= blobRows[i * _stride + j] ==
+                        (j < layer.outCount
+                             ? composer::tallyWeightCode(layer, statePath,
+                                                         i, j)
+                             : 0);
+        RAPIDNN_CHECK(same, what);
+        t.rows = blobRows;
+    }
+
+    // Products: one table for the layer, or on a conv layer each
+    // channel's engine's table laid end to end, every neuron reading
+    // its own from its base (padding neurons read channel 0's).
+    t.base.assign(_stride, 0);
+    if (statePath) {
+        t.products = _stateEngine->paddedProducts();
+        t.shift = _stateEngine->keyShift();
+    } else if (layer.kind == composer::RLayerKind::Conv) {
+        for (size_t oc = 0; oc < _engines.size(); ++oc) {
+            const AccumulationEngine &e = _engines[oc];
+            t.base[oc] = t.ownProducts.size();
+            t.ownProducts.insert(t.ownProducts.end(), e.paddedProducts(),
+                                 e.paddedProducts() + e.paddedCells());
+        }
+        t.products = t.ownProducts.data();
+        t.shift = _engines[0].keyShift();
+    } else {
+        t.products = _engines[0].paddedProducts();
+        t.shift = _engines[0].keyShift();
+    }
+    const size_t w = statePath ? _stateEngine->weightEntries()
+                               : _maxWeightEntries;
+    t.maskWords = static_cast<uint32_t>((w + 63) / 64);
+
+    // A conv window's counting cycles depend on its clipping, so the
+    // gather plan keeps them (windowCountingCycles).
+    if (layer.kind == composer::RLayerKind::Conv)
+        return;
+    std::vector<uint32_t> depth(layer.outCount * w, 0);
+    t.counting.resize(layer.outCount);
+    rowCountingCycles(t.rows.data(), _stride, layer.outCount, w, nullptr,
+                      rows, depth.data(), t.counting.data());
 }
 
 NeuronResult
@@ -219,82 +208,62 @@ RnaLayerContext::evaluate(size_t channel,
 }
 
 void
-RnaLayerContext::denseTally(const InputBuckets &inputs,
-                            size_t groupBegin, size_t groupEnd,
-                            int64_t *sums, uint32_t *distinct,
-                            uint32_t *addends) const
+RnaLayerContext::tally(const InputBuckets &inputs, size_t groupBegin,
+                       size_t groupEnd, int64_t *sums,
+                       uint32_t *distinct, uint32_t *addends,
+                       bool statePath) const
 {
-    RAPIDNN_ASSERT(hasDenseRows(), "denseTally without dense rows");
-    const AccumulationEngine &engine = _engines[0];
-    simd::DenseTallyJob job{};
-    job.rows = _denseRows8.data();
-    job.rowStride = _denseRowStride;
+    RAPIDNN_ASSERT(_hasTally, "tally on a layer it does not serve");
+    const TallyRows &t = statePath ? _stateTally : _tally;
+    simd::TallyJob job{};
+    job.rows = t.rows.data();
+    job.rowStride = _stride;
     job.order = inputs.order.data();
     job.bucketStart = inputs.start.data();
     job.bucketCode = inputs.code.data();
     job.buckets = inputs.buckets();
-    job.products = engine.paddedProducts();
-    job.shift = engine.keyShift();
-    job.maskWords =
-        static_cast<uint32_t>((engine.weightEntries() + 63) / 64);
+    job.products = t.products;
+    job.productBase = t.base.data();
+    job.shift = t.shift;
+    job.maskWords = t.maskWords;
     job.groupBegin = groupBegin;
     job.groupEnd = groupEnd;
     job.sums = sums;
     job.distinct = distinct;
     job.addends = addends;
-    _kops->denseTally(job);
+    _kops->tally(job);
 }
 
-void
-RnaLayerContext::accumulatePrekeyedLanes(
-    size_t channel, const uint16_t *keys, size_t keyStride,
-    size_t lanes, size_t fanIn, double bias, AccumScratch &sc,
-    const uint32_t *countingCycles, AccumResult *results) const
+AccumResult
+RnaLayerContext::tallyResult(size_t j, int64_t sum, uint32_t distinct,
+                             uint32_t addends, size_t fanIn,
+                             uint32_t countingCycles, AccumScratch &sc,
+                             bool statePath) const
 {
-    RAPIDNN_ASSERT(_kops != nullptr && _packed,
-                   "accumulatePrekeyedLanes without a packed kernel "
-                   "context");
-    _engines[channel].runPrekeyedLanes(*_kops, keys, keyStride, lanes,
-                                       fanIn, bias, sc, countingCycles,
-                                       results);
+    if (statePath)
+        return _stateEngine->tallyResult(sum, distinct, addends,
+                                         countingCycles, fanIn, 0.0, sc);
+    const size_t engine =
+        _layer.kind == composer::RLayerKind::Conv ? j : 0;
+    return _engines[engine].tallyResult(sum, distinct, addends,
+                                        countingCycles, fanIn,
+                                        _layer.bias[j], sc);
 }
 
-uint32_t
-RnaLayerContext::packedCountingCycles(size_t channel, const uint8_t *w8,
-                                      size_t fanIn,
-                                      AccumScratch &sc) const
+std::vector<uint32_t>
+RnaLayerContext::windowCountingCycles(const ConvGatherPlan &plan) const
 {
-    if (w8 == _convChannel8[channel].data() &&
-        fanIn == _convChannel8[channel].size())
-        return _convCounting[channel];
-    return _engines[channel].weightCountingCycles(w8, fanIn, sc);
-}
-
-NeuronResult
-RnaLayerContext::evaluateRecurrentStepPrekeyed(
-    const uint16_t *xKeys, size_t features, const uint16_t *hKeys,
-    size_t hidden, double bias, AccumScratch &scratch,
-    const uint32_t *xCounting, const uint32_t *hCounting) const
-{
-    NeuronResult result;
-    // Mirrors evaluateRecurrentStep: both operand paths tally in the
-    // same crossbar, costs add, values add.
-    const AccumResult xAccum = _engines[0].runPrekeyed(
-        *_kops, xKeys, features, bias, scratch, xCounting);
-    const AccumResult hAccum = _stateEngine->runPrekeyed(
-        *_kops, hKeys, hidden, 0.0, scratch, hCounting);
-    result.cost.weightedAccum =
-        xAccum.cost.total() + hAccum.cost.total();
-
-    double value = xAccum.value + hAccum.value;
-    if (_activationAm)
-        value = _activationAm->lookup(value, result.cost.activation);
-    result.rawValue = value;
-
-    result.code = static_cast<uint16_t>(
-        _stateEncodingAm->lookupRow(value, result.cost.encoding));
-    result.encoded = true;
-    return result;
+    const size_t positions = plan.outH * plan.outW;
+    const size_t out = _layer.outCount;
+    std::vector<uint32_t> depth(out * _maxWeightEntries, 0);
+    std::vector<uint32_t> counting(positions * out);
+    for (size_t p = 0; p < positions; ++p)
+        rowCountingCycles(_tally.rows.data(), _stride, out,
+                          _maxWeightEntries,
+                          plan.weightIdx.data() + plan.start[p],
+                          plan.start[p + 1] - plan.start[p], depth.data(),
+                          counting.data() + p * out);
+    return counting;
 }
 
 void
@@ -334,17 +303,21 @@ RnaLayerContext::evaluateRecurrentStep(
     RAPIDNN_ASSERT(_stateEngine.has_value(),
                    "evaluateRecurrentStep on a non-recurrent layer");
 
+    return finishRecurrentStep(
+        _engines[0].run(xWeightCodes, xCodes, bias),
+        _stateEngine->run(hWeightCodes, hCodes, 0.0));
+}
+
+NeuronResult
+RnaLayerContext::finishRecurrentStep(const AccumResult &x,
+                                     const AccumResult &h) const
+{
     NeuronResult result;
     // Both operand paths tally in the same crossbar; the feedback
     // products join the same adder tree, so costs simply add.
-    const AccumResult xAccum =
-        _engines[0].run(xWeightCodes, xCodes, bias);
-    const AccumResult hAccum =
-        _stateEngine->run(hWeightCodes, hCodes, 0.0);
-    result.cost.weightedAccum =
-        xAccum.cost.total() + hAccum.cost.total();
+    result.cost.weightedAccum = x.cost.total() + h.cost.total();
 
-    double value = xAccum.value + hAccum.value;
+    double value = x.value + h.value;
     if (_activationAm)
         value = _activationAm->lookup(value, result.cost.activation);
     result.rawValue = value;
@@ -391,29 +364,6 @@ RnaLayerContext::poolMaxFast(const uint16_t *codes, size_t count,
     cost += {1, model.camWriteEnergy * static_cast<double>(count)};
     cost += model.camSearch(count, 16);
     return ops.maxU16(codes, count);
-}
-
-void
-RnaLayerContext::prepareWorkspace(Workspace &ws) const
-{
-    // The conv and recurrent kernel paths tally into a power-of-two
-    // padded key space and stage one fan-in's worth of fused pair
-    // keys; size both here so the hot loop never grows (growth would
-    // re-zero AlignedVec contents mid-inference). Dense layers run the
-    // dense tally and need neither.
-    const bool conv = _layer.kind == composer::RLayerKind::Conv;
-    if (!(conv ? _packed : _packedRec))
-        return;
-    size_t maxFanIn = conv ? _layer.weightCodes[0].size()
-                           : std::max(_layer.inCount, _layer.outCount);
-    for (const auto &engine : _engines)
-        ws.accum.ensurePadded(engine.weightEntries(), engine.keyShift(),
-                              maxFanIn);
-    if (_stateEngine)
-        ws.accum.ensurePadded(_stateEngine->weightEntries(),
-                              _stateEngine->keyShift(), maxFanIn);
-    if (conv)
-        ws.gw8.ensure(maxFanIn);
 }
 
 size_t

@@ -20,8 +20,7 @@ namespace rapidnn::rna {
 
 // NeuronCost (the per-phase cost breakdown of one neuron evaluation,
 // Figure 13) is defined in rna/workspace.hh, which this header
-// includes: the workspace stores one per neuron and batch lane for the
-// batched recurrent reduction.
+// includes: the workspace's LayerRun sums one per layer.
 
 /** Output of one neuron evaluation. */
 struct NeuronResult
@@ -98,147 +97,72 @@ class RnaLayerContext
         const std::vector<uint16_t> &hWeightCodes,
         const std::vector<uint16_t> &hCodes, double bias) const;
 
+    /**
+     * The rest of a recurrent step once both operand paths are
+     * accumulated: the costs and values add (both paths share one
+     * adder tree), then the activation lookup and the state encoding.
+     */
+    NeuronResult finishRecurrentStep(const AccumResult &x,
+                                     const AccumResult &h) const;
+
     /** Encode a raw value into the recurrent state codebook. */
     uint16_t encodeState(double value, nvm::OpCost &cost) const;
 
     // ------------------------------------------------------------------
-    // Production path. Only usable when the context was built with a
-    // kernel table and its codebooks pack; every result is bitwise
-    // identical to evaluate() (tests/batch_equivalence_test.cc).
+    // Production path: the tally (KernelOps::tally). Only usable when
+    // hasTally(); every result is bitwise identical to the reference
+    // evaluators above (tests/batch_equivalence_test.cc).
     // ------------------------------------------------------------------
 
-    /** True when every forward-path codebook fits 8-bit packed codes
-     *  (weight + input codebooks <= 256 entries). */
-    bool packed() const { return _packed; }
+    /**
+     * True when the tally serves this layer: a kernel table was given
+     * and composer::tallyPacks(layer) holds, so the packed weight rows
+     * exist. Input codes are grouped rather than narrowed, so the input
+     * codebooks may be any size.
+     */
+    bool hasTally() const { return _hasTally; }
 
-    /** True when the recurrent feedback path also packs (state
-     *  codebook <= 256 entries); implies packed(). */
-    bool packedRecurrent() const { return _packedRec; }
+    /** Neurons per packed row (outCount padded to 8). */
+    size_t tallyStride() const { return _stride; }
 
     /**
-     * True when the dense tally serves this layer: a dense layer with
-     * a kernel table and a weight codebook of at most 256 entries (the
-     * packed input-major rows exist). Input codes are grouped rather
-     * than narrowed, so the input codebook may be any size.
+     * Run the tally for one batch lane over the 8-neuron groups
+     * [groupBegin, groupEnd) of the forward path, or of the recurrent
+     * feedback path when `statePath`: writes the product sum, non-zero
+     * cell count and CSD-term count of every neuron in those groups,
+     * neuron groupBegin * 8 + k at index k. `inputs` is the lane's
+     * fan-in grouped by input code, its `order` holding weight rows.
      */
-    bool hasDenseRows() const { return !_denseRows8.empty(); }
-
-    /** Neurons per packed dense row (outCount padded to 8). */
-    size_t denseRowStride() const { return _denseRowStride; }
+    void tally(const InputBuckets &inputs, size_t groupBegin,
+               size_t groupEnd, int64_t *sums, uint32_t *distinct,
+               uint32_t *addends, bool statePath = false) const;
 
     /**
-     * Run the dense tally (KernelOps::denseTally) for one batch lane
-     * over the 8-neuron groups [groupBegin, groupEnd): writes the
-     * product sum, non-zero cell count and CSD-term count of every
-     * neuron in those groups, neuron groupBegin * 8 + k at index k.
-     * `inputs` is the lane's fan-in grouped by input code. Requires
-     * hasDenseRows().
+     * Neuron j's AccumResult from its tally outputs over `fanIn` edges
+     * whose deepest weight buffer holds `countingCycles` codes:
+     * bitwise-identical to the reference accumulation of the neuron
+     * (channel j's engine on a conv layer; the feedback path, without
+     * bias, when `statePath`).
      */
-    void denseTally(const InputBuckets &inputs, size_t groupBegin,
-                    size_t groupEnd, int64_t *sums, uint32_t *distinct,
-                    uint32_t *addends) const;
+    AccumResult tallyResult(size_t j, int64_t sum, uint32_t distinct,
+                            uint32_t addends, size_t fanIn,
+                            uint32_t countingCycles, AccumScratch &sc,
+                            bool statePath = false) const;
 
-    /** Neuron j's AccumResult from its denseTally outputs;
-     *  bitwise-identical to the neuron's evaluate() accumulation. */
-    AccumResult
-    denseResult(size_t j, int64_t sum, uint32_t distinct,
-                uint32_t addends, AccumScratch &sc) const
-    {
-        return _engines[0].denseResult(sum, distinct, addends,
-                                       _denseCounting[j], _layer.inCount,
-                                       _layer.bias[j], sc);
-    }
-
-    /** Packed contiguous per-channel conv weight codes (full windows
-     *  feed these straight to pairKeys8Lanes). Valid when packed(). */
-    const uint8_t *
-    convChannel8(size_t oc) const
-    {
-        return _convChannel8[oc].data();
-    }
-
-    /** Neuron-major packed input-path weight codes of hidden unit h.
-     *  Valid when packedRecurrent(). */
-    const uint8_t *
-    recurrentXColumn8(size_t h) const
-    {
-        return _recXColumns8.data() + h * _layer.inCount;
-    }
-
-    /** Neuron-major packed feedback-path weight codes of hidden unit
-     *  h. Valid when packedRecurrent(). */
-    const uint8_t *
-    recurrentHColumn8(size_t h) const
-    {
-        return _recHColumns8.data() + h * _layer.outCount;
-    }
-
-    /**
-     * Batched-lanes accumulation for conv windows: one call
-     * accumulates every batch lane of one output neuron from the
-     * lane-strided key stripes pairKeys8Lanes wrote (lane L at keys +
-     * L * keyStride), filling results[0..lanes). Bitwise-identical per
-     * lane to evaluate()'s accumulation over the lane's codes; the
-     * per-neuron constants (counting cycles, bias, counting energy)
-     * are computed once and shared across the lanes. `sc` must have
-     * been sized by prepareWorkspace; `countingCycles` is the hoisted
-     * hint for the weight window, or nullptr to recompute.
-     */
-    void accumulatePrekeyedLanes(size_t channel, const uint16_t *keys,
-                                 size_t keyStride, size_t lanes,
-                                 size_t fanIn, double bias,
-                                 AccumScratch &sc,
-                                 const uint32_t *countingCycles,
-                                 AccumResult *results) const;
-
-    /**
-     * Counting cycles for a packed conv weight window of `channel`:
-     * the hoisted hint when w8 is the channel's full window, otherwise
-     * (a clipped window gathered into scratch) recomputed
-     * allocation-free through `sc`. The conv path derives this once per
-     * (position, channel) and shares it across every lane.
-     */
-    uint32_t packedCountingCycles(size_t channel, const uint8_t *w8,
-                                  size_t fanIn, AccumScratch &sc) const;
-
-    /** Pair-key shift of channel's engine: key = (w << shift) | u. */
+    /** Neuron j's counting cycles over its full fan-in (hoisted at
+     *  configure time; dense and recurrent layers). */
     uint32_t
-    keyShiftFor(size_t channel) const
+    countingCycles(size_t j, bool statePath = false) const
     {
-        return _engines[channel].keyShift();
-    }
-
-    /** Pair-key shift of the recurrent feedback-path engine. */
-    uint32_t
-    stateKeyShift() const
-    {
-        return _stateEngine->keyShift();
-    }
-
-    /** Hoisted counting-cycle hints per recurrent weight column.
-     *  Valid when packedRecurrent(). */
-    const uint32_t *
-    recXCountingHint(size_t h) const
-    {
-        return &_recXCounting[h];
-    }
-
-    const uint32_t *
-    recHCountingHint(size_t h) const
-    {
-        return &_recHCounting[h];
+        return (statePath ? _stateTally : _tally).counting[j];
     }
 
     /**
-     * One recurrent step of one hidden neuron over pair keys the
-     * caller built for both operand paths (one weight-column load per
-     * pairKeys8Lanes call serving every batch lane). Bitwise-identical
-     * to evaluateRecurrentStep() over the originating codes.
+     * Counting cycles of every output channel over every window of a
+     * conv gather plan: [position * outCount + channel].
      */
-    NeuronResult evaluateRecurrentStepPrekeyed(
-        const uint16_t *xKeys, size_t features, const uint16_t *hKeys,
-        size_t hidden, double bias, AccumScratch &scratch,
-        const uint32_t *xCounting, const uint32_t *hCounting) const;
+    std::vector<uint32_t>
+    windowCountingCycles(const ConvGatherPlan &plan) const;
 
     bool hasActivation() const { return _activationAm.has_value(); }
     bool hasEncoder() const { return _encodingAm.has_value(); }
@@ -273,10 +197,6 @@ class RnaLayerContext
     void encodeBatch(const double *in, size_t n, uint32_t *keyScratch,
                      uint32_t *rowScratch, uint16_t *codes) const;
 
-    /** Pre-size a workspace's buffers for this layer (configure time),
-     *  so steady-state inference never grows them. */
-    void prepareWorkspace(Workspace &ws) const;
-
     const composer::RLayer &layer() const { return _layer; }
 
     /** Crossbar rows this layer's product tables occupy. */
@@ -293,28 +213,35 @@ class RnaLayerContext
     std::optional<nvm::AmBlock> _stateEncodingAm;
     /** Kernel dispatch table (nullptr = reference evaluator only). */
     const simd::KernelOps *_kops = nullptr;
-    bool _packed = false;     //!< forward path packs to uint8 codes
-    bool _packedRec = false;  //!< feedback path also packs
-    /** Packed (uint8) weight codes: views of blob-precomputed sections
-     *  when present, otherwise owned copies derived at configure time.
-     *  Dense layers keep only the tally's input-major rows
-     *  ([i * _denseRowStride + j], padding neurons at code 0). */
-    Array<uint8_t> _denseRows8;
-    size_t _denseRowStride = 0;
-    std::vector<Array<uint8_t>> _convChannel8;  //!< per out-channel
-    Array<uint8_t> _recXColumns8;
-    Array<uint8_t> _recHColumns8;
+
+    /** One weight matrix the tally reads. */
+    struct TallyRows
+    {
+        /** [rows][_stride] packed weight codes: a view of the blob's
+         *  section when present, otherwise derived at configure. */
+        Array<uint8_t> rows;
+        /** Conv only: every channel's padded product table, end to
+         *  end (dense and recurrent read their engine's table). */
+        std::vector<int64_t> ownProducts;
+        const int64_t *products = nullptr;
+        std::vector<uint64_t> base;  //!< [_stride] table start per neuron
+        uint32_t shift = 0;
+        uint32_t maskWords = 0;
+        /** [outCount] deepest weight buffer over the full fan-in;
+         *  empty on a conv layer. */
+        std::vector<uint32_t> counting;
+    };
+    void buildTally(TallyRows &t, bool statePath);
+
+    bool _hasTally = false;
+    size_t _stride = 0;
+    TallyRows _tally;       //!< forward path
+    TallyRows _stateTally;  //!< recurrent feedback path
+    size_t _maxWeightEntries = 0;  //!< widest weight codebook
     /** Constant analytic per-lookup costs, precomputed so the batch
      *  paths charge without re-deriving them per neuron. */
     nvm::OpCost _activationQueryCost;
     nvm::OpCost _encodingQueryCost;
-    /** Precomputed AccumulationEngine::weightCountingCycles() per
-     *  canonical weight array (packed contexts only): dense/recurrent
-     *  per neuron column, conv per output channel's full window. */
-    std::vector<uint32_t> _denseCounting;
-    std::vector<uint32_t> _convCounting;
-    std::vector<uint32_t> _recXCounting;
-    std::vector<uint32_t> _recHCounting;
 };
 
 } // namespace rapidnn::rna

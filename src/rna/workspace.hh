@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/array.hh"
+#include "common/simd.hh"
 #include "common/units.hh"
 #include "composer/reinterpreted_model.hh"
 #include "nvm/op_cost.hh"
@@ -31,8 +32,7 @@ namespace rapidnn::rna {
 /**
  * Per-phase cost breakdown of one neuron evaluation (Figure 13).
  * Lives here (rather than rna_block.hh, which includes this header)
- * because the workspace stores one per neuron and batch lane for the
- * batched recurrent reduction.
+ * because each LayerRun sums one over its layer.
  */
 struct NeuronCost
 {
@@ -123,6 +123,10 @@ struct ConvGatherPlan
     Array<uint32_t> start;
     Array<uint32_t> weightIdx;  //!< slot -> per-channel weight code
     Array<uint32_t> inputIdx;   //!< slot -> input tensor code
+    /** [position * outC + channel] counting cycles of each channel
+     *  over the position's window: a function of the weights alone,
+     *  filled by the first inference that uses the plan. */
+    std::vector<uint32_t> counting;
 
     bool
     matches(size_t c, size_t h, size_t w) const
@@ -144,37 +148,28 @@ void buildConvGatherPlan(ConvGatherPlan &plan,
                          size_t h, size_t w);
 
 /**
- * Staging for one pass of the dense tally (Chip::runDenseTally): the
- * tally outputs, values and codes of up to kNeurons neurons for every
- * batch lane. Tally outputs are lane-major (lane * kNeurons + k);
- * values and codes are neuron-major (k * lanes + lane) so one AM batch
- * lookup covers the pass. A pass is 8 groups, one cache line of each
- * packed weight row.
+ * Outputs of the tally calls in flight (KernelOps::tally): each neuron
+ * slot's product sum, non-zero cells and CSD terms. A dense pass
+ * covers kPassNeurons neurons (8 groups, one cache line of each packed
+ * row) for every lane, lane-major (lane * kPassNeurons + k); a conv
+ * position covers one lane's channels; a recurrent step one lane's x
+ * path at [0, stride) and h path at [stride, 2 * stride).
  */
-struct DenseTallyScratch
+struct TallyScratch
 {
-    static constexpr size_t kNeurons = 64;
+    static constexpr size_t kPassNeurons = 64;
 
     simd::AlignedVec<int64_t> sums;
     simd::AlignedVec<uint32_t> distinct;
     simd::AlignedVec<uint32_t> addends;
-    simd::AlignedVec<double> vals;
-    simd::AlignedVec<uint16_t> codes;
-    simd::AlignedVec<uint32_t> amKeys;
-    simd::AlignedVec<uint32_t> amRows;
 
-    /** Grow to cover `lanes` batch lanes. */
+    /** Grow to hold n neuron slots. */
     void
-    ensure(size_t lanes)
+    ensure(size_t n)
     {
-        const size_t n = lanes * kNeurons;
         sums.ensure(n);
         distinct.ensure(n);
         addends.ensure(n);
-        vals.ensure(n);
-        codes.ensure(n);
-        amKeys.ensure(n);
-        amRows.ensure(n);
     }
 };
 
@@ -187,60 +182,37 @@ struct Workspace
     /** Max-pool window gather target (sized to the widest window). */
     std::vector<uint16_t> gatherX;
 
-    /** Clipped conv weight window (packed) and the AM batch lookups'
-     *  key/row scratch. */
-    simd::AlignedVec<uint8_t> gw8;
+    /**
+     * Batch-strided staging, arena-sized at configure time from
+     * ChipConfig::maxBatch (larger batches still work — buffers grow
+     * on first use). valsB / codesB / accumCostB are neuron-major
+     * (slot = neuron * lanes + lane), so a contiguous neuron range over
+     * all lanes feeds one cross-lane AM batch lookup; amKeys / amRows
+     * are those lookups' key and row scratch.
+     */
+    simd::AlignedVec<double> valsB;
+    simd::AlignedVec<uint16_t> codesB;
     simd::AlignedVec<uint32_t> amKeys;
     simd::AlignedVec<uint32_t> amRows;
-
-    /**
-     * Batch-strided buffers, arena-sized at configure time from
-     * ChipConfig::maxBatch (larger batches still work — buffers grow
-     * on first use). Lane L's stripe of a lane-strided buffer starts
-     * at L * stride; actB8 stripes are gather8 sources, which is safe
-     * because an interior lane's <= 3 byte overread lands in the next
-     * lane's (readable) stripe and the last lane is covered by the
-     * AlignedVec tail slack. valsB /
-     * codesB / neuronCostsB are neuron-major (slot = neuron * lanes +
-     * lane) so a contiguous neuron range over all lanes feeds one
-     * cross-lane AM batch lookup.
-     */
-    simd::AlignedVec<uint8_t> actB8;   //!< lane-strided narrowed codes
-    simd::AlignedVec<uint8_t> gx8B;    //!< lane-strided conv windows
-    simd::AlignedVec<uint8_t> h8B;     //!< lane-strided narrowed state
-    simd::AlignedVec<uint16_t> keysB;  //!< pairKeys8Lanes stripes
-    simd::AlignedVec<uint16_t> keysHB; //!< recurrent feedback keys
-    simd::AlignedVec<double> valsB;    //!< neuron-major staged values
-    simd::AlignedVec<uint16_t> codesB; //!< neuron-major encode staging
-    std::vector<const uint8_t *> lanePtrsX;  //!< per-lane x sources
-    std::vector<const uint8_t *> lanePtrsH;  //!< per-lane h sources
-    std::vector<uint16_t> hCodesB;  //!< lane-strided state buffers
-    std::vector<uint16_t> hNextB;
-    std::vector<double> hRawB;
-    std::vector<double> hRawNextB;
-    std::vector<uint64_t> stepWorstB;  //!< per-lane recurrent cycles
-    /** Neuron-major x lane cost slots of one recurrent step (sized
-     *  for the widest packed recurrent layer); each lane's flat
-     *  reduction replays the reference walk's neuron order exactly. */
-    std::vector<NeuronCost> neuronCostsB;
-    /** Per-lane results of one neuron's batched-lanes accumulation. */
-    std::vector<AccumResult> accumResB;
-
-    /**
-     * Dense-tally buffers (Chip::runDenseTally): each batch lane's
-     * fan-in grouped by input code, the lanes' input-code pointers,
-     * and the pass staging.
-     */
-    std::vector<InputBuckets> denseInputs;
-    std::vector<const uint16_t *> laneCodes;
-    DenseTallyScratch dense;
-    /** Neuron-major x lane accumulation-cost slots for the conv path:
-     *  only the weighted-accumulation OpCost varies per slot
-     *  (activation/encoding query costs are per-layer constants the
-     *  reduction re-adds per neuron in serial order), so staging
-     *  16-byte OpCosts instead of NeuronCosts quarters the
-     *  cost-staging traffic. */
+    /** Conv weighted-accumulation cost per slot: the activation and
+     *  encoding query costs are per-layer constants the reduction
+     *  re-adds per neuron in serial order. */
     std::vector<nvm::OpCost> accumCostB;
+
+    /**
+     * Tally inputs and outputs: each lane's fan-in grouped by input
+     * code (one per lane for a dense layer; a conv position or a
+     * recurrent step uses the first one or two), and the tally
+     * outputs.
+     */
+    std::vector<InputBuckets> inputs;
+    TallyScratch tally;
+
+    /** One recurrent lane's hidden state, current and next step. */
+    std::vector<uint16_t> hCodes;
+    std::vector<uint16_t> hNext;
+    std::vector<double> hRaw;
+    std::vector<double> hRawNext;
 
     /** AvgPool fixed-point addend reuse. */
     std::vector<int64_t> addends;

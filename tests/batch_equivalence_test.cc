@@ -9,12 +9,15 @@
  * for every SIMD variant the host runs, batch sizes 1 to 8 plus one
  * past the maxBatch arena hint (buffers must grow, not truncate), and
  * both NDCAM search modes. The models cover every layer family the
- * production path specializes: dense (the dense tally), conv with max
- * or average pooling and same or valid padding, recurrent, and
- * residual. Synthetic dense layers add awkward shapes and codebook
- * sizes, among them a u = 300 input codebook on the tally and a
- * w = 300 weight codebook, which does not pack and so runs the
- * reference evaluator in production too. errorRate and the empty
+ * production path specializes: dense, conv with max or average pooling
+ * and same or valid padding, recurrent (all three on the one tally),
+ * and residual. Synthetic layers add awkward shapes and codebook
+ * sizes: dense layers with a u = 300 input codebook on the tally and
+ * a w = 300 weight codebook, which does not pack and so runs the
+ * reference evaluator in production too; conv layers with 1x1 to 5x5
+ * kernels, same and valid padding, 5 to 17 output channels and a
+ * u = 300 input codebook; recurrent layers of 7, 9 and 17 hidden
+ * units. errorRate and the empty
  * batch are checked on their own, as is the reference walk batched
  * against itself. Beside the batch sweep, infer() (the single-sample
  * entry point) is checked sample by sample against the reference on
@@ -37,6 +40,7 @@
 #include "common/simd.hh"
 #include "composer/composer.hh"
 #include "nn/conv2d.hh"
+#include "nn/dense.hh"
 #include "nn/misc_layers.hh"
 #include "nn/pooling.hh"
 #include "nn/recurrent.hh"
@@ -78,10 +82,10 @@ struct Fixture
 };
 
 /** Split `all`, train `net` on the training part, compose it. */
-Fixture *
+std::unique_ptr<const Fixture>
 makeFixture(nn::Dataset all, nn::Network net, size_t epochs)
 {
-    auto *f = new Fixture;
+    auto f = std::make_unique<Fixture>();
     auto [tr, va] = all.split(0.25);
     f->train = std::move(tr);
     f->validation = std::move(va);
@@ -94,14 +98,15 @@ makeFixture(nn::Dataset all, nn::Network net, size_t epochs)
 /*
  * The dense, conv and recurrent fixtures are built once per task seed
  * (the network's initial weights use seed + 1), so the suites below
- * can check the same layer family on differently trained models.
+ * can check the same layer family on differently trained models. The
+ * caches own their fixtures, so nothing leaks at exit.
  */
 
 const Fixture &
 denseFixture(uint64_t seed = 501)
 {
-    static std::map<uint64_t, const Fixture *> cache;
-    const Fixture *&fx = cache[seed];
+    static std::map<uint64_t, std::unique_ptr<const Fixture>> cache;
+    std::unique_ptr<const Fixture> &fx = cache[seed];
     if (!fx) {
         Rng rng(seed + 1);
         fx = makeFixture(
@@ -129,8 +134,8 @@ imageTask(const char *name, uint64_t seed)
 const Fixture &
 convFixture(uint64_t seed = 503)
 {
-    static std::map<uint64_t, const Fixture *> cache;
-    const Fixture *&fx = cache[seed];
+    static std::map<uint64_t, std::unique_ptr<const Fixture>> cache;
+    std::unique_ptr<const Fixture> &fx = cache[seed];
     if (!fx) {
         Rng rng(seed + 1);
         nn::CnnSpec cnn;
@@ -150,7 +155,7 @@ convFixture(uint64_t seed = 503)
 const Fixture &
 poolFixture()
 {
-    static const Fixture *fx = [] {
+    static const std::unique_ptr<const Fixture> fx = [] {
         Rng rng(510);
         nn::Network net;
         net.add(std::make_unique<nn::Conv2DLayer>(3, 4, 3,
@@ -167,8 +172,8 @@ poolFixture()
 const Fixture &
 recurrentFixture(uint64_t seed = 505)
 {
-    static std::map<uint64_t, const Fixture *> cache;
-    const Fixture *&fx = cache[seed];
+    static std::map<uint64_t, std::unique_ptr<const Fixture>> cache;
+    std::unique_ptr<const Fixture> &fx = cache[seed];
     if (!fx) {
         nn::SequenceTaskSpec spec;
         spec.name = "bq-seq";
@@ -191,7 +196,7 @@ recurrentFixture(uint64_t seed = 505)
 const Fixture &
 residualFixture()
 {
-    static const Fixture *fx = [] {
+    static const std::unique_ptr<const Fixture> fx = [] {
         Rng rng(508);
         nn::Network net;
         net.add(std::make_unique<nn::DenseLayer>(16, 14, rng));
@@ -437,6 +442,16 @@ TEST(ChipKernelEquivalence, StagedSearchModeBitwise)
                        kernels::availableVariants(), 4);
 }
 
+/** n evenly spaced values from lo to hi. */
+std::vector<double>
+spaced(size_t n, double lo, double hi)
+{
+    std::vector<double> v(n);
+    for (size_t k = 0; k < n; ++k)
+        v[k] = lo + (hi - lo) * double(k) / double(n - 1);
+    return v;
+}
+
 /** A dense stack whose first layer gets exactly w weight and u input
  *  entries. */
 struct DenseShape
@@ -469,12 +484,6 @@ sweepDenseShape(const DenseShape &shape, uint64_t seed)
     // tables.
     composer::RLayer &first = model.layers()[0];
     ASSERT_EQ(first.kind, composer::RLayerKind::Dense);
-    auto spaced = [](size_t n, double lo, double hi) {
-        std::vector<double> v(n);
-        for (size_t k = 0; k < n; ++k)
-            v[k] = lo + (hi - lo) * double(k) / double(n - 1);
-        return v;
-    };
     first.inputCodebook = quant::Codebook::fromSorted(
         Array<double>(spaced(shape.u, -2.5, 2.5)));
     model.inputEncoder() = quant::Encoder(first.inputCodebook);
@@ -514,6 +523,105 @@ TEST(ChipKernelEquivalence, DenseTallySweepMatchesReference)
     sweepDenseShape({40, {33}, 256, 37}, 503);   // four mask words
     sweepDenseShape({19, {9}, 64, 300}, 504);    // u beyond 8-bit codes
     sweepDenseShape({19, {9}, 300, 16}, 505);    // w does not pack
+}
+
+/** One conv layer over a 3-channel image, then a dense readout. */
+struct ConvShape
+{
+    size_t side;
+    size_t outC;
+    size_t kernel;
+    nn::Padding padding;
+    size_t u;  //!< conv input codebook entries; 0 keeps the composed one
+};
+
+void
+sweepConvShape(const ConvShape &shape, uint64_t seed)
+{
+    nn::ImageTaskSpec spec;
+    spec.name = "bq-conv-tally";
+    spec.side = shape.side;
+    spec.classes = 3;
+    spec.samples = 60;
+    spec.seed = seed;
+    auto [train, validation] = nn::makeImageTask(spec).split(0.25);
+    Rng rng(seed + 1);
+    const bool same = shape.padding == nn::Padding::Same;
+    const size_t out = same ? shape.side : shape.side - shape.kernel + 1;
+    nn::Network net;
+    net.add(std::make_unique<nn::Conv2DLayer>(3, shape.outC, shape.kernel,
+                                              shape.padding, rng));
+    net.add(std::make_unique<nn::ActivationLayer>(nn::ActKind::ReLU));
+    net.add(std::make_unique<nn::FlattenLayer>());
+    net.add(std::make_unique<nn::DenseLayer>(shape.outC * out * out, 3,
+                                             rng));
+    nn::Trainer({.epochs = 1, .batchSize = 16, .learningRate = 0.05})
+        .train(net, train);
+    ReinterpretedModel model = compose(net, train);
+    composer::RLayer &conv = model.layers()[0];
+    ASSERT_EQ(conv.kind, composer::RLayerKind::Conv);
+    if (shape.u > 0) {
+        // An input codebook wider than 8-bit codes, with every
+        // channel's product table to match.
+        conv.inputCodebook = quant::Codebook::fromSorted(
+            Array<double>(spaced(shape.u, -2.5, 2.5)));
+        model.inputEncoder() = quant::Encoder(conv.inputCodebook);
+        for (size_t oc = 0; oc < shape.outC; ++oc) {
+            const quant::Codebook &wcb = conv.weightCodebooks[oc];
+            std::vector<double> products(wcb.size() * shape.u);
+            for (size_t k = 0; k < wcb.size(); ++k)
+                for (size_t c = 0; c < shape.u; ++c)
+                    products[k * shape.u + c] =
+                        wcb.value(k) * conv.inputCodebook.value(c);
+            conv.productTables[oc] = Array<double>(std::move(products));
+        }
+    }
+    std::vector<nn::Tensor> inputs;
+    for (size_t s = 0; s < 11; ++s)
+        inputs.push_back(validation.sample(s % validation.size()).x);
+    sweep(model, inputs,
+          "conv " + std::to_string(shape.kernel) + "x"
+              + std::to_string(shape.kernel) + (same ? " same" : " valid")
+              + " outC=" + std::to_string(shape.outC)
+              + " u=" + std::to_string(conv.inputEntries()));
+}
+
+TEST(ChipKernelEquivalence, ConvTallySweepMatchesReference)
+{
+    sweepConvShape({6, 5, 1, nn::Padding::Same, 0}, 511);
+    sweepConvShape({6, 9, 5, nn::Padding::Same, 0}, 512);  // clipped
+    sweepConvShape({7, 17, 5, nn::Padding::Valid, 0}, 513);
+    sweepConvShape({5, 9, 1, nn::Padding::Valid, 0}, 514);
+    sweepConvShape({6, 5, 3, nn::Padding::Same, 300}, 515);
+}
+
+void
+sweepRecurrentShape(size_t hidden, uint64_t seed)
+{
+    nn::SequenceTaskSpec spec;
+    spec.name = "bq-seq-tally";
+    spec.features = 5;
+    spec.steps = 4;
+    spec.classes = 3;
+    spec.samples = 80;
+    spec.noise = 0.25;
+    spec.seed = seed;
+    Rng rng(seed + 1);
+    nn::Network net;
+    net.add(std::make_unique<nn::ElmanLayer>(5, hidden, 4,
+                                             nn::ActKind::Tanh, rng));
+    net.add(std::make_unique<nn::DenseLayer>(hidden, 3, rng));
+    const std::unique_ptr<const Fixture> fx =
+        makeFixture(nn::makeSequenceTask(spec), std::move(net), 1);
+    sweep(fx->model, inputsOf(*fx),
+          "recurrent hidden=" + std::to_string(hidden));
+}
+
+TEST(ChipKernelEquivalence, RecurrentTallySweepMatchesReference)
+{
+    sweepRecurrentShape(7, 521);
+    sweepRecurrentShape(9, 522);
+    sweepRecurrentShape(17, 523);
 }
 
 TEST(FastPathEquivalence, ErrorRateIdentical)

@@ -484,12 +484,13 @@ TEST_F(CorruptBlob, ConvWindowSpanInflationRejects)
 
 TEST_F(CorruptBlob, DenseRowPaddingMismatchRejectsAtConfigure)
 {
-    // Packed dense rows (format v3) pad each input's row to a multiple
-    // of 8 neurons with code 0. The loader pins only their size; the
-    // chip's layer context pins every code, padding included, before
-    // the dense tally reads them. The MLP corpus's dense layers have 6
-    // and 3 neurons, so code 6 of each row is padding; U8 sections in
-    // this corpus are exactly its two dense row tables.
+    // Packed dense rows (format v3, the tally rows of v5) pad each
+    // input's row to a multiple of 8 neurons with code 0. The loader
+    // pins only their size; the chip's layer context pins every code,
+    // padding included, before the tally reads them. The MLP corpus's
+    // dense layers have 6 and 3 neurons, so code 6 of each row is
+    // padding; U8 sections in this corpus are exactly its two dense
+    // row tables.
     const std::vector<uint8_t> &bytes = mlpCorpus();
     const uint64_t sectionCount = getU64(bytes.data() + 24);
     std::vector<uint8_t> mutated = bytes;
@@ -513,6 +514,85 @@ TEST_F(CorruptBlob, DenseRowPaddingMismatchRejectsAtConfigure)
             std::exit(0);
         },
         exitedRejected, "fatal: .*dense packed rows mismatch");
+}
+
+/** Section indices of the U8 (packed row) sections, in order. */
+std::vector<uint64_t>
+u8Sections(const std::vector<uint8_t> &bytes)
+{
+    std::vector<uint64_t> out;
+    const uint64_t sectionCount = getU64(bytes.data() + 24);
+    for (uint64_t i = 0; i < sectionCount; ++i)
+        if (getU32(bytes.data() + kHeaderBytes + i * kSectionEntryBytes)
+            == uint32_t(SectionKind::U8))
+            out.push_back(i);
+    return out;
+}
+
+/** `bytes` with byte `at` of section `section`'s payload set to 1. */
+std::vector<uint8_t>
+patchSection(const std::vector<uint8_t> &bytes, uint64_t section,
+             size_t at)
+{
+    const uint8_t *e =
+        bytes.data() + kHeaderBytes + section * kSectionEntryBytes;
+    EXPECT_LT(at, getU64(e + 16));
+    std::vector<uint8_t> mutated = bytes;
+    mutated[getU64(e + 8) + at] = 1;
+    return mutated;
+}
+
+/** Load `bytes` and configure a chip on them, then exit 0. */
+[[noreturn]] void
+configureAndExit(std::vector<uint8_t> bytes)
+{
+    auto blob = ModelBlob::fromBytes(std::move(bytes));
+    rna::ChipConfig config;
+    config.simd = simd::Variant::Scalar;
+    rna::Chip chip(config);
+    chip.configure(blob->model());
+    std::exit(0);
+}
+
+TEST_F(CorruptBlob, ConvRowPaddingMismatchRejectsAtConfigure)
+{
+    // Conv tally rows (format v5) hold each window offset's codes for
+    // every output channel, padded to 8 channels with code 0. The CNN
+    // corpus's conv layer has 4 channels over 27 window offsets, so
+    // code 4 of each of its rows is padding; its row table is the first
+    // U8 section.
+    const std::vector<uint8_t> &bytes = convCorpus();
+    const RLayer &conv = convModel().layers()[0];
+    ASSERT_EQ(conv.kind, RLayerKind::Conv);
+    ASSERT_EQ(conv.outCount, 4u);
+    const std::vector<uint64_t> u8 = u8Sections(bytes);
+    ASSERT_FALSE(u8.empty());
+    const uint8_t *e =
+        bytes.data() + kHeaderBytes + u8[0] * kSectionEntryBytes;
+    ASSERT_EQ(getU64(e + 16), conv.inCount * 8);
+    EXPECT_EXIT(configureAndExit(patchSection(bytes, u8[0], 8 + 4)),
+                exitedRejected, "fatal: .*conv packed rows mismatch");
+}
+
+TEST_F(CorruptBlob, RecurrentRowPaddingMismatchRejectsAtConfigure)
+{
+    // The recurrent corpus's Elman layer has 5 hidden units over 4
+    // features: its x rows (the first U8 section, 4 rows of 8) and its
+    // feedback rows (the second, 5 rows of 8) pad every row at code 5.
+    const std::vector<uint8_t> &bytes = recurrentCorpus();
+    const std::vector<uint64_t> u8 = u8Sections(bytes);
+    ASSERT_GE(u8.size(), 2u);
+    for (size_t k = 0; k < 2; ++k) {
+        const uint8_t *e =
+            bytes.data() + kHeaderBytes + u8[k] * kSectionEntryBytes;
+        ASSERT_EQ(getU64(e + 16), (k == 0 ? 4u : 5u) * 8);
+    }
+    EXPECT_EXIT(configureAndExit(patchSection(bytes, u8[0], 8 + 5)),
+                exitedRejected,
+                "fatal: .*recurrent packed rows mismatch");
+    EXPECT_EXIT(configureAndExit(patchSection(bytes, u8[1], 16 + 5)),
+                exitedRejected,
+                "fatal: .*recurrent state packed rows mismatch");
 }
 
 TEST_F(CorruptBlob, TrailingBytesRejectCleanly)

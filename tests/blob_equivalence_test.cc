@@ -8,21 +8,27 @@
  * NEAR, across dense, conv+pool, recurrent and residual models, both
  * fast-path settings, and both NDCAM search modes. Also pins the
  * sharing properties: blob Arrays are views (zero per-replica copies)
- * and clones of a blob-backed Chip agree bitwise.
+ * and clones of a blob-backed Chip agree bitwise. Version 4 blobs
+ * written before the tally rows (tests/data) still load and agree
+ * bitwise with the reference walk.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 
 #include "blob/blob.hh"
 #include "blob/format.hh"
+#include "common/rng.hh"
 #include "composer/composer.hh"
 #include "nn/recurrent.hh"
 #include "nn/synthetic.hh"
 #include "nn/trainer.hh"
 #include "rna/chip.hh"
+#include "rna/kernels/kernels.hh"
 #include "runtime/serving_engine.hh"
 #include "telemetry/metrics.hh"
 
@@ -285,8 +291,8 @@ TEST(BlobEquivalence, BlobModelIsZeroCopy)
         if (!layer.bias.empty()) {
             EXPECT_FALSE(layer.bias.owning());
         }
-        if (!layer.denseRows8.empty()) {
-            EXPECT_FALSE(layer.denseRows8.owning());
+        if (!layer.tallyRows8.empty()) {
+            EXPECT_FALSE(layer.tallyRows8.owning());
         }
         if (layer.convPlan.has_value()) {
             EXPECT_FALSE(layer.convPlan->start.owning());
@@ -294,10 +300,74 @@ TEST(BlobEquivalence, BlobModelIsZeroCopy)
             EXPECT_FALSE(layer.convPlan->inputIdx.owning());
         }
     }
-    // The recurrent layer carries its precomputed packed transposes.
-    EXPECT_FALSE(m.layers()[0].recXColumns8.empty());
-    EXPECT_FALSE(m.layers()[0].recXColumns8.owning());
+    // The recurrent layer carries its precomputed tally rows, x and h.
+    EXPECT_FALSE(m.layers()[0].tallyRows8.empty());
+    EXPECT_FALSE(m.layers()[0].stateRows8.empty());
+    EXPECT_FALSE(m.layers()[0].stateRows8.owning());
     EXPECT_EQ(m.canonicalInputShape(), fx.model.canonicalInputShape());
+}
+
+/**
+ * A version 4 blob (written before the tally rows existed, kept under
+ * tests/data) loads with its packed sections ignored, and every SIMD
+ * variant's production chip agrees bit for bit with the reference
+ * walk over it; so does the blob it rewrites to at the current
+ * version.
+ */
+void
+expectV4BlobMatchesReference(const char *name)
+{
+    std::ifstream is(std::string(RAPIDNN_TEST_DATA_DIR) + "/" + name,
+                     std::ios::binary);
+    ASSERT_TRUE(is.good()) << name;
+    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(is)),
+                               std::istreambuf_iterator<char>());
+    ASSERT_GT(bytes.size(), size_t(kHeaderBytes));
+    ASSERT_EQ(getU32(bytes.data() + 4), 4u) << name;
+    auto v4 = ModelBlob::fromBytes(std::move(bytes));
+    for (const auto &layer : v4->model().layers()) {
+        EXPECT_TRUE(layer.tallyRows8.empty());
+        EXPECT_TRUE(layer.stateRows8.empty());
+    }
+    auto v5 = ModelBlob::fromBytes(buildBlob(v4->model()));
+
+    Rng rng(941);
+    std::vector<nn::Tensor> inputs;
+    for (size_t s = 0; s < 6; ++s) {
+        nn::Tensor x(v4->model().canonicalInputShape());
+        for (size_t i = 0; i < x.numel(); ++i)
+            x[i] = static_cast<float>(rng.uniform() * 2.0 - 1.0);
+        inputs.push_back(std::move(x));
+    }
+    rna::ChipConfig refConfig;
+    refConfig.fastPath = false;
+    rna::Chip reference(refConfig);
+    reference.configure(v4->model());
+    for (simd::Variant v : rna::kernels::availableVariants()) {
+        rna::ChipConfig config;
+        config.simd = v;
+        for (const ModelBlob *blob : {v4.get(), v5.get()}) {
+            rna::Chip chip(config);
+            chip.configure(blob->model());
+            for (const nn::Tensor &x : inputs) {
+                rna::PerfReport want, got;
+                EXPECT_EQ(reference.infer(x, want), chip.infer(x, got))
+                    << name << " " << simd::variantName(v);
+                EXPECT_EQ(want.latency.ns(), got.latency.ns()) << name;
+                EXPECT_EQ(want.energy.j(), got.energy.j()) << name;
+            }
+        }
+    }
+}
+
+TEST(BlobEquivalence, V4ConvBlobMatchesReference)
+{
+    expectV4BlobMatchesReference("conv_v4.rnnb");
+}
+
+TEST(BlobEquivalence, V4RecurrentBlobMatchesReference)
+{
+    expectV4BlobMatchesReference("recurrent_v4.rnnb");
 }
 
 TEST(BlobEquivalence, ConvPlanPrecomputedInBlob)

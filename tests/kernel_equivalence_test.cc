@@ -4,26 +4,25 @@
  *
  * The contract (common/simd.hh): every KernelOps variant the host can
  * run is bit-exact against the scalar implementation, so RAPIDNN_SIMD
- * and ChipConfig::simd are pure speed knobs. Two levels pin it here:
+ * and ChipConfig::simd are pure speed knobs. Three levels pin it here:
  *
  *  1. Kernel primitives: each variant vs the scalar table over randomized
- *     inputs sweeping fan-in lengths around every vector-width boundary
+ *     inputs sweeping lengths around every vector-width boundary
  *     (0, 1, 15..17, 31..33, 63..65, 127..129) and unaligned base
- *     pointers (offsets 0..3), for 8-bit and 16-bit code widths.
- *  2. The accumulation engine: the prekeyed kernel accumulations vs
- *     the reference run(), field by field, for power-of-two and padded
- *     key grids.
+ *     pointers (offsets 0..3).
+ *  2. The accumulation engine: one neuron tallied by every tally
+ *     implementation and read out through tallyResult vs the reference
+ *     run(), field by field, for power-of-two and padded input
+ *     codebooks.
+ *  3. The tally (KernelOps::tally): every implementation against a
+ *     direct per-neuron count over random layers, with one shared
+ *     product table or a different table per neuron, and through
+ *     tallyResult against the engine's run() oracle.
  *
- * The dense tally (KernelOps::denseTally) gets its own randomized
- * sweep: every implementation the host can run against a direct
- * per-neuron count and, through denseResult, against the engine's
- * run() oracle. Whole-chip equivalence (every variant, batch sizes 1
- * to 8, both search modes, against the fastPath = false reference) is
- * tests/batch_equivalence_test.cc.
- *
- * The suite runs under the asan/tsan presets like every other tier-1
- * test; the gather tail-slack contract is exercised by gathering from
- * the very end of a source buffer.
+ * Whole-chip equivalence (every variant, batch sizes 1 to 8, both
+ * search modes, against the fastPath = false reference) is
+ * tests/batch_equivalence_test.cc. The suite runs under the asan/tsan
+ * presets like every other tier-1 test.
  */
 
 #include <gtest/gtest.h>
@@ -43,12 +42,11 @@
 namespace rapidnn::rna {
 namespace {
 
-using simd::AlignedVec;
 using simd::KernelOps;
 using simd::Variant;
 
-/** Fan-in lengths straddling every vector-width boundary in play
- *  (16/32/64 lanes for u8; 8/16/32 for u16; 4/8 for f64). */
+/** Lengths straddling every vector-width boundary in play (8/16/32
+ *  lanes for u16; 4/8 for f64 and u32). */
 const size_t kSizes[] = {0,  1,  2,  3,  7,  8,  9,   15,  16,  17, 31,
                          32, 33, 63, 64, 65, 127, 128, 129, 200};
 
@@ -68,135 +66,6 @@ simdVariants()
         if (v != Variant::Scalar)
             out.push_back(v);
     return out;
-}
-
-TEST(KernelPrimitives, PairKeys8MatchesScalar)
-{
-    // One lane at unaligned offsets: every variant's keys equal the
-    // scalar table's.
-    Rng rng(101);
-    for (Variant v : simdVariants()) {
-        const KernelOps &ops = *kernels::opsFor(v);
-        for (size_t n : kSizes) {
-            for (size_t off = 0; off < 4; ++off) {
-                std::vector<uint8_t> w(n + off), x(n + off);
-                for (auto &c : w)
-                    c = uint8_t(rng.uniformInt(0, 255));
-                for (auto &c : x)
-                    c = uint8_t(rng.uniformInt(0, 255));
-                const uint8_t *xp = x.data() + off;
-                for (uint32_t shift : {0u, 3u, 8u}) {
-                    std::vector<uint16_t> got(n + 1, 0xabcd),
-                        want(n + 1, 0xabcd);
-                    scalarOps().pairKeys8Lanes(w.data() + off, &xp, 1, n,
-                                               shift, want.data(), n);
-                    ops.pairKeys8Lanes(w.data() + off, &xp, 1, n, shift,
-                                       got.data(), n);
-                    EXPECT_EQ(got, want)
-                        << ops.name << " n=" << n << " off=" << off
-                        << " shift=" << shift;
-                }
-            }
-        }
-    }
-}
-
-TEST(KernelPrimitives, PairKeys8LanesMatchesPerLanePairKeys8)
-{
-    // Every lane's key stripe must equal that lane's pair keys
-    // (w << shift) | x, and only [0, n) of each stripe may be written
-    // (keyStride > n leaves guard cells untouched).
-    Rng rng(108);
-    for (Variant v : kernels::availableVariants()) {
-        const KernelOps &ops = *kernels::opsFor(v);
-        ASSERT_NE(ops.pairKeys8Lanes, nullptr) << ops.name;
-        for (size_t n : kSizes) {
-            for (size_t lanes : {size_t(1), size_t(3), size_t(8)}) {
-                std::vector<uint8_t> w(n);
-                for (auto &c : w)
-                    c = uint8_t(rng.uniformInt(0, 255));
-                std::vector<std::vector<uint8_t>> xs(lanes);
-                std::vector<const uint8_t *> xPtrs(lanes);
-                for (size_t L = 0; L < lanes; ++L) {
-                    xs[L].resize(n);
-                    for (auto &c : xs[L])
-                        c = uint8_t(rng.uniformInt(0, 255));
-                    xPtrs[L] = xs[L].data();
-                }
-                const size_t stride = n + 2;  // guard cells per lane
-                for (uint32_t shift : {0u, 4u, 8u}) {
-                    std::vector<uint16_t> got(lanes * stride, 0xabcd);
-                    ops.pairKeys8Lanes(w.data(), xPtrs.data(), lanes,
-                                       n, shift, got.data(), stride);
-                    for (size_t L = 0; L < lanes; ++L) {
-                        for (size_t i = 0; i < n; ++i)
-                            EXPECT_EQ(got[L * stride + i],
-                                      uint16_t((uint32_t(w[i]) << shift)
-                                               | xs[L][i]))
-                                << ops.name << " n=" << n << " lane="
-                                << L << " i=" << i
-                                << " shift=" << shift;
-                        for (size_t g = n; g < stride; ++g)
-                            EXPECT_EQ(got[L * stride + g], 0xabcd)
-                                << ops.name
-                                << " wrote past n in lane " << L;
-                    }
-                }
-            }
-        }
-    }
-}
-
-TEST(KernelPrimitives, NarrowMatchesScalar)
-{
-    Rng rng(103);
-    for (Variant v : simdVariants()) {
-        const KernelOps &ops = *kernels::opsFor(v);
-        for (size_t n : kSizes) {
-            for (size_t off = 0; off < 4; ++off) {
-                std::vector<uint16_t> src(n + off);
-                for (auto &c : src)
-                    c = uint16_t(rng.uniformInt(0, 255));
-                std::vector<uint8_t> got(n + 1, 0xcc), want(n + 1, 0xcc);
-                scalarOps().narrow(src.data() + off, n, want.data());
-                ops.narrow(src.data() + off, n, got.data());
-                EXPECT_EQ(got, want)
-                    << ops.name << " n=" << n << " off=" << off;
-            }
-        }
-    }
-}
-
-TEST(KernelPrimitives, Gather8MatchesScalar)
-{
-    Rng rng(104);
-    // Source must honor the gather contract: AlignedVec tail slack.
-    // Indices deliberately include the very last element so the
-    // 3-bytes-past-the-element overread lands in the slack (asan would
-    // flag a violation).
-    for (size_t srcLen : {1UL, 5UL, 64UL, 300UL}) {
-        AlignedVec<uint8_t> src;
-        src.ensure(srcLen);
-        for (size_t i = 0; i < srcLen; ++i)
-            src[i] = uint8_t(rng.uniformInt(0, 255));
-        for (Variant v : simdVariants()) {
-            const KernelOps &ops = *kernels::opsFor(v);
-            for (size_t n : kSizes) {
-                std::vector<uint32_t> idx(n);
-                for (auto &i : idx)
-                    i = uint32_t(rng.uniformInt(0, int64_t(srcLen) - 1));
-                if (n > 0)
-                    idx[n - 1] = uint32_t(srcLen - 1);
-                std::vector<uint8_t> got(n + 1, 0xcc),
-                    want(n + 1, 0xcc);
-                scalarOps().gather8(src.data(), idx.data(), n,
-                                    want.data());
-                ops.gather8(src.data(), idx.data(), n, got.data());
-                EXPECT_EQ(got, want) << ops.name << " srcLen=" << srcLen
-                                     << " n=" << n;
-            }
-        }
-    }
 }
 
 TEST(KernelPrimitives, MaxU16MatchesScalar)
@@ -310,10 +179,21 @@ expectResultsEqual(const AccumResult &a, const AccumResult &b,
         << what;
 }
 
+/** Deepest weight buffer of a code column: the counting cycles. */
+uint32_t
+countingCycles(const std::vector<uint8_t> &codes)
+{
+    std::vector<uint32_t> depth(256, 0);
+    uint32_t deepest = 0;
+    for (uint8_t c : codes)
+        deepest = std::max(deepest, ++depth[c]);
+    return deepest;
+}
+
 /**
- * run() (the reference) vs the kernel accumulations over pair keys —
- * runPrekeyed per lane and runPrekeyedLanes over three lanes — for
- * one (w, u) table.
+ * run() (the reference) vs one neuron tallied by every tally
+ * implementation and read out through tallyResult, for one (w, u)
+ * table: fan-ins across every size in kSizes, three input lanes each.
  */
 void
 sweepEngine(size_t w, size_t u, uint64_t seed)
@@ -325,49 +205,51 @@ sweepEngine(size_t w, size_t u, uint64_t seed)
     AccumulationEngine engine(Array<double>(std::move(table)), w, u,
                               nvm::CostModel{});
     AccumScratch scratch;
-    constexpr size_t kLanes = 3;
+    const std::vector<uint64_t> base(simd::kTallyGroup, 0);
 
     for (size_t n : kSizes) {
-        scratch.ensurePadded(w, engine.keyShift(), n);
-        std::vector<uint8_t> wc8(n);
-        for (auto &c : wc8)
-            c = uint8_t(rng.uniformInt(0, int64_t(w) - 1));
-        std::vector<uint16_t> wc(wc8.begin(), wc8.end());
+        // Neuron 0 of one group; the other seven are padding (code 0).
+        std::vector<uint8_t> rows(n * simd::kTallyGroup, 0);
+        std::vector<uint8_t> col(n);
+        for (size_t i = 0; i < n; ++i)
+            rows[i * simd::kTallyGroup] = col[i] =
+                uint8_t(rng.uniformInt(0, int64_t(w) - 1));
         const double bias = rng.uniform() - 0.5;
-        std::vector<std::vector<uint8_t>> uc8(kLanes,
-                                              std::vector<uint8_t>(n));
-        std::vector<const uint8_t *> xs(kLanes);
-        std::vector<AccumResult> oracles(kLanes);
-        for (size_t L = 0; L < kLanes; ++L) {
-            for (auto &c : uc8[L])
-                c = uint8_t(rng.uniformInt(0, int64_t(u) - 1));
-            xs[L] = uc8[L].data();
-            oracles[L] = engine.run(
-                wc, std::vector<uint16_t>(uc8[L].begin(), uc8[L].end()),
-                bias);
-        }
-        const uint32_t cc = engine.weightCountingCycles(wc8.data(), n);
-
-        for (Variant v : kernels::availableVariants()) {
-            const KernelOps &ops = *kernels::opsFor(v);
-            std::vector<uint16_t> keys(kLanes * n + 1);
-            ops.pairKeys8Lanes(wc8.data(), xs.data(), kLanes, n,
-                               engine.keyShift(), keys.data(), n);
-            std::vector<AccumResult> lanes(kLanes);
-            engine.runPrekeyedLanes(ops, keys.data(), n, kLanes, n, bias,
-                                    scratch, nullptr, lanes.data());
-            for (size_t L = 0; L < kLanes; ++L) {
-                expectResultsEqual(oracles[L],
-                                   engine.runPrekeyed(ops,
-                                                      keys.data() + L * n,
-                                                      n, bias, scratch),
-                                   ops.name);
-                expectResultsEqual(oracles[L],
-                                   engine.runPrekeyed(ops,
-                                                      keys.data() + L * n,
-                                                      n, bias, scratch, &cc),
-                                   ops.name);
-                expectResultsEqual(oracles[L], lanes[L], ops.name);
+        for (size_t lane = 0; lane < 3; ++lane) {
+            std::vector<uint16_t> x(n);
+            for (auto &c : x)
+                c = uint16_t(rng.uniformInt(0, int64_t(u) - 1));
+            const AccumResult want = engine.run(
+                std::vector<uint16_t>(col.begin(), col.end()), x, bias);
+            InputBuckets buckets;
+            buckets.build(x.data(), n, u);
+            for (const kernels::TallyImpl &impl : kernels::tallyImpls()) {
+                int64_t sums[simd::kTallyGroup] = {};
+                uint32_t distinct[simd::kTallyGroup] = {};
+                uint32_t addends[simd::kTallyGroup] = {};
+                simd::TallyJob job{};
+                job.rows = rows.data();
+                job.rowStride = simd::kTallyGroup;
+                job.order = buckets.order.data();
+                job.bucketStart = buckets.start.data();
+                job.bucketCode = buckets.code.data();
+                job.buckets = buckets.buckets();
+                job.products = engine.paddedProducts();
+                job.productBase = base.data();
+                job.shift = engine.keyShift();
+                job.maskWords = uint32_t((w + 63) / 64);
+                job.groupBegin = 0;
+                job.groupEnd = 1;
+                job.sums = sums;
+                job.distinct = distinct;
+                job.addends = addends;
+                impl.fn(job);
+                expectResultsEqual(
+                    want,
+                    engine.tallyResult(sums[0], distinct[0], addends[0],
+                                       countingCycles(col), n, bias,
+                                       scratch),
+                    impl.name);
             }
         }
     }
@@ -375,21 +257,21 @@ sweepEngine(size_t w, size_t u, uint64_t seed)
 
 TEST(EngineEquivalence, PowerOfTwoInputCodebook)
 {
-    sweepEngine(16, 16, 201); // u power of two: identity padded grid
+    sweepEngine(16, 16, 201); // u power of two: the row-major table
 }
 
 TEST(EngineEquivalence, PaddedInputCodebook)
 {
-    sweepEngine(16, 12, 202); // u not a power of two: renumbered grid
+    sweepEngine(16, 12, 202); // u not a power of two: padded copy
     sweepEngine(7, 3, 203);
 }
 
-// ------------------------------------------------------- dense tally
+// ------------------------------------------------------------- tally
 
 TEST(DenseTally, NafWeightEqualsCsdTerms)
 {
     // The tally counts CSD terms as popcount(c ^ 3c) across its
-    // planes; that must equal the CSD recoding for every count.
+    // planes; that must equal csdForEach's recoding for every count.
     for (uint64_t c = 0; c < 100000; ++c) {
         size_t terms = 0;
         csdForEach(c, [&](ShiftTerm) { ++terms; });
@@ -397,7 +279,7 @@ TEST(DenseTally, NafWeightEqualsCsdTerms)
     }
 }
 
-/** One synthetic dense layer for the tally sweep. */
+/** One synthetic layer for the tally sweep. */
 struct TallyCase
 {
     size_t fanIn;
@@ -406,33 +288,50 @@ struct TallyCase
     size_t u;
     bool wide;        //!< products beyond int32 (fixed point)
     bool oneCode;     //!< every input shares one code
+    bool perNeuron;   //!< a product table per neuron, as conv channels
 };
 
 /**
- * Every dense-tally implementation vs a direct per-neuron count over
- * random codes: sums, distinct cells and CSD terms for every neuron
- * (padding included), for each lane, over split group ranges; then the
- * scalar outputs through denseResult vs the engine's run() oracle.
+ * Every tally implementation vs a direct per-neuron count over random
+ * codes: sums, distinct cells and CSD terms for every neuron (padding
+ * included), for each lane, over split group ranges; then the scalar
+ * outputs through tallyResult vs the engine's run() oracle. With
+ * `perNeuron`, each neuron has its own engine and the tables lie end
+ * to end, each neuron reading its own through a non-zero base (padding
+ * neurons read neuron 0's), as the conv tally lays out its channels.
  */
 void
-sweepDenseTally(const TallyCase &tc, size_t lanes, uint64_t seed)
+sweepTally(const TallyCase &tc, size_t lanes, uint64_t seed)
 {
     Rng rng(seed);
-    std::vector<double> table(tc.w * tc.u);
-    for (auto &p : table)
-        p = (rng.uniform() * 2.0 - 1.0) * (tc.wide ? 4.0e6 : 1.5);
-    AccumulationEngine engine(Array<double>(std::move(table)), tc.w,
-                              tc.u, nvm::CostModel{});
-    const size_t stride = composer::denseRowStride(tc.outCount);
-    const size_t groups = stride / simd::kDenseGroup;
+    std::vector<AccumulationEngine> engines;
+    for (size_t e = 0; e < (tc.perNeuron ? tc.outCount : 1); ++e) {
+        std::vector<double> table(tc.w * tc.u);
+        for (auto &p : table)
+            p = (rng.uniform() * 2.0 - 1.0) * (tc.wide ? 4.0e6 : 1.5);
+        engines.emplace_back(Array<double>(std::move(table)), tc.w, tc.u,
+                             nvm::CostModel{});
+    }
+    const size_t stride = composer::tallyRowStride(tc.outCount);
+    const size_t groups = stride / simd::kTallyGroup;
+    std::vector<int64_t> products;
+    std::vector<uint64_t> base(stride, 0);
+    for (size_t e = 0; e < engines.size(); ++e) {
+        base[e] = products.size();
+        products.insert(products.end(), engines[e].paddedProducts(),
+                        engines[e].paddedProducts() +
+                            engines[e].paddedCells());
+    }
+    auto engineOf = [&](size_t j) -> const AccumulationEngine & {
+        return engines[tc.perNeuron ? j : 0];
+    };
 
     std::vector<uint8_t> rows(tc.fanIn * stride, 0);
     for (size_t i = 0; i < tc.fanIn; ++i)
         for (size_t j = 0; j < tc.outCount; ++j)
             rows[i * stride + j] =
                 uint8_t(rng.uniformInt(0, int64_t(tc.w) - 1));
-    const int64_t *products = engine.paddedProducts();
-    const uint32_t shift = engine.keyShift();
+    const uint32_t shift = engines[0].keyShift();
     const uint32_t maskWords = uint32_t((tc.w + 63) / 64);
 
     AccumScratch scratch;
@@ -455,7 +354,7 @@ sweepDenseTally(const TallyCase &tc, size_t lanes, uint64_t seed)
                 const size_t key =
                     (size_t(rows[i * stride + j]) << shift) | x[i];
                 ++cells[key];
-                sum += products[key];
+                sum += products[base[j] + key];
             }
             uint32_t distinct = 0, addends = 0;
             for (uint32_t c : cells) {
@@ -468,25 +367,25 @@ sweepDenseTally(const TallyCase &tc, size_t lanes, uint64_t seed)
         }
 
         const size_t split = size_t(rng.uniformInt(0, int64_t(groups)));
-        for (const kernels::DenseTallyImpl &impl :
-             kernels::denseTallyImpls()) {
+        for (const kernels::TallyImpl &impl : kernels::tallyImpls()) {
             // One guard neuron past the stride must stay untouched.
             std::vector<int64_t> sums(stride + 1, -7);
             std::vector<uint32_t> distinct(stride + 1, 7),
                 addends(stride + 1, 7);
-            simd::DenseTallyJob job{};
+            simd::TallyJob job{};
             job.rows = rows.data();
             job.rowStride = stride;
             job.order = buckets.order.data();
             job.bucketStart = buckets.start.data();
             job.bucketCode = buckets.code.data();
             job.buckets = buckets.buckets();
-            job.products = products;
+            job.products = products.data();
+            job.productBase = base.data();
             job.shift = shift;
             job.maskWords = maskWords;
             for (auto [gb, ge] : {std::pair<size_t, size_t>{0, split},
                                   {split, groups}}) {
-                const size_t at = gb * simd::kDenseGroup;
+                const size_t at = gb * simd::kTallyGroup;
                 job.groupBegin = gb;
                 job.groupEnd = ge;
                 job.sums = sums.data() + at;
@@ -499,6 +398,7 @@ sweepDenseTally(const TallyCase &tc, size_t lanes, uint64_t seed)
                 + " out=" + std::to_string(tc.outCount)
                 + " w=" + std::to_string(tc.w)
                 + " u=" + std::to_string(tc.u)
+                + (tc.perNeuron ? " per-neuron" : "")
                 + " lane=" + std::to_string(L);
             for (size_t j = 0; j < stride; ++j) {
                 ASSERT_EQ(sums[j], wantSum[j]) << what << " j=" << j;
@@ -518,14 +418,14 @@ sweepDenseTally(const TallyCase &tc, size_t lanes, uint64_t seed)
             for (size_t i = 0; i < tc.fanIn; ++i)
                 col[i] = rows[i * stride + j];
             const double bias = rng.uniform() - 0.5;
-            const AccumResult got = engine.denseResult(
+            const AccumResult got = engineOf(j).tallyResult(
                 wantSum[j], wantDistinct[j], wantAddends[j],
-                engine.weightCountingCycles(col.data(), tc.fanIn),
-                tc.fanIn, bias, scratch);
+                countingCycles(col), tc.fanIn, bias, scratch);
             expectResultsEqual(
-                engine.run(std::vector<uint16_t>(col.begin(), col.end()),
-                           x, bias),
-                got, "denseResult");
+                engineOf(j).run(
+                    std::vector<uint16_t>(col.begin(), col.end()), x,
+                    bias),
+                got, "tallyResult");
         }
     }
 }
@@ -534,21 +434,26 @@ TEST(DenseTally, AllImplementationsMatchDirectCount)
 {
     const TallyCase cases[] = {
         // fan-in and outCount off multiples of 8, tail groups of 1
-        {19, 9, 16, 16, false, false},
-        {1, 1, 4, 4, false, false},
-        {33, 17, 64, 37, false, false},   // u not a power of two
-        {70, 25, 65, 37, false, false},   // two mask words
-        {45, 8, 256, 5, false, false},    // four mask words
-        {200, 13, 64, 16, true, false},   // wide products
-        {300, 11, 64, 37, false, true},   // one bucket, most planes
-        {4100, 3, 7, 3, false, true},     // > 12 planes
-        {70000, 2, 3, 2, false, true},    // > 16 planes
-        {257, 41, 200, 300, true, false}, // u beyond 8-bit codes
+        {19, 9, 16, 16, false, false, false},
+        {1, 1, 4, 4, false, false, false},
+        {33, 17, 64, 37, false, false, false},   // u not a power of two
+        {70, 25, 65, 37, false, false, false},   // two mask words
+        {45, 8, 256, 5, false, false, false},    // four mask words
+        {200, 13, 64, 16, true, false, false},   // wide products
+        {300, 11, 64, 37, false, true, false},   // one bucket, most planes
+        {4100, 3, 7, 3, false, true, false},     // > 12 planes
+        {70000, 2, 3, 2, false, true, false},    // > 16 planes
+        {257, 41, 200, 300, true, false, false}, // u beyond 8-bit codes
+        // A product table per neuron (conv channels): non-zero bases.
+        {27, 5, 14, 8, false, false, true},
+        {75, 17, 16, 12, false, false, true},
+        {99, 9, 65, 300, true, false, true},
+        {300, 11, 64, 37, false, true, true},
     };
     uint64_t seed = 401;
     for (const TallyCase &tc : cases)
         for (size_t lanes : {size_t(1), size_t(3)})
-            sweepDenseTally(tc, lanes, seed++);
+            sweepTally(tc, lanes, seed++);
 }
 
 // ------------------------------------------------- dispatch policy
@@ -581,14 +486,10 @@ TEST(KernelDispatch, ScalarAlwaysAvailableAndTablesNamed)
         const KernelOps *ops = kernels::opsFor(v);
         ASSERT_NE(ops, nullptr) << simd::variantName(v);
         EXPECT_STREQ(ops->name, simd::variantName(v));
-        EXPECT_NE(ops->narrow, nullptr);
-        EXPECT_NE(ops->gather8, nullptr);
         EXPECT_NE(ops->maxU16, nullptr);
         EXPECT_NE(ops->quantize, nullptr);
         EXPECT_NE(ops->directLookup, nullptr);
-        EXPECT_NE(ops->gatherSum16, nullptr);
-        EXPECT_NE(ops->pairKeys8Lanes, nullptr);
-        EXPECT_NE(ops->denseTally, nullptr);
+        EXPECT_NE(ops->tally, nullptr);
     }
     EXPECT_EQ(kernels::opsFor(Variant::Auto), nullptr);
 }

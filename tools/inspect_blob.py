@@ -19,7 +19,8 @@ import sys
 
 MAGIC = 0x424E4E52  # "RNNB" little-endian
 MIN_VERSION = 1
-VERSION = 4  # v2 u8 packed codes, v3 dense rows, v4 drops u16 columns
+VERSION = 5  # v2 u8 packed codes, v3 dense rows, v4 drops u16 columns,
+# v5 stores tally rows for conv and recurrent layers
 HEADER_BYTES = 64
 SECTION_ENTRY_BYTES = 24
 MAX_SECTIONS = 1 << 20

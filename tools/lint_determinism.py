@@ -389,7 +389,7 @@ def self_test():
         ("simd.hh allowed by charter", "src/common/simd.hh",
          "#include <immintrin.h>", []),
         ("dispatch call site ok", "src/rna/chip.cc",
-         "_kops->gather8(src, idx, n, dst);", []),
+         "_kops->tally(job);", []),
         ("one finding per line max", "src/rna/chip.cc",
          "__m256i v = _mm256_setzero_si256();", ["raw-simd"]),
         ("sync.hh may use std primitives", "src/common/sync.hh",
