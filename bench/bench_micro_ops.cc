@@ -1,7 +1,7 @@
 /**
  * @file
  * Google-benchmark micro timings of the simulator's hot primitives:
- * k-means clustering, the accumulation engine, NDCAM search, the
+ * tree-codebook builds, the accumulation engine, NDCAM search, the
  * in-memory adder model, and the encoded forward pass. These measure
  * the *simulator's* host-side performance (useful when scaling studies
  * up), not the modelled hardware.
@@ -14,7 +14,7 @@
 #include "nn/trainer.hh"
 #include "nvm/crossbar.hh"
 #include "nvm/ndcam.hh"
-#include "quant/kmeans.hh"
+#include "quant/codebook.hh"
 #include "rna/accumulation.hh"
 
 using namespace rapidnn;
@@ -22,20 +22,18 @@ using namespace rapidnn;
 namespace {
 
 void
-BM_KMeans1d(benchmark::State &state)
+BM_TreeCodebook(benchmark::State &state)
 {
     Rng rng(1);
     std::vector<double> samples(size_t(state.range(0)));
     for (double &s : samples)
         s = rng.gaussian(0, 1);
-    quant::KMeansConfig config;
-    config.k = 64;
     for (auto _ : state) {
-        auto result = quant::kmeans1d(samples, config);
-        benchmark::DoNotOptimize(result.wcss);
+        quant::TreeCodebook tree(samples, 7);
+        benchmark::DoNotOptimize(tree.finest().size());
     }
 }
-BENCHMARK(BM_KMeans1d)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_TreeCodebook)->Arg(10000)->Arg(400000);
 
 void
 BM_AccumulationEngine(benchmark::State &state)

@@ -8,15 +8,10 @@
  * absolute seconds.
  *
  * A second section times the clustering stage (Composer::reinterpret)
- * serially and with ComposerConfig::threads task-pool lanes. The
- * parallel compose is deterministic — the composed model is
- * byte-identical at any lane count (pinned by
- * tests/task_pool_test.cc) — so the speedup is free.
- * RAPIDNN_THREADS picks the parallel lane count; all numbers land in
+ * on the composed network; all numbers land in
  * BENCH_table3_composer_overhead.json.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <iostream>
 
@@ -28,17 +23,16 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-/** Wall seconds for one reinterpret() of `net` at a lane count. */
+/** Wall seconds for one reinterpret() of `net`. */
 double
 reinterpretSeconds(nn::Network &net, const nn::Dataset &train,
-                   const bench::BenchScale &scale, size_t threads)
+                   const bench::BenchScale &scale)
 {
     composer::ComposerConfig config;
     config.weightClusters = 64;
     config.inputClusters = 64;
     config.treeDepth = 6;
     config.validationCap = scale.evalCap;
-    config.threads = threads;
     composer::Composer comp(config);
     const auto t0 = Clock::now();
     comp.reinterpret(net, train);
@@ -59,11 +53,7 @@ main()
     const char *paperEpochs[] = {"5", "5", "5", "5", "5", "1"};
     const char *paperTime[] = {"51 s", "1.9 min", "2.3 min", "4.8 min",
                                "4.8 min", "24.3 min (VGG)"};
-    const size_t parallelLanes =
-        std::max<size_t>(2, TaskPool::defaultThreads());
-    TextTable clusterTable({"Benchmark", "serial (s)",
-                            std::to_string(parallelLanes) + " lanes (s)",
-                            "speedup"});
+    TextTable clusterTable({"Benchmark", "reinterpret (s)"});
 
     std::vector<std::pair<std::string, double>> metrics;
     size_t row = 0;
@@ -94,19 +84,13 @@ main()
             .cell(paperEpochs[row])
             .cell(paperTime[row]);
 
-        // Clustering stage, serial vs task-pool lanes, on the
-        // composed (projected + retrained) network.
-        const double serialSec =
-            reinterpretSeconds(bm.network, bm.train, scale, 1);
-        const double parallelSec = reinterpretSeconds(
-            bm.network, bm.train, scale, parallelLanes);
-        const double speedup =
-            parallelSec > 0.0 ? serialSec / parallelSec : 0.0;
+        // Clustering stage on the composed (projected + retrained)
+        // network.
+        const double reinterpretSec =
+            reinterpretSeconds(bm.network, bm.train, scale);
         clusterTable.newRow()
             .cell(nn::benchmarkName(b))
-            .cell(serialSec, 2)
-            .cell(parallelSec, 2)
-            .cell(bench::times(speedup));
+            .cell(reinterpretSec, 2);
 
         const std::string name = nn::benchmarkName(b);
         metrics.emplace_back(name + ".compose_seconds",
@@ -114,23 +98,15 @@ main()
         metrics.emplace_back(name + ".retrain_epochs",
                              double(result.epochsRun));
         metrics.emplace_back(name + ".delta_e", result.deltaE);
-        metrics.emplace_back(name + ".reinterpret_serial_s",
-                             serialSec);
-        metrics.emplace_back(name + ".reinterpret_parallel_s",
-                             parallelSec);
-        metrics.emplace_back(name + ".reinterpret_speedup", speedup);
+        metrics.emplace_back(name + ".reinterpret_s", reinterpretSec);
         ++row;
     }
     table.print(std::cout);
-    std::cout << "\nClustering stage (Composer::reinterpret), serial "
-                 "vs "
-              << parallelLanes
-              << " task-pool lanes (identical output either way):\n";
+    std::cout << "\nClustering stage (Composer::reinterpret):\n";
     clusterTable.print(std::cout);
     std::cout << "\nThe reinterpretation runs once per model; its cost"
                  " amortizes across all future inferences (paper 5.2).\n";
 
-    metrics.emplace_back("parallel_lanes", double(parallelLanes));
     bench::writeBenchJson("table3_composer_overhead", metrics);
     return 0;
 }

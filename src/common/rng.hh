@@ -2,8 +2,8 @@
  * @file
  * Deterministic random number generation used across the library.
  *
- * All stochastic components (dataset synthesis, weight init, k-means
- * seeding, dropout, Monte-Carlo circuit variation) draw from an Rng so
+ * All stochastic components (dataset synthesis, weight init, input
+ * sampling, dropout, Monte-Carlo circuit variation) draw from an Rng so
  * that every experiment in the repository is reproducible from a seed.
  */
 

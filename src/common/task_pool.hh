@@ -3,19 +3,18 @@
  * A shared work-stealing task pool for deterministic sharded
  * parallelism.
  *
- * The composer shards its codebook and projection loops across a
- * fixed grid and lets pool threads steal shards; benches and tools use
- * it to run independent jobs side by side. Determinism is structural,
- * not scheduled: callers shard work
- * over a thread-count-independent grid, give every lane its own
- * scratch, write only disjoint output slots from inside shards, and do
- * all floating-point reductions serially in shard order afterwards —
- * so results are bitwise identical at any thread count, including one.
+ * Benches and tools use it to run independent jobs side by side (the
+ * serving benchmark computes its reference answers on it). Determinism
+ * is structural, not scheduled: callers shard work over a
+ * thread-count-independent grid, give every lane its own scratch,
+ * write only disjoint output slots from inside shards, and do all
+ * floating-point reductions serially in shard order afterwards — so
+ * results are bitwise identical at any thread count, including one.
  *
- * One process-wide pool (TaskPool::shared()) is shared by the composer
- * and k-means. run() is reentrant:
- * the caller always participates (lane 0), so a pool helper that
- * enters a nested run() can never deadlock waiting for a free helper.
+ * One process-wide pool (TaskPool::shared()) serves them all. run() is
+ * reentrant: the caller always participates (lane 0), so a pool helper
+ * that enters a nested run() can never deadlock waiting for a free
+ * helper.
  */
 
 #ifndef RAPIDNN_COMMON_TASK_POOL_HH

@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "common/check.hh"
-#include "common/task_pool.hh"
 #include "nn/loss.hh"
 #include "nn/recurrent.hh"
 
@@ -15,7 +14,7 @@ using nn::LayerKind;
 
 namespace {
 
-/** Reservoir-style cap so k-means inputs stay bounded. */
+/** Reservoir-style cap so codebook inputs stay bounded. */
 constexpr size_t kMaxCapturedValues = 20000;
 
 void
@@ -43,16 +42,13 @@ isCompute(LayerKind kind)
            kind == LayerKind::Recurrent;
 }
 
-/** Build a codebook of `entries` representatives from samples. The
- *  tree build may shard across `threads` pool lanes; the codebook is
- *  identical at any value. */
+/** Build a codebook of `entries` representatives from samples. */
 quant::Codebook
 buildCodebook(const std::vector<double> &samples, size_t entries,
-              size_t treeDepth, uint64_t seed, size_t threads = 1)
+              size_t treeDepth)
 {
     RAPIDNN_ASSERT(!samples.empty(), "buildCodebook on empty samples");
-    quant::TreeCodebook tree(samples, std::max(treeDepth, size_t(1)),
-                             seed, threads);
+    quant::TreeCodebook tree(samples, std::max(treeDepth, size_t(1)));
     return tree.level(tree.levelForEntries(entries));
 }
 
@@ -212,29 +208,15 @@ size_t
 Composer::projectWeights(nn::Network &net)
 {
     size_t rewritten = 0;
-    Rng seeder(_config.seed + 2);
-    const size_t threads = std::max<size_t>(1, _config.threads);
-
-    // Clustering jobs are collected in the exact traversal order the
-    // serial pipeline draws its seeds in, then run on the pool. Every
-    // job clusters and rewrites a disjoint weight range with a
-    // pre-drawn seed, so the projected network is identical at any
-    // thread count.
-    std::vector<std::function<void()>> jobs;
     auto clusterRange = [&](nn::Tensor &w, size_t offset,
                             size_t count) {
-        const uint64_t seed = seeder.engine()();
-        jobs.push_back([this, &w, offset, count, seed] {
-            std::vector<double> samples(count);
-            for (size_t i = 0; i < count; ++i)
-                samples[i] = w[offset + i];
-            quant::Codebook cb = buildCodebook(
-                samples, _config.weightClusters, _config.treeDepth,
-                seed);
-            for (size_t i = 0; i < count; ++i)
-                w[offset + i] =
-                    static_cast<float>(cb.quantize(w[offset + i]));
-        });
+        std::vector<double> samples(count);
+        for (size_t i = 0; i < count; ++i)
+            samples[i] = w[offset + i];
+        quant::Codebook cb = buildCodebook(
+            samples, _config.weightClusters, _config.treeDepth);
+        for (size_t i = 0; i < count; ++i)
+            w[offset + i] = static_cast<float>(cb.quantize(w[offset + i]));
         rewritten += count;
     };
 
@@ -272,14 +254,6 @@ Composer::projectWeights(nn::Network &net)
         }
     }
 
-    if (threads > 1 && jobs.size() > 1) {
-        TaskPool::shared().run(
-            jobs.size(), threads,
-            [&](size_t j, size_t /*lane*/) { jobs[j](); });
-    } else {
-        for (auto &job : jobs)
-            job();
-    }
     return rewritten;
 }
 
@@ -358,32 +332,13 @@ ReinterpretedModel
 Composer::reinterpret(nn::Network &net, const nn::Dataset &train)
 {
     CaptureSet captures = captureLayerInputs(net, train);
-    Rng seeder(_config.seed + 3);
-    const size_t threads = std::max<size_t>(1, _config.threads);
 
     // Input codebooks for every compute layer (shared per layer).
-    // Seeds are pre-drawn serially in layer order (the exact order the
-    // serial pipeline draws them), then the independent clustering
-    // jobs run on the pool, each filling its own slot.
-    std::vector<quant::Codebook> inputCodebooks(
-        captures.compute.size());
-    std::vector<uint64_t> cbSeeds(captures.compute.size());
-    for (size_t i = 0; i < cbSeeds.size(); ++i)
-        cbSeeds[i] = seeder.engine()();
-    if (threads > 1 && inputCodebooks.size() > 1) {
-        TaskPool::shared().run(
-            inputCodebooks.size(), threads,
-            [&](size_t i, size_t /*lane*/) {
-                inputCodebooks[i] = buildCodebook(
-                    captures.compute[i].inputs, _config.inputClusters,
-                    _config.treeDepth, cbSeeds[i]);
-            });
-    } else {
-        for (size_t i = 0; i < inputCodebooks.size(); ++i)
-            inputCodebooks[i] = buildCodebook(
-                captures.compute[i].inputs, _config.inputClusters,
-                _config.treeDepth, cbSeeds[i], threads);
-    }
+    std::vector<quant::Codebook> inputCodebooks;
+    inputCodebooks.reserve(captures.compute.size());
+    for (const LayerCapture &capture : captures.compute)
+        inputCodebooks.push_back(buildCodebook(
+            capture.inputs, _config.inputClusters, _config.treeDepth));
 
     ReinterpretedModel model;
     model.inputEncoder() = quant::Encoder(inputCodebooks.front());
@@ -416,7 +371,7 @@ Composer::reinterpret(nn::Network &net, const nn::Dataset &train)
                     samples[i] = w[i];
                 r.weightCodebooks.push_back(buildCodebook(
                     samples, _config.weightClusters,
-                    _config.treeDepth, seeder.engine()(), threads));
+                    _config.treeDepth));
                 std::vector<uint16_t> codes(w.numel());
                 for (size_t i = 0; i < w.numel(); ++i)
                     codes[i] = static_cast<uint16_t>(
@@ -480,7 +435,7 @@ Composer::reinterpret(nn::Network &net, const nn::Dataset &train)
                         samples.push_back(0.0);
                     groupCodebooks[g] = buildCodebook(
                         samples, _config.weightClusters,
-                        _config.treeDepth, seeder.engine()(), threads);
+                        _config.treeDepth);
                 }
 
                 for (size_t oc = 0; oc < r.outCount; ++oc) {
@@ -585,7 +540,7 @@ Composer::reinterpret(nn::Network &net, const nn::Dataset &train)
                                "no hidden-state captures");
                 r.stateCodebook = buildCodebook(
                     stateSamples, _config.inputClusters,
-                    _config.treeDepth, seeder.engine()(), threads);
+                    _config.treeDepth);
 
                 // Input-path (Wx) codebook and product table.
                 const nn::Tensor &wx = elman.inputWeights().value;
@@ -594,7 +549,7 @@ Composer::reinterpret(nn::Network &net, const nn::Dataset &train)
                     wxSamples[i] = wx[i];
                 r.weightCodebooks.push_back(buildCodebook(
                     wxSamples, _config.weightClusters,
-                    _config.treeDepth, seeder.engine()(), threads));
+                    _config.treeDepth));
                 std::vector<uint16_t> wxCodes(wx.numel());
                 for (size_t i = 0; i < wx.numel(); ++i)
                     wxCodes[i] = static_cast<uint16_t>(
@@ -619,7 +574,7 @@ Composer::reinterpret(nn::Network &net, const nn::Dataset &train)
                     whSamples[i] = wh[i];
                 r.stateWeightCodebooks.push_back(buildCodebook(
                     whSamples, _config.weightClusters,
-                    _config.treeDepth, seeder.engine()(), threads));
+                    _config.treeDepth));
                 std::vector<uint16_t> whCodes(wh.numel());
                 for (size_t i = 0; i < wh.numel(); ++i)
                     whCodes[i] = static_cast<uint16_t>(

@@ -50,16 +50,8 @@ struct ComposerConfig
     double sharingFraction = 0.0;
     /** Samples used for error estimation (0 = whole validation set). */
     size_t validationCap = 0;
+    /** Seeds input sampling and retraining (codebooks need none). */
     uint64_t seed = 7;
-    /**
-     * Task-pool lanes for the clustering stages (input codebooks,
-     * weight projection, codebook tree builds). Clustering seeds are
-     * pre-drawn in serial order and every job writes disjoint outputs,
-     * so the composed model is identical at any value
-     * (tests/task_pool_test.cc pins this). 1 (default)
-     * keeps the fully serial pipeline.
-     */
-    size_t threads = 1;
 };
 
 /** One clustering/retraining iteration record (paper Figure 6d). */

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/check.hh"
-#include "quant/kmeans.hh"
+#include "quant/codebook.hh"
 
 namespace rapidnn::quant {
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/bitops.hh"
 #include "common/check.hh"
-#include "common/task_pool.hh"
 
 namespace rapidnn::quant {
 
@@ -38,86 +38,96 @@ Codebook::fromSorted(Array<double> values)
     return cb;
 }
 
+size_t
+nearestCentroid(const double *centroids, size_t count, double x)
+{
+    RAPIDNN_ASSERT(count > 0, "nearestCentroid on empty codebook");
+    // Binary search on the sorted centroid list, then compare neighbours.
+    const double *last = centroids + count;
+    const double *it = std::lower_bound(centroids, last, x);
+    if (it == centroids)
+        return 0;
+    if (it == last)
+        return count - 1;
+    const size_t hi = static_cast<size_t>(it - centroids);
+    const size_t lo = hi - 1;
+    return (x - centroids[lo]) <= (centroids[hi] - x) ? lo : hi;
+}
+
 uint32_t
 Codebook::bits() const
 {
     return indexBits(_values.size());
 }
 
-TreeCodebook::TreeCodebook(const std::vector<double> &samples, size_t depth,
-                           uint64_t seed, size_t threads)
+TreeCodebook::TreeCodebook(const std::vector<double> &samples, size_t depth)
 {
     // Both arguments are caller-supplied configuration, not library
-    // invariants: fail cleanly on misuse.
+    // invariants: fail cleanly on misuse. NaN would break the sort's
+    // strict weak ordering.
     RAPIDNN_CHECK(!samples.empty(), "TreeCodebook on empty samples");
     RAPIDNN_CHECK(depth >= 1 && depth <= 16, "unreasonable tree depth ",
                   depth);
+    for (double s : samples)
+        RAPIDNN_CHECK(std::isfinite(s), "non-finite TreeCodebook sample");
 
-    // Recursive binary splits. Level l is the sorted concatenation of the
-    // 2^l leaf centroids at that recursion depth. Because k-means in 1-D
-    // splits into two intervals around a threshold, sorting the leaf
-    // centroids preserves the left-to-right cluster order.
-    //
-    // We carry (sample subset) partitions level by level. Per-level
-    // clusterings are independent given their seeds, so the seeds are
-    // drawn serially in partition order first (the exact order the
-    // serial build draws them), then the clusterings run on the pool
-    // and the results are stitched back serially in partition order —
-    // the tree is identical at any thread count.
-    std::vector<std::vector<double>> partitions = {samples};
-    Rng seeder(seed);
+    // Recursive binary splits. In 1-D every cluster is an interval of
+    // the sorted samples, so a level is a list of [begin, end) ranges
+    // and the best 2-way split of a range is the cut that minimizes the
+    // two sides' WCSS, i.e. maximizes S_L^2/n_L + S_R^2/n_R over the
+    // values centered on the range's mean (centering keeps the sums
+    // free of cancellation). Each side's centroid is its mean: Lloyd's
+    // fixed point, reached exactly. A range of equal values keeps one
+    // entry. Ranges stay in ascending order, so level l lists the 2^l
+    // leaf centroids left to right.
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::pair<size_t, size_t>> ranges = {{0, sorted.size()}};
 
     for (size_t lvl = 1; lvl <= depth; ++lvl) {
-        std::vector<const std::vector<double> *> parts;
-        std::vector<uint64_t> seeds;
-        parts.reserve(partitions.size());
-        seeds.reserve(partitions.size());
-        for (const auto &part : partitions) {
-            if (part.empty())
-                continue;
-            parts.push_back(&part);
-            seeds.push_back(seeder.engine()());
-        }
-
-        std::vector<KMeansResult> results(parts.size());
-        auto cluster = [&](size_t j, size_t kmeansThreads) {
-            KMeansConfig config;
-            config.k = 2;
-            config.seed = seeds[j];
-            config.threads = kmeansThreads;
-            results[j] = kmeans1d(*parts[j], config);
-        };
-        if (threads > 1 && parts.size() > 1) {
-            TaskPool::shared().run(
-                parts.size(), threads,
-                [&](size_t j, size_t /*lane*/) { cluster(j, 1); });
-        } else {
-            // Few partitions (the top of the tree): let the k-means
-            // assignment step itself shard instead.
-            for (size_t j = 0; j < parts.size(); ++j)
-                cluster(j, threads);
-        }
-
-        std::vector<std::vector<double>> next;
+        std::vector<std::pair<size_t, size_t>> next;
         std::vector<double> centroids;
-        next.reserve(parts.size() * 2);
-        for (size_t j = 0; j < parts.size(); ++j) {
-            KMeansResult &result = results[j];
-            const std::vector<double> &part = *parts[j];
-
-            // Split the partition's samples by assignment. With k
-            // possibly collapsed to 1 (all-equal partition), keep one.
-            std::vector<std::vector<double>> split(result.centroids.size());
-            for (size_t i = 0; i < part.size(); ++i)
-                split[result.assignment[i]].push_back(part[i]);
-            for (size_t c = 0; c < result.centroids.size(); ++c) {
-                centroids.push_back(result.centroids[c]);
-                next.push_back(std::move(split[c]));
+        next.reserve(ranges.size() * 2);
+        for (const auto &[begin, end] : ranges) {
+            if (sorted[begin] == sorted[end - 1]) {
+                centroids.push_back(sorted[begin]);
+                next.emplace_back(begin, end);
+                continue;
             }
+            double mean = 0.0;
+            for (size_t i = begin; i < end; ++i)
+                mean += sorted[i];
+            mean /= double(end - begin);
+            double total = 0.0;
+            for (size_t i = begin; i < end; ++i)
+                total += sorted[i] - mean;
+
+            // Cuts only between distinct values; a tie keeps the
+            // lowest cut.
+            size_t cut = 0;
+            double cutLeft = 0.0;
+            double best = -1.0;
+            double left = 0.0;
+            for (size_t i = begin + 1; i < end; ++i) {
+                left += sorted[i - 1] - mean;
+                if (sorted[i - 1] == sorted[i])
+                    continue;
+                const double right = total - left;
+                const double score = left * left / double(i - begin)
+                    + right * right / double(end - i);
+                if (score > best) {
+                    best = score;
+                    cut = i;
+                    cutLeft = left;
+                }
+            }
+            centroids.push_back(mean + cutLeft / double(cut - begin));
+            centroids.push_back(mean + (total - cutLeft) / double(end - cut));
+            next.emplace_back(begin, cut);
+            next.emplace_back(cut, end);
         }
-        std::sort(centroids.begin(), centroids.end());
         _levels.emplace_back(std::move(centroids));
-        partitions = std::move(next);
+        ranges = std::move(next);
     }
 }
 

@@ -4,7 +4,9 @@
  *
  * The composer builds codebooks as binary trees by recursive 2-way
  * k-means (paper Section 3.1, Figure 5): level L holds 2^L centroids,
- * each level refining its parent's clusters. Per-level centroids are
+ * each level refining its parent's clusters. In 1-D every cluster is
+ * an interval of the sorted samples, so each 2-way split is exact: the
+ * cut with the least two-sided WCSS. Per-level centroids are
  * sorted before encoding so that comparisons on encoded indices equal
  * comparisons on the underlying values — the property that lets the
  * accelerator run max/min pooling directly on encoded data.
@@ -19,9 +21,11 @@
 
 #include "common/array.hh"
 #include "common/check.hh"
-#include "quant/kmeans.hh"
 
 namespace rapidnn::quant {
+
+/** Index of the centroid nearest to x (centroids sorted ascending). */
+size_t nearestCentroid(const double *centroids, size_t count, double x);
 
 /**
  * A flat codebook: a sorted list of representative values. Encoding a
@@ -81,9 +85,10 @@ class Codebook
 
 /**
  * A tree codebook: per-level flat codebooks of 2^level entries built by
- * recursive binary k-means. Level indices run from 1 (two entries) to
- * depth() (the finest resolution). Selecting a level trades accuracy
- * against memory, which is the accelerator's runtime tuning knob.
+ * recursive binary k-means, each split exact. Level indices run from 1
+ * (two entries) to depth() (the finest resolution). Selecting a level
+ * trades accuracy against memory, which is the accelerator's runtime
+ * tuning knob.
  */
 class TreeCodebook
 {
@@ -91,18 +96,11 @@ class TreeCodebook
     TreeCodebook() = default;
 
     /**
-     * Build from samples.
+     * Build from samples (all finite).
      * @param samples scalar population to represent.
      * @param depth number of levels; the finest has 2^depth entries.
-     * @param seed clustering seed.
-     * @param threads task-pool lanes for the per-partition 2-way
-     *   clusterings of each level. Seeds are pre-drawn serially in
-     *   partition order (the exact order the serial build draws them)
-     *   and every clustering writes its own slot, so the tree is
-     *   identical at any value. 1 (default) keeps the serial build.
      */
-    TreeCodebook(const std::vector<double> &samples, size_t depth,
-                 uint64_t seed = 42, size_t threads = 1);
+    TreeCodebook(const std::vector<double> &samples, size_t depth);
 
     /** Number of levels (finest level == depth()). */
     size_t depth() const { return _levels.size(); }

@@ -9,6 +9,7 @@
 
 #include <set>
 
+#include "blob/blob.hh"
 #include "composer/composer.hh"
 #include "nn/synthetic.hh"
 #include "nn/trainer.hh"
@@ -196,6 +197,32 @@ TEST(Reinterpret, MemoryGrowsWithCodebookSize)
         b.reinterpret(fixture.net, fixture.train).memoryBytes();
     EXPECT_LT(smallMem, largeMem);
     EXPECT_GT(smallMem, 0u);
+}
+
+TEST(Reinterpret, ComposedBlobByteIdenticalAcrossRuns)
+{
+    // The whole pipeline (input codebooks, weight projection, codebook
+    // trees) is deterministic: two runs emit the same model blob.
+    auto composeOnce = [] {
+        Dataset all = nn::makeVectorTask(
+            {"iop-composer", 12, 3, 220, 0.35, 1.0, 91});
+        auto [train, validation] = all.split(0.25);
+        (void)validation;
+        Rng rng(92);
+        Network net = nn::buildMlp(
+            {.inputs = 12, .hidden = {16, 10}, .outputs = 3}, rng);
+        nn::Trainer({.epochs = 3, .batchSize = 16,
+                     .learningRate = 0.05})
+            .train(net, train);
+
+        ComposerConfig config;
+        config.weightClusters = 16;
+        config.inputClusters = 16;
+        Composer composer(config);
+        composer.projectWeights(net);
+        return blob::buildBlob(composer.reinterpret(net, train));
+    };
+    EXPECT_EQ(composeOnce(), composeOnce());
 }
 
 TEST(Reinterpret, DescribeMentionsLayers)

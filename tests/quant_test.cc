@@ -1,19 +1,22 @@
 /**
  * @file
- * Unit and property tests for the quantization toolkit: k-means, tree
+ * Unit and property tests for the quantization toolkit: tree
  * codebooks, activation tables, and encoders.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <utility>
 
 #include "common/rng.hh"
 #include "nn/activation.hh"
 #include "quant/activation_table.hh"
 #include "quant/codebook.hh"
 #include "quant/encoder.hh"
-#include "quant/kmeans.hh"
 
 namespace rapidnn::quant {
 namespace {
@@ -30,71 +33,6 @@ gaussianMixture(size_t n, uint64_t seed)
     return samples;
 }
 
-// ---------------------------------------------------------------- kmeans
-
-TEST(KMeans, CentroidsSortedAndSized)
-{
-    const auto samples = gaussianMixture(500, 3);
-    const auto result = kmeans1d(samples, {.k = 8, .seed = 1});
-    ASSERT_EQ(result.centroids.size(), 8u);
-    for (size_t i = 1; i < result.centroids.size(); ++i)
-        EXPECT_LE(result.centroids[i - 1], result.centroids[i]);
-}
-
-TEST(KMeans, AssignmentIsNearest)
-{
-    const auto samples = gaussianMixture(300, 5);
-    const auto result = kmeans1d(samples, {.k = 6, .seed = 2});
-    for (size_t i = 0; i < samples.size(); ++i) {
-        // Brute-force nearest must agree with the recorded assignment.
-        size_t best = 0;
-        for (size_t c = 1; c < result.centroids.size(); ++c)
-            if (std::abs(samples[i] - result.centroids[c]) <
-                std::abs(samples[i] - result.centroids[best]))
-                best = c;
-        EXPECT_NEAR(std::abs(samples[i] - result.centroids[best]),
-                    std::abs(samples[i]
-                             - result.centroids[result.assignment[i]]),
-                    1e-12);
-    }
-}
-
-TEST(KMeans, WcssNotWorseThanSingleCluster)
-{
-    const auto samples = gaussianMixture(400, 7);
-    const auto one = kmeans1d(samples, {.k = 1, .seed = 3});
-    const auto many = kmeans1d(samples, {.k = 16, .seed = 3});
-    EXPECT_LT(many.wcss, one.wcss);
-}
-
-TEST(KMeans, MoreClustersNeverHurtMuch)
-{
-    const auto samples = gaussianMixture(400, 9);
-    double prev = 1e300;
-    for (size_t k : {2, 4, 8, 16, 32}) {
-        const auto result = kmeans1d(samples, {.k = k, .seed = 4});
-        // WCSS should broadly fall as k rises (allow tiny local noise).
-        EXPECT_LT(result.wcss, prev * 1.05);
-        prev = result.wcss;
-    }
-}
-
-TEST(KMeans, FewerDistinctValuesThanK)
-{
-    std::vector<double> samples = {1.0, 1.0, 2.0, 2.0, 3.0};
-    const auto result = kmeans1d(samples, {.k = 10, .seed = 5});
-    EXPECT_EQ(result.centroids.size(), 3u);
-    EXPECT_NEAR(result.wcss, 0.0, 1e-12);
-}
-
-TEST(KMeans, SingleValue)
-{
-    std::vector<double> samples(50, 4.25);
-    const auto result = kmeans1d(samples, {.k = 4, .seed = 6});
-    ASSERT_EQ(result.centroids.size(), 1u);
-    EXPECT_DOUBLE_EQ(result.centroids[0], 4.25);
-}
-
 TEST(NearestCentroid, BinarySearchMatchesScan)
 {
     Rng rng(12);
@@ -108,7 +46,9 @@ TEST(NearestCentroid, BinarySearchMatchesScan)
         for (size_t c = 1; c < centroids.size(); ++c)
             if (std::abs(x - centroids[c]) < std::abs(x - centroids[best]))
                 best = c;
-        EXPECT_NEAR(std::abs(x - centroids[nearestCentroid(centroids, x)]),
+        const size_t got =
+            nearestCentroid(centroids.data(), centroids.size(), x);
+        EXPECT_NEAR(std::abs(x - centroids[got]),
                     std::abs(x - centroids[best]), 1e-12);
     }
 }
@@ -131,7 +71,7 @@ TEST(Codebook, EncodingIsOrderPreserving)
     // The property that lets the accelerator pool encoded data
     // (paper Section 3.1): x <= y implies code(x) <= code(y).
     const auto samples = gaussianMixture(1000, 21);
-    TreeCodebook tree(samples, 5, 1);
+    TreeCodebook tree(samples, 5);
     const Codebook &cb = tree.finest();
     Rng rng(22);
     for (int i = 0; i < 500; ++i) {
@@ -151,7 +91,7 @@ TEST_P(TreeCodebookDepth, LevelsGrowAndRefine)
 {
     const size_t depth = GetParam();
     const auto samples = gaussianMixture(800, 31);
-    TreeCodebook tree(samples, depth, 2);
+    TreeCodebook tree(samples, depth);
     EXPECT_EQ(tree.depth(), depth);
     EXPECT_TRUE(tree.refinementHolds());
     for (size_t lvl = 1; lvl <= depth; ++lvl)
@@ -164,7 +104,7 @@ TEST_P(TreeCodebookDepth, DeeperLevelsQuantizeBetter)
     if (depth < 2)
         return;
     const auto samples = gaussianMixture(800, 33);
-    TreeCodebook tree(samples, depth, 3);
+    TreeCodebook tree(samples, depth);
     double prev = 1e300;
     for (size_t lvl = 1; lvl <= depth; ++lvl) {
         const Codebook &cb = tree.level(lvl);
@@ -184,10 +124,163 @@ INSTANTIATE_TEST_SUITE_P(Depths, TreeCodebookDepth,
 TEST(TreeCodebook, LevelForEntriesNeverOvershoots)
 {
     const auto samples = gaussianMixture(600, 41);
-    TreeCodebook tree(samples, 7, 4);
+    TreeCodebook tree(samples, 7);
     for (size_t want : {2, 4, 8, 16, 64, 128, 1000}) {
         const size_t lvl = tree.levelForEntries(want);
         EXPECT_LE(tree.level(lvl).size(), std::max<size_t>(want, 2));
+    }
+}
+
+/** Mean of sorted[lo, hi), accumulated in long double. */
+long double
+rangeMean(const std::vector<double> &sorted, size_t lo, size_t hi)
+{
+    long double sum = 0.0L;
+    for (size_t i = lo; i < hi; ++i)
+        sum += sorted[i];
+    return sum / static_cast<long double>(hi - lo);
+}
+
+/** Two-sided WCSS of splitting sorted[begin, end) at `cut`, directly. */
+long double
+splitWcss(const std::vector<double> &sorted, size_t begin, size_t cut,
+          size_t end)
+{
+    long double wcss = 0.0L;
+    for (const auto &[lo, hi] : {std::pair{begin, cut}, std::pair{cut, end}}) {
+        const long double mean = rangeMean(sorted, lo, hi);
+        for (size_t i = lo; i < hi; ++i)
+            wcss += (sorted[i] - mean) * (sorted[i] - mean);
+    }
+    return wcss;
+}
+
+TEST(TreeCodebook, EverySplitMinimizesTwoSidedWcss)
+{
+    // Brute force over small inputs: walk the tree's ranges level by
+    // level (each level lists its ranges' centroids left to right),
+    // recover each node's cut from its two child centroids, and check
+    // no cut point of that node has lower two-sided WCSS.
+    Rng rng(51);
+    for (int trial = 0; trial < 300; ++trial) {
+        const size_t n = size_t(rng.uniformInt(1, 16));
+        std::vector<double> samples(n);
+        for (double &s : samples)  // odd trials repeat values
+            s = trial % 2 ? double(rng.uniformInt(0, 5))
+                          : rng.gaussian(0.0, 1.0);
+        const TreeCodebook tree(samples, 3);
+        std::vector<double> sorted = samples;
+        std::sort(sorted.begin(), sorted.end());
+
+        std::vector<std::pair<size_t, size_t>> ranges = {{0, n}};
+        for (size_t lvl = 1; lvl <= tree.depth(); ++lvl) {
+            const Codebook &cb = tree.level(lvl);
+            std::vector<std::pair<size_t, size_t>> next;
+            size_t k = 0;
+            for (const auto &[begin, end] : ranges) {
+                if (sorted[begin] == sorted[end - 1]) {
+                    ASSERT_LT(k, cb.size());
+                    EXPECT_EQ(cb.value(k++), sorted[begin]);
+                    next.emplace_back(begin, end);
+                    continue;
+                }
+                ASSERT_LT(k + 1, cb.size());
+                size_t cut = begin + 1;
+                long double miss = std::numeric_limits<double>::max();
+                long double best = std::numeric_limits<double>::max();
+                for (size_t c = begin + 1; c < end; ++c) {
+                    const long double m =
+                        std::abs(rangeMean(sorted, begin, c) - cb.value(k))
+                        + std::abs(rangeMean(sorted, c, end)
+                                   - cb.value(k + 1));
+                    if (m < miss) {
+                        miss = m;
+                        cut = c;
+                    }
+                    best = std::min(best, splitWcss(sorted, begin, c, end));
+                }
+                EXPECT_LT(miss, 1e-9L) << "trial " << trial;
+                EXPECT_LE(splitWcss(sorted, begin, cut, end), best + 1e-12L)
+                    << "trial " << trial << " level " << lvl;
+                next.emplace_back(begin, cut);
+                next.emplace_back(cut, end);
+                k += 2;
+            }
+            EXPECT_EQ(k, cb.size()) << "trial " << trial;
+            ranges = std::move(next);
+        }
+    }
+}
+
+TEST(TreeCodebook, SplitIsExactFarFromZero)
+{
+    // Values near 1e6 with a 1e-3 spread: raw sums of x and x^2 would
+    // cancel to noise; the split must land where the brute force does.
+    Rng rng(53);
+    std::vector<double> samples(1000);
+    for (double &s : samples)
+        s = 1e6 + rng.gaussian(0.0, 1e-3);
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    size_t bruteCut = 0;
+    long double best = std::numeric_limits<double>::max();
+    for (size_t c = 1; c < sorted.size(); ++c) {
+        const long double wcss = splitWcss(sorted, 0, c, sorted.size());
+        if (wcss < best) {
+            best = wcss;
+            bruteCut = c;
+        }
+    }
+
+    const TreeCodebook tree(samples, 1);
+    const size_t treeCut = size_t(std::count_if(
+        samples.begin(), samples.end(),
+        [&](double s) { return tree.level(1).encode(s) == 0; }));
+    EXPECT_EQ(treeCut, bruteCut);
+}
+
+TEST(TreeCodebook, TiedSplitTakesLowestCut)
+{
+    // {0} | {1, 1, 2} and {0, 1, 1} | {2} have equal WCSS.
+    const TreeCodebook tree({0.0, 1.0, 1.0, 2.0}, 1);
+    ASSERT_EQ(tree.level(1).size(), 2u);
+    EXPECT_EQ(tree.level(1).value(0), 0.0);
+    EXPECT_DOUBLE_EQ(tree.level(1).value(1), 4.0 / 3.0);
+}
+
+TEST(TreeCodebook, FewerDistinctValuesThanEntries)
+{
+    const std::vector<double> samples = {1.0, 1.0, 2.0, 2.0, 3.0};
+    const TreeCodebook tree(samples, 7);
+    for (size_t lvl = 1; lvl <= tree.depth(); ++lvl)
+        EXPECT_LE(tree.level(lvl).size(), 3u) << "level " << lvl;
+    for (double s : samples)
+        EXPECT_EQ(tree.finest().quantize(s), s);
+}
+
+TEST(TreeCodebook, SingleValue)
+{
+    const std::vector<double> samples(50, 4.25);
+    const TreeCodebook tree(samples, 4);
+    for (size_t lvl = 1; lvl <= tree.depth(); ++lvl) {
+        ASSERT_EQ(tree.level(lvl).size(), 1u) << "level " << lvl;
+        EXPECT_EQ(tree.level(lvl).value(0), 4.25);
+    }
+}
+
+TEST(TreeCodebook, NonFiniteSamplesRejected)
+{
+    // fatal() exits without unwinding, so leak checking in the child
+    // is meaningless.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    setenv("ASAN_OPTIONS", "detect_leaks=0:abort_on_error=1", 1);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        const std::vector<double> samples = {0.5, bad, -1.0};
+        EXPECT_EXIT(TreeCodebook(samples, 3), ::testing::ExitedWithCode(1),
+                    "non-finite TreeCodebook sample")
+            << bad;
     }
 }
 
