@@ -5,10 +5,10 @@
  *
  * Sections:
  *   1. Cold-start load: ModelBlob::open from a warm page cache.
- *   2. Replica instantiation: legacy per-replica Chip::configure
- *      (re-deriving columns and conv plans per replica) vs
- *      Chip::clone over the shared immutable context set. The
- *      acceptance gate is a >= 5x clone speedup.
+ *   2. Replica instantiation: per-replica Chip::configure (deriving
+ *      the packed rows, conv gather plans and counting cycles per
+ *      replica) vs Chip::clone over the shared immutable context set.
+ *      The acceptance gate is a >= 5x clone speedup.
  *   3. N-replica resident memory: RSS growth per added replica for
  *      heap-configured chips vs blob-backed clones.
  *   4. Steady-state serve-path allocation: global operator new bytes

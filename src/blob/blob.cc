@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -14,7 +13,6 @@
 
 #include "blob/format.hh"
 #include "common/check.hh"
-#include "rna/workspace.hh"
 #include "telemetry/metrics.hh"
 
 namespace rapidnn::blob {
@@ -113,8 +111,7 @@ putCodebook(Writer &w, const quant::Codebook &cb)
 }
 
 void
-encodeLayer(Writer &w, const RLayer &layer,
-            const std::map<const RLayer *, nn::Shape> &inShapes)
+encodeLayer(Writer &w, const RLayer &layer)
 {
     w.put(uint64_t(layer.kind));
     w.put(layer.inCount);
@@ -170,45 +167,15 @@ encodeLayer(Writer &w, const RLayer &layer,
             w.put(w.add(SectionKind::F64, table));
     }
 
-    // Deploy-time artifacts: (for conv layers) the gather plan at the
-    // canonical input shape, so a blob-backed Chip shares one
-    // precomputed copy across replicas.
-    if (layer.kind == RLayerKind::Conv) {
-        const nn::Shape &in = inShapes.at(&layer);
-        RAPIDNN_CHECK(in.size() == 3,
-                      "blob writer: conv layer input shape is not "
-                      "[C, H, W]");
-        rna::ConvGatherPlan plan;
-        rna::buildConvGatherPlan(plan, layer, in[0], in[1], in[2]);
-        w.put(1);
-        w.put(plan.inC);
-        w.put(plan.inH);
-        w.put(plan.inW);
-        w.put(plan.outH);
-        w.put(plan.outW);
-        w.put(w.add(SectionKind::U32, plan.start));
-        w.put(w.add(SectionKind::U32, plan.weightIdx));
-        w.put(w.add(SectionKind::U32, plan.inputIdx));
-    } else {
-        w.put(0);
-    }
-
-    // The tally's packed weight rows (format v5) for compute layers
-    // whose weight codebooks fit 256 entries, precomputed so every
-    // replica maps them zero-copy instead of packing at configure
-    // time; recurrent layers add their feedback path's rows.
-    const bool rows = composer::tallyPacks(layer);
-    w.put(rows ? 1 : 0);
-    if (rows)
-        w.put(w.add(SectionKind::U8, composer::tallyRows8Of(layer)));
-    const bool stateRows = rows && layer.kind == RLayerKind::Recurrent;
-    w.put(stateRows ? 1 : 0);
-    if (stateRows)
-        w.put(w.add(SectionKind::U8, composer::tallyRows8Of(layer, true)));
+    // Format v5's derived-layout flags, always 0: the chip derives its
+    // layout at configure time.
+    w.put(0); // has conv plan
+    w.put(0); // has tally rows
+    w.put(0); // has state rows
 
     w.put(layer.inner.size());
     for (const RLayer &inner : layer.inner)
-        encodeLayer(w, inner, inShapes);
+        encodeLayer(w, inner);
 
     w.put(kLayerEndSentinel);
 }
@@ -400,92 +367,6 @@ validateLayer(const RLayer &layer)
     }
 }
 
-/**
- * Derived-artifact invariants the chip trusts without re-deriving:
- * the conv gather plan feeds the hot loop's indexed reads directly,
- * so every index is range-checked here, against this layer, before
- * the model is ever served.
- */
-void
-validateDerived(const RLayer &layer)
-{
-    const size_t stride = composer::tallyRowStride(layer.outCount);
-    if (!layer.tallyRows8.empty()) {
-        RAPIDNN_CHECK(composer::tallyPacks(layer),
-                      "model blob: tally rows on a layer the tally does "
-                      "not serve");
-        const size_t want = composer::tallyRowCount(layer, false) * stride;
-        RAPIDNN_CHECK(layer.tallyRows8.size() == want,
-                      "model blob: tally row table of ",
-                      layer.tallyRows8.size(), " codes != ", want);
-    }
-    if (!layer.stateRows8.empty()) {
-        RAPIDNN_CHECK(layer.kind == RLayerKind::Recurrent &&
-                          composer::tallyPacks(layer),
-                      "model blob: state rows on a layer the tally does "
-                      "not serve");
-        const size_t want = composer::tallyRowCount(layer, true) * stride;
-        RAPIDNN_CHECK(layer.stateRows8.size() == want,
-                      "model blob: state row table of ",
-                      layer.stateRows8.size(), " codes != ", want);
-    }
-    if (layer.convPlan.has_value()) {
-        RAPIDNN_CHECK(layer.kind == RLayerKind::Conv,
-                      "model blob: conv plan on a non-conv layer");
-        const RLayer::ConvPlanData &p = *layer.convPlan;
-        RAPIDNN_CHECK(p.inC == layer.inChannels,
-                      "model blob: conv plan channels ", p.inC,
-                      " != layer channels ", layer.inChannels);
-        const size_t k = layer.kernel;
-        RAPIDNN_CHECK(layer.samePadding ||
-                          (p.inH >= k && p.inW >= k),
-                      "model blob: conv plan input smaller than "
-                      "kernel");
-        const size_t oh = layer.samePadding ? p.inH : p.inH - k + 1;
-        const size_t ow = layer.samePadding ? p.inW : p.inW - k + 1;
-        RAPIDNN_CHECK(p.outH == oh && p.outW == ow,
-                      "model blob: conv plan output ", p.outH, "x",
-                      p.outW, " inconsistent with input ", p.inH, "x",
-                      p.inW);
-        RAPIDNN_CHECK(p.start.size() == oh * ow + 1,
-                      "model blob: conv plan has ", p.start.size(),
-                      " window offsets, want ", oh * ow + 1);
-        RAPIDNN_CHECK(p.weightIdx.size() == p.inputIdx.size(),
-                      "model blob: conv plan index maps disagree: ",
-                      p.weightIdx.size(), " vs ", p.inputIdx.size());
-        RAPIDNN_CHECK(!p.start.empty() && p.start[0] == 0 &&
-                          p.start.back() == p.weightIdx.size(),
-                      "model blob: conv plan window offsets do not "
-                      "span the index maps");
-        for (size_t i = 1; i < p.start.size(); ++i) {
-            RAPIDNN_CHECK(p.start[i - 1] <= p.start[i],
-                          "model blob: conv plan window offsets not "
-                          "monotonic");
-            // A window holds at most one slot per weight offset, and
-            // the serve path's window buffers are sized to the fan-in
-            // (inCount = inC*k*k), so a wider window is malformed.
-            RAPIDNN_CHECK(p.start[i] - p.start[i - 1] <= layer.inCount,
-                          "model blob: conv plan window of ",
-                          p.start[i] - p.start[i - 1],
-                          " slots exceeds fan-in ", layer.inCount);
-        }
-        size_t inElems = 0;
-        RAPIDNN_CHECK(!__builtin_mul_overflow(p.inC, p.inH, &inElems) &&
-                          !__builtin_mul_overflow(inElems, p.inW,
-                                                  &inElems),
-                      "model blob: conv plan input volume ", p.inC,
-                      "x", p.inH, "x", p.inW, " overflows");
-        for (const uint32_t idx : p.weightIdx)
-            RAPIDNN_CHECK(idx < layer.inCount,
-                          "model blob: conv plan weight index ", idx,
-                          " outside window of ", layer.inCount);
-        for (const uint32_t idx : p.inputIdx)
-            RAPIDNN_CHECK(idx < inElems,
-                          "model blob: conv plan input index ", idx,
-                          " outside tensor of ", inElems);
-    }
-}
-
 RLayer
 readLayer(const Parsed &p, MetaCursor &cur, size_t depth)
 {
@@ -563,50 +444,31 @@ readLayer(const Parsed &p, MetaCursor &cur, size_t depth)
                 "state product table"));
     }
 
-    // Versions 1-3 stored u16 neuron-major weight columns here (dense,
-    // recurrent x, recurrent h). Nothing reads them any more: each is
-    // type- and bounds-checked like any section reference, then left
-    // unused.
+    // Derived execution layout older writers stored: u16 neuron-major
+    // weight columns (versions 1-3), a conv gather plan (any version),
+    // packed u8 codes (2-4) and the tally rows (5). The chip derives its
+    // own at configure time, so each set flag's section references are
+    // type- and bounds-checked like any other, then ignored.
     if (p.version < 4) {
         for (const char *what : {"dense columns", "recurrent x columns",
                                  "recurrent h columns"})
             if (cur.flag(what))
                 p.section(cur.next(what), SectionKind::U16, what);
     }
-
     if (cur.flag("has conv plan")) {
-        RLayer::ConvPlanData plan;
-        plan.inC = cur.bounded("conv plan inC", kMaxLayerDim);
-        plan.inH = cur.bounded("conv plan inH", kMaxLayerDim);
-        plan.inW = cur.bounded("conv plan inW", kMaxLayerDim);
-        plan.outH = cur.bounded("conv plan outH", kMaxLayerDim);
-        plan.outW = cur.bounded("conv plan outW", kMaxLayerDim);
-        plan.start = p.view<uint32_t>(cur.next("conv plan offsets"),
-                                      SectionKind::U32,
-                                      "conv plan offsets");
-        plan.weightIdx = p.view<uint32_t>(
-            cur.next("conv plan weight indices"), SectionKind::U32,
-            "conv plan weight indices");
-        plan.inputIdx = p.view<uint32_t>(
-            cur.next("conv plan input indices"), SectionKind::U32,
-            "conv plan input indices");
-        layer.convPlan = std::move(plan);
+        for (const char *what : {"conv plan inC", "conv plan inH",
+                                 "conv plan inW", "conv plan outH",
+                                 "conv plan outW"})
+            cur.bounded(what, kMaxLayerDim);
+        for (const char *what : {"conv plan offsets",
+                                 "conv plan weight indices",
+                                 "conv plan input indices"})
+            p.section(cur.next(what), SectionKind::U32, what);
     }
-
-    // Format v5: the tally rows. Sizes are pinned in validateDerived,
-    // and every code is re-checked against the 16-bit arrays by the RNA
-    // layer context before the tally reads it. Versions 2-4 stored
-    // other packed layouts here (dense rows or columns, per-channel
-    // conv codes, recurrent columns); each is type- and bounds-checked
-    // like any section reference, then left unused, and the context
-    // derives the rows at configure time.
     if (p.version >= 5) {
-        if (cur.flag("has tally rows"))
-            layer.tallyRows8 = p.view<uint8_t>(
-                cur.next("tally rows"), SectionKind::U8, "tally rows");
-        if (cur.flag("has state rows"))
-            layer.stateRows8 = p.view<uint8_t>(
-                cur.next("state rows"), SectionKind::U8, "state rows");
+        for (const char *what : {"tally rows", "state rows"})
+            if (cur.flag(what))
+                p.section(cur.next(what), SectionKind::U8, what);
     } else if (p.version >= 2) {
         if (cur.flag("has packed dense codes"))
             p.section(cur.next("packed dense codes"), SectionKind::U8,
@@ -630,7 +492,6 @@ readLayer(const Parsed &p, MetaCursor &cur, size_t depth)
                   "model blob: layer record not closed by sentinel");
 
     validateLayer(layer);
-    validateDerived(layer);
     return layer;
 }
 
@@ -649,13 +510,6 @@ buildBlob(const composer::ReinterpretedModel &model)
     RAPIDNN_CHECK(!model.inputEncoder().empty(),
                   "blob writer: model has no input encoder");
 
-    // Per-layer input shapes drive the precomputed conv gather plans.
-    std::map<const RLayer *, nn::Shape> inShapes;
-    composer::walkLayerShapes(
-        model.layers(), shape,
-        [&](const RLayer &layer, const nn::Shape &in,
-            const nn::Shape &) { inShapes[&layer] = in; });
-
     Writer w;
     w.put(kBlobVersion);
     w.put(shape.size());
@@ -664,7 +518,7 @@ buildBlob(const composer::ReinterpretedModel &model)
     putCodebook(w, model.inputEncoder().target());
     w.put(model.layers().size());
     for (const RLayer &layer : model.layers())
-        encodeLayer(w, layer, inShapes);
+        encodeLayer(w, layer);
 
     // Serialize the meta stream into section 0.
     std::vector<uint8_t> metaBytes(w.meta.size() * 8);

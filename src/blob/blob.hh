@@ -2,10 +2,12 @@
  * @file
  * Writer and zero-copy loader for the .rnnb single-blob model format.
  *
- * The writer packs a composed ReinterpretedModel — including the
- * deploy-time artifacts the serve path needs (transposed weight
- * columns, conv gather plans at the canonical input shape) — into one
- * aligned file (see format.hh). The loader memory-maps that file
+ * The writer packs a composed ReinterpretedModel — codebooks, encoded
+ * weights, bias vectors, and the product, activation and encoding
+ * tables, with the canonical input shape — into one aligned file (see
+ * format.hh). It stores nothing a Chip derives: the chip builds its
+ * execution layout from the model at configure time. The loader
+ * memory-maps that file
  * read-only and reconstructs the model with Array views pointing
  * straight into the mapping: no per-replica copies, and the page cache
  * shares the bytes across every Chip replica and worker process that
@@ -31,13 +33,11 @@ namespace rapidnn::blob {
 
 /**
  * Serialize a model into blob bytes. The model must carry a canonical
- * input shape (ReinterpretedModel::setCanonicalInputShape): conv
- * gather plans and the loader's workspace arena sizing are precomputed
- * against it. Batched execution needs nothing extra from the format:
- * a blob-backed Chip::configure sizes its batch-strided lane buffers
- * from ChipConfig::maxBatch inside the per-chip workspace arena, so
- * the read-only mapping is untouched and stays shared across replicas
- * at any batch width.
+ * input shape (ReinterpretedModel::setCanonicalInputShape), which the
+ * blob records for Chip::configure. The blob holds the composed model
+ * only: a blob-backed Chip derives its packed rows, conv gather plans
+ * and workspace arena at configure time, so the read-only mapping is
+ * untouched and stays shared across replicas at any batch width.
  */
 std::vector<uint8_t> buildBlob(const composer::ReinterpretedModel &model);
 

@@ -4,8 +4,7 @@
  *
  * A blob is one file: a fixed 64-byte header, a section table, and the
  * section payloads. Every weight-code block, codebook, product table,
- * activation table, bias vector and precomputed index map is its own
- * aligned section, so the loader can hand out zero-copy views straight
+ * activation table and bias vector is its own aligned section, so the loader can hand out zero-copy views straight
  * into the mapped file. Section 0 (Meta) is a bounded little-endian
  * u64 scalar stream encoding the recursive layer tree; it references
  * the data sections by index.
@@ -44,12 +43,14 @@ constexpr uint32_t kBlobMagic = 0x424E4E52;
  * tally's input-major rows, padded to 8-neuron groups. Version 4 drops
  * the u16 neuron-major weight columns (dense, recurrent x and h) that
  * versions 1-3 stored after the state block. Version 5 replaces the
- * packed sections with the tally's rows for every compute layer (dense,
- * conv window offsets, recurrent x) plus the recurrent feedback rows.
- * The loader still reads versions 1-4 (the packed fields are
- * version-gated in the meta stream; their sections and the v1-v3 u16
- * columns are type-checked and ignored, and the rows are derived at
- * configure time); the writer always emits the current version.
+ * packed sections with flags for the tally's rows for every compute
+ * layer (dense, conv window offsets, recurrent x) plus the recurrent
+ * feedback rows. Every version also carries a conv gather plan flag.
+ * All of these are derived data: the writer emits version 5 with the
+ * conv plan, tally rows and state rows flags at 0, and the chip derives
+ * that layout at configure time. The loader reads versions 1-5; any
+ * derived section a file holds (the v1-v3 u16 columns, the v2-v4 packed
+ * codes, a conv plan, the v5 rows) is type-checked and ignored.
  */
 constexpr uint32_t kBlobVersion = 5;
 constexpr uint32_t kMinBlobVersion = 1;
@@ -69,8 +70,8 @@ enum class SectionKind : uint32_t
     F64 = 1,  //!< doubles (codebooks, product tables, activations)
     F32 = 2,  //!< floats (bias vectors)
     U16 = 3,  //!< uint16 (weight codes)
-    U32 = 4,  //!< uint32 (conv gather index maps)
-    U8 = 5,   //!< uint8 (packed weight codes, format v2)
+    U32 = 4,  //!< uint32 (older writers' conv gather plans; ignored)
+    U8 = 5,   //!< uint8 (older writers' packed codes and rows; ignored)
 };
 
 /** Element size in bytes for a section kind. */

@@ -424,36 +424,6 @@ ReinterpretedModel::describe() const
     return os.str();
 }
 
-bool
-tallyPacks(const RLayer &layer)
-{
-    if (layer.kind != RLayerKind::Dense && layer.kind != RLayerKind::Conv &&
-        layer.kind != RLayerKind::Recurrent)
-        return false;
-    bool packs = !layer.weightCodebooks.empty();
-    for (const auto &cb : layer.weightCodebooks)
-        packs = packs && cb.size() <= 256;
-    if (layer.kind == RLayerKind::Recurrent)
-        packs = packs && !layer.stateWeightCodebooks.empty() &&
-                layer.stateWeightCodebooks[0].size() <= 256;
-    return packs;
-}
-
-std::vector<uint8_t>
-tallyRows8Of(const RLayer &layer, bool statePath)
-{
-    RAPIDNN_ASSERT(tallyPacks(layer),
-                   "tally rows need weight codebooks of <= 256 entries");
-    const size_t stride = tallyRowStride(layer.outCount);
-    const size_t rows = tallyRowCount(layer, statePath);
-    std::vector<uint8_t> out(rows * stride, 0);
-    for (size_t i = 0; i < rows; ++i)
-        for (size_t j = 0; j < layer.outCount; ++j)
-            out[i * stride + j] = static_cast<uint8_t>(
-                tallyWeightCode(layer, statePath, i, j));
-    return out;
-}
-
 nn::Shape
 layerOutputShape(const RLayer &layer, const nn::Shape &in)
 {

@@ -105,31 +105,6 @@ struct RLayer
     std::vector<Array<uint16_t>> stateWeightCodes;
     std::vector<Array<double>> stateProductTables;
 
-    /**
-     * Deploy-time execution artifacts: the packed (uint8) weight rows
-     * the production path's tally reads, for compute layers whose
-     * weight codebooks fit 256 entries (tallyPacks()). tallyRows8 holds
-     * the forward path (dense fan-in, conv window offsets, recurrent
-     * x), stateRows8 the recurrent feedback path; see tallyRows8Of().
-     * The blob format precomputes them into the file (version 5) so
-     * every Chip replica shares one mapped copy; heap models leave them
-     * empty and the RNA layer contexts derive them at configure time.
-     * Loaded values are untrusted and validated element-wise against
-     * the 16-bit arrays.
-     */
-    Array<uint8_t> tallyRows8;
-    Array<uint8_t> stateRows8;
-
-    struct ConvPlanData
-    {
-        size_t inC = 0, inH = 0, inW = 0; //!< input shape it was built for
-        size_t outH = 0, outW = 0;
-        Array<uint32_t> start;     //!< outH*outW+1 window offsets
-        Array<uint32_t> weightIdx; //!< per-slot weight code index
-        Array<uint32_t> inputIdx;  //!< per-slot input code index
-    };
-    std::optional<ConvPlanData> convPlan;
-
     /** Hidden-state product lookup (recurrent layers). */
     double
     stateProduct(size_t wCode, size_t hCode) const
@@ -198,9 +173,10 @@ class ReinterpretedModel
 
     /**
      * The input shape the model is deployed for ([F] or [C, H, W]).
-     * Optional for heap models (inference derives shapes from each
-     * sample); required to write a blob, since conv gather plans and
-     * workspace arena sizes are precomputed against it.
+     * Required to write a blob and to configure a chip: the chip
+     * derives its execution layout (conv gather plans, workspace
+     * arenas) at this shape and accepts inputs of this shape only.
+     * The composer records the training set's feature shape.
      */
     const nn::Shape &canonicalInputShape() const { return _inputShape; }
     void setCanonicalInputShape(nn::Shape shape)
@@ -218,61 +194,13 @@ class ReinterpretedModel
                                  std::vector<double> *rawOut) const;
 };
 
-/** Neurons per packed tally row: outCount rounded up to the tally's
- *  8-neuron group. */
-inline size_t
-tallyRowStride(size_t outCount)
-{
-    return (outCount + 7) / 8 * 8;
-}
-
-/**
- * True when the production tally serves this compute layer: every
- * weight codebook it reads fits 8-bit codes (the state path's too, for
- * a recurrent layer). Input codes are grouped, not narrowed, so the
- * input codebooks may be any size.
- */
-bool tallyPacks(const RLayer &layer);
-
-/**
- * Weight code on tally row i of neuron j: the dense weight of input i,
- * the conv weight at window offset i of output channel j, the
- * recurrent x weight of feature i, or (statePath) the recurrent
- * feedback weight of hidden unit i.
- */
-inline uint16_t
-tallyWeightCode(const RLayer &layer, bool statePath, size_t i, size_t j)
-{
-    if (statePath)
-        return layer.stateWeightCodes[0][i * layer.outCount + j];
-    if (layer.kind == RLayerKind::Conv)
-        return layer.weightCodes[j][i];
-    return layer.weightCodes[0][i * layer.outCount + j];
-}
-
-/** Tally rows of a layer: inCount rows, or outCount on the state
- *  path. */
-inline size_t
-tallyRowCount(const RLayer &layer, bool statePath)
-{
-    return statePath ? layer.outCount : layer.inCount;
-}
-
-/**
- * The packed rows the tally reads: row i holds tallyWeightCode(layer,
- * statePath, i, j) for every neuron j, [i * tallyRowStride(outCount) +
- * j], with padding neurons at code 0. Requires tallyPacks(layer).
- */
-std::vector<uint8_t> tallyRows8Of(const RLayer &layer,
-                                  bool statePath = false);
-
 /** Output shape of one layer for a given input shape. */
 nn::Shape layerOutputShape(const RLayer &layer, const nn::Shape &in);
 
 /**
  * Walk a layer stack (recursing into residual inner stacks) calling
- * fn(layer, inShape, outShape) in execution order. Used by the blob
- * writer (conv plan dimensions) and the workspace arena sizing.
+ * fn(layer, inShape, outShape) in execution order. The chip derives
+ * each layer's execution layout and sizes its workspace with it.
  */
 void walkLayerShapes(
     const std::vector<RLayer> &layers, const nn::Shape &input,

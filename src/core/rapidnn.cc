@@ -18,8 +18,7 @@ Rapidnn::measure(composer::ComposeResult compose,
     _model = std::move(report.compose.model);
     report.memoryBytes = _model.memoryBytes();
     // The validation feature shape is the shape the deployment serves
-    // at; recording it lets exportBlob precompute conv gather plans
-    // and workspace arena sizes into the blob.
+    // at: the chip derives its layout at it, and exportBlob records it.
     if (_model.canonicalInputShape().empty() && validation.size() > 0)
         _model.setCanonicalInputShape(validation.featureShape());
 

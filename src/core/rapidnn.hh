@@ -81,7 +81,7 @@ class Rapidnn
     /**
      * Write the composed model (valid after run/runOneShot) as a
      * single-file .rnnb blob: every weight block, codebook, product
-     * table and precomputed index map packed aligned so serveBlob and
+     * and activation table packed aligned so serveBlob and
      * blob::ModelBlob::open can map it back zero-copy.
      */
     void exportBlob(const std::string &path) const;

@@ -169,57 +169,52 @@ advanceLane(EncodedTensor &in, LayerRun &run, Workspace &ws)
     ws.giveCodes(std::move(run.output.codes));
 }
 
-} // namespace
-
+/**
+ * Refuse a layer that does not fit the shape reaching it at the chip's
+ * input shape, so the layer walks index only within their inputs.
+ * (layerOutputShape() already refused a conv or pool input that is
+ * not [C, H, W] and a valid-padded conv input smaller than its kernel.)
+ */
 void
-buildConvGatherPlan(ConvGatherPlan &plan, const composer::RLayer &layer,
-                    size_t inC, size_t h, size_t w)
+checkFanIn(const RLayer &layer, const nn::Shape &in)
 {
-    const size_t k = layer.kernel;
-    const size_t oh = layer.samePadding ? h : h - k + 1;
-    const size_t ow = layer.samePadding ? w : w - k + 1;
-    const long off = layer.samePadding ? -long(k / 2) : 0;
-
-    plan.inC = inC;
-    plan.inH = h;
-    plan.inW = w;
-    plan.outH = oh;
-    plan.outW = ow;
-    std::vector<uint32_t> start(oh * ow + 1, 0);
-    std::vector<uint32_t> weightIdx;
-    std::vector<uint32_t> inputIdx;
-    weightIdx.reserve(oh * ow * inC * k * k);
-    inputIdx.reserve(oh * ow * inC * k * k);
-
-    for (size_t y = 0; y < oh; ++y)
-        for (size_t x = 0; x < ow; ++x) {
-            for (size_t ic = 0; ic < inC; ++ic)
-                for (size_t ky = 0; ky < k; ++ky) {
-                    const long iy = long(y) + long(ky) + off;
-                    if (iy < 0 || iy >= long(h))
-                        continue;
-                    for (size_t kx = 0; kx < k; ++kx) {
-                        const long ix = long(x) + long(kx) + off;
-                        if (ix < 0 || ix >= long(w))
-                            continue;
-                        weightIdx.push_back(static_cast<uint32_t>(
-                            (ic * k + ky) * k + kx));
-                        inputIdx.push_back(static_cast<uint32_t>(
-                            (ic * h + size_t(iy)) * w + size_t(ix)));
-                    }
-                }
-            start[y * ow + x + 1] =
-                static_cast<uint32_t>(weightIdx.size());
-        }
-    plan.start = std::move(start);
-    plan.weightIdx = std::move(weightIdx);
-    plan.inputIdx = std::move(inputIdx);
-    plan.counting.clear();
+    const size_t n = nn::shapeNumel(in);
+    switch (layer.kind) {
+      case RLayerKind::Dense:
+        RAPIDNN_CHECK(n == layer.inCount, "chip: dense fan-in ",
+                      layer.inCount, " != input of ", n);
+        break;
+      case RLayerKind::Conv:
+        RAPIDNN_CHECK(in[0] == layer.inChannels, "chip: conv of ",
+                      layer.inChannels, " input channels gets ", in[0]);
+        break;
+      case RLayerKind::Recurrent:
+        RAPIDNN_CHECK(n == layer.steps * layer.inCount,
+                      "chip: recurrent input of ", n, " != steps x fan-in ",
+                      layer.steps * layer.inCount);
+        break;
+      case RLayerKind::Residual: {
+        nn::Shape out = in;
+        for (const RLayer &inner : layer.inner)
+            out = composer::layerOutputShape(inner, out);
+        RAPIDNN_CHECK(nn::shapeNumel(out) == n,
+                      "chip: residual inner stack maps ", n,
+                      " values to ", nn::shapeNumel(out));
+        break;
+      }
+      default:
+        break;
+    }
 }
+
+} // namespace
 
 void
 Chip::configure(const composer::ReinterpretedModel &model)
 {
+    const nn::Shape &shape = model.canonicalInputShape();
+    RAPIDNN_CHECK(!shape.empty(),
+                  "chip: the model has no canonical input shape");
     _model = &model;
     // Resolve the SIMD kernel variant once per chip: explicit config
     // beats the RAPIDNN_SIMD environment override beats the best
@@ -231,27 +226,23 @@ Chip::configure(const composer::ReinterpretedModel &model)
                "process's most recent Chip::configure)",
                std::string("variant=\"") + _kops->name + "\"")
         .set(1);
+    // One context per compute layer, residual inner stacks included,
+    // each derived at the shape that reaches its layer.
     auto set = std::make_shared<ContextSet>();
-    configureLayers(*set, model.layers());
+    composer::walkLayerShapes(
+        model.layers(), shape,
+        [&](const RLayer &layer, const nn::Shape &in, const nn::Shape &) {
+            checkFanIn(layer, in);
+            if (layer.kind != RLayerKind::Dense &&
+                layer.kind != RLayerKind::Conv &&
+                layer.kind != RLayerKind::Recurrent)
+                return;
+            set->byLayer[&layer] = set->contexts.size();
+            set->contexts.push_back(std::make_unique<RnaLayerContext>(
+                layer, in, _config.cost, _config.searchMode, _kops));
+        });
     _contexts = std::move(set);
     buildWorkspace();
-}
-
-void
-Chip::configureLayers(ContextSet &set,
-                      const std::vector<RLayer> &layers)
-{
-    for (const RLayer &layer : layers) {
-        if (layer.kind == RLayerKind::Dense ||
-            layer.kind == RLayerKind::Conv ||
-            layer.kind == RLayerKind::Recurrent) {
-            set.byLayer[&layer] = set.contexts.size();
-            set.contexts.push_back(std::make_unique<RnaLayerContext>(
-                layer, _config.cost, _config.searchMode, _kops));
-        } else if (layer.kind == RLayerKind::Residual) {
-            configureLayers(set, layer.inner);
-        }
-    }
 }
 
 void
@@ -262,46 +253,18 @@ Chip::buildWorkspace()
     _workspace = std::make_unique<Workspace>();
     Workspace &ws = *_workspace;
     const auto &ctxs = _contexts->contexts;
-    ws.convPlans.resize(ctxs.size());
-
-    // Blob-loaded models carry precomputed gather plans for the
-    // canonical input shape; install them as zero-copy views so the
-    // first infer skips the plan build entirely.
-    for (size_t i = 0; i < ctxs.size(); ++i) {
-        const RLayer &layer = ctxs[i]->layer();
-        if (!layer.convPlan.has_value())
-            continue;
-        const composer::RLayer::ConvPlanData &p = *layer.convPlan;
-        ConvGatherPlan &plan = ws.convPlans[i];
-        plan.inC = p.inC;
-        plan.inH = p.inH;
-        plan.inW = p.inW;
-        plan.outH = p.outH;
-        plan.outW = p.outW;
-        plan.start = p.start;
-        plan.weightIdx = p.weightIdx;
-        plan.inputIdx = p.inputIdx;
-    }
 
     // Seed the activation-tensor pools from the model's canonical
     // input shape: size every recycled buffer to the widest tensor
     // that flows through the layer chain, so the serve path performs
-    // no buffer growth. Models without a recorded shape (legacy text
-    // files) warm the pools up on the first infer instead.
+    // no buffer growth.
     const nn::Shape &shape = _model->canonicalInputShape();
-    if (shape.empty())
-        return;
-    size_t maxElems = 1;
-    for (size_t d : shape)
-        maxElems *= d;
+    size_t maxElems = nn::shapeNumel(shape);
     composer::walkLayerShapes(
         _model->layers(), shape,
         [&](const RLayer &layer, const nn::Shape &,
             const nn::Shape &out) {
-            size_t n = 1;
-            for (size_t d : out)
-                n *= d;
-            maxElems = std::max(maxElems, n);
+            maxElems = std::max(maxElems, nn::shapeNumel(out));
             if (layer.kind == RLayerKind::MaxPool) {
                 const size_t win = layer.poolWindow * layer.poolWindow;
                 if (ws.gatherX.size() < win)
@@ -488,17 +451,10 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
         run.output.codes.assign(ch * oh * ow, 0);
         nvm::OpCost poolCost;
         uint64_t worst = 0;
-        // Production gathers windows into the workspace buffer (sized
-        // at configure time); the reference walk keeps its own vector.
-        std::vector<uint16_t> windowLocal;
-        if (_config.fastPath) {
-            if (ws.gatherX.size() < win * win)
-                ws.gatherX.resize(win * win);
-        } else {
-            windowLocal.resize(win * win);
-        }
-        uint16_t *window = _config.fastPath ? ws.gatherX.data()
-                                            : windowLocal.data();
+        // Windows gather into the workspace buffer, whose capacity
+        // configure sized for the widest window.
+        std::vector<uint16_t> &window = ws.gatherX;
+        window.resize(win * win);
         for (size_t c = 0; c < ch; ++c)
             for (size_t y = 0; y < oh; ++y)
                 for (size_t x = 0; x < ow; ++x) {
@@ -514,10 +470,10 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
                     run.output.codes[(c * oh + y) * ow + x] =
                         _config.fastPath
                             ? RnaLayerContext::poolMaxFast(
-                                  window, win * win,
+                                  window.data(), window.size(),
                                   _config.cost, one, *_kops)
                             : RnaLayerContext::poolMax(
-                                  windowLocal, _config.cost, one);
+                                  window, _config.cost, one);
                     worst = std::max(worst, one.cycles);
                     poolCost += one;
                 }
@@ -548,11 +504,7 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
         for (size_t c = 0; c < ch; ++c)
             for (size_t y = 0; y < oh; ++y)
                 for (size_t x = 0; x < ow; ++x) {
-                    // Production reuses the workspace addend buffer
-                    // instead of allocating one per window.
-                    std::vector<int64_t> local;
-                    std::vector<int64_t> &addends =
-                        _config.fastPath ? ws.addends : local;
+                    std::vector<int64_t> &addends = ws.addends;
                     addends.clear();
                     AccumFormat format;
                     for (size_t ky = 0; ky < win; ++ky)
@@ -901,24 +853,14 @@ Chip::runConvTally(const RLayer &layer, const RnaLayerContext &ctx,
 {
     // Position-major: at each output position every lane groups its
     // window by input code once and tallies all output channels over
-    // it. The counting cycles depend only on the (clipped) weight
-    // window, so the plan keeps them for every lane and call.
+    // it. The context keeps the gather plan and each window's counting
+    // cycles, which depend only on the (clipped) weight window.
     const size_t lanes = ins.size();
-    RAPIDNN_ASSERT(ins[0].shape.size() == 3, "conv needs [C, H, W]");
-    const size_t inC = ins[0].shape[0];
-    const size_t h = ins[0].shape[1], w = ins[0].shape[2];
-    const size_t k = layer.kernel;
-    const size_t oh = layer.samePadding ? h : h - k + 1;
-    const size_t ow = layer.samePadding ? w : w - k + 1;
-    ConvGatherPlan *plan = &ws.convPlans[_contexts->byLayer.at(&layer)];
-    if (!plan->matches(inC, h, w))
-        buildConvGatherPlan(*plan, layer, inC, h, w);
-
+    const ConvGatherPlan &plan = ctx.gatherPlan();
+    const size_t oh = plan.outH, ow = plan.outW;
     const size_t positions = oh * ow;
     const size_t flatNeurons = layer.outCount * positions;
     const size_t groups = ctx.tallyStride() / simd::kTallyGroup;
-    if (plan->counting.empty())
-        plan->counting = ctx.windowCountingCycles(*plan);
     for (size_t L = 0; L < lanes; ++L) {
         runs[L].reset();
         runs[L].output.shape = {layer.outCount, oh, ow};
@@ -944,19 +886,18 @@ Chip::runConvTally(const RLayer &layer, const RnaLayerContext &ctx,
     InputBuckets &window = ws.inputs[0];
 
     for (size_t p = 0; p < positions; ++p) {
-        const uint32_t s0 = plan->start[p];
-        const size_t n = plan->start[p + 1] - s0;
-        const uint32_t *counting = plan->counting.data() + p * layer.outCount;
+        const uint32_t s0 = plan.start[p];
+        const size_t n = plan.start[p + 1] - s0;
         for (size_t L = 0; L < lanes; ++L) {
-            window.build(ins[L].codes.data(), plan->inputIdx.data() + s0,
-                         plan->weightIdx.data() + s0, n,
+            window.build(ins[L].codes.data(), plan.inputIdx.data() + s0,
+                         plan.weightIdx.data() + s0, n,
                          layer.inputEntries());
             ctx.tally(window, 0, groups, st.sums.data(),
                       st.distinct.data(), st.addends.data());
             for (size_t oc = 0; oc < layer.outCount; ++oc) {
                 const AccumResult a = ctx.tallyResult(
                     oc, st.sums[oc], st.distinct[oc], st.addends[oc], n,
-                    counting[oc], ws.accum);
+                    ctx.countingCycles(p * layer.outCount + oc), ws.accum);
                 const size_t slot = (oc * positions + p) * lanes + L;
                 ws.valsB[slot] = a.value;
                 ws.accumCostB[slot] = a.cost.total();
@@ -1100,19 +1041,6 @@ Chip::runLayerBatch(const RLayer &layer,
                     std::span<LayerRun> runs) const
 {
     const size_t lanes = ins.size();
-    // Lanes of one batch share a layer's shape-dependent work, so a
-    // mixed-shape batch runs as batches of one.
-    bool sameShape = true;
-    for (size_t L = 1; L < lanes; ++L)
-        sameShape = sameShape && ins[L].shape == ins[0].shape
-                 && ins[L].codes.size() == ins[0].codes.size();
-    if (!sameShape) {
-        for (size_t L = 0; L < lanes; ++L)
-            runLayerBatch(layer, ins.subspan(L, 1), lastCompute, ws,
-                          runs.subspan(L, 1));
-        return;
-    }
-
     // The reference walk (fastPath = false, weight codebooks that do
     // not pack) and the pool and flatten layers run one lane at a time.
     auto perLane = [&] {
@@ -1247,13 +1175,17 @@ Chip::runBatch(std::span<const nn::Tensor> inputs,
         return;
     RAPIDNN_TELEMETRY_SPAN("chip_infer_batch");
     const auto &model = *_model;
+    // Every lane runs the layer shapes configure derived.
+    for (const nn::Tensor &x : inputs)
+        RAPIDNN_CHECK(x.shape() == model.canonicalInputShape(),
+                      "chip: input shape ", nn::shapeToString(x.shape()),
+                      " != the model's ",
+                      nn::shapeToString(model.canonicalInputShape()));
 
     // Lease the shared workspace for this call; concurrent callers on
     // the same chip fall back to private spares (see WorkspaceLease).
     WorkspaceLease lease(_workspace.get());
     Workspace &ws = lease.get();
-    if (ws.convPlans.size() < _contexts->contexts.size())
-        ws.convPlans.resize(_contexts->contexts.size());
     if (ws.lanesIn.size() < lanes) {
         ws.lanesIn.resize(lanes);
         ws.lanesRun.resize(lanes);

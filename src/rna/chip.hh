@@ -114,7 +114,11 @@ class Chip
 
     /**
      * Configure the chip with a reinterpreted model. Keeps a reference;
-     * the model must outlive the chip.
+     * the model must outlive the chip. The model must carry a canonical
+     * input shape that its layers fit (fatal otherwise): the layer
+     * contexts derive the execution layout (packed rows, conv gather
+     * plans, counting cycles) at that shape, and every input must have
+     * it.
      */
     void configure(const composer::ReinterpretedModel &model);
 
@@ -137,7 +141,8 @@ class Chip
      * the per-lane PerfReports are bitwise identical to the reference
      * walk (fastPath = false) at any batch size and SIMD variant.
      * `reports` must hold at least inputs.size() entries; returns one
-     * logits vector per input, in order.
+     * logits vector per input, in order. Every input must have the
+     * model's canonical input shape (fatal otherwise).
      */
     std::vector<std::vector<double>>
     inferBatch(std::span<const nn::Tensor> inputs,
@@ -192,11 +197,8 @@ class Chip
      *  per infer() call (concurrent callers fall back to spares). */
     mutable std::unique_ptr<Workspace> _workspace;
 
-    void configureLayers(ContextSet &set,
-                         const std::vector<composer::RLayer> &layers);
-
     /** Build this chip's private workspace from the shared contexts
-     *  (pool seeding, conv plans, batch arenas). */
+     *  (pool seeding, batch arenas). */
     void buildWorkspace();
 
     /**
@@ -250,8 +252,7 @@ class Chip
     /**
      * Run one layer for a whole batch, filling runs[L] with exactly
      * what the reference walk of ins[L] produces. Dense, conv and
-     * recurrent layers the tally serves take their production path; a
-     * batch whose lanes differ in shape runs as batches of one;
+     * recurrent layers the tally serves take their production path;
      * everything else (the reference walk, pools, flatten) runs
      * runLayer() per lane in lane order.
      */

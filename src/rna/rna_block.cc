@@ -35,9 +35,84 @@ rowCountingCycles(const uint8_t *rows, size_t stride, size_t neurons,
     }
 }
 
+/**
+ * Pack the rows the tally reads: row i holds, for every neuron j, the
+ * weight code of dense input i, of conv window offset i in channel j,
+ * of recurrent feature i, or (statePath) of recurrent hidden unit i, at
+ * [i * stride + j]; padding neurons hold code 0.
+ */
+void
+packTallyRows(const composer::RLayer &layer, bool statePath, size_t stride,
+              simd::AlignedVec<uint8_t> &packed)
+{
+    const size_t rows = statePath ? layer.outCount : layer.inCount;
+    const size_t out = layer.outCount;
+    const bool conv = layer.kind == composer::RLayerKind::Conv;
+    packed.ensureZeroed(rows * stride);
+    for (size_t i = 0; i < rows; ++i)
+        for (size_t j = 0; j < out; ++j)
+            packed[i * stride + j] = static_cast<uint8_t>(
+                statePath ? layer.stateWeightCodes[0][i * out + j]
+                : conv    ? layer.weightCodes[j][i]
+                          : layer.weightCodes[0][i * out + j]);
+}
+
+/** The gather plan of a conv layer at input shape [inC, h, w]. */
+ConvGatherPlan
+buildConvGatherPlan(const composer::RLayer &layer, size_t inC, size_t h,
+                    size_t w)
+{
+    const size_t k = layer.kernel;
+    const size_t oh = layer.samePadding ? h : h - k + 1;
+    const size_t ow = layer.samePadding ? w : w - k + 1;
+    const long off = layer.samePadding ? -long(k / 2) : 0;
+
+    ConvGatherPlan plan;
+    plan.outH = oh;
+    plan.outW = ow;
+    plan.start.assign(oh * ow + 1, 0);
+    plan.weightIdx.reserve(oh * ow * inC * k * k);
+    plan.inputIdx.reserve(oh * ow * inC * k * k);
+    for (size_t y = 0; y < oh; ++y)
+        for (size_t x = 0; x < ow; ++x) {
+            for (size_t ic = 0; ic < inC; ++ic)
+                for (size_t ky = 0; ky < k; ++ky) {
+                    const long iy = long(y) + long(ky) + off;
+                    if (iy < 0 || iy >= long(h))
+                        continue;
+                    for (size_t kx = 0; kx < k; ++kx) {
+                        const long ix = long(x) + long(kx) + off;
+                        if (ix < 0 || ix >= long(w))
+                            continue;
+                        plan.weightIdx.push_back(static_cast<uint32_t>(
+                            (ic * k + ky) * k + kx));
+                        plan.inputIdx.push_back(static_cast<uint32_t>(
+                            (ic * h + size_t(iy)) * w + size_t(ix)));
+                    }
+                }
+            plan.start[y * ow + x + 1] =
+                static_cast<uint32_t>(plan.weightIdx.size());
+        }
+    return plan;
+}
+
+/** True when every weight codebook of a compute layer (a recurrent
+ *  feedback path's too) fits 8-bit codes. */
+bool
+tallyPacks(const composer::RLayer &layer)
+{
+    bool packs = !layer.weightCodebooks.empty();
+    for (const auto *books :
+         {&layer.weightCodebooks, &layer.stateWeightCodebooks})
+        for (const quant::Codebook &cb : *books)
+            packs = packs && cb.size() <= 256;
+    return packs;
+}
+
 } // namespace
 
 RnaLayerContext::RnaLayerContext(const composer::RLayer &layer,
+                                 const nn::Shape &inShape,
                                  const nvm::CostModel &model,
                                  nvm::SearchMode mode,
                                  const simd::KernelOps *kops)
@@ -98,12 +173,17 @@ RnaLayerContext::RnaLayerContext(const composer::RLayer &layer,
     // The tally's packed rows for the production path. Every code is
     // range-validated above, so packing is lossless when the weight
     // codebooks fit 256 entries.
-    _hasTally = _kops != nullptr && composer::tallyPacks(layer);
+    _hasTally = _kops != nullptr && tallyPacks(layer);
     if (_hasTally) {
-        _stride = composer::tallyRowStride(layer.outCount);
+        _stride = tallyRowStride(layer.outCount);
         for (const auto &engine : _engines)
             _maxWeightEntries =
                 std::max(_maxWeightEntries, engine.weightEntries());
+        if (layer.kind == composer::RLayerKind::Conv) {
+            RAPIDNN_ASSERT(inShape.size() == 3, "conv needs [C, H, W]");
+            _plan = buildConvGatherPlan(layer, inShape[0], inShape[1],
+                                        inShape[2]);
+        }
         buildTally(_tally, false);
         if (_stateEngine)
             buildTally(_stateTally, true);
@@ -118,34 +198,8 @@ RnaLayerContext::RnaLayerContext(const composer::RLayer &layer,
 void
 RnaLayerContext::buildTally(TallyRows &t, bool statePath)
 {
-    // Blob-supplied rows are untrusted: pin them code by code to the
-    // validated 16-bit weights, padding included.
     const composer::RLayer &layer = _layer;
-    const Array<uint8_t> &blobRows =
-        statePath ? layer.stateRows8 : layer.tallyRows8;
-    const size_t rows = composer::tallyRowCount(layer, statePath);
-    if (blobRows.empty()) {
-        t.rows = composer::tallyRows8Of(layer, statePath);
-    } else {
-        const char *what =
-            statePath ? "recurrent state packed rows mismatch"
-            : layer.kind == composer::RLayerKind::Conv
-                ? "conv packed rows mismatch"
-            : layer.kind == composer::RLayerKind::Recurrent
-                ? "recurrent packed rows mismatch"
-                : "dense packed rows mismatch";
-        RAPIDNN_CHECK(blobRows.size() == rows * _stride, what);
-        bool same = true;
-        for (size_t i = 0; i < rows; ++i)
-            for (size_t j = 0; j < _stride; ++j)
-                same &= blobRows[i * _stride + j] ==
-                        (j < layer.outCount
-                             ? composer::tallyWeightCode(layer, statePath,
-                                                         i, j)
-                             : 0);
-        RAPIDNN_CHECK(same, what);
-        t.rows = blobRows;
-    }
+    packTallyRows(layer, statePath, _stride, t.rows);
 
     // Products: one table for the layer, or on a conv layer each
     // channel's engine's table laid end to end, every neuron reading
@@ -171,14 +225,24 @@ RnaLayerContext::buildTally(TallyRows &t, bool statePath)
                                : _maxWeightEntries;
     t.maskWords = static_cast<uint32_t>((w + 63) / 64);
 
-    // A conv window's counting cycles depend on its clipping, so the
-    // gather plan keeps them (windowCountingCycles).
-    if (layer.kind == composer::RLayerKind::Conv)
+    // Counting cycles over the full fan-in, or on a conv layer over
+    // each position's window, which clipping may shorten.
+    const size_t out = layer.outCount;
+    std::vector<uint32_t> depth(out * w, 0);
+    if (layer.kind != composer::RLayerKind::Conv) {
+        t.counting.resize(out);
+        rowCountingCycles(t.rows.data(), _stride, out, w, nullptr,
+                          statePath ? out : layer.inCount, depth.data(),
+                          t.counting.data());
         return;
-    std::vector<uint32_t> depth(layer.outCount * w, 0);
-    t.counting.resize(layer.outCount);
-    rowCountingCycles(t.rows.data(), _stride, layer.outCount, w, nullptr,
-                      rows, depth.data(), t.counting.data());
+    }
+    const std::vector<uint32_t> &start = _plan.start;
+    t.counting.resize((start.size() - 1) * out);
+    for (size_t p = 0; p + 1 < start.size(); ++p)
+        rowCountingCycles(t.rows.data(), _stride, out, w,
+                          _plan.weightIdx.data() + start[p],
+                          start[p + 1] - start[p], depth.data(),
+                          t.counting.data() + p * out);
 }
 
 NeuronResult
@@ -248,22 +312,6 @@ RnaLayerContext::tallyResult(size_t j, int64_t sum, uint32_t distinct,
     return _engines[engine].tallyResult(sum, distinct, addends,
                                         countingCycles, fanIn,
                                         _layer.bias[j], sc);
-}
-
-std::vector<uint32_t>
-RnaLayerContext::windowCountingCycles(const ConvGatherPlan &plan) const
-{
-    const size_t positions = plan.outH * plan.outW;
-    const size_t out = _layer.outCount;
-    std::vector<uint32_t> depth(out * _maxWeightEntries, 0);
-    std::vector<uint32_t> counting(positions * out);
-    for (size_t p = 0; p < positions; ++p)
-        rowCountingCycles(_tally.rows.data(), _stride, out,
-                          _maxWeightEntries,
-                          plan.weightIdx.data() + plan.start[p],
-                          plan.start[p + 1] - plan.start[p], depth.data(),
-                          counting.data() + p * out);
-    return counting;
 }
 
 void

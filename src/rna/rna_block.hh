@@ -22,6 +22,32 @@ namespace rapidnn::rna {
 // Figure 13) is defined in rna/workspace.hh, which this header
 // includes: the workspace's LayerRun sums one per layer.
 
+/** Neurons per packed tally row: outCount rounded up to the tally's
+ *  8-neuron group. */
+inline size_t
+tallyRowStride(size_t outCount)
+{
+    return (outCount + 7) / 8 * 8;
+}
+
+/**
+ * im2col-style gather plan of one conv layer at its input shape: flat
+ * index maps from each output position's receptive-field window into
+ * the layer's per-channel weight codes and into the input tensor, with
+ * same-padding boundary clipping folded in. Slot order is channel, then
+ * valid ky, then valid kx: the order of the reference gather loops.
+ */
+struct ConvGatherPlan
+{
+    size_t outH = 0;
+    size_t outW = 0;
+    /** Prefix offsets into the index maps: the window of output
+     *  position p spans slots [start[p], start[p + 1]). */
+    std::vector<uint32_t> start;
+    std::vector<uint32_t> weightIdx;  //!< slot -> per-channel weight code
+    std::vector<uint32_t> inputIdx;   //!< slot -> input tensor code
+};
+
 /** Output of one neuron evaluation. */
 struct NeuronResult
 {
@@ -40,14 +66,19 @@ class RnaLayerContext
 {
   public:
     /**
-     * Build the context for a compute layer.
+     * Build the context for a compute layer, deriving everything the
+     * production path reads: the packed tally rows, their counting
+     * cycles and, on a conv layer, the gather plan.
      * @param layer reinterpreted Dense/Conv/Recurrent layer.
+     * @param inShape the layer's input shape at the chip's canonical
+     *        input shape (the conv gather plan is built for it).
      * @param model circuit-cost anchors.
      * @param mode NDCAM search behaviour.
      * @param kops kernel table of the production path; without one the
      *        context serves only the reference evaluate() calls.
      */
     RnaLayerContext(const composer::RLayer &layer,
+                    const nn::Shape &inShape,
                     const nvm::CostModel &model,
                     nvm::SearchMode mode = nvm::SearchMode::AbsoluteExact,
                     const simd::KernelOps *kops = nullptr);
@@ -116,9 +147,10 @@ class RnaLayerContext
 
     /**
      * True when the tally serves this layer: a kernel table was given
-     * and composer::tallyPacks(layer) holds, so the packed weight rows
-     * exist. Input codes are grouped rather than narrowed, so the input
-     * codebooks may be any size.
+     * and every weight codebook it reads (the feedback path's too) fits
+     * 8-bit codes, so the packed weight rows exist. Input codes are
+     * grouped rather than narrowed, so the input codebooks may be any
+     * size.
      */
     bool hasTally() const { return _hasTally; }
 
@@ -149,20 +181,20 @@ class RnaLayerContext
                             uint32_t countingCycles, AccumScratch &sc,
                             bool statePath = false) const;
 
-    /** Neuron j's counting cycles over its full fan-in (hoisted at
-     *  configure time; dense and recurrent layers). */
+    /**
+     * Counting cycles of neuron j over its fan-in, hoisted at configure
+     * time: j < outCount on a dense or recurrent layer; position *
+     * outCount + channel over the gather plan's windows on a conv
+     * layer.
+     */
     uint32_t
     countingCycles(size_t j, bool statePath = false) const
     {
         return (statePath ? _stateTally : _tally).counting[j];
     }
 
-    /**
-     * Counting cycles of every output channel over every window of a
-     * conv gather plan: [position * outCount + channel].
-     */
-    std::vector<uint32_t>
-    windowCountingCycles(const ConvGatherPlan &plan) const;
+    /** The conv layer's gather plan (built when hasTally()). */
+    const ConvGatherPlan &gatherPlan() const { return _plan; }
 
     bool hasActivation() const { return _activationAm.has_value(); }
     bool hasEncoder() const { return _encodingAm.has_value(); }
@@ -217,9 +249,10 @@ class RnaLayerContext
     /** One weight matrix the tally reads. */
     struct TallyRows
     {
-        /** [rows][_stride] packed weight codes: a view of the blob's
-         *  section when present, otherwise derived at configure. */
-        Array<uint8_t> rows;
+        /** [rows][_stride] packed weight codes, cache-line aligned: a
+         *  tally pass reads 64 bytes of each row, and rows that start
+         *  off a line slow the dense tally measurably. */
+        simd::AlignedVec<uint8_t> rows;
         /** Conv only: every channel's padded product table, end to
          *  end (dense and recurrent read their engine's table). */
         std::vector<int64_t> ownProducts;
@@ -227,8 +260,7 @@ class RnaLayerContext
         std::vector<uint64_t> base;  //!< [_stride] table start per neuron
         uint32_t shift = 0;
         uint32_t maskWords = 0;
-        /** [outCount] deepest weight buffer over the full fan-in;
-         *  empty on a conv layer. */
+        /** Deepest weight buffer per neuron (see countingCycles()). */
         std::vector<uint32_t> counting;
     };
     void buildTally(TallyRows &t, bool statePath);
@@ -237,6 +269,7 @@ class RnaLayerContext
     size_t _stride = 0;
     TallyRows _tally;       //!< forward path
     TallyRows _stateTally;  //!< recurrent feedback path
+    ConvGatherPlan _plan;   //!< conv only
     size_t _maxWeightEntries = 0;  //!< widest weight codebook
     /** Constant analytic per-lookup costs, precomputed so the batch
      *  paths charge without re-deriving them per neuron. */

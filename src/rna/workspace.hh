@@ -4,9 +4,10 @@
  *
  * One Workspace is built at Chip::configure time and leased to each
  * inferBatch() call, so the steady-state per-neuron hot loop performs
- * zero heap allocations: the counting scratch resets sparsely, the
+ * zero heap allocations: the counting scratch resets sparsely and the
  * batch-strided arenas are sized up front for ChipConfig::maxBatch
- * lanes, and conv im2col-style index plans are cached per input shape.
+ * lanes. Everything that depends only on the model (packed rows, conv
+ * gather plans, counting cycles) lives in the shared layer contexts.
  * The busy flag lets concurrent infer() calls on one chip stay safe:
  * the loser of the exchange falls back to a private spare workspace.
  */
@@ -20,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/array.hh"
 #include "common/simd.hh"
 #include "common/units.hh"
 #include "composer/reinterpreted_model.hh"
@@ -102,52 +102,6 @@ struct ResidualLanes
 };
 
 /**
- * Cached im2col-style gather plan for one conv layer at one input
- * shape: flat index maps from each output position's receptive-field
- * window into the layer's per-channel weight codes and into the input
- * tensor, with same-padding boundary clipping folded in. Built on the
- * first infer (input H/W are unknown at configure) and reused while the
- * shape matches. Slot order mirrors the reference gather loops
- * (channel, then valid ky, then valid kx).
- */
-struct ConvGatherPlan
-{
-    size_t inC = 0;
-    size_t inH = 0;
-    size_t inW = 0;
-    size_t outH = 0;
-    size_t outW = 0;
-    /** Prefix offsets into the index arrays: window for output
-     *  position p spans slots [start[p], start[p + 1]). Owned when
-     *  built at run time; views when installed from a model blob. */
-    Array<uint32_t> start;
-    Array<uint32_t> weightIdx;  //!< slot -> per-channel weight code
-    Array<uint32_t> inputIdx;   //!< slot -> input tensor code
-    /** [position * outC + channel] counting cycles of each channel
-     *  over the position's window: a function of the weights alone,
-     *  filled by the first inference that uses the plan. */
-    std::vector<uint32_t> counting;
-
-    bool
-    matches(size_t c, size_t h, size_t w) const
-    {
-        return c == inC && h == inH && w == inW;
-    }
-};
-
-/**
- * Build the gather plan for a conv layer at input shape [inC, h, w].
- * Slot order is channel, then valid ky, then valid kx — the exact
- * order of the reference gather loops. Shared by Chip::inferBatch
- * (on-demand plans for
- * non-canonical shapes) and the blob writer (precomputed plans at the
- * canonical shape).
- */
-void buildConvGatherPlan(ConvGatherPlan &plan,
-                         const composer::RLayer &layer, size_t inC,
-                         size_t h, size_t w);
-
-/**
  * Outputs of the tally calls in flight (KernelOps::tally): each neuron
  * slot's product sum, non-zero cells and CSD terms. A dense pass
  * covers kPassNeurons neurons (8 groups, one cache line of each packed
@@ -216,9 +170,6 @@ struct Workspace
 
     /** AvgPool fixed-point addend reuse. */
     std::vector<int64_t> addends;
-
-    /** One cached conv plan per layer context index. */
-    std::vector<ConvGatherPlan> convPlans;
 
     /**
      * Per-lane state of the layer walk: each lane's current encoded

@@ -8,7 +8,11 @@
  * the loader makes is reached by at least one blob written from a
  * deliberately inconsistent model. The CorruptModel cases put mutated
  * blobs on disk and load them through ModelBlob::open, the mmap path a
- * deployment takes. Runs under the `asan` preset in CI.
+ * deployment takes. The ChipShapeBoundary cases hold the chip's own
+ * boundary to the same standard: a model without a canonical input
+ * shape, or whose layers do not fit it, is refused at configure, and
+ * an input of another shape at infer, on both walks. Runs under the
+ * `asan` preset in CI.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +25,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -435,166 +438,6 @@ TEST_F(CorruptBlob, RecurrentMetaInflationsRejectCleanly)
     }
 }
 
-TEST_F(CorruptBlob, ConvWindowSpanInflationRejects)
-{
-    // Collapse a conv plan's window offsets: zero every interior
-    // start[] value, keeping start[0]==0, monotonicity and
-    // back()==weightIdx.size() intact, with every index still in
-    // range. Only the per-window span bound (a window may not exceed
-    // the layer fan-in) stands between this blob and the serve path
-    // gathering a whole index map into fan-in-sized buffers.
-    const std::vector<uint8_t> &bytes = convCorpus();
-    const uint64_t sectionCount = getU64(bytes.data() + 24);
-    std::map<uint64_t, uint64_t> u32Counts; // section idx -> elements
-    for (uint64_t i = 0; i < sectionCount; ++i) {
-        const uint8_t *e =
-            bytes.data() + kHeaderBytes + i * kSectionEntryBytes;
-        if (getU32(e) == uint32_t(SectionKind::U32))
-            u32Counts[i] = getU64(e + 16) / 4;
-    }
-    // A window-offset section is U32, starts at 0, is non-decreasing,
-    // and its last value is the element count of an index-map section.
-    std::vector<uint8_t> mutated = bytes;
-    size_t patched = 0;
-    for (const auto &[idx, count] : u32Counts) {
-        if (count < 3)
-            continue;
-        const uint8_t *e =
-            bytes.data() + kHeaderBytes + idx * kSectionEntryBytes;
-        const uint64_t off = getU64(e + 8);
-        bool monotone = getU32(bytes.data() + off) == 0;
-        for (uint64_t w = 1; monotone && w < count; ++w)
-            monotone = getU32(bytes.data() + off + (w - 1) * 4) <=
-                       getU32(bytes.data() + off + w * 4);
-        const uint32_t last =
-            getU32(bytes.data() + off + (count - 1) * 4);
-        bool pointsAtMap = false;
-        for (const auto &[j, c] : u32Counts)
-            pointsAtMap = pointsAtMap || (j != idx && c == last);
-        if (!monotone || last == 0 || !pointsAtMap)
-            continue;
-        for (uint64_t w = 1; w + 1 < count; ++w)
-            putU32(mutated.data() + off + w * 4, 0);
-        ++patched;
-    }
-    ASSERT_GT(patched, 0u) << "no conv-plan offset section found";
-    EXPECT_EXIT(loadAndExit(std::move(mutated)), exitedRejected,
-                "fatal: .*exceeds fan-in");
-}
-
-TEST_F(CorruptBlob, DenseRowPaddingMismatchRejectsAtConfigure)
-{
-    // Packed dense rows (format v3, the tally rows of v5) pad each
-    // input's row to a multiple of 8 neurons with code 0. The loader
-    // pins only their size; the chip's layer context pins every code,
-    // padding included, before the tally reads them. The MLP corpus's
-    // dense layers have 6 and 3 neurons, so code 6 of each row is
-    // padding; U8 sections in this corpus are exactly its two dense
-    // row tables.
-    const std::vector<uint8_t> &bytes = mlpCorpus();
-    const uint64_t sectionCount = getU64(bytes.data() + 24);
-    std::vector<uint8_t> mutated = bytes;
-    size_t patched = 0;
-    for (uint64_t i = 0; i < sectionCount; ++i) {
-        const uint8_t *e =
-            bytes.data() + kHeaderBytes + i * kSectionEntryBytes;
-        if (getU32(e) != uint32_t(SectionKind::U8))
-            continue;
-        mutated[getU64(e + 8) + 6] = 1;
-        ++patched;
-    }
-    ASSERT_EQ(patched, 2u);
-    EXPECT_EXIT(
-        {
-            auto blob = ModelBlob::fromBytes(std::move(mutated));
-            rna::ChipConfig config;
-            config.simd = simd::Variant::Scalar;
-            rna::Chip chip(config);
-            chip.configure(blob->model());
-            std::exit(0);
-        },
-        exitedRejected, "fatal: .*dense packed rows mismatch");
-}
-
-/** Section indices of the U8 (packed row) sections, in order. */
-std::vector<uint64_t>
-u8Sections(const std::vector<uint8_t> &bytes)
-{
-    std::vector<uint64_t> out;
-    const uint64_t sectionCount = getU64(bytes.data() + 24);
-    for (uint64_t i = 0; i < sectionCount; ++i)
-        if (getU32(bytes.data() + kHeaderBytes + i * kSectionEntryBytes)
-            == uint32_t(SectionKind::U8))
-            out.push_back(i);
-    return out;
-}
-
-/** `bytes` with byte `at` of section `section`'s payload set to 1. */
-std::vector<uint8_t>
-patchSection(const std::vector<uint8_t> &bytes, uint64_t section,
-             size_t at)
-{
-    const uint8_t *e =
-        bytes.data() + kHeaderBytes + section * kSectionEntryBytes;
-    EXPECT_LT(at, getU64(e + 16));
-    std::vector<uint8_t> mutated = bytes;
-    mutated[getU64(e + 8) + at] = 1;
-    return mutated;
-}
-
-/** Load `bytes` and configure a chip on them, then exit 0. */
-[[noreturn]] void
-configureAndExit(std::vector<uint8_t> bytes)
-{
-    auto blob = ModelBlob::fromBytes(std::move(bytes));
-    rna::ChipConfig config;
-    config.simd = simd::Variant::Scalar;
-    rna::Chip chip(config);
-    chip.configure(blob->model());
-    std::exit(0);
-}
-
-TEST_F(CorruptBlob, ConvRowPaddingMismatchRejectsAtConfigure)
-{
-    // Conv tally rows (format v5) hold each window offset's codes for
-    // every output channel, padded to 8 channels with code 0. The CNN
-    // corpus's conv layer has 4 channels over 27 window offsets, so
-    // code 4 of each of its rows is padding; its row table is the first
-    // U8 section.
-    const std::vector<uint8_t> &bytes = convCorpus();
-    const RLayer &conv = convModel().layers()[0];
-    ASSERT_EQ(conv.kind, RLayerKind::Conv);
-    ASSERT_EQ(conv.outCount, 4u);
-    const std::vector<uint64_t> u8 = u8Sections(bytes);
-    ASSERT_FALSE(u8.empty());
-    const uint8_t *e =
-        bytes.data() + kHeaderBytes + u8[0] * kSectionEntryBytes;
-    ASSERT_EQ(getU64(e + 16), conv.inCount * 8);
-    EXPECT_EXIT(configureAndExit(patchSection(bytes, u8[0], 8 + 4)),
-                exitedRejected, "fatal: .*conv packed rows mismatch");
-}
-
-TEST_F(CorruptBlob, RecurrentRowPaddingMismatchRejectsAtConfigure)
-{
-    // The recurrent corpus's Elman layer has 5 hidden units over 4
-    // features: its x rows (the first U8 section, 4 rows of 8) and its
-    // feedback rows (the second, 5 rows of 8) pad every row at code 5.
-    const std::vector<uint8_t> &bytes = recurrentCorpus();
-    const std::vector<uint64_t> u8 = u8Sections(bytes);
-    ASSERT_GE(u8.size(), 2u);
-    for (size_t k = 0; k < 2; ++k) {
-        const uint8_t *e =
-            bytes.data() + kHeaderBytes + u8[k] * kSectionEntryBytes;
-        ASSERT_EQ(getU64(e + 16), (k == 0 ? 4u : 5u) * 8);
-    }
-    EXPECT_EXIT(configureAndExit(patchSection(bytes, u8[0], 8 + 5)),
-                exitedRejected,
-                "fatal: .*recurrent packed rows mismatch");
-    EXPECT_EXIT(configureAndExit(patchSection(bytes, u8[1], 16 + 5)),
-                exitedRejected,
-                "fatal: .*recurrent state packed rows mismatch");
-}
-
 TEST_F(CorruptBlob, TrailingBytesRejectCleanly)
 {
     // Appending data without updating the header breaks the exact
@@ -852,6 +695,101 @@ TEST_F(CorruptModel, RecurrentStateCountsRejectCleanly)
         EXPECT_EXIT(openFileAndExit(m.bytes), exitedRejected, "fatal: ")
             << m.where;
     }
+}
+
+/** Chip boundary cases: configure and infer on models and inputs. */
+using ChipShapeBoundary = CorruptBlob;
+
+/** The child's stderr is exactly one fatal() line, matching `what`. */
+::testing::Matcher<const std::string &>
+oneFatalLine(const std::string &what)
+{
+    return ::testing::MatchesRegex("fatal: [^\n]*" + what + "[^\n]*\n");
+}
+
+/**
+ * Configure a chip on `model` and run `inputs` through it, as one
+ * batch or one infer() per input, then exit 0. Runs only inside a
+ * death-test child.
+ */
+[[noreturn]] void
+inferAndExit(const composer::ReinterpretedModel &model, bool fastPath,
+             const std::vector<nn::Shape> &inputs, bool batch)
+{
+    rna::ChipConfig config;
+    config.fastPath = fastPath;
+    rna::Chip chip(config);
+    chip.configure(model);
+    std::vector<nn::Tensor> xs;
+    for (const nn::Shape &shape : inputs)
+        xs.emplace_back(shape);
+    std::vector<rna::PerfReport> reports(xs.size());
+    if (batch)
+        chip.inferBatch(xs, reports);
+    else
+        for (size_t i = 0; i < xs.size(); ++i)
+            chip.infer(xs[i], reports[i]);
+    std::exit(0);
+}
+
+TEST_F(ChipShapeBoundary, WrongInputShapeRejectsOnBothWalks)
+{
+    // The MLP corpus takes [8] and the CNN corpus [3, 6, 6]. A batch
+    // lane of another shape is refused even at the same element count.
+    for (bool fastPath : {true, false}) {
+        EXPECT_EXIT(inferAndExit(mlpModel(), fastPath, {{8}}, false),
+                    ::testing::ExitedWithCode(0), "")
+            << "fastPath " << fastPath;
+        EXPECT_EXIT(inferAndExit(mlpModel(), fastPath, {{9}}, false),
+                    exitedRejected,
+                    oneFatalLine("chip: input shape \\[9\\] != the "
+                                 "model's \\[8\\]"))
+            << "fastPath " << fastPath;
+        EXPECT_EXIT(inferAndExit(convModel(), fastPath,
+                                 {{3, 6, 6}, {3, 3, 12}}, true),
+                    exitedRejected,
+                    oneFatalLine("chip: input shape \\[3, 3, 12\\] != "
+                                 "the model's \\[3, 6, 6\\]"))
+            << "fastPath " << fastPath;
+    }
+}
+
+TEST_F(ChipShapeBoundary, ModelWithoutInputShapeRejectsAtConfigure)
+{
+    composer::ReinterpretedModel model = mlpModel();
+    model.setCanonicalInputShape({});
+    EXPECT_EXIT(inferAndExit(model, true, {}, false), exitedRejected,
+                oneFatalLine("chip: the model has no canonical input "
+                             "shape"));
+}
+
+TEST_F(ChipShapeBoundary, LayersThatDoNotFitTheInputShapeReject)
+{
+    // Every layer walk indexes its input by the layer's own fan-in, so
+    // configure refuses a model whose layers disagree with its shape.
+    composer::ReinterpretedModel dense = mlpModel();
+    dense.setCanonicalInputShape({9});
+    EXPECT_EXIT(inferAndExit(dense, true, {}, false), exitedRejected,
+                oneFatalLine("chip: dense fan-in 8 != input of 9"));
+    composer::ReinterpretedModel conv = convModel();
+    conv.setCanonicalInputShape({2, 6, 6});
+    EXPECT_EXIT(inferAndExit(conv, true, {}, false), exitedRejected,
+                oneFatalLine("chip: conv of 3 input channels gets 2"));
+    composer::ReinterpretedModel rec = recurrentModel();
+    rec.setCanonicalInputShape({4, 4});
+    EXPECT_EXIT(inferAndExit(rec, true, {}, false), exitedRejected,
+                oneFatalLine("chip: recurrent input of 16 != steps x "
+                             "fan-in 12"));
+    // A residual block around the MLP's 6 -> 3 layer, after its 8 -> 6
+    // one: the skip add would pair 6 inputs with 3 inner outputs.
+    composer::ReinterpretedModel residual = mlpModel();
+    RLayer block;
+    block.kind = RLayerKind::Residual;
+    block.inner.push_back(residual.layers()[1]);
+    residual.layers().insert(residual.layers().begin() + 1, block);
+    EXPECT_EXIT(inferAndExit(residual, true, {}, false), exitedRejected,
+                oneFatalLine("chip: residual inner stack maps 6 values "
+                             "to 3"));
 }
 
 } // namespace

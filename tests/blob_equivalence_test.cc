@@ -1,16 +1,16 @@
 /**
  * @file
  * Bitwise-equivalence guard for the .rnnb model blob: a blob-backed
- * model (Arrays viewing the packed bytes, precomputed columns and conv
- * plans loaded from the file) must be indistinguishable from the
- * heap-backed model it was written from. Every observable — logits,
+ * model (Arrays viewing the packed bytes) must be indistinguishable
+ * from the heap-backed model it was written from. Every observable — logits,
  * output codes, PerfReport totals and breakdowns — is compared EQ, not
  * NEAR, across dense, conv+pool, recurrent and residual models, both
  * fast-path settings, and both NDCAM search modes. Also pins the
  * sharing properties: blob Arrays are views (zero per-replica copies)
- * and clones of a blob-backed Chip agree bitwise. Version 4 blobs
- * written before the tally rows (tests/data) still load and agree
- * bitwise with the reference walk.
+ * and clones of a blob-backed Chip agree bitwise. Version 4 and 5
+ * blobs of older writers (tests/data), whose derived sections the
+ * loader ignores, still load and agree bitwise with the reference
+ * walk.
  */
 
 #include <gtest/gtest.h>
@@ -38,7 +38,6 @@ namespace {
 using composer::Composer;
 using composer::ComposerConfig;
 using composer::ReinterpretedModel;
-using composer::RLayerKind;
 
 composer::ReinterpretedModel
 compose(nn::Network &net, const nn::Dataset &train)
@@ -176,6 +175,25 @@ residualFixture()
     return *fx;
 }
 
+/** Two PerfReports agree in every field, bit for bit. */
+void
+expectSameReport(const rna::PerfReport &want, const rna::PerfReport &got)
+{
+    EXPECT_EQ(want.latency.ns(), got.latency.ns());
+    EXPECT_EQ(want.stageTime.ns(), got.stageTime.ns());
+    EXPECT_EQ(want.energy.j(), got.energy.j());
+    EXPECT_EQ(want.totalOps, got.totalOps);
+    ASSERT_EQ(want.breakdown.size(), got.breakdown.size());
+    for (size_t c = 0; c < want.breakdown.size(); ++c) {
+        EXPECT_EQ(want.breakdown[c].name, got.breakdown[c].name);
+        EXPECT_EQ(want.breakdown[c].time.ns(), got.breakdown[c].time.ns())
+            << want.breakdown[c].name;
+        EXPECT_EQ(want.breakdown[c].energy.j(),
+                  got.breakdown[c].energy.j())
+            << want.breakdown[c].name;
+    }
+}
+
 /** Every observable of heap and blob chips must be bit-identical. */
 void
 expectBitwiseEqual(const Fixture &fx, bool fastPath,
@@ -203,22 +221,7 @@ expectBitwiseEqual(const Fixture &fx, bool fastPath,
             EXPECT_EQ(heapLogits[j], blobLogits[j])
                 << "logit " << j << " sample " << s;
 
-        EXPECT_EQ(heapReport.latency.ns(), blobReport.latency.ns());
-        EXPECT_EQ(heapReport.stageTime.ns(), blobReport.stageTime.ns());
-        EXPECT_EQ(heapReport.energy.j(), blobReport.energy.j());
-        EXPECT_EQ(heapReport.totalOps, blobReport.totalOps);
-        ASSERT_EQ(heapReport.breakdown.size(),
-                  blobReport.breakdown.size());
-        for (size_t c = 0; c < heapReport.breakdown.size(); ++c) {
-            EXPECT_EQ(heapReport.breakdown[c].name,
-                      blobReport.breakdown[c].name);
-            EXPECT_EQ(heapReport.breakdown[c].time.ns(),
-                      blobReport.breakdown[c].time.ns())
-                << heapReport.breakdown[c].name;
-            EXPECT_EQ(heapReport.breakdown[c].energy.j(),
-                      blobReport.breakdown[c].energy.j())
-                << heapReport.breakdown[c].name;
-        }
+        expectSameReport(heapReport, blobReport);
     }
 }
 
@@ -291,31 +294,36 @@ TEST(BlobEquivalence, BlobModelIsZeroCopy)
         if (!layer.bias.empty()) {
             EXPECT_FALSE(layer.bias.owning());
         }
-        if (!layer.tallyRows8.empty()) {
-            EXPECT_FALSE(layer.tallyRows8.owning());
-        }
-        if (layer.convPlan.has_value()) {
-            EXPECT_FALSE(layer.convPlan->start.owning());
-            EXPECT_FALSE(layer.convPlan->weightIdx.owning());
-            EXPECT_FALSE(layer.convPlan->inputIdx.owning());
-        }
+        for (const auto &codes : layer.stateWeightCodes)
+            EXPECT_FALSE(codes.owning());
     }
-    // The recurrent layer carries its precomputed tally rows, x and h.
-    EXPECT_FALSE(m.layers()[0].tallyRows8.empty());
-    EXPECT_FALSE(m.layers()[0].stateRows8.empty());
-    EXPECT_FALSE(m.layers()[0].stateRows8.owning());
     EXPECT_EQ(m.canonicalInputShape(), fx.model.canonicalInputShape());
 }
 
+/** Section-table indices of a blob's sections of `kind`. */
+std::vector<uint64_t>
+sectionsOfKind(const std::vector<uint8_t> &bytes, SectionKind kind)
+{
+    std::vector<uint64_t> out;
+    const uint64_t count = getU64(bytes.data() + 24);
+    for (uint64_t i = 0; i < count; ++i)
+        if (getU32(bytes.data() + kHeaderBytes + i * kSectionEntryBytes) ==
+            uint32_t(kind))
+            out.push_back(i);
+    return out;
+}
+
 /**
- * A version 4 blob (written before the tally rows existed, kept under
- * tests/data) loads with its packed sections ignored, and every SIMD
- * variant's production chip agrees bit for bit with the reference
- * walk over it; so does the blob it rewrites to at the current
- * version.
+ * A blob an older writer left under tests/data loads, and every SIMD
+ * variant's production chip agrees bit for bit with the reference walk
+ * over it: over the file as written, over the file with every byte of
+ * its U8 and U32 sections inverted, and over the blob it rewrites to.
+ * Those sections hold only derived data (packed codes, tally rows,
+ * conv gather plans) that the loader ignores: the inverted file holds
+ * the same model, down to its rewritten bytes.
  */
 void
-expectV4BlobMatchesReference(const char *name)
+expectBlobMatchesReference(const char *name, uint32_t version)
 {
     std::ifstream is(std::string(RAPIDNN_TEST_DATA_DIR) + "/" + name,
                      std::ios::binary);
@@ -323,18 +331,30 @@ expectV4BlobMatchesReference(const char *name)
     std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(is)),
                                std::istreambuf_iterator<char>());
     ASSERT_GT(bytes.size(), size_t(kHeaderBytes));
-    ASSERT_EQ(getU32(bytes.data() + 4), 4u) << name;
-    auto v4 = ModelBlob::fromBytes(std::move(bytes));
-    for (const auto &layer : v4->model().layers()) {
-        EXPECT_TRUE(layer.tallyRows8.empty());
-        EXPECT_TRUE(layer.stateRows8.empty());
-    }
-    auto v5 = ModelBlob::fromBytes(buildBlob(v4->model()));
+    ASSERT_EQ(getU32(bytes.data() + 4), version) << name;
+
+    std::vector<uint8_t> inverted = bytes;
+    size_t derived = 0;
+    for (SectionKind kind : {SectionKind::U8, SectionKind::U32})
+        for (uint64_t i : sectionsOfKind(bytes, kind)) {
+            const uint8_t *e =
+                bytes.data() + kHeaderBytes + i * kSectionEntryBytes;
+            for (uint64_t b = 0; b < getU64(e + 16); ++b)
+                inverted[getU64(e + 8) + b] ^= 0xff;
+            ++derived;
+        }
+    ASSERT_GT(derived, 0u) << name << " holds no derived sections";
+
+    auto original = ModelBlob::fromBytes(std::move(bytes));
+    auto flipped = ModelBlob::fromBytes(std::move(inverted));
+    const std::vector<uint8_t> rewritten = buildBlob(original->model());
+    EXPECT_EQ(buildBlob(flipped->model()), rewritten) << name;
+    auto current = ModelBlob::fromBytes(rewritten);
 
     Rng rng(941);
     std::vector<nn::Tensor> inputs;
     for (size_t s = 0; s < 6; ++s) {
-        nn::Tensor x(v4->model().canonicalInputShape());
+        nn::Tensor x(original->model().canonicalInputShape());
         for (size_t i = 0; i < x.numel(); ++i)
             x[i] = static_cast<float>(rng.uniform() * 2.0 - 1.0);
         inputs.push_back(std::move(x));
@@ -342,19 +362,19 @@ expectV4BlobMatchesReference(const char *name)
     rna::ChipConfig refConfig;
     refConfig.fastPath = false;
     rna::Chip reference(refConfig);
-    reference.configure(v4->model());
+    reference.configure(original->model());
     for (simd::Variant v : rna::kernels::availableVariants()) {
         rna::ChipConfig config;
         config.simd = v;
-        for (const ModelBlob *blob : {v4.get(), v5.get()}) {
+        for (const ModelBlob *blob :
+             {original.get(), flipped.get(), current.get()}) {
             rna::Chip chip(config);
             chip.configure(blob->model());
             for (const nn::Tensor &x : inputs) {
                 rna::PerfReport want, got;
                 EXPECT_EQ(reference.infer(x, want), chip.infer(x, got))
                     << name << " " << simd::variantName(v);
-                EXPECT_EQ(want.latency.ns(), got.latency.ns()) << name;
-                EXPECT_EQ(want.energy.j(), got.energy.j()) << name;
+                expectSameReport(want, got);
             }
         }
     }
@@ -362,26 +382,35 @@ expectV4BlobMatchesReference(const char *name)
 
 TEST(BlobEquivalence, V4ConvBlobMatchesReference)
 {
-    expectV4BlobMatchesReference("conv_v4.rnnb");
+    expectBlobMatchesReference("conv_v4.rnnb", 4);
 }
 
 TEST(BlobEquivalence, V4RecurrentBlobMatchesReference)
 {
-    expectV4BlobMatchesReference("recurrent_v4.rnnb");
+    expectBlobMatchesReference("recurrent_v4.rnnb", 4);
 }
 
-TEST(BlobEquivalence, ConvPlanPrecomputedInBlob)
+TEST(BlobEquivalence, V5ConvBlobMatchesReference)
 {
-    const Fixture &fx = convFixture();
-    auto blob = ModelBlob::fromBytes(buildBlob(fx.model));
-    bool sawConv = false;
-    for (const auto &layer : blob->model().layers())
-        if (layer.kind == RLayerKind::Conv) {
-            sawConv = true;
-            ASSERT_TRUE(layer.convPlan.has_value());
-            EXPECT_GT(layer.convPlan->weightIdx.size(), 0u);
-        }
-    EXPECT_TRUE(sawConv);
+    expectBlobMatchesReference("conv_v5.rnnb", 5);
+}
+
+TEST(BlobEquivalence, V5RecurrentBlobMatchesReference)
+{
+    expectBlobMatchesReference("recurrent_v5.rnnb", 5);
+}
+
+TEST(BlobEquivalence, WrittenBlobHoldsNoDerivedSections)
+{
+    // The writer stores the composed model only: no packed rows (U8)
+    // and no conv gather plans (U32), for any layer kind.
+    for (const Fixture *fx : {&denseFixture(), &convFixture(),
+                              &recurrentFixture(), &residualFixture()}) {
+        const std::vector<uint8_t> bytes = buildBlob(fx->model);
+        EXPECT_EQ(getU32(bytes.data() + 4), kBlobVersion);
+        EXPECT_TRUE(sectionsOfKind(bytes, SectionKind::U8).empty());
+        EXPECT_TRUE(sectionsOfKind(bytes, SectionKind::U32).empty());
+    }
 }
 
 TEST(BlobEquivalence, CloneOfBlobBackedChipAgrees)

@@ -35,9 +35,9 @@
 #include "common/bitops.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
-#include "composer/reinterpreted_model.hh"
 #include "rna/accumulation.hh"
 #include "rna/kernels/kernels.hh"
+#include "rna/rna_block.hh"
 
 namespace rapidnn::rna {
 namespace {
@@ -312,7 +312,7 @@ sweepTally(const TallyCase &tc, size_t lanes, uint64_t seed)
         engines.emplace_back(Array<double>(std::move(table)), tc.w, tc.u,
                              nvm::CostModel{});
     }
-    const size_t stride = composer::tallyRowStride(tc.outCount);
+    const size_t stride = tallyRowStride(tc.outCount);
     const size_t groups = stride / simd::kTallyGroup;
     std::vector<int64_t> products;
     std::vector<uint64_t> base(stride, 0);

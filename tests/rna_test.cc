@@ -166,7 +166,7 @@ TEST(RnaLayerContext, NeuronMatchesSoftwareLayer)
 {
     auto &fx = composedMlp();
     const auto &layer = fx.model.layers()[0];
-    RnaLayerContext ctx(layer, nvm::CostModel{});
+    RnaLayerContext ctx(layer, {layer.inCount}, nvm::CostModel{});
 
     // Encode a sample via the virtual input layer.
     const auto &x = fx.validation.sample(0).x;

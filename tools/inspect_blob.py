@@ -20,7 +20,8 @@ import sys
 MAGIC = 0x424E4E52  # "RNNB" little-endian
 MIN_VERSION = 1
 VERSION = 5  # v2 u8 packed codes, v3 dense rows, v4 drops u16 columns,
-# v5 stores tally rows for conv and recurrent layers
+# v5 has tally-row flags for every compute layer; current writers store
+# no derived sections (no u8 or u32 kinds), only the composed model
 HEADER_BYTES = 64
 SECTION_ENTRY_BYTES = 24
 MAX_SECTIONS = 1 << 20
