@@ -305,6 +305,10 @@ validateLayer(const RLayer &layer)
                 : layer.inCount;
         for (size_t ch = 0; ch < channels; ++ch) {
             const size_t w = layer.weightCodebooks[ch].size();
+            RAPIDNN_CHECK(w <= composer::kMaxWeightEntries,
+                          "model blob: weight codebook ", ch, " holds ", w,
+                          " entries, more than ",
+                          composer::kMaxWeightEntries);
             RAPIDNN_CHECK(layer.weightCodes[ch].size() == perChannel,
                           "model blob: weight-code block ", ch,
                           " has ", layer.weightCodes[ch].size(),
@@ -339,6 +343,9 @@ validateLayer(const RLayer &layer)
                       "one block each");
         const size_t sw = layer.stateWeightCodebooks[0].size();
         const size_t s = layer.stateCodebook.size();
+        RAPIDNN_CHECK(sw <= composer::kMaxWeightEntries,
+                      "model blob: state weight codebook holds ", sw,
+                      " entries, more than ", composer::kMaxWeightEntries);
         RAPIDNN_CHECK(layer.stateWeightCodes[0].size() ==
                           layer.outCount * layer.outCount,
                       "model blob: recurrent state codes must be "

@@ -118,6 +118,13 @@ trackRange(const nn::Tensor &value, double &lo, double &hi)
 
 } // namespace
 
+Composer::Composer(ComposerConfig config) : _config(config)
+{
+    RAPIDNN_CHECK(_config.weightClusters <= kMaxWeightEntries,
+                  "composer: weightClusters = ", _config.weightClusters,
+                  " exceeds ", kMaxWeightEntries);
+}
+
 Composer::CaptureSet
 Composer::captureLayerInputs(nn::Network &net, const nn::Dataset &train)
 {

@@ -21,7 +21,8 @@ namespace rapidnn::composer {
 /** Composer configuration (the paper's tuning knobs). */
 struct ComposerConfig
 {
-    size_t weightClusters = 64;  //!< w, entries per weight codebook
+    /** w, entries per weight codebook (at most kMaxWeightEntries). */
+    size_t weightClusters = 64;
     size_t inputClusters = 64;   //!< u, entries per input codebook
     size_t activationRows = 64;  //!< q, activation table rows
     quant::TableSpacing spacing =
@@ -85,7 +86,8 @@ struct ComposeResult
 class Composer
 {
   public:
-    explicit Composer(ComposerConfig config) : _config(config) {}
+    /** Fatal when config.weightClusters exceeds kMaxWeightEntries. */
+    explicit Composer(ComposerConfig config);
 
     /**
      * Reinterpret a trained network.

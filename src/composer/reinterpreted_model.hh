@@ -32,6 +32,14 @@
 
 namespace rapidnn::composer {
 
+/**
+ * The most entries a weight codebook (a recurrent feedback path's
+ * too) may hold: the chip's tally packs weight codes into 8 bits. The
+ * paper's codebooks hold 4 to 128 entries. The composer, the blob
+ * loader and Chip::configure each refuse more.
+ */
+inline constexpr size_t kMaxWeightEntries = 256;
+
 /** Kinds of reinterpreted layers the accelerator executes. */
 enum class RLayerKind
 {

@@ -1,12 +1,13 @@
 #include "rna/chip.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
+#include <map>
 
 #include "common/check.hh"
 #include "common/sync.hh"
 #include "nvm/data_block.hh"
+#include "rna/controller.hh"
 #include "rna/kernels/kernels.hh"
 #include "telemetry/telemetry.hh"
 
@@ -63,20 +64,6 @@ stageHistogram(const char *stage)
     if (std::strcmp(stage, "pooling") == 0)
         return pooling;
     return other;
-}
-
-/**
- * RNA waves a layer of `neurons` neurons takes: every neuron runs on
- * its own RNA block, in waves when the layer exceeds the physical
- * block count (or when sharing serializes).
- */
-size_t
-rnaWaves(const ChipConfig &config, size_t neurons)
-{
-    const double effective = static_cast<double>(config.totalRnas())
-                           * (1.0 - config.rnaSharing);
-    return static_cast<size_t>(std::ceil(
-        static_cast<double>(neurons) / std::max(1.0, effective)));
 }
 
 /**
@@ -140,25 +127,6 @@ class WorkspaceLease
 };
 
 /**
- * Count the RNA blocks a model occupies (one per compute neuron,
- * recursing through residual inner stacks).
- */
-size_t
-countOccupiedRnas(const std::vector<RLayer> &layers)
-{
-    size_t n = 0;
-    for (const auto &layer : layers) {
-        if (layer.kind == RLayerKind::Dense ||
-            layer.kind == RLayerKind::Conv ||
-            layer.kind == RLayerKind::Recurrent)
-            n += layer.outCount;
-        else if (layer.kind == RLayerKind::Residual)
-            n += countOccupiedRnas(layer.inner);
-    }
-    return n;
-}
-
-/**
  * Make a lane's layer output its next input. The spent input codes go
  * back to the pool and both shape buffers keep their capacity.
  */
@@ -171,13 +139,22 @@ advanceLane(EncodedTensor &in, LayerRun &run, Workspace &ws)
 
 /**
  * Refuse a layer that does not fit the shape reaching it at the chip's
- * input shape, so the layer walks index only within their inputs.
- * (layerOutputShape() already refused a conv or pool input that is
- * not [C, H, W] and a valid-padded conv input smaller than its kernel.)
+ * input shape, so the layer walks index only within their inputs, or
+ * whose weight codes (the recurrent feedback path's too) do not pack
+ * into the tally's 8-bit rows. (layerOutputShape() already refused a
+ * conv or pool input that is not [C, H, W] and a valid-padded conv
+ * input smaller than its kernel.)
  */
 void
-checkFanIn(const RLayer &layer, const nn::Shape &in)
+checkLayer(const RLayer &layer, const nn::Shape &in)
 {
+    for (const auto *books :
+         {&layer.weightCodebooks, &layer.stateWeightCodebooks})
+        for (const quant::Codebook &cb : *books)
+            RAPIDNN_CHECK(cb.size() <= composer::kMaxWeightEntries,
+                          "chip: a weight codebook of ", cb.size(),
+                          " entries exceeds ",
+                          composer::kMaxWeightEntries);
     const size_t n = nn::shapeNumel(in);
     switch (layer.kind) {
       case RLayerKind::Dense:
@@ -209,6 +186,35 @@ checkFanIn(const RLayer &layer, const nn::Shape &in)
 
 } // namespace
 
+/**
+ * The immutable per-model hardware state: the controller's mapping
+ * plan and one context per compute layer (including layers nested
+ * inside residual blocks). Built once by configure() and shared
+ * read-only across clone() replicas, so replicas need no copies.
+ */
+struct Chip::ContextSet
+{
+    /** Every layer's waves and the chip's occupancy. */
+    MappingPlan plan;
+    /** Parallel to plan.assignments: each compute layer's context,
+     *  null for the other layers. */
+    std::vector<std::unique_ptr<RnaLayerContext>> contexts;
+    /** Each layer's plan entry, keyed by the RLayer's address. */
+    std::map<const RLayer *, size_t> entry;
+
+    const RnaLayerContext &
+    context(const RLayer &layer) const
+    {
+        return *contexts[entry.at(&layer)];
+    }
+
+    size_t
+    waves(const RLayer &layer) const
+    {
+        return plan.assignments[entry.at(&layer)].waves;
+    }
+};
+
 void
 Chip::configure(const composer::ReinterpretedModel &model)
 {
@@ -227,20 +233,26 @@ Chip::configure(const composer::ReinterpretedModel &model)
                std::string("variant=\"") + _kops->name + "\"")
         .set(1);
     // One context per compute layer, residual inner stacks included,
-    // each derived at the shape that reaches its layer.
+    // each derived at the shape that reaches its layer; then the plan,
+    // whose entries follow the same walk.
     auto set = std::make_shared<ContextSet>();
     composer::walkLayerShapes(
         model.layers(), shape,
         [&](const RLayer &layer, const nn::Shape &in, const nn::Shape &) {
-            checkFanIn(layer, in);
-            if (layer.kind != RLayerKind::Dense &&
-                layer.kind != RLayerKind::Conv &&
-                layer.kind != RLayerKind::Recurrent)
-                return;
-            set->byLayer[&layer] = set->contexts.size();
-            set->contexts.push_back(std::make_unique<RnaLayerContext>(
-                layer, in, _config.cost, _config.searchMode, _kops));
+            checkLayer(layer, in);
+            set->entry[&layer] = set->contexts.size();
+            const bool compute = layer.kind == RLayerKind::Dense ||
+                                 layer.kind == RLayerKind::Conv ||
+                                 layer.kind == RLayerKind::Recurrent;
+            set->contexts.push_back(
+                compute ? std::make_unique<RnaLayerContext>(
+                              layer, in, _config.cost, _config.searchMode,
+                              _kops)
+                        : nullptr);
         });
+    set->plan = Controller(_config).plan(model);
+    RAPIDNN_ASSERT(set->plan.assignments.size() == set->contexts.size(),
+                   "the plan covers every layer the chip walks");
     _contexts = std::move(set);
     buildWorkspace();
 }
@@ -265,7 +277,8 @@ Chip::buildWorkspace()
         [&](const RLayer &layer, const nn::Shape &,
             const nn::Shape &out) {
             maxElems = std::max(maxElems, nn::shapeNumel(out));
-            if (layer.kind == RLayerKind::MaxPool) {
+            if (layer.kind == RLayerKind::MaxPool ||
+                layer.kind == RLayerKind::AvgPool) {
                 const size_t win = layer.poolWindow * layer.poolWindow;
                 if (ws.gatherX.size() < win)
                     ws.gatherX.resize(win);
@@ -283,7 +296,7 @@ Chip::buildWorkspace()
         // position needs one stride, a recurrent step two).
         size_t maxFanIn = 0, maxCodes = 0, slots = 0, staged = 0;
         for (const auto &ctx : ctxs) {
-            if (!ctx->hasTally())
+            if (ctx == nullptr)
                 continue;
             const RLayer &layer = ctx->layer();
             maxFanIn = std::max({maxFanIn, layer.inCount, layer.outCount});
@@ -347,8 +360,7 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
 
     switch (layer.kind) {
       case RLayerKind::Dense: {
-        const RnaLayerContext &ctx =
-            *_contexts->contexts[_contexts->byLayer.at(&layer)];
+        const RnaLayerContext &ctx = _contexts->context(layer);
         run.output.shape = {layer.outCount};
         if (!layer.outputEncoder.empty()) {
             run.output.codes = ws.takeCodes();
@@ -374,12 +386,11 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
             if (lastCompute)
                 run.raw[j] = r.rawValue;
         }
-        run.stageCycles = worstNeuron * rnaWaves(_config, layer.outCount);
+        run.stageCycles = worstNeuron * _contexts->waves(layer);
         break;
       }
       case RLayerKind::Conv: {
-        const RnaLayerContext &ctx =
-            *_contexts->contexts[_contexts->byLayer.at(&layer)];
+        const RnaLayerContext &ctx = _contexts->context(layer);
         RAPIDNN_ASSERT(in.shape.size() == 3, "conv needs [C, H, W]");
         const size_t inC = in.shape[0];
         const size_t h = in.shape[1], w = in.shape[2];
@@ -435,16 +446,17 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
                 }
             }
         }
-        run.stageCycles =
-            worstNeuron * rnaWaves(_config, layer.outCount * oh * ow);
+        run.stageCycles = worstNeuron * _contexts->waves(layer);
         break;
       }
-      case RLayerKind::MaxPool: {
-        RAPIDNN_ASSERT(in.shape.size() == 3, "maxpool needs [C, H, W]");
+      case RLayerKind::MaxPool:
+      case RLayerKind::AvgPool: {
+        RAPIDNN_ASSERT(in.shape.size() == 3, "pooling needs [C, H, W]");
         const size_t ch = in.shape[0];
         const size_t h = in.shape[1], w = in.shape[2];
         const size_t win = layer.poolWindow;
         const size_t oh = h / win, ow = w / win;
+        const double norm = 1.0 / double(win * win);
 
         run.output.shape = {ch, oh, ow};
         run.output.codes = ws.takeCodes();
@@ -465,74 +477,38 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
                                 (c * h + y * win + ky) * w + x * win
                                 + kx];
                     nvm::OpCost one;
-                    // Production skips the per-window Ndcam object but
-                    // charges the identical load + MAX-search cost.
-                    run.output.codes[(c * oh + y) * ow + x] =
-                        _config.fastPath
+                    uint16_t &code = run.output.codes[(c * oh + y) * ow + x];
+                    if (layer.kind == RLayerKind::MaxPool) {
+                        // Production skips the per-window Ndcam object
+                        // but charges the identical load + MAX-search
+                        // cost.
+                        code = _config.fastPath
                             ? RnaLayerContext::poolMaxFast(
                                   window.data(), window.size(),
                                   _config.cost, one, *_kops)
-                            : RnaLayerContext::poolMax(
-                                  window, _config.cost, one);
+                            : RnaLayerContext::poolMax(window,
+                                                       _config.cost, one);
+                    } else {
+                        // Average pooling accumulates in the crossbar
+                        // (division folded offline): one small
+                        // in-memory addition per window.
+                        AccumFormat format;
+                        ws.addends.clear();
+                        for (const uint16_t v : window)
+                            ws.addends.push_back(format.toFixed(
+                                layer.inputCodebook.value(v) * norm));
+                        const int64_t sum = nvm::CrossbarArray::addMany(
+                            ws.addends, format.accumulatorBits,
+                            _config.cost, one);
+                        code = static_cast<uint16_t>(
+                            layer.inputCodebook.encode(format.toReal(sum)));
+                    }
                     worst = std::max(worst, one.cycles);
                     poolCost += one;
                 }
         run.cost.pooling = poolCost;
         // Pooling windows run on parallel AM blocks.
-        const size_t windows = ch * oh * ow;
-        const size_t waves = static_cast<size_t>(std::ceil(
-            static_cast<double>(windows)
-            / static_cast<double>(_config.totalRnas())));
-        run.stageCycles = worst * waves;
-        break;
-      }
-      case RLayerKind::AvgPool: {
-        // Average pooling accumulates in the crossbar (division folded
-        // offline); modelled as one small in-memory addition per window.
-        RAPIDNN_ASSERT(in.shape.size() == 3, "avgpool needs [C, H, W]");
-        const size_t ch = in.shape[0];
-        const size_t h = in.shape[1], w = in.shape[2];
-        const size_t win = layer.poolWindow;
-        const size_t oh = h / win, ow = w / win;
-        const double norm = 1.0 / double(win * win);
-
-        run.output.shape = {ch, oh, ow};
-        run.output.codes = ws.takeCodes();
-        run.output.codes.assign(ch * oh * ow, 0);
-        nvm::OpCost poolCost;
-        uint64_t worst = 0;
-        for (size_t c = 0; c < ch; ++c)
-            for (size_t y = 0; y < oh; ++y)
-                for (size_t x = 0; x < ow; ++x) {
-                    std::vector<int64_t> &addends = ws.addends;
-                    addends.clear();
-                    AccumFormat format;
-                    for (size_t ky = 0; ky < win; ++ky)
-                        for (size_t kx = 0; kx < win; ++kx) {
-                            const size_t idx =
-                                (c * h + y * win + ky) * w + x * win
-                                + kx;
-                            addends.push_back(format.toFixed(
-                                layer.inputCodebook.value(
-                                    in.codes[idx]) * norm));
-                        }
-                    nvm::OpCost one;
-                    const int64_t sum = nvm::CrossbarArray::addMany(
-                        addends, format.accumulatorBits, _config.cost,
-                        one);
-                    run.output.codes[(c * oh + y) * ow + x] =
-                        static_cast<uint16_t>(
-                            layer.inputCodebook.encode(
-                                format.toReal(sum)));
-                    worst = std::max(worst, one.cycles);
-                    poolCost += one;
-                }
-        run.cost.pooling = poolCost;
-        const size_t windows = ch * oh * ow;
-        const size_t waves = static_cast<size_t>(std::ceil(
-            static_cast<double>(windows)
-            / static_cast<double>(_config.totalRnas())));
-        run.stageCycles = worst * waves;
+        run.stageCycles = worst * _contexts->waves(layer);
         break;
       }
       case RLayerKind::Flatten: {
@@ -546,8 +522,7 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
         // Elman cell: the neuron's previous encoded output loops back
         // through the input FIFO; each unrolled step runs both
         // operand paths on the RNA (paper Section 4.3).
-        const RnaLayerContext &ctx =
-            *_contexts->contexts[_contexts->byLayer.at(&layer)];
+        const RnaLayerContext &ctx = _contexts->context(layer);
         const size_t hidden = layer.outCount;
         const size_t features = layer.inCount;
         RAPIDNN_ASSERT(in.codes.size() == layer.steps * features,
@@ -590,7 +565,7 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
             hCodes = std::move(next);
             hRaw = std::move(nextRaw);
         }
-        run.stageCycles = stepWorst;
+        run.stageCycles = stepWorst * _contexts->waves(layer);
 
         run.output.shape = {hidden};
         const bool last = layer.outputEncoder.empty();
@@ -659,14 +634,8 @@ Chip::tallyLayerRun(InferTally &t, const LayerRun &run,
     if (!isLastCompute && !run.output.codes.empty()) {
         const uint32_t bits = layer.inputCodebook.empty()
             ? 6 : layer.inputCodebook.bits();
-        const size_t lanes =
-            _config.cost.rnasPerTile * _config.cost.tilesPerChip
-            * _config.chips;
-        const uint64_t cyclesHere = static_cast<uint64_t>(
-            std::ceil(static_cast<double>(run.output.codes.size())
-                      / static_cast<double>(lanes)))
-            * bits;
-        t.bufferCycles += cyclesHere;
+        t.bufferCycles += static_cast<uint64_t>(
+            blockWaves(_config, run.output.codes.size())) * bits;
         t.bufferEnergy += _config.cost.bufferBitEnergy
             * (static_cast<double>(run.output.codes.size()) * bits);
     }
@@ -710,12 +679,7 @@ Chip::finalizeReport(InferTally &t, size_t logitCount,
 
     // Idle/leakage for the active window, scaled by the fraction of
     // RNA blocks this model occupies (unoccupied tiles clock gate).
-    size_t occupied = countOccupiedRnas(_model->layers());
-    occupied = std::max<size_t>(1,
-        std::min(occupied, _config.totalRnas()));
-    const double occupancy = static_cast<double>(occupied)
-        / static_cast<double>(_config.totalRnas());
-    const Power leakage = chipPower() * occupancy
+    const Power leakage = chipPower() * _contexts->plan.utilization
         * _config.cost.idleLeakageFraction;
     const Energy leakEnergy =
         leakage.over(cycle * double(t.latencyCycles));
@@ -841,7 +805,7 @@ Chip::runDenseTally(const RLayer &layer, const RnaLayerContext &ctx,
                 for (size_t L = 0; L < lanes; ++L)
                     runs[L].raw[begin + k] = vals[k * lanes + L];
     }
-    const size_t waves = rnaWaves(_config, outCount);
+    const size_t waves = _contexts->waves(layer);
     for (size_t L = 0; L < lanes; ++L)
         runs[L].stageCycles *= waves;
 }
@@ -933,7 +897,7 @@ Chip::runConvTally(const RLayer &layer, const RnaLayerContext &ctx,
         hasAct ? ctx.activationQueryCost() : nvm::OpCost{};
     const nvm::OpCost encQ =
         hasEnc ? ctx.encodingQueryCost() : nvm::OpCost{};
-    const size_t waves = rnaWaves(_config, flatNeurons);
+    const size_t waves = _contexts->waves(layer);
     for (size_t L = 0; L < lanes; ++L) {
         uint64_t worstNeuron = 0;
         for (size_t oidx = 0; oidx < flatNeurons; ++oidx) {
@@ -973,6 +937,7 @@ Chip::runRecurrentTally(const RLayer &layer, const RnaLayerContext &ctx,
     InputBuckets &xs = ws.inputs[0];
     InputBuckets &hs = ws.inputs[1];
     const bool last = layer.outputEncoder.empty();
+    const size_t waves = _contexts->waves(layer);
 
     for (size_t L = 0; L < ins.size(); ++L) {
         RAPIDNN_ASSERT(ins[L].codes.size() == layer.steps * features,
@@ -1013,7 +978,7 @@ Chip::runRecurrentTally(const RLayer &layer, const RnaLayerContext &ctx,
             std::swap(ws.hCodes, ws.hNext);
             std::swap(ws.hRaw, ws.hRawNext);
         }
-        run.stageCycles = stepWorst;
+        run.stageCycles = stepWorst * waves;
         run.output.shape = {hidden};
         if (lastCompute) {
             run.raw = ws.takeRaw();
@@ -1041,8 +1006,8 @@ Chip::runLayerBatch(const RLayer &layer,
                     std::span<LayerRun> runs) const
 {
     const size_t lanes = ins.size();
-    // The reference walk (fastPath = false, weight codebooks that do
-    // not pack) and the pool and flatten layers run one lane at a time.
+    // The reference walk (fastPath = false) and the pool and flatten
+    // layers run one lane at a time.
     auto perLane = [&] {
         for (size_t L = 0; L < lanes; ++L)
             runLayer(layer, ins[L], lastCompute, ws, runs[L]);
@@ -1052,9 +1017,8 @@ Chip::runLayerBatch(const RLayer &layer,
       case RLayerKind::Dense:
       case RLayerKind::Conv:
       case RLayerKind::Recurrent: {
-        const RnaLayerContext &ctx =
-            *_contexts->contexts[_contexts->byLayer.at(&layer)];
-        if (!(_config.fastPath && ctx.hasTally())) {
+        const RnaLayerContext &ctx = _contexts->context(layer);
+        if (!_config.fastPath) {
             perLane();
         } else if (layer.kind == RLayerKind::Dense) {
             runDenseTally(layer, ctx, ins, lastCompute, ws, runs.data());

@@ -5,8 +5,9 @@
  * Section 4.3, Figure 9, Table 1).
  *
  * The simulator runs batches of samples through the per-neuron RNA
- * engines layer by layer, scheduling neurons onto the available RNA
- * blocks in waves and pipelining layers across tiles. It produces both
+ * engines layer by layer, charging each layer the waves the
+ * controller's mapping plan (rna/controller.hh) gives it and
+ * pipelining layers across tiles. It produces both
  * the functional output (identical to the software reinterpreted model,
  * which tests assert) and a cycle/energy report per sample.
  */
@@ -14,7 +15,6 @@
 #ifndef RAPIDNN_RNA_CHIP_HH
 #define RAPIDNN_RNA_CHIP_HH
 
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -31,8 +31,13 @@ struct ChipConfig
 {
     nvm::CostModel cost;
     size_t chips = 1;          //!< 1-chip or 8-chip deployments (Fig 15)
-    /** Fraction of same-layer neurons sharing one RNA block
-     *  (Section 5.6, Table 4). Shared neurons serialize. */
+    /**
+     * Fraction of same-layer neurons sharing one RNA block (Section
+     * 5.6, Table 4). Shared neurons serialize: the controller spreads a
+     * compute layer's evaluations over totalRnas() x (1 - rnaSharing)
+     * blocks (computeWaves(), rna/controller.hh). Pooling windows do
+     * not share.
+     */
     double rnaSharing = 0.0;
     nvm::SearchMode searchMode = nvm::SearchMode::AbsoluteExact;
     /**
@@ -43,9 +48,7 @@ struct ChipConfig
      * bitwise-identical logits and PerfReports
      * (tests/batch_equivalence_test.cc sweeps them against each
      * other); the reference is the oracle servebench and the tests
-     * check production against. A compute layer whose codebooks exceed
-     * 256 entries does not pack into 8-bit codes and runs the reference
-     * evaluator on the production path too.
+     * check production against.
      */
     bool fastPath = true;
     /**
@@ -115,10 +118,11 @@ class Chip
     /**
      * Configure the chip with a reinterpreted model. Keeps a reference;
      * the model must outlive the chip. The model must carry a canonical
-     * input shape that its layers fit (fatal otherwise): the layer
-     * contexts derive the execution layout (packed rows, conv gather
-     * plans, counting cycles) at that shape, and every input must have
-     * it.
+     * input shape that its layers fit, and weight codebooks of at most
+     * composer::kMaxWeightEntries entries (fatal otherwise): the
+     * controller plans every layer's waves and the layer contexts
+     * derive the execution layout (packed rows, conv gather plans,
+     * counting cycles) at that shape, and every input must have it.
      */
     void configure(const composer::ReinterpretedModel &model);
 
@@ -174,18 +178,9 @@ class Chip
     const ChipConfig &config() const { return _config; }
 
   private:
-    /**
-     * The immutable per-model hardware state: one context per compute
-     * layer (including layers nested inside residual blocks), keyed by
-     * the RLayer's address. Built once by configure() and shared
-     * read-only across clone() replicas — contexts are never mutated
-     * after construction, so replicas need no copies.
-     */
-    struct ContextSet
-    {
-        std::vector<std::unique_ptr<RnaLayerContext>> contexts;
-        std::map<const composer::RLayer *, size_t> byLayer;
-    };
+    /** The immutable per-model hardware state: the mapping plan and
+     *  the layer contexts (defined in chip.cc). */
+    struct ContextSet;
 
     ChipConfig _config;
     const composer::ReinterpretedModel *_model = nullptr;
@@ -203,9 +198,8 @@ class Chip
 
     /**
      * The reference walk of one layer for one sample (fastPath =
-     * false, and compute layers whose codebooks do not pack), plus the
-     * pool and flatten layers, which runLayerBatch() hands over one
-     * lane at a time.
+     * false), plus the pool and flatten layers, which runLayerBatch()
+     * hands over one lane at a time.
      */
     void runLayer(const composer::RLayer &layer,
                   const composer::EncodedTensor &in, bool lastCompute,
@@ -216,8 +210,7 @@ class Chip
      * input code, runs the tally over the layer's 8-neuron groups,
      * batches the activation and encoding lookups, and reduces each
      * lane's costs in serial neuron order. runs[L] matches the
-     * reference walk of ins[L], bit for bit. Requires ctx.hasTally(),
-     * as do the two below.
+     * reference walk of ins[L], bit for bit.
      */
     void runDenseTally(const composer::RLayer &layer,
                        const RnaLayerContext &ctx,
@@ -252,9 +245,9 @@ class Chip
     /**
      * Run one layer for a whole batch, filling runs[L] with exactly
      * what the reference walk of ins[L] produces. Dense, conv and
-     * recurrent layers the tally serves take their production path;
-     * everything else (the reference walk, pools, flatten) runs
-     * runLayer() per lane in lane order.
+     * recurrent layers take their production path; everything else
+     * (the reference walk, pools, flatten) runs runLayer() per lane in
+     * lane order.
      */
     void runLayerBatch(const composer::RLayer &layer,
                        std::span<const composer::EncodedTensor> ins,

@@ -47,102 +47,148 @@ layerDescription(const RLayer &layer)
     return os.str();
 }
 
-/** Logical neuron evaluations a layer performs per inference. The
- *  conv spatial extent is unknown without an input shape, so the plan
- *  counts distinct table sets (channels); waves at run time follow the
- *  actual feature-map size. */
-size_t
-logicalNeurons(const RLayer &layer)
+bool
+isPooling(RLayerKind kind)
 {
-    switch (layer.kind) {
-      case RLayerKind::Dense:
-      case RLayerKind::Conv:
-      case RLayerKind::Recurrent:
-        return layer.outCount;
-      case RLayerKind::MaxPool:
-      case RLayerKind::AvgPool:
-      case RLayerKind::Flatten:
-      case RLayerKind::Residual:
-        return 0;
-    }
-    return 0;
+    return kind == RLayerKind::MaxPool || kind == RLayerKind::AvgPool;
 }
 
 } // namespace
 
-void
-Controller::planLayers(const std::vector<RLayer> &layers, size_t depth,
-                       size_t &nextTileSlot, MappingPlan &out) const
+size_t
+blockWaves(const ChipConfig &config, size_t items)
 {
+    const size_t blocks = std::max<size_t>(1, config.totalRnas());
+    return (items + blocks - 1) / blocks;
+}
+
+size_t
+computeWaves(const ChipConfig &config, size_t evaluations)
+{
+    const double effective = static_cast<double>(config.totalRnas())
+                           * (1.0 - config.rnaSharing);
+    return static_cast<size_t>(std::ceil(
+        static_cast<double>(evaluations) / std::max(1.0, effective)));
+}
+
+void
+Controller::schedule(LayerAssignment a, MappingPlan &out) const
+{
+    const size_t total = _config.totalRnas();
     const size_t rnasPerTile = _config.cost.rnasPerTile;
-
-    for (const RLayer &layer : layers) {
-        LayerAssignment a;
-        a.description = layerDescription(layer);
-        a.kind = layer.kind;
-        a.depth = depth;
-
-        if (layer.kind == RLayerKind::Residual) {
-            a.skipRoute = true;
-            a.fifoDepth = 1;  // the skip value parks one entry deep
-            out.assignments.push_back(a);
-            planLayers(layer.inner, depth + 1, nextTileSlot, out);
-            continue;
-        }
-
-        a.neurons = logicalNeurons(layer);
-        if (a.neurons > 0) {
-            const size_t available = _config.totalRnas();
-            a.rnaBlocks = std::min(a.neurons, available);
-            a.waves = (a.neurons + available - 1) / available;
-            a.fifoDepth = layer.inCount;
-            if (layer.kind == RLayerKind::Recurrent) {
-                a.feedbackLoop = true;
-                // The FIFO also holds the fed-back hidden state.
-                a.fifoDepth += layer.outCount;
-            }
-            if (!layer.outputEncoder.empty())
-                a.broadcastBits =
-                    indexBits(layer.outputEncoder.entries());
-
-            a.firstTile = nextTileSlot / rnasPerTile;
-            nextTileSlot += a.rnaBlocks;
-            a.lastTile = (nextTileSlot - 1) / rnasPerTile;
-
-            out.totalRnasUsed += a.rnaBlocks;
-            out.maxFifoDepth = std::max(out.maxFifoDepth, a.fifoDepth);
-        } else if (layer.kind == RLayerKind::MaxPool ||
-                   layer.kind == RLayerKind::AvgPool) {
-            // Pooling reuses the upstream layer's encoding AM blocks.
-            a.fifoDepth = layer.poolWindow * layer.poolWindow;
-            out.maxFifoDepth = std::max(out.maxFifoDepth, a.fifoDepth);
-        }
-        out.assignments.push_back(a);
+    if (a.evaluations > 0)
+        a.waves = isPooling(a.kind)
+            ? blockWaves(_config, a.evaluations)
+            : computeWaves(_config, a.evaluations);
+    if (a.tableSets > 0) {
+        // Layers take consecutive blocks, tile after tile.
+        a.rnaBlocks = std::min(a.tableSets, total);
+        a.firstTile = out.totalRnasUsed / rnasPerTile;
+        out.totalRnasUsed += a.rnaBlocks;
+        a.lastTile = (out.totalRnasUsed - 1) / rnasPerTile;
     }
+    out.maxFifoDepth = std::max(out.maxFifoDepth, a.fifoDepth);
+    out.fits = out.fits && a.waves <= 1;
+    out.assignments.push_back(std::move(a));
+}
+
+MappingPlan
+Controller::finish(MappingPlan out) const
+{
+    const size_t total = _config.totalRnas();
+    const size_t rnasPerTile = _config.cost.rnasPerTile;
+    const size_t rnasPerChip = rnasPerTile * _config.cost.tilesPerChip;
+    out.tilesUsed = (out.totalRnasUsed + rnasPerTile - 1) / rnasPerTile;
+    out.chipsUsed = std::min(
+        std::max<size_t>(
+            1, (out.totalRnasUsed + rnasPerChip - 1) / rnasPerChip),
+        _config.chips);
+    out.utilization = static_cast<double>(std::max<size_t>(
+                          1, std::min(out.totalRnasUsed, total)))
+                    / static_cast<double>(total);
+    return out;
 }
 
 MappingPlan
 Controller::plan(const composer::ReinterpretedModel &model) const
 {
-    RAPIDNN_ASSERT(!model.layers().empty(), "planning an empty model");
+    const nn::Shape &shape = model.canonicalInputShape();
+    RAPIDNN_CHECK(!shape.empty(),
+                  "controller: the model has no canonical input shape");
 
     MappingPlan out;
-    size_t nextTileSlot = 0;
-    planLayers(model.layers(), 0, nextTileSlot, out);
+    // The walk visits a residual block's inner layers right after it;
+    // `open` counts the inner layers each enclosing block has left.
+    std::vector<size_t> open;
+    composer::walkLayerShapes(
+        model.layers(), shape,
+        [&](const RLayer &layer, const nn::Shape &,
+            const nn::Shape &outShape) {
+            while (!open.empty() && open.back() == 0)
+                open.pop_back();
+            LayerAssignment a;
+            a.description = layerDescription(layer);
+            a.kind = layer.kind;
+            a.depth = open.size();
+            if (!open.empty())
+                --open.back();
+            switch (layer.kind) {
+              case RLayerKind::Dense:
+              case RLayerKind::Conv:
+              case RLayerKind::Recurrent:
+                a.evaluations = nn::shapeNumel(outShape);
+                a.tableSets = layer.outCount;
+                a.fifoDepth = layer.inCount;
+                if (layer.kind == RLayerKind::Recurrent) {
+                    a.feedbackLoop = true;
+                    // The FIFO also holds the fed-back hidden state.
+                    a.fifoDepth += layer.outCount;
+                }
+                if (!layer.outputEncoder.empty())
+                    a.broadcastBits =
+                        indexBits(layer.outputEncoder.entries());
+                break;
+              case RLayerKind::MaxPool:
+              case RLayerKind::AvgPool:
+                // Pooling reuses the upstream layer's encoding AM
+                // blocks, one window per block per pass.
+                a.evaluations = nn::shapeNumel(outShape);
+                a.fifoDepth = layer.poolWindow * layer.poolWindow;
+                break;
+              case RLayerKind::Residual:
+                a.skipRoute = true;
+                a.fifoDepth = 1;  // the skip value parks one entry deep
+                open.push_back(layer.inner.size());
+                break;
+              case RLayerKind::Flatten:
+                break;
+            }
+            schedule(std::move(a), out);
+        });
+    return finish(std::move(out));
+}
 
-    const size_t rnasPerTile = _config.cost.rnasPerTile;
-    const size_t rnasPerChip = rnasPerTile * _config.cost.tilesPerChip;
-    out.tilesUsed = (nextTileSlot + rnasPerTile - 1) / rnasPerTile;
-    out.chipsUsed = std::max<size_t>(
-        1, (nextTileSlot + rnasPerChip - 1) / rnasPerChip);
-    out.chipsUsed = std::min(out.chipsUsed, _config.chips);
-    out.utilization = static_cast<double>(out.totalRnasUsed)
-        / static_cast<double>(_config.totalRnas());
-    out.fits = true;
-    for (const auto &a : out.assignments)
-        if (a.waves > 1)
-            out.fits = false;
-    return out;
+MappingPlan
+Controller::plan(const nn::NetworkShape &shape) const
+{
+    MappingPlan out;
+    for (const nn::LayerShape &layer : shape.layers) {
+        using nn::LayerKind;
+        LayerAssignment a;
+        a.kind = layer.kind == LayerKind::Conv2D    ? RLayerKind::Conv
+               : layer.kind == LayerKind::MaxPool2D ? RLayerKind::MaxPool
+               : layer.kind == LayerKind::AvgPool2D ? RLayerKind::AvgPool
+               : layer.kind == LayerKind::Recurrent ? RLayerKind::Recurrent
+                                                    : RLayerKind::Dense;
+        a.description = "layer(" + std::to_string(layer.fanIn) + "->"
+                      + std::to_string(layer.neurons) + ")";
+        a.evaluations = layer.neurons;
+        a.tableSets = isPooling(a.kind) ? 0 : layer.distinctNeurons;
+        a.fifoDepth = layer.fanIn;
+        a.feedbackLoop = a.kind == RLayerKind::Recurrent;
+        schedule(std::move(a), out);
+    }
+    return finish(std::move(out));
 }
 
 std::string
@@ -156,7 +202,7 @@ MappingPlan::describe() const
        << (fits ? ", fully resident" : ", wave-scheduled") << "\n";
     for (const auto &a : assignments) {
         os << std::string(2 + 2 * a.depth, ' ') << a.description;
-        if (a.neurons > 0) {
+        if (a.tableSets > 0) {
             os << ": " << a.rnaBlocks << " blocks, tiles ["
                << a.firstTile << ", " << a.lastTile << "], waves "
                << a.waves << ", fifo " << a.fifoDepth;
@@ -166,8 +212,9 @@ MappingPlan::describe() const
                 os << ", feedback loop";
         } else if (a.skipRoute) {
             os << ": skip FIFO parked";
-        } else if (a.fifoDepth > 0) {
-            os << ": pooling window fifo " << a.fifoDepth;
+        } else if (isPooling(a.kind)) {
+            os << ": pooling window fifo " << a.fifoDepth << ", waves "
+               << a.waves;
         }
         os << "\n";
     }

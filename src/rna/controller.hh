@@ -6,10 +6,13 @@
  * RNA blocks", assigns per-tile configuration registers, sizes the
  * input FIFOs (whose depth is set by the largest layer's fan-in),
  * routes residual skip values and recurrent feedback, and sequences
- * the layer pipeline. This module makes that plan explicit and
- * inspectable: given a reinterpreted model and a chip configuration it
- * produces per-layer block assignments, tile ranges, wave counts,
- * FIFO depths and transfer schedules, with validation.
+ * the layer pipeline. This module is the one place that mapping is
+ * decided. Walking a model at its canonical input shape, the plan
+ * records per layer the evaluations it performs (which set its waves),
+ * the table sets it holds (which set the blocks it occupies), its tile
+ * range, FIFO depth and transfer schedule. Chip::configure builds the
+ * plan once and charges every layer walk from it; RnaPerfModel plans
+ * a NetworkShape by the same per-layer rule.
  */
 
 #ifndef RAPIDNN_RNA_CONTROLLER_HH
@@ -19,16 +22,32 @@
 #include <vector>
 
 #include "composer/reinterpreted_model.hh"
+#include "nn/topology.hh"
 #include "rna/chip.hh"
 
 namespace rapidnn::rna {
 
-/** How a reinterpreted layer maps onto the fabric. */
+/** Passes `items` take at one per RNA block (or broadcast lane) per
+ *  pass: pooling windows, broadcast values. */
+size_t blockWaves(const ChipConfig &config, size_t items);
+
+/** Passes a compute layer's `evaluations` take over the blocks left
+ *  once config.rnaSharing folds shared neurons together (at least
+ *  one). */
+size_t computeWaves(const ChipConfig &config, size_t evaluations);
+
+/** How a layer maps onto the fabric. */
 struct LayerAssignment
 {
     std::string description;      //!< e.g. "dense(784->512)"
     composer::RLayerKind kind;
-    size_t neurons = 0;           //!< logical neurons to evaluate
+    /** Neuron evaluations (per recurrent step) or pooling windows per
+     *  inference; a conv layer evaluates every channel at every
+     *  output position. Sets the waves. */
+    size_t evaluations = 0;
+    /** Distinct table sets the layer holds: one per neuron, one per
+     *  channel on a conv layer. Sets the blocks it occupies. */
+    size_t tableSets = 0;
     size_t rnaBlocks = 0;         //!< physical blocks assigned
     size_t waves = 1;             //!< sequential passes over blocks
     size_t firstTile = 0;         //!< tile range [firstTile, lastTile]
@@ -43,13 +62,17 @@ struct LayerAssignment
 /** The whole mapping plan. */
 struct MappingPlan
 {
+    /** One entry per layer in execution order, residual inner layers
+     *  right after their block (composer::walkLayerShapes order). */
     std::vector<LayerAssignment> assignments;
-    size_t totalRnasUsed = 0;     //!< peak concurrent block demand
+    size_t totalRnasUsed = 0;     //!< blocks the layers' tables occupy
     size_t tilesUsed = 0;
     size_t chipsUsed = 0;
     size_t maxFifoDepth = 0;      //!< controller FIFO sizing
-    double utilization = 0.0;     //!< peak blocks / available blocks
-    bool fits = false;            //!< true when no layer needs waves
+    /** Occupied blocks (clamped to [1, all]) over all blocks: the share
+     *  of the chip that leaks while it runs; the rest clock gates. */
+    double utilization = 0.0;
+    bool fits = true;             //!< true when no layer needs waves
 
     /** Multi-line human-readable rendering. */
     std::string describe() const;
@@ -64,17 +87,24 @@ class Controller
   public:
     explicit Controller(ChipConfig config) : _config(config) {}
 
-    /** Build the mapping plan for a composed model. */
+    /** Plan a composed model at its canonical input shape (fatal when
+     *  it has none). */
     MappingPlan plan(const composer::ReinterpretedModel &model) const;
 
-    const ChipConfig &config() const { return _config; }
+    /** Plan a layer-shape summary (the analytic model's input): each
+     *  layer evaluates its output values and holds its distinct
+     *  neurons' tables. */
+    MappingPlan plan(const nn::NetworkShape &shape) const;
 
   private:
     ChipConfig _config;
 
-    void planLayers(const std::vector<composer::RLayer> &layers,
-                    size_t depth, size_t &nextTileSlot,
-                    MappingPlan &out) const;
+    /** Append an assignment, its waves, blocks and tile range set
+     *  from its evaluations and table sets. */
+    void schedule(LayerAssignment a, MappingPlan &out) const;
+
+    /** The plan with its chip-wide totals. */
+    MappingPlan finish(MappingPlan out) const;
 };
 
 } // namespace rapidnn::rna

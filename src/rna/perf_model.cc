@@ -6,8 +6,19 @@
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "nvm/crossbar.hh"
+#include "rna/controller.hh"
 
 namespace rapidnn::rna {
+
+namespace {
+
+/** Imbalance margin on parallel counting (max vs mean bucket). */
+constexpr double kCountingBalanceFactor = 1.2;
+
+/** Banked crossbar read ports serving product fetches. */
+constexpr double kFetchBanks = 4.0;
+
+} // namespace
 
 size_t
 RnaPerfModel::expectedAddends(size_t fanIn) const
@@ -35,7 +46,7 @@ RnaPerfModel::neuronCycles(size_t fanIn) const
     const double counting = std::ceil(
         static_cast<double>(fanIn)
         / static_cast<double>(_model.weightEntries))
-        * _model.countingBalanceFactor;
+        * kCountingBalanceFactor;
 
     // Product fetches: one crossbar read per distinct product used.
     const double fetch = std::min<double>(
@@ -96,23 +107,28 @@ RnaPerfModel::neuronEnergy(size_t fanIn) const
     return e;
 }
 
-uint64_t
-RnaPerfModel::neuronInterval(size_t fanIn) const
+double
+RnaPerfModel::interval(size_t fanIn) const
 {
     // Steady-state initiation interval of one RNA streaming neurons:
     // counting, banked product fetch and the 13-cycle adder segments
     // overlap across consecutive inputs, so the slowest phase governs.
-    const nvm::CostModel &cost = _chip.cost;
     const double counting = std::ceil(
         static_cast<double>(fanIn)
         / static_cast<double>(_model.weightEntries))
-        * _model.countingBalanceFactor;
+        * kCountingBalanceFactor;
     const double fetch = std::min<double>(
         static_cast<double>(fanIn),
         static_cast<double>(_model.weightEntries
-                            * _model.inputEntries)) / 4.0;
-    return static_cast<uint64_t>(std::ceil(std::max(
-        {counting, fetch, double(cost.csaStageCycles)})));
+                            * _model.inputEntries)) / kFetchBanks;
+    return std::max(
+        {counting, fetch, static_cast<double>(_chip.cost.csaStageCycles)});
+}
+
+uint64_t
+RnaPerfModel::neuronInterval(size_t fanIn) const
+{
+    return static_cast<uint64_t>(std::ceil(interval(fanIn)));
 }
 
 PerfReport
@@ -120,22 +136,19 @@ RnaPerfModel::estimate(const nn::NetworkShape &shape) const
 {
     const nvm::CostModel &cost = _chip.cost;
     const Time cycle = cost.cyclePeriod;
-    const double effectiveRnas =
-        static_cast<double>(_chip.totalRnas())
-        * (1.0 - _chip.rnaSharing);
+    const MappingPlan plan = Controller(_chip).plan(shape);
 
     PerfReport report;
     report.totalOps = shape.totalOps();
 
-    // Residency: when every layer's neurons fit on the chip at once,
-    // layers pipeline across blocks and the slowest stage limits
-    // throughput; otherwise the chip is time-shared across layers and
-    // stage times add.
+    // Residency: when every layer's neurons fit on the chip at once
+    // (one wave for the whole network), layers pipeline across blocks
+    // and the slowest stage limits throughput; otherwise the chip is
+    // time-shared across layers and stage times add.
     size_t totalNeurons = 0;
     for (const auto &layer : shape.layers)
         totalNeurons += layer.neurons;
-    const bool resident =
-        static_cast<double>(totalNeurons) <= effectiveRnas;
+    const bool resident = computeWaves(_chip, totalNeurons) <= 1;
 
     uint64_t latencyCycles = 0;
     uint64_t worstStage = 1;
@@ -145,7 +158,9 @@ RnaPerfModel::estimate(const nn::NetworkShape &shape) const
     Energy accumEnergy{}, actEnergy{}, encEnergy{}, poolEnergy{},
            otherEnergy{};
 
-    for (const auto &layer : shape.layers) {
+    for (size_t l = 0; l < shape.layers.size(); ++l) {
+        const nn::LayerShape &layer = shape.layers[l];
+        const size_t waves = plan.assignments[l].waves;
         if (layer.kind == nn::LayerKind::MaxPool2D ||
             layer.kind == nn::LayerKind::AvgPool2D) {
             // One AM load + search per pooled window.
@@ -153,9 +168,6 @@ RnaPerfModel::estimate(const nn::NetworkShape &shape) const
                 cost.camSearch(layer.fanIn, 16) + nvm::OpCost{1,
                     cost.camWriteEnergy
                         * static_cast<double>(layer.fanIn)};
-            const size_t waves = static_cast<size_t>(std::ceil(
-                static_cast<double>(layer.neurons)
-                / static_cast<double>(_chip.totalRnas())));
             const uint64_t stageCycles = one.cycles * waves;
             latencyCycles += stageCycles;
             worstStage = std::max<uint64_t>(worstStage, stageCycles);
@@ -170,9 +182,6 @@ RnaPerfModel::estimate(const nn::NetworkShape &shape) const
         }
 
         const uint64_t perNeuron = neuronCycles(layer.fanIn);
-        const size_t waves = static_cast<size_t>(std::ceil(
-            static_cast<double>(layer.neurons)
-            / std::max(1.0, effectiveRnas)));
         const uint64_t stageCycles = perNeuron * waves;
         latencyCycles += stageCycles;
         // Throughput: consecutive inputs stream through the neuron's
@@ -229,9 +238,8 @@ RnaPerfModel::estimate(const nn::NetworkShape &shape) const
             std::max<size_t>(1, static_cast<size_t>(
                 std::ceil(std::log2(
                     static_cast<double>(_model.inputEntries))))));
-        const uint64_t xferCycles = static_cast<uint64_t>(std::ceil(
-            static_cast<double>(layer.neurons)
-            / static_cast<double>(_chip.totalRnas()))) * bits;
+        const uint64_t xferCycles =
+            static_cast<uint64_t>(blockWaves(_chip, layer.neurons)) * bits;
         latencyCycles += xferCycles;
         const Energy xferEnergy = cost.bufferBitEnergy
             * (static_cast<double>(layer.neurons) * bits);
@@ -281,21 +289,10 @@ RnaPerfModel::gopsPerMm2(const nn::NetworkShape &shape) const
     // slowest phase (counting, banked product fetch, or one 13-cycle
     // adder segment), not the sum.
     (void)shape;  // the density metric is workload-independent
-    const nvm::CostModel &cost = _chip.cost;
-    const double fanIn = 1024.0;
-    const double counting =
-        std::ceil(fanIn / static_cast<double>(_model.weightEntries))
-        * _model.countingBalanceFactor;
-    const double fetchBanks = 4.0;  // banked crossbar read ports
-    const double fetch = std::min<double>(
-        fanIn, static_cast<double>(_model.weightEntries
-                                   * _model.inputEntries)) / fetchBanks;
-    const double interval = std::max({counting, fetch,
-        static_cast<double>(cost.csaStageCycles)});
-
-    const double opsPerNeuron = 2.0 * fanIn;
+    const size_t fanIn = 1024;
+    const double opsPerNeuron = 2.0 * double(fanIn);
     const double perRnaGops = opsPerNeuron
-        / (interval * cost.cyclePeriod.sec()) / 1e9;
+        / (interval(fanIn) * _chip.cost.cyclePeriod.sec()) / 1e9;
     // Sharing keeps throughput (shared RNAs fill pipeline bubbles of
     // their layer) while shedding RNA area, so density rises
     // (Section 5.6, Table 4).
@@ -337,15 +334,7 @@ RnaPerfModel::gopsPerWatt(const nn::NetworkShape &shape) const
     (void)shape;
     const nvm::CostModel &cost = _chip.cost;
     const size_t fanIn = 1024;
-    const double counting = std::ceil(
-        double(fanIn) / double(_model.weightEntries))
-        * _model.countingBalanceFactor;
-    const double fetch = std::min<double>(
-        double(fanIn), double(_model.weightEntries
-                              * _model.inputEntries)) / 4.0;
-    const double interval = std::max({counting, fetch,
-        double(cost.csaStageCycles)});
-    const double intervalSec = interval * cost.cyclePeriod.sec();
+    const double intervalSec = interval(fanIn) * cost.cyclePeriod.sec();
 
     const double opsPerSec = 2.0 * double(fanIn) / intervalSec;
     const Power rnaPower = cost.crossbarPower + cost.counterPower

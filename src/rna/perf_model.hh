@@ -27,13 +27,13 @@ struct PerfModelConfig
     size_t inputEntries = 64;    //!< u
     size_t activationRows = 64;  //!< q
     size_t accumulatorBits = 32; //!< N
-    /** Imbalance margin on parallel counting (max vs mean bucket). */
-    double countingBalanceFactor = 1.2;
 };
 
 /**
  * Closed-form RAPIDNN model: per-layer neuron schedules aggregated
- * with wave scheduling and layer pipelining, mirroring Chip::infer.
+ * with layer pipelining, mirroring Chip::infer. Each layer's waves come
+ * from the controller's plan of the shape (Controller::plan), the rule
+ * the chip charges.
  */
 class RnaPerfModel
 {
@@ -80,6 +80,10 @@ class RnaPerfModel
 
     /** Expected addend count entering the adder tree. */
     size_t expectedAddends(size_t fanIn) const;
+
+    /** Unrounded initiation interval of an RNA streaming neurons of a
+     *  given fan-in: its slowest overlapped phase. */
+    double interval(size_t fanIn) const;
 };
 
 } // namespace rapidnn::rna

@@ -96,19 +96,6 @@ buildConvGatherPlan(const composer::RLayer &layer, size_t inC, size_t h,
     return plan;
 }
 
-/** True when every weight codebook of a compute layer (a recurrent
- *  feedback path's too) fits 8-bit codes. */
-bool
-tallyPacks(const composer::RLayer &layer)
-{
-    bool packs = !layer.weightCodebooks.empty();
-    for (const auto *books :
-         {&layer.weightCodebooks, &layer.stateWeightCodebooks})
-        for (const quant::Codebook &cb : *books)
-            packs = packs && cb.size() <= 256;
-    return packs;
-}
-
 } // namespace
 
 RnaLayerContext::RnaLayerContext(const composer::RLayer &layer,
@@ -171,10 +158,10 @@ RnaLayerContext::RnaLayerContext(const composer::RLayer &layer,
                            "state weight code out of table range");
 
     // The tally's packed rows for the production path. Every code is
-    // range-validated above, so packing is lossless when the weight
-    // codebooks fit 256 entries.
-    _hasTally = _kops != nullptr && tallyPacks(layer);
-    if (_hasTally) {
+    // range-validated above, and Chip::configure refused weight
+    // codebooks over composer::kMaxWeightEntries, so packing into 8
+    // bits is lossless.
+    if (_kops != nullptr) {
         _stride = tallyRowStride(layer.outCount);
         for (const auto &engine : _engines)
             _maxWeightEntries =
@@ -277,7 +264,7 @@ RnaLayerContext::tally(const InputBuckets &inputs, size_t groupBegin,
                        uint32_t *distinct, uint32_t *addends,
                        bool statePath) const
 {
-    RAPIDNN_ASSERT(_hasTally, "tally on a layer it does not serve");
+    RAPIDNN_ASSERT(_kops != nullptr, "tally on a reference-only context");
     const TallyRows &t = statePath ? _stateTally : _tally;
     simd::TallyJob job{};
     job.rows = t.rows.data();
@@ -412,15 +399,6 @@ RnaLayerContext::poolMaxFast(const uint16_t *codes, size_t count,
     cost += {1, model.camWriteEnergy * static_cast<double>(count)};
     cost += model.camSearch(count, 16);
     return ops.maxU16(codes, count);
-}
-
-size_t
-RnaLayerContext::productRows() const
-{
-    size_t rows = 0;
-    for (const auto &table : _layer.productTables)
-        rows += table.size();
-    return rows;
 }
 
 } // namespace rapidnn::rna

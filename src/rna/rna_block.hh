@@ -141,18 +141,12 @@ class RnaLayerContext
 
     // ------------------------------------------------------------------
     // Production path: the tally (KernelOps::tally). Only usable when
-    // hasTally(); every result is bitwise identical to the reference
-    // evaluators above (tests/batch_equivalence_test.cc).
+    // the context was built with a kernel table; every result is
+    // bitwise identical to the reference evaluators above
+    // (tests/batch_equivalence_test.cc). Weight codes pack into 8 bits;
+    // input codes are grouped rather than narrowed, so the input
+    // codebooks may be any size.
     // ------------------------------------------------------------------
-
-    /**
-     * True when the tally serves this layer: a kernel table was given
-     * and every weight codebook it reads (the feedback path's too) fits
-     * 8-bit codes, so the packed weight rows exist. Input codes are
-     * grouped rather than narrowed, so the input codebooks may be any
-     * size.
-     */
-    bool hasTally() const { return _hasTally; }
 
     /** Neurons per packed row (outCount padded to 8). */
     size_t tallyStride() const { return _stride; }
@@ -193,7 +187,7 @@ class RnaLayerContext
         return (statePath ? _stateTally : _tally).counting[j];
     }
 
-    /** The conv layer's gather plan (built when hasTally()). */
+    /** The conv layer's gather plan (built with the kernel table). */
     const ConvGatherPlan &gatherPlan() const { return _plan; }
 
     bool hasActivation() const { return _activationAm.has_value(); }
@@ -231,9 +225,6 @@ class RnaLayerContext
 
     const composer::RLayer &layer() const { return _layer; }
 
-    /** Crossbar rows this layer's product tables occupy. */
-    size_t productRows() const;
-
   private:
     const composer::RLayer &_layer;
     nvm::CostModel _model;
@@ -265,7 +256,6 @@ class RnaLayerContext
     };
     void buildTally(TallyRows &t, bool statePath);
 
-    bool _hasTally = false;
     size_t _stride = 0;
     TallyRows _tally;       //!< forward path
     TallyRows _stateTally;  //!< recurrent feedback path

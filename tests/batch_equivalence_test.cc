@@ -12,9 +12,9 @@
  * production path specializes: dense, conv with max or average pooling
  * and same or valid padding, recurrent (all three on the one tally),
  * and residual. Synthetic layers add awkward shapes and codebook
- * sizes: dense layers with a u = 300 input codebook on the tally and
- * a w = 300 weight codebook, which does not pack and so runs the
- * reference evaluator in production too; conv layers with 1x1 to 5x5
+ * sizes: dense layers with a u = 300 input codebook on the tally (a
+ * w = 300 weight codebook does not pack into 8-bit codes, and the
+ * chip refuses it); conv layers with 1x1 to 5x5
  * kernels, same and valid padding, 5 to 17 output channels and a
  * u = 300 input codebook; recurrent layers of 7, 9 and 17 hidden
  * units. errorRate and the empty
@@ -462,8 +462,12 @@ struct DenseShape
     size_t u;
 };
 
-void
-sweepDenseShape(const DenseShape &shape, uint64_t seed)
+/** The MLP of `shape` composed, its first layer rebuilt to hold
+ *  exactly w weight and u input entries; `inputs` gets its sweep
+ *  inputs. */
+ReinterpretedModel
+denseShapeModel(const DenseShape &shape, uint64_t seed,
+                std::vector<nn::Tensor> &inputs)
 {
     nn::Dataset all = nn::makeVectorTask(
         {"bq-tally", shape.inputs, 3, 120, 0.4, 1.0, seed});
@@ -483,7 +487,7 @@ sweepDenseShape(const DenseShape &shape, uint64_t seed)
     // encoder and product table to match); both paths read the same
     // tables.
     composer::RLayer &first = model.layers()[0];
-    ASSERT_EQ(first.kind, composer::RLayerKind::Dense);
+    EXPECT_EQ(first.kind, composer::RLayerKind::Dense);
     first.inputCodebook = quant::Codebook::fromSorted(
         Array<double>(spaced(shape.u, -2.5, 2.5)));
     model.inputEncoder() = quant::Encoder(first.inputCodebook);
@@ -502,7 +506,7 @@ sweepDenseShape(const DenseShape &shape, uint64_t seed)
     first.productTables[0] = Array<double>(std::move(products));
 
     // Two constant inputs: one input code fills the whole fan-in.
-    std::vector<nn::Tensor> inputs;
+    inputs.clear();
     for (size_t s = 0; s < 9; ++s)
         inputs.push_back(validation.sample(s % validation.size()).x);
     nn::Tensor zeros(inputs[0].shape());
@@ -511,6 +515,14 @@ sweepDenseShape(const DenseShape &shape, uint64_t seed)
         level[i] = 0.7f;
     inputs.push_back(zeros);
     inputs.push_back(level);
+    return model;
+}
+
+void
+sweepDenseShape(const DenseShape &shape, uint64_t seed)
+{
+    std::vector<nn::Tensor> inputs;
+    const ReinterpretedModel model = denseShapeModel(shape, seed, inputs);
     sweep(model, inputs,
           "dense w=" + std::to_string(shape.w) + " u="
               + std::to_string(shape.u));
@@ -522,7 +534,22 @@ TEST(ChipKernelEquivalence, DenseTallySweepMatchesReference)
     sweepDenseShape({19, {17}, 65, 37}, 502);    // two mask words
     sweepDenseShape({40, {33}, 256, 37}, 503);   // four mask words
     sweepDenseShape({19, {9}, 64, 300}, 504);    // u beyond 8-bit codes
-    sweepDenseShape({19, {9}, 300, 16}, 505);    // w does not pack
+}
+
+TEST(ChipKernelEquivalence, UnpackableWeightCodebookRefused)
+{
+    // 300 weight entries do not pack into the tally's 8-bit codes:
+    // configure refuses the model on either walk.
+    std::vector<nn::Tensor> inputs;
+    const ReinterpretedModel model =
+        denseShapeModel({19, {9}, 300, 16}, 505, inputs);
+    for (bool fast : {true, false}) {
+        ChipConfig config;
+        config.fastPath = fast;
+        EXPECT_EXIT(Chip(config).configure(model),
+                    ::testing::ExitedWithCode(1),
+                    "weight codebook of 300 entries exceeds 256");
+    }
 }
 
 /** One conv layer over a 3-channel image, then a dense readout. */

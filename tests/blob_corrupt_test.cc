@@ -499,6 +499,13 @@ TEST_F(CorruptBlob, LayerInvariantsRejectCleanly)
     const auto appendCode = [](std::vector<uint16_t> &c) {
         c.push_back(0);
     };
+    // A codebook one entry wider than 8-bit weight codes hold.
+    const auto unpackable = [] {
+        std::vector<double> values(composer::kMaxWeightEntries + 1);
+        for (size_t i = 0; i < values.size(); ++i)
+            values[i] = 0.01 * double(i);
+        return quant::Codebook::fromSorted(Array<double>(values));
+    };
     const LayerMutation mutations[] = {
         {"compute layer with zero fan", mlpModel,
          [](auto &ls) { ls[0].inCount = 0; }},
@@ -521,6 +528,8 @@ TEST_F(CorruptBlob, LayerInvariantsRejectCleanly)
          [](auto &ls) {
              ls[0].productTables.push_back(ls[0].productTables[0]);
          }},
+        {"weight codebook 0 holds 257 entries", mlpModel,
+         [&](auto &ls) { ls[0].weightCodebooks[0] = unpackable(); }},
         {"weight-code block 0 has 49 codes, want 48", mlpModel,
          [&](auto &ls) {
              ls[0].weightCodes[0] =
@@ -562,6 +571,8 @@ TEST_F(CorruptBlob, LayerInvariantsRejectCleanly)
              ls[0].stateWeightCodebooks.push_back(
                  ls[0].stateWeightCodebooks[0]);
          }},
+        {"state weight codebook holds 257 entries", recurrentModel,
+         [&](auto &ls) { ls[0].stateWeightCodebooks[0] = unpackable(); }},
         {"recurrent state codes must be hidden x hidden", recurrentModel,
          [&](auto &ls) {
              ls[0].stateWeightCodes[0] = edited<uint16_t>(

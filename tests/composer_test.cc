@@ -141,6 +141,16 @@ TEST(Reinterpret, CodebookSizesHonourConfig)
     }
 }
 
+TEST(Reinterpret, WeightClustersBeyondEightBitCodesRefused)
+{
+    // The chip packs weight codes into 8 bits, so no configuration may
+    // ask for more than kMaxWeightEntries weight entries.
+    ComposerConfig config;
+    config.weightClusters = kMaxWeightEntries + 1;
+    EXPECT_EXIT(Composer{config}, ::testing::ExitedWithCode(1),
+                "weightClusters = 257 exceeds 256");
+}
+
 TEST(Reinterpret, ProductTableMatchesCodebooks)
 {
     TrainedMlp fixture;

@@ -1,11 +1,14 @@
 /**
  * @file
  * Controller mapping-plan tests: block/tile assignment, wave
- * scheduling, FIFO sizing, residual skip routing and recurrent
- * feedback flags.
+ * scheduling (with RNA sharing), FIFO sizing, residual skip routing
+ * and recurrent feedback flags, and that the chip charges the waves
+ * the plan gives each layer.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "composer/composer.hh"
 #include "nn/recurrent.hh"
@@ -46,7 +49,8 @@ TEST(Controller, MlpAssignmentsAndResidency)
     const MappingPlan plan = controller.plan(fx.model);
 
     ASSERT_EQ(plan.assignments.size(), 3u);
-    EXPECT_EQ(plan.assignments[0].neurons, 16u);
+    EXPECT_EQ(plan.assignments[0].evaluations, 16u);
+    EXPECT_EQ(plan.assignments[0].tableSets, 16u);
     EXPECT_EQ(plan.assignments[0].rnaBlocks, 16u);
     EXPECT_EQ(plan.assignments[0].waves, 1u);
     EXPECT_EQ(plan.assignments[0].fifoDepth, 20u);
@@ -60,17 +64,89 @@ TEST(Controller, MlpAssignmentsAndResidency)
     EXPECT_EQ(plan.maxFifoDepth, 20u);
 }
 
-TEST(Controller, TinyChipForcesWaves)
+/** An 8-RNA chip sharing `sharing` of its blocks. */
+ChipConfig
+tinyChip(double sharing)
 {
-    PlannedMlp fx;
     ChipConfig config;
     config.cost.rnasPerTile = 8;
     config.cost.tilesPerChip = 1;
-    Controller controller(config);
-    const MappingPlan plan = controller.plan(fx.model);
-    EXPECT_FALSE(plan.fits);
-    EXPECT_EQ(plan.assignments[0].waves, 2u);  // 16 neurons on 8 RNAs
-    EXPECT_EQ(plan.assignments[0].rnaBlocks, 8u);
+    config.rnaSharing = sharing;
+    return config;
+}
+
+TEST(Controller, TinyChipForcesWaves)
+{
+    PlannedMlp fx;
+    // 16 neurons on 8 RNAs take 2 waves; sharing half the blocks
+    // leaves 4 of them, so 4 waves.
+    for (const auto &[sharing, waves] :
+         {std::pair<double, size_t>{0.0, 2}, {0.5, 4}}) {
+        const MappingPlan plan = Controller(tinyChip(sharing)).plan(fx.model);
+        EXPECT_FALSE(plan.fits);
+        EXPECT_EQ(plan.assignments[0].waves, waves) << sharing;
+        EXPECT_EQ(plan.assignments[0].rnaBlocks, 8u) << sharing;
+    }
+}
+
+/** The chip's slowest stage on one sample, in cycles. */
+uint64_t
+stageCycles(const ChipConfig &config, const ReinterpretedModel &model,
+            const nn::Tensor &x)
+{
+    Chip chip(config);
+    chip.configure(model);
+    PerfReport report;
+    chip.infer(x, report);
+    return static_cast<uint64_t>(std::llround(
+        report.stageTime.sec() / config.cost.cyclePeriod.sec()));
+}
+
+/**
+ * Each model holds one compute layer, whose stage is the slowest: its
+ * worst neuron (summed over the steps of a recurrent layer) times its
+ * waves. The default chip runs it in one wave, so a tiny chip's stage
+ * over the default chip's is the waves the tiny chip charges.
+ */
+void
+expectChargedWaves(const ReinterpretedModel &model, const nn::Tensor &x,
+                   const ChipConfig &tiny, size_t waves)
+{
+    const MappingPlan plan = Controller(tiny).plan(model);
+    ASSERT_EQ(plan.assignments.size(), 1u);
+    EXPECT_EQ(plan.assignments[0].waves, waves);
+    EXPECT_EQ(stageCycles(tiny, model, x),
+              stageCycles(ChipConfig{}, model, x) * waves);
+}
+
+TEST(Controller, ChipChargesPlannedWaves)
+{
+    nn::Dataset dense =
+        nn::makeVectorTask({"plan-one", 20, 4, 120, 0.3, 1.0, 909});
+    Rng rng(910);
+    nn::Network denseNet;
+    denseNet.add(std::make_unique<nn::DenseLayer>(20, 16, rng));
+    const ReinterpretedModel denseModel =
+        Composer({}).reinterpret(denseNet, dense);
+    expectChargedWaves(denseModel, dense.sample(0).x, tinyChip(0.0), 2);
+    expectChargedWaves(denseModel, dense.sample(0).x, tinyChip(0.5), 4);
+
+    // A recurrent layer of 10 hidden units on 8 RNAs: every one of its
+    // 6 steps takes 2 waves.
+    nn::SequenceTaskSpec spec;
+    spec.name = "plan-seq-one";
+    spec.features = 5;
+    spec.steps = 6;
+    spec.classes = 3;
+    spec.samples = 120;
+    spec.seed = 911;
+    nn::Dataset seq = nn::makeSequenceTask(spec);
+    nn::Network seqNet;
+    seqNet.add(std::make_unique<nn::ElmanLayer>(
+        5, 10, 6, nn::ActKind::Tanh, rng));
+    const ReinterpretedModel seqModel =
+        Composer({}).reinterpret(seqNet, seq);
+    expectChargedWaves(seqModel, seq.sample(0).x, tinyChip(0.0), 2);
 }
 
 TEST(Controller, BroadcastBitsMatchConsumerCodebook)
@@ -171,14 +247,37 @@ TEST(Controller, PoolingReusesEncodingAm)
 
     Controller controller(ChipConfig{});
     const MappingPlan plan = controller.plan(model);
-    bool sawPooling = false;
-    for (const auto &a : plan.assignments)
+    bool sawConv = false, sawPooling = false;
+    for (const auto &a : plan.assignments) {
+        if (a.kind == RLayerKind::Conv) {
+            sawConv = true;
+            // Every channel at every same-padded 8x8 position, on one
+            // table set per channel.
+            EXPECT_EQ(a.evaluations, 4u * 8u * 8u);
+            EXPECT_EQ(a.tableSets, 4u);
+            EXPECT_EQ(a.rnaBlocks, 4u);
+        }
         if (a.kind == RLayerKind::MaxPool) {
             sawPooling = true;
+            EXPECT_EQ(a.evaluations, 4u * 4u * 4u);  // windows
             EXPECT_EQ(a.rnaBlocks, 0u);     // no dedicated blocks
             EXPECT_EQ(a.fifoDepth, 4u);     // 2x2 window
         }
+    }
+    EXPECT_TRUE(sawConv);
     EXPECT_TRUE(sawPooling);
+
+    // On 8 RNAs sharing half of them, the conv's 256 evaluations take
+    // 64 waves; its 64 pooling windows take 8 (pooling does not share).
+    const MappingPlan tiny = Controller(tinyChip(0.5)).plan(model);
+    for (const auto &a : tiny.assignments) {
+        if (a.kind == RLayerKind::Conv) {
+            EXPECT_EQ(a.waves, 64u);
+        }
+        if (a.kind == RLayerKind::MaxPool) {
+            EXPECT_EQ(a.waves, 8u);
+        }
+    }
 }
 
 TEST(Controller, DescribeIsReadable)
