@@ -206,29 +206,17 @@ class Chip
                   Workspace &ws, LayerRun &run) const;
 
     /**
-     * The dense layer's production path: groups each lane's fan-in by
-     * input code, runs the tally over the layer's 8-neuron groups,
-     * batches the activation and encoding lookups, and reduces each
-     * lane's costs in serial neuron order. runs[L] matches the
-     * reference walk of ins[L], bit for bit.
+     * The dense and conv layers' production path, one walk over the
+     * context's gather plan: at each output position every lane's
+     * window (a dense layer's one position has the whole fan-in) is
+     * grouped by input code once and tallied in passes of up to 8
+     * neuron groups; then the layer's batched activation and encoding
+     * lookups, and each lane's costs reduced in serial neuron order.
+     * runs[L] matches the reference walk of ins[L], bit for bit.
      */
-    void runDenseTally(const composer::RLayer &layer,
-                       const RnaLayerContext &ctx,
-                       std::span<const composer::EncodedTensor> ins,
-                       bool lastCompute, Workspace &ws,
-                       LayerRun *runs) const;
-
-    /**
-     * The conv layer's production path: per output position and lane,
-     * the window grouped by input code once and every output channel
-     * tallied over it; then the dense path's batched lookups and
-     * serial cost reduction.
-     */
-    void runConvTally(const composer::RLayer &layer,
-                      const RnaLayerContext &ctx,
-                      std::span<const composer::EncodedTensor> ins,
-                      bool lastCompute, Workspace &ws,
-                      LayerRun *runs) const;
+    void runTally(const composer::RLayer &layer, const RnaLayerContext &ctx,
+                  std::span<const composer::EncodedTensor> ins,
+                  bool lastCompute, Workspace &ws, LayerRun *runs) const;
 
     /**
      * The recurrent layer's production path: per lane and step, x_t

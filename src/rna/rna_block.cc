@@ -1,6 +1,7 @@
 #include "rna/rna_block.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.hh"
 
@@ -9,10 +10,9 @@ namespace rapidnn::rna {
 namespace {
 
 /**
- * Deepest weight buffer of every neuron over the weight rows rowIdx[0..n)
- * (rows 0..n-1 when rowIdx is null): out[j] = max over w of |{s :
- * rows[row_s * stride + j] == w}| for j < neurons. `depth` ([neurons *
- * w], all-zero) is left all-zero.
+ * Deepest weight buffer of every neuron over the weight rows rowIdx[0..n):
+ * out[j] = max over w of |{s : rows[rowIdx[s] * stride + j] == w}| for
+ * j < neurons. `depth` ([neurons * w], all-zero) is left all-zero.
  */
 void
 rowCountingCycles(const uint8_t *rows, size_t stride, size_t neurons,
@@ -20,16 +20,13 @@ rowCountingCycles(const uint8_t *rows, size_t stride, size_t neurons,
                   uint32_t *depth, uint32_t *out)
 {
     std::fill(out, out + neurons, 0u);
-    auto row = [&](size_t s) {
-        return rows + size_t(rowIdx != nullptr ? rowIdx[s] : s) * stride;
-    };
     for (size_t s = 0; s < n; ++s) {
-        const uint8_t *r = row(s);
+        const uint8_t *r = rows + size_t(rowIdx[s]) * stride;
         for (size_t j = 0; j < neurons; ++j)
             out[j] = std::max(out[j], ++depth[j * w + r[j]]);
     }
     for (size_t s = 0; s < n; ++s) {
-        const uint8_t *r = row(s);
+        const uint8_t *r = rows + size_t(rowIdx[s]) * stride;
         for (size_t j = 0; j < neurons; ++j)
             depth[j * w + r[j]] = 0;
     }
@@ -57,19 +54,33 @@ packTallyRows(const composer::RLayer &layer, bool statePath, size_t stride,
                           : layer.weightCodes[0][i * out + j]);
 }
 
-/** The gather plan of a conv layer at input shape [inC, h, w]. */
-ConvGatherPlan
-buildConvGatherPlan(const composer::RLayer &layer, size_t inC, size_t h,
-                    size_t w)
+/** One position whose window is the whole fan-in of n edges: edge i
+ *  reads input i and weight row i. */
+GatherPlan
+wholeFanInPlan(size_t n)
 {
+    GatherPlan plan;
+    plan.start = {0, static_cast<uint32_t>(n)};
+    plan.inputIdx.resize(n);
+    std::iota(plan.inputIdx.begin(), plan.inputIdx.end(), 0u);
+    plan.weightIdx = plan.inputIdx;
+    return plan;
+}
+
+/** The gather plan of a compute layer at its input shape. */
+GatherPlan
+buildGatherPlan(const composer::RLayer &layer, const nn::Shape &in)
+{
+    if (layer.kind != composer::RLayerKind::Conv)
+        return wholeFanInPlan(layer.inCount);
+    RAPIDNN_ASSERT(in.size() == 3, "conv needs [C, H, W]");
+    const size_t inC = in[0], h = in[1], w = in[2];
     const size_t k = layer.kernel;
     const size_t oh = layer.samePadding ? h : h - k + 1;
     const size_t ow = layer.samePadding ? w : w - k + 1;
     const long off = layer.samePadding ? -long(k / 2) : 0;
 
-    ConvGatherPlan plan;
-    plan.outH = oh;
-    plan.outW = ow;
+    GatherPlan plan;
     plan.start.assign(oh * ow + 1, 0);
     plan.weightIdx.reserve(oh * ow * inC * k * k);
     plan.inputIdx.reserve(oh * ow * inC * k * k);
@@ -103,7 +114,8 @@ RnaLayerContext::RnaLayerContext(const composer::RLayer &layer,
                                  const nvm::CostModel &model,
                                  nvm::SearchMode mode,
                                  const simd::KernelOps *kops)
-    : _layer(layer), _model(model), _kops(kops)
+    : _layer(layer), _model(model), _kops(kops),
+      _outShape(composer::layerOutputShape(layer, inShape))
 {
     RAPIDNN_ASSERT(layer.kind == composer::RLayerKind::Dense ||
                    layer.kind == composer::RLayerKind::Conv ||
@@ -166,11 +178,7 @@ RnaLayerContext::RnaLayerContext(const composer::RLayer &layer,
         for (const auto &engine : _engines)
             _maxWeightEntries =
                 std::max(_maxWeightEntries, engine.weightEntries());
-        if (layer.kind == composer::RLayerKind::Conv) {
-            RAPIDNN_ASSERT(inShape.size() == 3, "conv needs [C, H, W]");
-            _plan = buildConvGatherPlan(layer, inShape[0], inShape[1],
-                                        inShape[2]);
-        }
+        _plan = buildGatherPlan(layer, inShape);
         buildTally(_tally, false);
         if (_stateEngine)
             buildTally(_stateTally, true);
@@ -212,23 +220,18 @@ RnaLayerContext::buildTally(TallyRows &t, bool statePath)
                                : _maxWeightEntries;
     t.maskWords = static_cast<uint32_t>((w + 63) / 64);
 
-    // Counting cycles over the full fan-in, or on a conv layer over
-    // each position's window, which clipping may shorten.
+    // Counting cycles at every position of the plan, over its window
+    // (a clipped conv window may be shorter than the fan-in).
     const size_t out = layer.outCount;
+    const GatherPlan feedback =
+        statePath ? wholeFanInPlan(out) : GatherPlan{};
+    const GatherPlan &plan = statePath ? feedback : _plan;
     std::vector<uint32_t> depth(out * w, 0);
-    if (layer.kind != composer::RLayerKind::Conv) {
-        t.counting.resize(out);
-        rowCountingCycles(t.rows.data(), _stride, out, w, nullptr,
-                          statePath ? out : layer.inCount, depth.data(),
-                          t.counting.data());
-        return;
-    }
-    const std::vector<uint32_t> &start = _plan.start;
-    t.counting.resize((start.size() - 1) * out);
-    for (size_t p = 0; p + 1 < start.size(); ++p)
+    t.counting.resize(plan.positions() * out);
+    for (size_t p = 0; p < plan.positions(); ++p)
         rowCountingCycles(t.rows.data(), _stride, out, w,
-                          _plan.weightIdx.data() + start[p],
-                          start[p + 1] - start[p], depth.data(),
+                          plan.weightIdx.data() + plan.start[p],
+                          plan.start[p + 1] - plan.start[p], depth.data(),
                           t.counting.data() + p * out);
 }
 

@@ -6,7 +6,7 @@
  * inferBatch() call, so the steady-state per-neuron hot loop performs
  * zero heap allocations: the counting scratch resets sparsely and the
  * batch-strided arenas are sized up front for ChipConfig::maxBatch
- * lanes. Everything that depends only on the model (packed rows, conv
+ * lanes. Everything that depends only on the model (packed rows,
  * gather plans, counting cycles) lives in the shared layer contexts.
  * The busy flag lets concurrent infer() calls on one chip stay safe:
  * the loser of the exchange falls back to a private spare workspace.
@@ -103,11 +103,11 @@ struct ResidualLanes
 
 /**
  * Outputs of the tally calls in flight (KernelOps::tally): each neuron
- * slot's product sum, non-zero cells and CSD terms. A dense pass
- * covers kPassNeurons neurons (8 groups, one cache line of each packed
- * row) for every lane, lane-major (lane * kPassNeurons + k); a conv
- * position covers one lane's channels; a recurrent step one lane's x
- * path at [0, stride) and h path at [stride, 2 * stride).
+ * slot's product sum, non-zero cells and CSD terms. A dense or conv
+ * pass covers up to kPassNeurons neurons (8 groups, one cache line of
+ * each packed row) at one output position for every lane, lane-major
+ * (lane * kPassNeurons + k); a recurrent step one lane's x path at
+ * [0, stride) and h path at [stride, 2 * stride).
  */
 struct TallyScratch
 {
@@ -137,27 +137,27 @@ struct Workspace
     std::vector<uint16_t> gatherX;
 
     /**
-     * Batch-strided staging, arena-sized at configure time from
-     * ChipConfig::maxBatch (larger batches still work — buffers grow
-     * on first use). valsB / codesB / accumCostB are neuron-major
-     * (slot = neuron * lanes + lane), so a contiguous neuron range over
-     * all lanes feeds one cross-lane AM batch lookup; amKeys / amRows
-     * are those lookups' key and row scratch.
+     * Batch-strided staging of a dense or conv layer's every output,
+     * arena-sized at configure time from ChipConfig::maxBatch (larger
+     * batches still work — buffers grow on first use). valsB / codesB /
+     * accumCostB are neuron-major (slot = output * lanes + lane), so a
+     * contiguous output range over all lanes feeds one cross-lane AM
+     * batch lookup; amKeys / amRows are the key and row scratch of one
+     * lookup of up to kPassNeurons * lanes slots.
      */
     simd::AlignedVec<double> valsB;
     simd::AlignedVec<uint16_t> codesB;
     simd::AlignedVec<uint32_t> amKeys;
     simd::AlignedVec<uint32_t> amRows;
-    /** Conv weighted-accumulation cost per slot: the activation and
+    /** Weighted-accumulation cost per slot: the activation and
      *  encoding query costs are per-layer constants the reduction
      *  re-adds per neuron in serial order. */
     std::vector<nvm::OpCost> accumCostB;
 
     /**
-     * Tally inputs and outputs: each lane's fan-in grouped by input
-     * code (one per lane for a dense layer; a conv position or a
-     * recurrent step uses the first one or two), and the tally
-     * outputs.
+     * Tally inputs and outputs: each lane's window at the current
+     * output position grouped by input code (a recurrent step uses the
+     * first two, x_t and the previous state), and the tally outputs.
      */
     std::vector<InputBuckets> inputs;
     TallyScratch tally;
