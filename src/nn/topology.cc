@@ -132,7 +132,7 @@ collectShapes(const std::vector<LayerPtr> &layers, Shape &shape,
             out.push_back({LayerKind::Recurrent,
                            rec.hidden() * rec.steps(), fanIn,
                            fanIn * rec.hidden() + rec.hidden(),
-                           rec.hidden()});
+                           rec.hidden(), rec.steps()});
             shape = {rec.hidden()};
             break;
           }

@@ -24,8 +24,8 @@ namespace rapidnn::nn {
 /** Shape summary of one compute layer. */
 struct LayerShape
 {
-    LayerKind kind;     //!< Dense, Conv2D, MaxPool2D, or AvgPool2D
-    size_t neurons;     //!< number of output values computed
+    LayerKind kind;     //!< Dense, Conv2D, pooling, or Recurrent
+    size_t neurons;     //!< output values computed, over all steps
     size_t fanIn;       //!< inputs accumulated per output value
     size_t params;      //!< trainable parameter count
     /** Multiply-accumulates for this layer (0 for pooling). */
@@ -42,6 +42,13 @@ struct LayerShape
      * table, so the distinct count is the channel count.
      */
     size_t distinctNeurons;
+    /** Sequential steps the neurons run in: a recurrent layer's
+     *  unrolled steps (the feedback hazard serializes them), 1 for
+     *  every other layer. */
+    size_t steps = 1;
+
+    /** Output values one step computes. */
+    size_t stepNeurons() const { return neurons / steps; }
 };
 
 /** Shape summary of a whole network. */

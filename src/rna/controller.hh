@@ -92,8 +92,9 @@ class Controller
     MappingPlan plan(const composer::ReinterpretedModel &model) const;
 
     /** Plan a layer-shape summary (the analytic model's input): each
-     *  layer evaluates its output values and holds its distinct
-     *  neurons' tables. */
+     *  layer evaluates the output values of one step (a recurrent
+     *  layer runs `steps` of them) and holds its distinct neurons'
+     *  tables. */
     MappingPlan plan(const nn::NetworkShape &shape) const;
 
   private:

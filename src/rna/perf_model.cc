@@ -147,7 +147,7 @@ RnaPerfModel::estimate(const nn::NetworkShape &shape) const
     // time-shared across layers and stage times add.
     size_t totalNeurons = 0;
     for (const auto &layer : shape.layers)
-        totalNeurons += layer.neurons;
+        totalNeurons += layer.stepNeurons();
     const bool resident = computeWaves(_chip, totalNeurons) <= 1;
 
     uint64_t latencyCycles = 0;
@@ -181,12 +181,15 @@ RnaPerfModel::estimate(const nn::NetworkShape &shape) const
             continue;
         }
 
+        // Each step's waves run after the previous step's (the
+        // recurrent feedback hazard), as the chip charges them.
         const uint64_t perNeuron = neuronCycles(layer.fanIn);
-        const uint64_t stageCycles = perNeuron * waves;
+        const uint64_t stageCycles = perNeuron * waves * layer.steps;
         latencyCycles += stageCycles;
         // Throughput: consecutive inputs stream through the neuron's
         // phases at the initiation interval, not the full latency.
-        const uint64_t pipelined = neuronInterval(layer.fanIn) * waves;
+        const uint64_t pipelined =
+            neuronInterval(layer.fanIn) * waves * layer.steps;
         worstStage = std::max<uint64_t>(worstStage, pipelined);
         stageSum += pipelined;
 
@@ -233,16 +236,16 @@ RnaPerfModel::estimate(const nn::NetworkShape &shape) const
                      - (encE - encActive);
         otherEnergy += counterActive;
 
-        // Broadcast buffer between layers.
+        // Broadcast buffer between layers: the last step's outputs.
         const uint32_t bits = static_cast<uint32_t>(
             std::max<size_t>(1, static_cast<size_t>(
                 std::ceil(std::log2(
                     static_cast<double>(_model.inputEntries))))));
-        const uint64_t xferCycles =
-            static_cast<uint64_t>(blockWaves(_chip, layer.neurons)) * bits;
+        const uint64_t xferCycles = static_cast<uint64_t>(
+            blockWaves(_chip, layer.stepNeurons())) * bits;
         latencyCycles += xferCycles;
         const Energy xferEnergy = cost.bufferBitEnergy
-            * (static_cast<double>(layer.neurons) * bits);
+            * (static_cast<double>(layer.stepNeurons()) * bits);
         energy += xferEnergy;
         otherTime += cycle * double(xferCycles);
         otherEnergy += xferEnergy;
@@ -254,7 +257,7 @@ RnaPerfModel::estimate(const nn::NetworkShape &shape) const
     // while the others stay clock gated.
     size_t maxLayerNeurons = 1;
     for (const auto &layer : shape.layers)
-        maxLayerNeurons = std::max(maxLayerNeurons, layer.neurons);
+        maxLayerNeurons = std::max(maxLayerNeurons, layer.stepNeurons());
     const size_t rnasPerChip = cost.rnasPerTile * cost.tilesPerChip;
     const size_t chipsUsed = std::min<size_t>(
         _chip.chips,
