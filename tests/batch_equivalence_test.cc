@@ -534,6 +534,7 @@ TEST(ChipKernelEquivalence, DenseTallySweepMatchesReference)
     sweepDenseShape({19, {17}, 65, 37}, 502);    // two mask words
     sweepDenseShape({40, {33}, 256, 37}, 503);   // four mask words
     sweepDenseShape({19, {9}, 64, 300}, 504);    // u beyond 8-bit codes
+    sweepDenseShape({19, {70}, 64, 37}, 506);    // two passes, tail of 6
 }
 
 TEST(ChipKernelEquivalence, UnpackableWeightCodebookRefused)
@@ -620,6 +621,8 @@ TEST(ChipKernelEquivalence, ConvTallySweepMatchesReference)
     sweepConvShape({7, 17, 5, nn::Padding::Valid, 0}, 513);
     sweepConvShape({5, 9, 1, nn::Padding::Valid, 0}, 514);
     sweepConvShape({6, 5, 3, nn::Padding::Same, 300}, 515);
+    // Two passes per position, over clipped windows.
+    sweepConvShape({6, 72, 3, nn::Padding::Same, 0}, 516);
 }
 
 void
