@@ -57,6 +57,11 @@ struct CpuFeatures
     /** AVX-512 VPOPCNTDQ: the tally's hardware popcount; without it
      *  the AVX-512 tally counts bits through a nibble table. */
     bool avx512vpopcntdq = false;
+    /** AVX-512 VBMI: the tally's product lookup by VPERMB over 64-byte
+     *  tables; without it the AVX-512 tally looks up through VPSHUFB
+     *  over 16-entry sub-tables. The tally runs its VPOPCNTQ + VPERMB
+     *  unit only when the host has both. */
+    bool avx512vbmi = false;
     bool neon = false;
 };
 
@@ -72,6 +77,8 @@ cpuFeatures()
         probe.avx512vpopcntdq =
             probe.avx512 &&
             __builtin_cpu_supports("avx512vpopcntdq") != 0;
+        probe.avx512vbmi =
+            probe.avx512 && __builtin_cpu_supports("avx512vbmi") != 0;
 #elif defined(__aarch64__)
         probe.neon = true;
 #endif
@@ -135,6 +142,10 @@ featureString()
 /** Neurons one tally group covers (one u64 lane each). */
 inline constexpr size_t kTallyGroup = 8;
 
+/** Edges the byte-plane product sum adds into its u16 lanes between
+ *  flushes to u64: 256 bytes of at most 255 stay below 2^16. */
+inline constexpr size_t kPlaneFlushEdges = 256;
+
 /**
  * One call of KernelOps::tally: a range of 8-neuron groups of one
  * weight matrix for one batch lane (a dense layer, one conv output
@@ -150,16 +161,29 @@ inline constexpr size_t kTallyGroup = 8;
  * end: `distinct` grows by the popcount of the OR of the planes,
  * `addends` by popcount(c ^ 3c) taken across the planes, which is the
  * number of non-zero digits in the non-adjacent form of c (the CSD
- * terms of c). `sums` is the int64 sum of the products over all edges,
- * order-free and exact; neuron j reads its product of (w, u) at
- * products[productBase[j] + ((w << shift) | u)], so neurons with their
- * own codebooks (conv channels) read their own padded table. Every
- * productBase must be a multiple of 1 << shift.
+ * terms of c).
+ *
+ * `sums` is the int64 sum of the products over all edges, order-free
+ * and exact (wrapping uint64 arithmetic). Neuron j's product of (w, u)
+ * is products[productBase[j] + ((w << shift) | u)], so neurons with
+ * their own codebooks (conv channels) read their own padded table;
+ * every productBase must be a multiple of 1 << shift. When every
+ * neuron shares one table (dense layers, both recurrent paths) the job
+ * also carries that table as byte planes (rna::ProductPlanes): for
+ * input code u, plane b holds byte b of P[w][u] - planeMin for each of
+ * 64 * maskWords weight codes, at planes[(u * planeBytes + b) * 64 *
+ * maskWords + w]. The vector kernels then sum a block of neurons at a
+ * time (64 on AVX-512, 32 on AVX2 and NEON): per bucket they hold the
+ * bucket's planes at hand, look up each edge's weight codes for the
+ * block with byte shuffles, add the bytes into u16 lanes, flush them to
+ * u64 every kPlaneFlushEdges edges, and add n * planeMin for the n
+ * edges. The scalar kernel, the oracle, always sums `products`.
  *
  * Outputs are written for every neuron of [groupBegin * 8,
  * groupEnd * 8), padding neurons included, neuron groupBegin * 8 + k
  * at index k; weight codes must be below maskWords * 64 (at most 256
- * entries).
+ * entries). The plane sum loads each row's codes of a whole block at
+ * once but never reads past neuron groupEnd * 8 of a row.
  */
 struct TallyJob
 {
@@ -172,6 +196,9 @@ struct TallyJob
     const int64_t *products;      //!< padded tables, end to end
     const uint64_t *productBase;  //!< [rowStride] table start per neuron
     uint32_t shift;
+    const uint8_t *planes;        //!< shared table's byte planes, or null
+    uint32_t planeBytes;          //!< bytes per product, 1..8
+    int64_t planeMin;             //!< the shared table's least product
     uint32_t maskWords;           //!< ceil(weight entries / 64), 1..4
     size_t groupBegin;
     size_t groupEnd;

@@ -83,8 +83,9 @@ tallyImpls()
 #endif
 #ifdef RAPIDNN_BUILD_AVX512_VPOPCNT
     if (opsFor(simd::Variant::Avx512) != nullptr &&
-        simd::cpuFeatures().avx512vpopcntdq)
-        out.push_back({"avx512-vpopcnt", tallyAvx512Vpopcnt});
+        simd::cpuFeatures().avx512vpopcntdq &&
+        simd::cpuFeatures().avx512vbmi)
+        out.push_back({"avx512-vpopcnt-vbmi", tallyAvx512Vpopcnt});
 #endif
     if (const simd::KernelOps *ops = opsFor(simd::Variant::Neon))
         out.push_back({"neon", ops->tally});

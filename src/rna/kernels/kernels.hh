@@ -48,10 +48,10 @@ struct TallyImpl
 
 /**
  * Every tally implementation this process can run, scalar first.
- * The AVX-512 table picks its popcount at run time (VPOPCNTQ when the
- * host has VPOPCNTDQ, a nibble table otherwise), so both appear here
- * separately and the equivalence tests cover the one a table would not
- * pick on this host.
+ * The AVX-512 table picks its unit at run time (VPOPCNTQ and VPERMB
+ * when the host has VPOPCNTDQ and VBMI, a nibble-table popcount and
+ * VPSHUFB lookups otherwise), so both appear here separately and the
+ * equivalence tests cover the one a table would not pick on this host.
  */
 std::vector<TallyImpl> tallyImpls();
 

@@ -156,7 +156,10 @@ directLookupAvx2(const uint32_t *queries, size_t n,
 
 /**
  * Tally registers: a pair of ymm, neurons 0-3 and 4-7. AVX2 has
- * no vector popcount, so bits are counted through a nibble table.
+ * no vector popcount, so bits are counted through a nibble table. The
+ * byte-plane product sums hold 32 neurons' codes in a ymm and look
+ * them up with VPSHUFB over 16-entry sub-tables, each reading only the
+ * codes whose bits 4 and up select it, the rest zero, merged by OR.
  */
 struct Avx2Lanes
 {
@@ -295,6 +298,117 @@ struct Avx2Lanes
         return map(acc, acc, [](__m256i p, __m256i) {
             return _mm256_sad_epu8(p, _mm256_setzero_si256());
         });
+    }
+
+    // Byte-plane product sums, 32 neurons per ymm: with 64 the keys
+    // and accumulators of three planes outgrow the 16 registers.
+    static constexpr size_t kPlaneNeurons = 32;
+    using Bytes = __m256i;
+    struct RowMask
+    {
+        bool full;
+        __m256i words;  //!< VPMASKMOVQ mask of a partial block
+    };
+    /** A plane stays in memory: each VPSHUFB broadcasts its 16-entry
+     *  sub-table from L1, a load-port op. */
+    using Table = const uint8_t *;
+    /** Per sub-table s, the codes biased so that bit 7 is clear (and
+     *  VPSHUFB reads the low nibble) only where code >> 4 == s. */
+    template <int NW>
+    struct Key
+    {
+        __m256i idx[4 * NW];
+    };
+    struct Acc
+    {
+        __m256i even, odd;  //!< u16 lanes of neurons 2k and 2k + 1
+    };
+
+    static RowMask
+    rowMask(size_t n)
+    {
+        // Element q (8 codes) is loaded when 8q < n.
+        return {n >= kPlaneNeurons,
+                _mm256_cmpgt_epi64(_mm256_set1_epi64x(int64_t(n / 8)),
+                                   _mm256_setr_epi64x(0, 1, 2, 3))};
+    }
+
+    static Bytes
+    rowCodes(const uint8_t *p, const RowMask &m)
+    {
+        if (m.full)
+            return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+        return _mm256_maskload_epi64(reinterpret_cast<const long long *>(p),
+                                     m.words);
+    }
+
+    static Table table(const uint8_t *p) { return p; }
+
+    static Table
+    tableZero()
+    {
+        alignas(64) static const uint8_t zeros[64] = {};
+        return zeros;
+    }
+
+    template <int NW>
+    static Key<NW>
+    key(Bytes codes)
+    {
+        // code ^ 16s is below 16 only in sub-table s; adding 0x70 with
+        // saturation sets bit 7 everywhere else and keeps the nibble.
+        const __m256i bias = _mm256_set1_epi8(0x70);
+        Key<NW> k;
+        for (int sub = 0; sub < 4 * NW; ++sub)
+            k.idx[sub] = _mm256_adds_epu8(
+                _mm256_xor_si256(codes, _mm256_set1_epi8(char(16 * sub))),
+                bias);
+        return k;
+    }
+
+    /** OR of every sub-table's VPSHUFB: each code reads zero from all
+     *  but its own. */
+    template <int NW>
+    static Bytes
+    lookup(const Table *t, const Key<NW> &k)
+    {
+        auto sub = [&](int s) {
+            const auto *entries = reinterpret_cast<const __m128i *>(
+                t[s / 4] + 16 * (s % 4));
+            return _mm256_shuffle_epi8(
+                _mm256_broadcastsi128_si256(_mm_loadu_si128(entries)),
+                k.idx[s]);
+        };
+        __m256i r = sub(0);
+        detail::unrolled<4 * NW - 1>(
+            [&](auto i) { r = _mm256_or_si256(r, sub(i + 1)); });
+        return r;
+    }
+
+    static Acc
+    accZero()
+    {
+        return {_mm256_setzero_si256(), _mm256_setzero_si256()};
+    }
+
+    static void
+    accAdd(Acc &a, Bytes x)
+    {
+        a.even = _mm256_add_epi16(
+            a.even, _mm256_and_si256(x, _mm256_set1_epi16(0xFF)));
+        a.odd = _mm256_add_epi16(a.odd, _mm256_srli_epi16(x, 8));
+    }
+
+    static void
+    accStore(uint16_t *lanes, const Acc &a)
+    {
+        // 128-bit lane L of lo holds neurons 16L..16L+7, of hi the
+        // next 8; interleave the lanes into neuron order.
+        const __m256i lo = _mm256_unpacklo_epi16(a.even, a.odd);
+        const __m256i hi = _mm256_unpackhi_epi16(a.even, a.odd);
+        auto *dst = reinterpret_cast<__m256i *>(lanes);
+        _mm256_storeu_si256(dst, _mm256_permute2x128_si256(lo, hi, 0x20));
+        _mm256_storeu_si256(dst + 1, _mm256_permute2x128_si256(lo, hi, 0x31));
     }
 
     static void

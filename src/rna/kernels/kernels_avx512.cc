@@ -33,11 +33,12 @@
 namespace rapidnn::rna::kernels {
 
 #ifdef RAPIDNN_BUILD_AVX512_VPOPCNT
-// kernels_avx512_vpopcnt.cc: the same tally with hardware VPOPCNTQ.
+// kernels_avx512_vpopcnt.cc: the same tally with hardware VPOPCNTQ and
+// VPERMB lookups.
 void tallyAvx512Vpopcnt(const simd::TallyJob &job);
 #endif
 
-/** The tally with the nibble-table popcount (no VPOPCNTDQ). */
+/** The tally with the nibble-table popcount and VPSHUFB lookups. */
 void
 tallyAvx512Lut(const simd::TallyJob &job)
 {
@@ -150,7 +151,8 @@ void
 tallyAvx512(const simd::TallyJob &job)
 {
 #ifdef RAPIDNN_BUILD_AVX512_VPOPCNT
-    if (simd::cpuFeatures().avx512vpopcntdq) {
+    const simd::CpuFeatures &f = simd::cpuFeatures();
+    if (f.avx512vpopcntdq && f.avx512vbmi) {
         tallyAvx512Vpopcnt(job);
         return;
     }

@@ -1,10 +1,11 @@
 /**
  * @file
- * The AVX-512 tally with the hardware VPOPCNTQ bit count.
- * Compiled with -mavx512f -mavx512bw -mavx512vpopcntdq (this
- * translation unit only); kernels_avx512.cc calls it only after the
- * runtime probe confirms VPOPCNTDQ, and otherwise runs the same tally
- * with a nibble-table popcount.
+ * The AVX-512 tally with the hardware VPOPCNTQ bit count and VPERMB
+ * product lookups. Compiled with -mavx512f -mavx512bw -mavx512vpopcntdq
+ * -mavx512vbmi (this translation unit only); kernels_avx512.cc calls it
+ * only after the runtime probe confirms VPOPCNTDQ and VBMI, and
+ * otherwise runs the same tally with a nibble-table popcount and
+ * VPSHUFB lookups.
  */
 
 #if defined(__x86_64__) || defined(__i386__)

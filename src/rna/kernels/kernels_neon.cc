@@ -4,10 +4,11 @@
  * on aarch64, so this translation unit needs no special compile flags
  * and the feature probe always reports it.
  *
- * Gathers have no NEON equivalent: the tally loads its products and the
- * direct lookup walks its segments scalar. quantize follows the AVX2
- * rule: SIMD for the correctly-rounded double arithmetic, scalar final
- * cast.
+ * Gathers have no NEON equivalent: the tally loads a conv layer's
+ * products and the direct lookup walks its segments scalar; shared
+ * product tables are summed from byte planes through TBL lookups.
+ * quantize follows the AVX2 rule: SIMD for the correctly-rounded double
+ * arithmetic, scalar final cast.
  */
 
 #if defined(__aarch64__)
@@ -94,9 +95,12 @@ directLookupNeon(const uint32_t *queries, size_t n,
 }
 
 /**
- * Tally registers: four uint64x2 per 8-neuron group. Products
- * are loaded scalar (no NEON gather); bits are counted with VCNT and
- * widened by pairwise adds.
+ * Tally registers: four uint64x2 per 8-neuron group. Per-neuron
+ * products are loaded scalar (no NEON gather); bits are counted with
+ * VCNT and widened by pairwise adds. The byte-plane product sums hold
+ * 32 neurons' codes in two q registers, look them up with TBL over a
+ * 64-byte plane (chained TBX on code - 64, - 128 and - 192 for wider
+ * codebooks) and widen the bytes into u16 lanes with UADDW.
  */
 struct NeonLanes
 {
@@ -264,6 +268,120 @@ struct NeonLanes
         for (int k = 0; k < 4; ++k)
             r.v[k] = vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(acc.v[k])));
         return r;
+    }
+
+    // Byte-plane product sums, 32 neurons at a time: with 64 the
+    // tables and accumulators of three planes outgrow the 32 registers.
+    static constexpr size_t kPlaneNeurons = 32;
+    struct Bytes
+    {
+        uint8x16_t v[2];  //!< neurons 16c..16c+15 in v[c]
+    };
+    using RowMask = size_t;  //!< codes to load, a multiple of 8
+    using Table = uint8x16x4_t;
+    template <int NW>
+    struct Key
+    {
+        uint8x16_t idx[NW][2];  //!< codes - 64q, for table q
+    };
+    struct Acc
+    {
+        uint16x8_t v[4];  //!< neurons 8i..8i+7
+    };
+
+    static RowMask rowMask(size_t n) { return n; }
+
+    static Bytes
+    rowCodes(const uint8_t *p, size_t n)
+    {
+        Bytes b;
+        if (n >= kPlaneNeurons) {
+            b.v[0] = vld1q_u8(p);
+            b.v[1] = vld1q_u8(p + 16);
+            return b;
+        }
+        for (int c = 0; c < 2; ++c) {
+            const size_t at = 16 * size_t(c);
+            if (at + 16 <= n)
+                b.v[c] = vld1q_u8(p + at);
+            else if (at + 8 <= n)
+                b.v[c] = vcombine_u8(vld1_u8(p + at), vdup_n_u8(0));
+            else
+                b.v[c] = vdupq_n_u8(0);
+        }
+        return b;
+    }
+
+    static Table
+    table(const uint8_t *p)
+    {
+        Table t;
+        for (int k = 0; k < 4; ++k)
+            t.val[k] = vld1q_u8(p + 16 * k);
+        return t;
+    }
+
+    static Table
+    tableZero()
+    {
+        Table t;
+        for (int k = 0; k < 4; ++k)
+            t.val[k] = vdupq_n_u8(0);
+        return t;
+    }
+
+    template <int NW>
+    static Key<NW>
+    key(const Bytes &codes)
+    {
+        Key<NW> k;
+        for (int q = 0; q < NW; ++q)
+            for (int c = 0; c < 2; ++c)
+                k.idx[q][c] = vsubq_u8(codes.v[c],
+                                       vdupq_n_u8(uint8_t(64 * q)));
+        return k;
+    }
+
+    template <int NW>
+    static Bytes
+    lookup(const Table *t, const Key<NW> &k)
+    {
+        // TBX keeps the lane for an index past 63, which every code
+        // outside table q becomes once 64q is subtracted (lower codes
+        // wrap).
+        Bytes r;
+        for (int c = 0; c < 2; ++c) {
+            uint8x16_t x = vqtbl4q_u8(t[0], k.idx[0][c]);
+            for (int q = 1; q < NW; ++q)
+                x = vqtbx4q_u8(x, t[q], k.idx[q][c]);
+            r.v[c] = x;
+        }
+        return r;
+    }
+
+    static Acc
+    accZero()
+    {
+        Acc a;
+        for (int i = 0; i < 4; ++i)
+            a.v[i] = vdupq_n_u16(0);
+        return a;
+    }
+
+    static void
+    accAdd(Acc &a, const Bytes &x)
+    {
+        for (int c = 0; c < 2; ++c) {
+            a.v[2 * c] = vaddw_u8(a.v[2 * c], vget_low_u8(x.v[c]));
+            a.v[2 * c + 1] = vaddw_high_u8(a.v[2 * c + 1], x.v[c]);
+        }
+    }
+
+    static void
+    accStore(uint16_t *lanes, const Acc &a)
+    {
+        for (int i = 0; i < 4; ++i)
+            vst1q_u16(lanes + 8 * i, a.v[i]);
     }
 
     static void

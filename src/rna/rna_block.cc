@@ -1,6 +1,7 @@
 #include "rna/rna_block.hh"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/check.hh"
@@ -53,6 +54,43 @@ packTallyRows(const composer::RLayer &layer, bool statePath, size_t stride,
                 : conv    ? layer.weightCodes[j][i]
                           : layer.weightCodes[0][i * out + j]);
 }
+
+} // namespace
+
+ProductPlanes
+buildProductPlanes(const AccumulationEngine &engine)
+{
+    const size_t w = engine.weightEntries();
+    const size_t u = engine.inputEntries();
+    const uint32_t shift = engine.keyShift();
+    const int64_t *p = engine.paddedProducts();
+    auto at = [&](size_t wc, size_t uc) { return p[(wc << shift) | uc]; };
+
+    ProductPlanes out;
+    int64_t hi = w * u > 0 ? at(0, 0) : 0;
+    out.min = hi;
+    for (size_t wc = 0; wc < w; ++wc)
+        for (size_t uc = 0; uc < u; ++uc) {
+            out.min = std::min(out.min, at(wc, uc));
+            hi = std::max(hi, at(wc, uc));
+        }
+    const uint64_t span = uint64_t(hi) - uint64_t(out.min);
+    out.planeBytes =
+        std::max<uint32_t>(1, (std::bit_width(span) + 7) / 8);
+
+    const size_t row = 64 * ((w + 63) / 64);
+    out.bytes.ensureZeroed(u * out.planeBytes * row);
+    for (size_t uc = 0; uc < u; ++uc)
+        for (uint32_t b = 0; b < out.planeBytes; ++b) {
+            uint8_t *plane = out.bytes.data() + (uc * out.planeBytes + b) * row;
+            for (size_t wc = 0; wc < w; ++wc)
+                plane[wc] = static_cast<uint8_t>(
+                    (uint64_t(at(wc, uc)) - uint64_t(out.min)) >> (8 * b));
+        }
+    return out;
+}
+
+namespace {
 
 /** One position whose window is the whole fan-in of n edges: edge i
  *  reads input i and weight row i. */
@@ -203,6 +241,7 @@ RnaLayerContext::buildTally(TallyRows &t, bool statePath)
     if (statePath) {
         t.products = _stateEngine->paddedProducts();
         t.shift = _stateEngine->keyShift();
+        t.planes = buildProductPlanes(*_stateEngine);
     } else if (layer.kind == composer::RLayerKind::Conv) {
         for (size_t oc = 0; oc < _engines.size(); ++oc) {
             const AccumulationEngine &e = _engines[oc];
@@ -215,6 +254,7 @@ RnaLayerContext::buildTally(TallyRows &t, bool statePath)
     } else {
         t.products = _engines[0].paddedProducts();
         t.shift = _engines[0].keyShift();
+        t.planes = buildProductPlanes(_engines[0]);
     }
     const size_t w = statePath ? _stateEngine->weightEntries()
                                : _maxWeightEntries;
@@ -279,6 +319,7 @@ RnaLayerContext::tally(const InputBuckets &inputs, size_t groupBegin,
     job.products = t.products;
     job.productBase = t.base.data();
     job.shift = t.shift;
+    t.planes.attach(job);
     job.maskWords = t.maskWords;
     job.groupBegin = groupBegin;
     job.groupEnd = groupEnd;

@@ -31,6 +31,35 @@ tallyRowStride(size_t outCount)
 }
 
 /**
+ * A shared product table as the tally's byte planes
+ * (simd::TallyJob::planes): for input code u and byte b, the 64 *
+ * maskWords bytes at bytes[(u * planeBytes + b) * 64 * maskWords] hold
+ * byte b of P[w][u] - min for every weight code w, zero past the
+ * codebook. planeBytes is the fewest bytes that hold max - min, 1 to 8;
+ * maskWords is the tally's, ceil(w / 64). Dense layers and both
+ * recurrent paths carry one; a conv layer's channels each have their
+ * own table and keep the per-neuron gather.
+ */
+struct ProductPlanes
+{
+    simd::AlignedVec<uint8_t> bytes;
+    uint32_t planeBytes = 0;
+    int64_t min = 0;
+
+    /** Point a tally job at these planes. */
+    void
+    attach(simd::TallyJob &job) const
+    {
+        job.planes = bytes.data();
+        job.planeBytes = planeBytes;
+        job.planeMin = min;
+    }
+};
+
+/** The byte planes of one engine's product table. */
+ProductPlanes buildProductPlanes(const AccumulationEngine &engine);
+
+/**
  * im2col-style gather plan of one compute layer at its input shape:
  * flat index maps from each output position's window into the layer's
  * packed weight rows and into the input tensor. A dense (or recurrent)
@@ -255,6 +284,9 @@ class RnaLayerContext
          *  end (dense and recurrent read their engine's table). */
         std::vector<int64_t> ownProducts;
         const int64_t *products = nullptr;
+        /** Dense and recurrent only: the shared table's byte planes
+         *  (empty on a conv layer). */
+        ProductPlanes planes;
         std::vector<uint64_t> base;  //!< [_stride] table start per neuron
         uint32_t shift = 0;
         uint32_t maskWords = 0;

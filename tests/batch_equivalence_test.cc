@@ -652,6 +652,9 @@ TEST(ChipKernelEquivalence, RecurrentTallySweepMatchesReference)
     sweepRecurrentShape(7, 521);
     sweepRecurrentShape(9, 522);
     sweepRecurrentShape(17, 523);
+    // Nine groups in one whole-layer job: full plane blocks (64 or
+    // 32 neurons) and a partial one.
+    sweepRecurrentShape(70, 524);
 }
 
 TEST(FastPathEquivalence, ErrorRateIdentical)

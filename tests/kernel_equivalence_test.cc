@@ -16,8 +16,9 @@
  *     codebooks.
  *  3. The tally (KernelOps::tally): every implementation against a
  *     direct per-neuron count over random layers, with one shared
- *     product table or a different table per neuron, and through
- *     tallyResult against the engine's run() oracle.
+ *     product table (summed from its byte planes) or a different table
+ *     per neuron, and through tallyResult against the engine's run()
+ *     oracle.
  *
  * Whole-chip equivalence (every variant, batch sizes 1 to 8, both
  * search modes, against the fastPath = false reference) is
@@ -206,6 +207,7 @@ sweepEngine(size_t w, size_t u, uint64_t seed)
                               nvm::CostModel{});
     AccumScratch scratch;
     const std::vector<uint64_t> base(simd::kTallyGroup, 0);
+    const ProductPlanes planes = buildProductPlanes(engine);
 
     for (size_t n : kSizes) {
         // Neuron 0 of one group; the other seven are padding (code 0).
@@ -237,6 +239,7 @@ sweepEngine(size_t w, size_t u, uint64_t seed)
                 job.products = engine.paddedProducts();
                 job.productBase = base.data();
                 job.shift = engine.keyShift();
+                planes.attach(job);
                 job.maskWords = uint32_t((w + 63) / 64);
                 job.groupBegin = 0;
                 job.groupEnd = 1;
@@ -286,9 +289,13 @@ struct TallyCase
     size_t outCount;
     size_t w;
     size_t u;
-    bool wide;        //!< products beyond int32 (fixed point)
+    double scale;     //!< products drawn from (-scale, scale)
     bool oneCode;     //!< every input shares one code
     bool perNeuron;   //!< a product table per neuron, as conv channels
+    /** One job over every group, as the recurrent walk calls it. */
+    bool oneJob = false;
+    /** Bytes the shared table's planes must take (0: not checked). */
+    uint32_t planeBytes = 0;
 };
 
 /**
@@ -298,7 +305,9 @@ struct TallyCase
  * outputs through tallyResult vs the engine's run() oracle. With
  * `perNeuron`, each neuron has its own engine and the tables lie end
  * to end, each neuron reading its own through a non-zero base (padding
- * neurons read neuron 0's), as the conv tally lays out its channels.
+ * neurons read neuron 0's), as the conv tally lays out its channels;
+ * otherwise the jobs carry the shared table's byte planes, built as
+ * RnaLayerContext builds them.
  */
 void
 sweepTally(const TallyCase &tc, size_t lanes, uint64_t seed)
@@ -308,7 +317,7 @@ sweepTally(const TallyCase &tc, size_t lanes, uint64_t seed)
     for (size_t e = 0; e < (tc.perNeuron ? tc.outCount : 1); ++e) {
         std::vector<double> table(tc.w * tc.u);
         for (auto &p : table)
-            p = (rng.uniform() * 2.0 - 1.0) * (tc.wide ? 4.0e6 : 1.5);
+            p = (rng.uniform() * 2.0 - 1.0) * tc.scale;
         engines.emplace_back(Array<double>(std::move(table)), tc.w, tc.u,
                              nvm::CostModel{});
     }
@@ -333,6 +342,11 @@ sweepTally(const TallyCase &tc, size_t lanes, uint64_t seed)
                 uint8_t(rng.uniformInt(0, int64_t(tc.w) - 1));
     const uint32_t shift = engines[0].keyShift();
     const uint32_t maskWords = uint32_t((tc.w + 63) / 64);
+    const ProductPlanes planes =
+        tc.perNeuron ? ProductPlanes{} : buildProductPlanes(engines[0]);
+    if (tc.planeBytes != 0) {
+        ASSERT_EQ(planes.planeBytes, tc.planeBytes);
+    }
 
     AccumScratch scratch;
     for (size_t L = 0; L < lanes; ++L) {
@@ -366,7 +380,8 @@ sweepTally(const TallyCase &tc, size_t lanes, uint64_t seed)
             wantAddends[j] = addends;
         }
 
-        const size_t split = size_t(rng.uniformInt(0, int64_t(groups)));
+        const size_t split =
+            tc.oneJob ? 0 : size_t(rng.uniformInt(0, int64_t(groups)));
         for (const kernels::TallyImpl &impl : kernels::tallyImpls()) {
             // One guard neuron past the stride must stay untouched.
             std::vector<int64_t> sums(stride + 1, -7);
@@ -382,6 +397,7 @@ sweepTally(const TallyCase &tc, size_t lanes, uint64_t seed)
             job.products = products.data();
             job.productBase = base.data();
             job.shift = shift;
+            planes.attach(job);
             job.maskWords = maskWords;
             for (auto [gb, ge] : {std::pair<size_t, size_t>{0, split},
                                   {split, groups}}) {
@@ -398,7 +414,9 @@ sweepTally(const TallyCase &tc, size_t lanes, uint64_t seed)
                 + " out=" + std::to_string(tc.outCount)
                 + " w=" + std::to_string(tc.w)
                 + " u=" + std::to_string(tc.u)
-                + (tc.perNeuron ? " per-neuron" : "")
+                + (tc.perNeuron
+                       ? " per-neuron"
+                       : " bytes=" + std::to_string(planes.planeBytes))
                 + " lane=" + std::to_string(L);
             for (size_t j = 0; j < stride; ++j) {
                 ASSERT_EQ(sums[j], wantSum[j]) << what << " j=" << j;
@@ -434,21 +452,28 @@ TEST(DenseTally, AllImplementationsMatchDirectCount)
 {
     const TallyCase cases[] = {
         // fan-in and outCount off multiples of 8, tail groups of 1
-        {19, 9, 16, 16, false, false, false},
-        {1, 1, 4, 4, false, false, false},
-        {33, 17, 64, 37, false, false, false},   // u not a power of two
-        {70, 25, 65, 37, false, false, false},   // two mask words
-        {45, 8, 256, 5, false, false, false},    // four mask words
-        {200, 13, 64, 16, true, false, false},   // wide products
-        {300, 11, 64, 37, false, true, false},   // one bucket, most planes
-        {4100, 3, 7, 3, false, true, false},     // > 12 planes
-        {70000, 2, 3, 2, false, true, false},    // > 16 planes
-        {257, 41, 200, 300, true, false, false}, // u beyond 8-bit codes
+        {19, 9, 16, 16, 1.5, false, false},
+        {1, 1, 4, 4, 1.5, false, false},
+        {33, 17, 64, 37, 1.5, false, false},     // u not a power of two
+        {70, 25, 65, 37, 1.5, false, false},     // two mask words
+        {45, 8, 256, 5, 1.5, false, false},      // four mask words
+        {200, 13, 64, 16, 4.0e6, false, false},  // wide products
+        {300, 11, 64, 37, 1.5, true, false},     // one bucket, most planes
+        {4100, 3, 7, 3, 1.5, true, false},       // > 12 planes
+        {70000, 2, 3, 2, 1.5, true, false},      // > 16 planes
+        {257, 41, 200, 300, 4.0e6, false, false}, // u beyond 8-bit codes
         // A product table per neuron (conv channels): non-zero bases.
-        {27, 5, 14, 8, false, false, true},
-        {75, 17, 16, 12, false, false, true},
-        {99, 9, 65, 300, true, false, true},
-        {300, 11, 64, 37, false, true, true},
+        {27, 5, 14, 8, 1.5, false, true},
+        {75, 17, 16, 12, 1.5, false, true},
+        {99, 9, 65, 300, 4.0e6, false, true},
+        {300, 11, 64, 37, 1.5, true, true},
+        // One job over 9 groups: full plane blocks (64 or 32 neurons)
+        // and a partial one, past a u16 flush.
+        {290, 70, 64, 37, 1.5, false, false, true},
+        // Byte planes at their narrowest and widest.
+        {150, 19, 64, 16, 1.0e-3, false, false, false, 1},
+        {40, 21, 48, 9, 3.0e10, false, false, false, 7},
+        {40, 11, 130, 9, 1.0e12, false, false, true, 8},
     };
     uint64_t seed = 401;
     for (const TallyCase &tc : cases)
