@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/simd.hh"
-#include "common/task_pool.hh"
 #include "core/rapidnn.hh"
 #include "rna/kernels/kernels.hh"
 
@@ -134,9 +133,7 @@ escapeJson(const std::string &raw)
  * Write a flat machine-readable metric dump as BENCH_<name>.json in the
  * current directory, so CI and scripts can diff bench results without
  * scraping stdout. Non-finite values serialize as null. Every dump
- * records the RAPIDNN_THREADS override (0 = unset) and the resolved
- * default lane budget, so thread-sensitive results are reproducible,
- * plus the detected CPU features, the kernel variant an Auto chip
+ * records the detected CPU features, the kernel variant an Auto chip
  * would select, and any RAPIDNN_SIMD override in effect — so two
  * BENCH_*.json files are only comparable when their kernel attribution
  * matches.
@@ -144,7 +141,7 @@ escapeJson(const std::string &raw)
 inline void
 writeBenchJson(
     const std::string &name,
-    const std::vector<std::pair<std::string, double>> &metricsIn)
+    const std::vector<std::pair<std::string, double>> &metrics)
 {
     const std::string path = "BENCH_" + name + ".json";
     std::ofstream out(path);
@@ -152,11 +149,6 @@ writeBenchJson(
         std::cerr << "warning: could not write " << path << "\n";
         return;
     }
-    std::vector<std::pair<std::string, double>> metrics = metricsIn;
-    metrics.emplace_back("rapidnn_threads",
-                         double(TaskPool::envThreadOverride()));
-    metrics.emplace_back("default_threads",
-                         double(TaskPool::defaultThreads()));
     out.precision(12);
     out << "{\n  \"bench\": \"" << escapeJson(name) << "\"";
     out << ",\n  \"simd_variant\": \""

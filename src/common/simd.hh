@@ -2,10 +2,10 @@
  * @file
  * Runtime CPU-feature detection and the SIMD kernel dispatch surface.
  *
- * The inference hot loops (the weighted-accumulation tally, NDCAM
- * lookups, max pooling) run through a table of
- * function pointers selected once per Chip::configure from the host's
- * CPU features, a `RAPIDNN_SIMD` environment override, or an explicit
+ * The inference hot loops (the weighted-accumulation tally and the
+ * NDCAM lookups) run through a table of function pointers selected
+ * once per Chip::configure from the host's CPU features, a
+ * `RAPIDNN_SIMD` environment override, or an explicit
  * `ChipConfig::simd` request. The per-ISA implementations live in
  * `src/rna/kernels/`; this header defines only the dispatch *types*
  * (variant enum, feature probe, the KernelOps function-pointer table)
@@ -132,6 +132,10 @@ featureString()
         add("avx2");
     if (f.avx512)
         add("avx512");
+    if (f.avx512vpopcntdq)
+        add("avx512vpopcntdq");
+    if (f.avx512vbmi)
+        add("avx512vbmi");
     if (f.neon)
         add("neon");
     if (s.empty())
@@ -219,9 +223,6 @@ struct TallyJob
 struct KernelOps
 {
     const char *name;  //!< variantName() of the implementing ISA
-
-    /** Maximum element of v[0..n); n >= 1. */
-    uint16_t (*maxU16)(const uint16_t *v, size_t n);
 
     /**
      * Batched FixedPointCodec::quantize: for each lane,

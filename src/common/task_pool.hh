@@ -1,108 +1,46 @@
 /**
  * @file
- * A shared work-stealing task pool for deterministic sharded
- * parallelism.
- *
- * Benches and tools use it to run independent jobs side by side (the
- * serving benchmark computes its reference answers on it). Determinism
- * is structural, not scheduled: callers shard work over a
- * thread-count-independent grid, give every lane its own scratch,
- * write only disjoint output slots from inside shards, and do all
- * floating-point reductions serially in shard order afterwards — so
- * results are bitwise identical at any thread count, including one.
- *
- * One process-wide pool (TaskPool::shared()) serves them all. run() is
- * reentrant: the caller always participates (lane 0), so a pool helper
- * that enters a nested run() can never deadlock waiting for a free
- * helper.
+ * Deterministic sharded fan-out over plain per-call threads (the
+ * serving benchmark computes its reference answers on it). Callers
+ * shard work over a thread-count-independent grid, give every lane its
+ * own scratch and write only disjoint output slots from inside shards,
+ * so results are bitwise identical at any thread count, including one.
  */
 
 #ifndef RAPIDNN_COMMON_TASK_POOL_HH
 #define RAPIDNN_COMMON_TASK_POOL_HH
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <thread>
-#include <vector>
-
-#include "common/sync.hh"
 
 namespace rapidnn {
 
 class TaskPool
 {
   public:
-    /** Spin up `helperThreads` workers (0 = caller-only pool). */
-    explicit TaskPool(size_t helperThreads);
+    /** Allow up to `helperThreads` helpers per run() (0 = caller only). */
+    explicit TaskPool(size_t helperThreads) : _lanes(helperThreads + 1) {}
 
-    /** Joins the helpers; outstanding run() calls must have returned. */
-    ~TaskPool();
-
-    TaskPool(const TaskPool &) = delete;
-    TaskPool &operator=(const TaskPool &) = delete;
-
-    /**
-     * The process-wide pool. Sized once, on first use, to
-     * defaultThreads() lanes (but at least 2, so sharded code paths
-     * exercise real cross-thread execution even on one-core hosts).
-     */
+    /** The process-wide pool: max(hardware concurrency, 2) lanes, so
+     *  sharded code crosses threads even on one-core hosts. */
     static TaskPool &shared();
 
-    /**
-     * RAPIDNN_THREADS environment override, clamped to [1, 64].
-     * Returns 0 when unset or unparsable.
-     */
-    static size_t envThreadOverride();
-
-    /**
-     * Default lane budget for "use the machine" callers (benches,
-     * demos): the RAPIDNN_THREADS override when set, otherwise the
-     * hardware concurrency (at least 1).
-     */
-    static size_t defaultThreads();
-
     /** Usable lanes: the helpers plus the calling thread. */
-    size_t lanes() const { return _helpers.size() + 1; }
+    size_t lanes() const { return _lanes; }
 
     /**
-     * Run fn(shard, lane) for every shard in [0, shards), blocking
-     * until all complete. The caller participates as lane 0; up to
-     * maxLanes - 1 helpers join with distinct lanes in [1, maxLanes).
-     * Shards are claimed dynamically (work stealing), so which lane
-     * runs which shard is unspecified — fn must only write shard-owned
-     * slots and lane-owned scratch. fn must not throw. Safe to call
-     * concurrently from many threads and from inside a running shard.
+     * Run fn(shard, lane) for every shard in [0, shards). The caller is
+     * lane 0; min(maxLanes, lanes(), shards) - 1 threads started for
+     * this call take lanes 1 and up, and all are joined before run()
+     * returns, so a nested run() starts its own and cannot deadlock.
+     * Which lane runs which shard is unspecified: fn must only write
+     * shard-owned slots and lane-owned scratch, and must not throw.
      */
     void run(size_t shards, size_t maxLanes,
-             const std::function<void(size_t shard, size_t lane)> &fn);
+             const std::function<void(size_t shard, size_t lane)> &fn) const;
 
   private:
-    /** One in-flight run() call, owned by its caller's stack frame.
-     *  nextLane/activeHelpers are guarded by the owning pool's _mutex;
-     *  that guard crosses objects, which the static analysis cannot
-     *  express, so it is enforced by TSan and review (DESIGN.md §11). */
-    struct Job
-    {
-        const std::function<void(size_t, size_t)> *fn = nullptr;
-        size_t shards = 0;
-        size_t maxLanes = 0;
-        size_t nextLane = 1;             //!< guarded by _mutex
-        size_t activeHelpers = 0;        //!< guarded by _mutex
-        std::atomic<size_t> nextShard{0};
-        std::atomic<size_t> completed{0};
-    };
-
-    void helperMain();
-    Job *openJob() RAPIDNN_REQUIRES(_mutex);
-
-    Mutex _mutex;
-    CondVar _workCv;  //!< helpers wait for open jobs
-    CondVar _doneCv;  //!< callers wait for completion
-    /** Jobs with shards/lanes left. */
-    std::vector<Job *> _jobs RAPIDNN_GUARDED_BY(_mutex);
-    std::vector<std::thread> _helpers;
-    bool _stop RAPIDNN_GUARDED_BY(_mutex) = false;
+    size_t _lanes;
 };
 
 } // namespace rapidnn

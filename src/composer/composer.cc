@@ -52,6 +52,49 @@ buildCodebook(const std::vector<double> &samples, size_t entries,
     return tree.level(tree.levelForEntries(entries));
 }
 
+/** Cluster a whole weight tensor onto one codebook; `codes` receives
+ *  each weight's codebook index. */
+quant::Codebook
+clusterWeights(const nn::Tensor &w, size_t entries, size_t treeDepth,
+               std::vector<uint16_t> &codes)
+{
+    std::vector<double> samples(w.numel());
+    for (size_t i = 0; i < w.numel(); ++i)
+        samples[i] = w[i];
+    quant::Codebook cb = buildCodebook(samples, entries, treeDepth);
+    codes.resize(w.numel());
+    for (size_t i = 0; i < w.numel(); ++i)
+        codes[i] = static_cast<uint16_t>(cb.encode(w[i]));
+    return cb;
+}
+
+/** The crossbar's product table: entry (wi, ui) holds
+ *  wcb[wi] * ucb[ui], row-major over weight codes. */
+std::vector<double>
+productTable(const quant::Codebook &wcb, const quant::Codebook &ucb)
+{
+    std::vector<double> table(wcb.size() * ucb.size());
+    for (size_t wi = 0; wi < wcb.size(); ++wi)
+        for (size_t ui = 0; ui < ucb.size(); ++ui)
+            table[wi * ucb.size() + ui] = wcb.value(wi) * ucb.value(ui);
+    return table;
+}
+
+/** The activation table's domain: the captured pre-activation range
+ *  [lo, hi] widened by 5% on each side, or the activation's default
+ *  domain when the capture is degenerate. */
+void
+activationDomain(nn::ActKind kind, double &lo, double &hi)
+{
+    if (hi - lo < 1e-6) {
+        nn::actDefaultDomain(kind, lo, hi);
+    } else {
+        const double margin = 0.05 * (hi - lo);
+        lo -= margin;
+        hi += margin;
+    }
+}
+
 } // namespace
 
 namespace {
@@ -227,40 +270,37 @@ Composer::projectWeights(nn::Network &net)
         rewritten += count;
     };
 
-    for (auto &layerPtr : net.layers()) {
-        nn::Layer &layer = *layerPtr;
-        if (layer.kind() == LayerKind::Dense) {
-            auto &dense = static_cast<nn::DenseLayer &>(layer);
-            nn::Tensor &w = dense.weights().value;
-            clusterRange(w, 0, w.numel());
-        } else if (layer.kind() == LayerKind::Conv2D) {
-            auto &conv = static_cast<nn::Conv2DLayer &>(layer);
-            nn::Tensor &w = conv.weights().value;
-            const size_t perChannel = w.numel() / conv.outChannels();
-            for (size_t oc = 0; oc < conv.outChannels(); ++oc)
-                clusterRange(w, oc * perChannel, perChannel);
-        } else if (layer.kind() == LayerKind::Recurrent) {
-            auto &elman = static_cast<nn::ElmanLayer &>(layer);
-            // Project both weight matrices onto their own codebooks.
-            for (nn::Param *param : {&elman.inputWeights(),
-                                     &elman.recurrentWeights()})
-                clusterRange(param->value, 0, param->value.numel());
-        } else if (layer.kind() == LayerKind::Residual) {
-            // Projection recurses naturally through parameters(),
-            // but clustering must stay per inner layer; reuse the
-            // public API by projecting a temporary network view.
-            auto &res = static_cast<nn::ResidualLayer &>(layer);
-            for (auto &innerPtr : res.inner()) {
-                if (innerPtr->kind() == LayerKind::Dense) {
-                    auto &dense =
-                        static_cast<nn::DenseLayer &>(*innerPtr);
+    // The same compute layers reinterpret() clusters, residual blocks
+    // included at any depth.
+    std::function<void(const std::vector<nn::LayerPtr> &)> walk =
+        [&](const std::vector<nn::LayerPtr> &layers) {
+            for (const auto &layerPtr : layers) {
+                nn::Layer &layer = *layerPtr;
+                if (layer.kind() == LayerKind::Dense) {
+                    auto &dense = static_cast<nn::DenseLayer &>(layer);
                     nn::Tensor &w = dense.weights().value;
                     clusterRange(w, 0, w.numel());
+                } else if (layer.kind() == LayerKind::Conv2D) {
+                    auto &conv = static_cast<nn::Conv2DLayer &>(layer);
+                    nn::Tensor &w = conv.weights().value;
+                    const size_t perChannel =
+                        w.numel() / conv.outChannels();
+                    for (size_t oc = 0; oc < conv.outChannels(); ++oc)
+                        clusterRange(w, oc * perChannel, perChannel);
+                } else if (layer.kind() == LayerKind::Recurrent) {
+                    auto &elman = static_cast<nn::ElmanLayer &>(layer);
+                    // Both weight matrices onto their own codebooks.
+                    for (nn::Param *param : {&elman.inputWeights(),
+                                             &elman.recurrentWeights()})
+                        clusterRange(param->value, 0,
+                                     param->value.numel());
+                } else if (layer.kind() == LayerKind::Residual) {
+                    walk(static_cast<nn::ResidualLayer &>(layer)
+                             .inner());
                 }
             }
-        }
-    }
-
+        };
+    walk(net.layers());
     return rewritten;
 }
 
@@ -372,32 +412,18 @@ Composer::reinterpret(nn::Network &net, const nn::Dataset &train)
                 r.outCount = dense.outFeatures();
                 r.inputCodebook = inputCodebooks[computeIdx];
 
-                const nn::Tensor &w = dense.weights().value;
-                std::vector<double> samples(w.numel());
-                for (size_t i = 0; i < w.numel(); ++i)
-                    samples[i] = w[i];
-                r.weightCodebooks.push_back(buildCodebook(
-                    samples, _config.weightClusters,
-                    _config.treeDepth));
-                std::vector<uint16_t> codes(w.numel());
-                for (size_t i = 0; i < w.numel(); ++i)
-                    codes[i] = static_cast<uint16_t>(
-                        r.weightCodebooks[0].encode(w[i]));
+                std::vector<uint16_t> codes;
+                r.weightCodebooks.push_back(clusterWeights(
+                    dense.weights().value, _config.weightClusters,
+                    _config.treeDepth, codes));
                 r.weightCodes.push_back(std::move(codes));
 
                 std::vector<float> bias(r.outCount);
                 for (size_t j = 0; j < r.outCount; ++j)
                     bias[j] = dense.bias().value[j];
                 r.bias = std::move(bias);
-
-                const auto &wcb = r.weightCodebooks[0];
-                const auto &ucb = r.inputCodebook;
-                std::vector<double> table(wcb.size() * ucb.size());
-                for (size_t wi = 0; wi < wcb.size(); ++wi)
-                    for (size_t ui = 0; ui < ucb.size(); ++ui)
-                        table[wi * ucb.size() + ui] =
-                            wcb.value(wi) * ucb.value(ui);
-                r.productTables.push_back(std::move(table));
+                r.productTables.push_back(productTable(
+                    r.weightCodebooks[0], r.inputCodebook));
 
                 out.push_back(std::move(r));
                 pending = &out.back();
@@ -454,14 +480,8 @@ Composer::reinterpret(nn::Network &net, const nn::Dataset &train)
                             r.weightCodebooks[oc].encode(
                                 w[oc * perChannel + i]));
                     r.weightCodes.push_back(std::move(codes));
-                    const auto &wcb = r.weightCodebooks[oc];
-                    const auto &ucb = r.inputCodebook;
-                    std::vector<double> table(wcb.size() * ucb.size());
-                    for (size_t wi = 0; wi < wcb.size(); ++wi)
-                        for (size_t ui = 0; ui < ucb.size(); ++ui)
-                            table[wi * ucb.size() + ui] =
-                                wcb.value(wi) * ucb.value(ui);
-                    r.productTables.push_back(std::move(table));
+                    r.productTables.push_back(productTable(
+                        r.weightCodebooks[oc], r.inputCodebook));
                     bias[oc] = conv.bias().value[oc];
                 }
                 r.bias = std::move(bias);
@@ -490,13 +510,7 @@ Composer::reinterpret(nn::Network &net, const nn::Dataset &train)
                     lo = cap.preActLo;
                     hi = cap.preActHi;
                 }
-                if (hi - lo < 1e-6) {
-                    nn::actDefaultDomain(act.actKind(), lo, hi);
-                } else {
-                    const double margin = 0.05 * (hi - lo);
-                    lo -= margin;
-                    hi += margin;
-                }
+                activationDomain(act.actKind(), lo, hi);
                 pending->activation = quant::ActivationTable::build(
                     act.actKind(), _config.activationRows,
                     _config.spacing, lo, hi);
@@ -550,54 +564,23 @@ Composer::reinterpret(nn::Network &net, const nn::Dataset &train)
                     _config.treeDepth);
 
                 // Input-path (Wx) codebook and product table.
-                const nn::Tensor &wx = elman.inputWeights().value;
-                std::vector<double> wxSamples(wx.numel());
-                for (size_t i = 0; i < wx.numel(); ++i)
-                    wxSamples[i] = wx[i];
-                r.weightCodebooks.push_back(buildCodebook(
-                    wxSamples, _config.weightClusters,
-                    _config.treeDepth));
-                std::vector<uint16_t> wxCodes(wx.numel());
-                for (size_t i = 0; i < wx.numel(); ++i)
-                    wxCodes[i] = static_cast<uint16_t>(
-                        r.weightCodebooks[0].encode(wx[i]));
-                r.weightCodes.push_back(std::move(wxCodes));
-                {
-                    const auto &wcb = r.weightCodebooks[0];
-                    const auto &ucb = r.inputCodebook;
-                    std::vector<double> table(wcb.size() * ucb.size());
-                    for (size_t wi = 0; wi < wcb.size(); ++wi)
-                        for (size_t ui = 0; ui < ucb.size(); ++ui)
-                            table[wi * ucb.size() + ui] =
-                                wcb.value(wi) * ucb.value(ui);
-                    r.productTables.push_back(std::move(table));
-                }
+                std::vector<uint16_t> codes;
+                r.weightCodebooks.push_back(clusterWeights(
+                    elman.inputWeights().value, _config.weightClusters,
+                    _config.treeDepth, codes));
+                r.weightCodes.push_back(std::move(codes));
+                r.productTables.push_back(productTable(
+                    r.weightCodebooks[0], r.inputCodebook));
 
                 // Feedback-path (Wh) codebook and product table.
-                const nn::Tensor &wh =
-                    elman.recurrentWeights().value;
-                std::vector<double> whSamples(wh.numel());
-                for (size_t i = 0; i < wh.numel(); ++i)
-                    whSamples[i] = wh[i];
-                r.stateWeightCodebooks.push_back(buildCodebook(
-                    whSamples, _config.weightClusters,
-                    _config.treeDepth));
-                std::vector<uint16_t> whCodes(wh.numel());
-                for (size_t i = 0; i < wh.numel(); ++i)
-                    whCodes[i] = static_cast<uint16_t>(
-                        r.stateWeightCodebooks[0].encode(wh[i]));
-                r.stateWeightCodes.push_back(std::move(whCodes));
-                {
-                    const auto &wcb = r.stateWeightCodebooks[0];
-                    const auto &hcb = r.stateCodebook;
-                    std::vector<double> table(
-                        wcb.size() * hcb.size());
-                    for (size_t wi = 0; wi < wcb.size(); ++wi)
-                        for (size_t hi = 0; hi < hcb.size(); ++hi)
-                            table[wi * hcb.size() + hi] =
-                                wcb.value(wi) * hcb.value(hi);
-                    r.stateProductTables.push_back(std::move(table));
-                }
+                std::vector<uint16_t> stateCodes;
+                r.stateWeightCodebooks.push_back(clusterWeights(
+                    elman.recurrentWeights().value,
+                    _config.weightClusters, _config.treeDepth,
+                    stateCodes));
+                r.stateWeightCodes.push_back(std::move(stateCodes));
+                r.stateProductTables.push_back(productTable(
+                    r.stateWeightCodebooks[0], r.stateCodebook));
 
                 std::vector<float> bias(r.outCount);
                 for (size_t h = 0; h < r.outCount; ++h)
@@ -609,13 +592,7 @@ Composer::reinterpret(nn::Network &net, const nn::Dataset &train)
                 const LayerCapture &cap =
                     captures.compute[computeIdx];
                 double lo = cap.preActLo, hi = cap.preActHi;
-                if (hi - lo < 1e-6) {
-                    nn::actDefaultDomain(elman.activation(), lo, hi);
-                } else {
-                    const double margin = 0.05 * (hi - lo);
-                    lo -= margin;
-                    hi += margin;
-                }
+                activationDomain(elman.activation(), lo, hi);
                 r.activation = quant::ActivationTable::build(
                     elman.activation(), _config.activationRows,
                     _config.spacing, lo, hi);

@@ -106,8 +106,9 @@ class Composer
                                    const nn::Dataset &train);
 
     /**
-     * Project every dense/conv weight onto its codebook centroid
-     * (k-means clustered per layer, per channel for conv). Returns the
+     * Project every compute layer's weights onto their codebook
+     * centroids (clustered per layer, per channel for conv, per matrix
+     * for recurrent), recursing into residual blocks. Returns the
      * number of parameters rewritten.
      */
     size_t projectWeights(nn::Network &net);

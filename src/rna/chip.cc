@@ -538,7 +538,7 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
                         code = _config.fastPath
                             ? RnaLayerContext::poolMaxFast(
                                   window.data(), window.size(),
-                                  _config.cost, one, *_kops)
+                                  _config.cost, one)
                             : RnaLayerContext::poolMax(window,
                                                        _config.cost, one);
                     } else {

@@ -37,31 +37,6 @@ namespace rapidnn::rna::kernels {
 
 namespace {
 
-uint16_t
-maxU16Avx2(const uint16_t *v, size_t n)
-{
-    size_t i = 0;
-    uint16_t best = 0;
-    if (n >= 16) {
-        __m256i acc = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(v));
-        for (i = 16; i + 16 <= n; i += 16)
-            acc = _mm256_max_epu16(
-                acc, _mm256_loadu_si256(
-                         reinterpret_cast<const __m256i *>(v + i)));
-        alignas(32) uint16_t lanes[16];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-        for (uint16_t lane : lanes)
-            best = std::max(best, lane);
-    } else {
-        best = v[0];
-        i = 1;
-    }
-    for (; i < n; ++i)
-        best = std::max(best, v[i]);
-    return best;
-}
-
 void
 quantizeAvx2(const double *x, size_t n, double lo, double hi,
              uint32_t maxKey, uint32_t *keys)
@@ -439,7 +414,7 @@ tallyAvx2(const simd::TallyJob &job)
 
 extern const simd::KernelOps kAvx2Ops;
 const simd::KernelOps kAvx2Ops = {
-    "avx2", maxU16Avx2, quantizeAvx2, directLookupAvx2, tallyAvx2,
+    "avx2", quantizeAvx2, directLookupAvx2, tallyAvx2,
 };
 
 } // namespace rapidnn::rna::kernels

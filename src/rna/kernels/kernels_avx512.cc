@@ -47,28 +47,6 @@ tallyAvx512Lut(const simd::TallyJob &job)
 
 namespace {
 
-uint16_t
-maxU16Avx512(const uint16_t *v, size_t n)
-{
-    size_t i = 0;
-    uint16_t best = 0;
-    if (n >= 32) {
-        __m512i acc = _mm512_loadu_si512(v);
-        for (i = 32; i + 32 <= n; i += 32)
-            acc = _mm512_max_epu16(acc, _mm512_loadu_si512(v + i));
-        alignas(64) uint16_t lanes[32];
-        _mm512_store_si512(lanes, acc);
-        for (uint16_t lane : lanes)
-            best = std::max(best, lane);
-    } else {
-        best = v[0];
-        i = 1;
-    }
-    for (; i < n; ++i)
-        best = std::max(best, v[i]);
-    return best;
-}
-
 void
 quantizeAvx512(const double *x, size_t n, double lo, double hi,
                uint32_t maxKey, uint32_t *keys)
@@ -164,8 +142,7 @@ tallyAvx512(const simd::TallyJob &job)
 
 extern const simd::KernelOps kAvx512Ops;
 const simd::KernelOps kAvx512Ops = {
-    "avx512", maxU16Avx512, quantizeAvx512, directLookupAvx512,
-    tallyAvx512,
+    "avx512", quantizeAvx512, directLookupAvx512, tallyAvx512,
 };
 
 } // namespace rapidnn::rna::kernels

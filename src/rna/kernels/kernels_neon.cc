@@ -24,25 +24,6 @@ namespace rapidnn::rna::kernels {
 
 namespace {
 
-uint16_t
-maxU16Neon(const uint16_t *v, size_t n)
-{
-    size_t i = 0;
-    uint16_t best = 0;
-    if (n >= 8) {
-        uint16x8_t acc = vld1q_u16(v);
-        for (i = 8; i + 8 <= n; i += 8)
-            acc = vmaxq_u16(acc, vld1q_u16(v + i));
-        best = vmaxvq_u16(acc);
-    } else {
-        best = v[0];
-        i = 1;
-    }
-    for (; i < n; ++i)
-        best = std::max(best, v[i]);
-    return best;
-}
-
 void
 quantizeNeon(const double *x, size_t n, double lo, double hi,
              uint32_t maxKey, uint32_t *keys)
@@ -409,7 +390,7 @@ tallyNeon(const simd::TallyJob &job)
 
 extern const simd::KernelOps kNeonOps;
 const simd::KernelOps kNeonOps = {
-    "neon", maxU16Neon, quantizeNeon, directLookupNeon, tallyNeon,
+    "neon", quantizeNeon, directLookupNeon, tallyNeon,
 };
 
 } // namespace rapidnn::rna::kernels

@@ -20,15 +20,6 @@ namespace rapidnn::rna::kernels {
 
 namespace {
 
-uint16_t
-maxU16Scalar(const uint16_t *v, size_t n)
-{
-    uint16_t best = v[0];
-    for (size_t i = 1; i < n; ++i)
-        best = std::max(best, v[i]);
-    return best;
-}
-
 void
 quantizeScalar(const double *x, size_t n, double lo, double hi,
                uint32_t maxKey, uint32_t *keys)
@@ -192,8 +183,7 @@ tallyScalar(const simd::TallyJob &job)
 
 extern const simd::KernelOps kScalarOps;
 const simd::KernelOps kScalarOps = {
-    "scalar", maxU16Scalar, quantizeScalar, directLookupScalar,
-    tallyScalar,
+    "scalar", quantizeScalar, directLookupScalar, tallyScalar,
 };
 
 } // namespace rapidnn::rna::kernels

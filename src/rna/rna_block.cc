@@ -434,15 +434,14 @@ RnaLayerContext::poolMax(const std::vector<uint16_t> &codes,
 uint16_t
 RnaLayerContext::poolMaxFast(const uint16_t *codes, size_t count,
                              const nvm::CostModel &model,
-                             nvm::OpCost &cost,
-                             const simd::KernelOps &ops)
+                             nvm::OpCost &cost)
 {
     RAPIDNN_ASSERT(count > 0, "poolMax on empty window");
     // Charge exactly what poolMax's Ndcam would: one load of `count`
     // keys, then one MAX search over `count` 16-bit rows.
     cost += {1, model.camWriteEnergy * static_cast<double>(count)};
     cost += model.camSearch(count, 16);
-    return ops.maxU16(codes, count);
+    return *std::max_element(codes, codes + count);
 }
 
 } // namespace rapidnn::rna

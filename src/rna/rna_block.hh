@@ -139,13 +139,11 @@ class RnaLayerContext
     /**
      * The production twin of poolMax(): charges the identical load +
      * MAX-search cost without materializing an Ndcam, and resolves the
-     * same winner through the kernel table's max reduction (codes are
-     * order-preserving values).
+     * same winner as a plain max (codes are order-preserving values).
      */
     static uint16_t poolMaxFast(const uint16_t *codes, size_t count,
                                 const nvm::CostModel &model,
-                                nvm::OpCost &cost,
-                                const simd::KernelOps &ops);
+                                nvm::OpCost &cost);
 
     /**
      * One unrolled step of a recurrent neuron: accumulate the x-path

@@ -101,6 +101,45 @@ TEST(ProjectWeights, ConvClusteredPerChannel)
     }
 }
 
+TEST(ProjectWeights, RecursesIntoResidualConvAndNestedBlocks)
+{
+    // reinterpret() clusters every compute layer inside residual
+    // blocks, at any depth; projection must reach the same layers.
+    Rng rng(74);
+    std::vector<nn::LayerPtr> nested;
+    nested.push_back(std::make_unique<nn::DenseLayer>(5, 5, rng));
+    std::vector<nn::LayerPtr> inner;
+    inner.push_back(std::make_unique<nn::Conv2DLayer>(
+        2, 3, 3, nn::Padding::Same, rng));
+    inner.push_back(std::make_unique<nn::ResidualLayer>(std::move(nested)));
+    Network net;
+    net.add(std::make_unique<nn::ResidualLayer>(std::move(inner)));
+
+    const auto &block = static_cast<nn::ResidualLayer &>(net.layer(0));
+    auto &conv = static_cast<nn::Conv2DLayer &>(*block.inner()[0]);
+    auto &dense = static_cast<nn::DenseLayer &>(
+        *static_cast<nn::ResidualLayer &>(*block.inner()[1]).inner()[0]);
+    const Tensor &cw = conv.weights().value;
+    const Tensor &dw = dense.weights().value;
+
+    ComposerConfig config;
+    config.weightClusters = 4;
+    Composer composer(config);
+    EXPECT_EQ(composer.projectWeights(net), cw.numel() + dw.numel());
+
+    const size_t perChannel = cw.numel() / conv.outChannels();
+    for (size_t oc = 0; oc < conv.outChannels(); ++oc) {
+        std::set<float> distinct;
+        for (size_t i = 0; i < perChannel; ++i)
+            distinct.insert(cw[oc * perChannel + i]);
+        EXPECT_LE(distinct.size(), 4u) << "conv channel " << oc;
+    }
+    std::set<float> distinct;
+    for (size_t i = 0; i < dw.numel(); ++i)
+        distinct.insert(dw[i]);
+    EXPECT_LE(distinct.size(), 4u) << "nested dense";
+}
+
 // --------------------------------------------------- reinterpretation
 
 TEST(Reinterpret, StructureMirrorsNetwork)

@@ -31,6 +31,7 @@
 #include <bit>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -67,26 +68,6 @@ simdVariants()
         if (v != Variant::Scalar)
             out.push_back(v);
     return out;
-}
-
-TEST(KernelPrimitives, MaxU16MatchesScalar)
-{
-    Rng rng(105);
-    for (Variant v : simdVariants()) {
-        const KernelOps &ops = *kernels::opsFor(v);
-        for (size_t n : kSizes) {
-            if (n == 0)
-                continue; // contract requires n >= 1
-            for (size_t off = 0; off < 4; ++off) {
-                std::vector<uint16_t> src(n + off);
-                for (auto &c : src)
-                    c = uint16_t(rng.uniformInt(0, 65535));
-                EXPECT_EQ(ops.maxU16(src.data() + off, n),
-                          scalarOps().maxU16(src.data() + off, n))
-                    << ops.name << " n=" << n << " off=" << off;
-            }
-        }
-    }
 }
 
 TEST(KernelPrimitives, QuantizeMatchesScalar)
@@ -511,12 +492,34 @@ TEST(KernelDispatch, ScalarAlwaysAvailableAndTablesNamed)
         const KernelOps *ops = kernels::opsFor(v);
         ASSERT_NE(ops, nullptr) << simd::variantName(v);
         EXPECT_STREQ(ops->name, simd::variantName(v));
-        EXPECT_NE(ops->maxU16, nullptr);
         EXPECT_NE(ops->quantize, nullptr);
         EXPECT_NE(ops->directLookup, nullptr);
         EXPECT_NE(ops->tally, nullptr);
     }
     EXPECT_EQ(kernels::opsFor(Variant::Auto), nullptr);
+}
+
+TEST(KernelDispatch, FeatureStringListsEveryProbedFeature)
+{
+    // BENCH_*.json attributes a run to its kernels through this string,
+    // so every feature that picks a kernel unit must show in it.
+    const std::string s = "," + simd::featureString() + ",";
+    const simd::CpuFeatures &f = simd::cpuFeatures();
+    const std::pair<bool, const char *> probed[] = {
+        {f.avx2, "avx2"},
+        {f.avx512, "avx512"},
+        {f.avx512vpopcntdq, "avx512vpopcntdq"},
+        {f.avx512vbmi, "avx512vbmi"},
+        {f.neon, "neon"},
+    };
+    bool any = false;
+    for (const auto &[present, name] : probed) {
+        const bool listed =
+            s.find("," + std::string(name) + ",") != std::string::npos;
+        EXPECT_EQ(listed, present) << name << " in " << s;
+        any = any || present;
+    }
+    EXPECT_EQ(s == ",none,", !any) << s;
 }
 
 } // namespace

@@ -2,16 +2,13 @@
  * @file
  * The shared task pool (common/task_pool.hh). The pool's contract:
  * every shard runs exactly once, lanes are distinct within a run,
- * nested runs cannot deadlock, and the RAPIDNN_THREADS override parses
- * and clamps. Threaded, so the runtime label puts it under the TSan
- * preset.
+ * and nested runs cannot deadlock. Threaded, so the runtime label puts
+ * it under the TSan preset.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -65,8 +62,8 @@ TEST(TaskPool, MaxLanesOneStaysOnCaller)
 
 TEST(TaskPool, ReentrantNestedRuns)
 {
-    // A shard that starts a nested run() must not deadlock: callers
-    // always self-execute shards, helpers are optional accelerators.
+    // A shard that starts a nested run() must not deadlock: every
+    // run() starts its own helpers and the caller drains shards too.
     TaskPool pool(2);
     std::atomic<size_t> innerTotal{0};
     pool.run(4, 3, [&](size_t, size_t) {
@@ -82,28 +79,6 @@ TEST(TaskPool, SharedPoolHasAtLeastTwoLanes)
     // Even on a one-core host the shared pool keeps one helper, so
     // threaded code paths get real cross-thread coverage.
     EXPECT_GE(TaskPool::shared().lanes(), 2u);
-}
-
-TEST(TaskPool, EnvThreadOverrideParsesAndClamps)
-{
-    const char *old = std::getenv("RAPIDNN_THREADS");
-    const std::string saved = old != nullptr ? old : "";
-
-    ::setenv("RAPIDNN_THREADS", "6", 1);
-    EXPECT_EQ(TaskPool::envThreadOverride(), 6u);
-    EXPECT_EQ(TaskPool::defaultThreads(), 6u);
-    ::setenv("RAPIDNN_THREADS", "0", 1);
-    EXPECT_EQ(TaskPool::envThreadOverride(), 0u);
-    ::setenv("RAPIDNN_THREADS", "9999", 1);
-    EXPECT_EQ(TaskPool::envThreadOverride(), 64u);
-    ::setenv("RAPIDNN_THREADS", "junk", 1);
-    EXPECT_EQ(TaskPool::envThreadOverride(), 0u);
-    ::unsetenv("RAPIDNN_THREADS");
-    EXPECT_EQ(TaskPool::envThreadOverride(), 0u);
-    EXPECT_GE(TaskPool::defaultThreads(), 1u);
-
-    if (old != nullptr)
-        ::setenv("RAPIDNN_THREADS", saved.c_str(), 1);
 }
 
 } // namespace
