@@ -12,9 +12,9 @@
  *   3. N-replica resident memory: RSS growth per added replica for
  *      heap-configured chips vs blob-backed clones.
  *   4. Steady-state serve-path allocation: global operator new bytes
- *      per Chip::infer after warmup (the workspace arena should leave
- *      only the escaping logits vector and O(layers) tiny shape
- *      descriptors).
+ *      per Chip::infer after warmup (the workspace should leave only
+ *      the escaping logits vector; tests/steady_alloc_test.cc pins
+ *      the count).
  *
  * Results are written to BENCH_model_load.json. --smoke (or
  * RAPIDNN_SMOKE=1) shrinks iteration counts and disables the gate.
@@ -260,7 +260,7 @@ main(int argc, char **argv)
 
         // 4. Steady-state serve-path allocation per infer.
         rna::PerfReport report;
-        for (size_t i = 0; i < 5; ++i) // warm the workspace pools
+        for (size_t i = 0; i < 5; ++i) // grow the lanes' layer buffers
             prototype.infer(bm.data.sample(i % bm.data.size()).x,
                             report);
         const uint64_t bytes0 =

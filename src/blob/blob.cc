@@ -274,10 +274,7 @@ readCodebook(const Parsed &p, MetaCursor &cur, const char *what)
 void
 validateLayer(const RLayer &layer)
 {
-    const bool compute = layer.kind == RLayerKind::Dense ||
-                         layer.kind == RLayerKind::Conv ||
-                         layer.kind == RLayerKind::Recurrent;
-    if (compute) {
+    if (composer::isComputeKind(layer.kind)) {
         RAPIDNN_CHECK(layer.inCount >= 1 && layer.outCount >= 1,
                       "model blob: compute layer with zero fan");
         RAPIDNN_CHECK(!layer.inputCodebook.empty(),

@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics containers: named scalar counters, running
- * summaries, and histograms. Hardware models accumulate into these and
+ * Lightweight statistics containers: running summaries and
+ * histograms. Hardware models accumulate into these and
  * benches/tests read them back, so every number printed by a bench is
  * traceable to a stat updated by the simulator.
  */
@@ -13,8 +13,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace rapidnn {
@@ -157,55 +155,6 @@ class Histogram
     double _hi;
     std::vector<uint64_t> _bins;
     Summary _summary;
-};
-
-/**
- * A named bag of scalar statistics. Components expose one StatSet and
- * update entries by name; merging supports hierarchical roll-ups
- * (RNA block -> tile -> chip).
- */
-class StatSet
-{
-  public:
-    /** Add delta to the named scalar (creating it at zero). */
-    void inc(const std::string &name, double delta = 1.0)
-    {
-        _scalars[name] += delta;
-    }
-
-    /** Overwrite the named scalar. */
-    void set(const std::string &name, double value)
-    {
-        _scalars[name] = value;
-    }
-
-    /** Read a scalar; missing names read as zero. */
-    double
-    get(const std::string &name) const
-    {
-        auto it = _scalars.find(name);
-        return it == _scalars.end() ? 0.0 : it->second;
-    }
-
-    bool has(const std::string &name) const
-    {
-        return _scalars.count(name) != 0;
-    }
-
-    /** Element-wise sum of another StatSet into this one. */
-    void
-    merge(const StatSet &o)
-    {
-        for (const auto &[name, value] : o._scalars)
-            _scalars[name] += value;
-    }
-
-    void clear() { _scalars.clear(); }
-
-    const std::map<std::string, double> &scalars() const { return _scalars; }
-
-  private:
-    std::map<std::string, double> _scalars;
 };
 
 } // namespace rapidnn

@@ -35,7 +35,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // ------------------------------------------------------------------
 // Attribute macros (Clang Thread Safety Analysis; no-ops elsewhere).
@@ -59,50 +58,25 @@
 /** Field may only be read/written with the given mutex held. */
 #define RAPIDNN_GUARDED_BY(x) RAPIDNN_THREAD_ANNOTATION(guarded_by(x))
 
-/** Pointee may only be accessed with the given mutex held. */
-#define RAPIDNN_PT_GUARDED_BY(x) \
-    RAPIDNN_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /** Function requires the listed mutexes held by the caller. */
 #define RAPIDNN_REQUIRES(...) \
     RAPIDNN_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
-/** Function requires the listed mutexes held in shared mode. */
-#define RAPIDNN_REQUIRES_SHARED(...) \
-    RAPIDNN_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /** Function acquires the mutex and holds it on return. */
 #define RAPIDNN_ACQUIRE(...) \
     RAPIDNN_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 
-/** Function acquires the mutex in shared (reader) mode. */
-#define RAPIDNN_ACQUIRE_SHARED(...) \
-    RAPIDNN_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
-
 /** Function releases the mutex (held on entry). */
 #define RAPIDNN_RELEASE(...) \
     RAPIDNN_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-/** Function releases a shared (reader) hold. */
-#define RAPIDNN_RELEASE_SHARED(...) \
-    RAPIDNN_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 
 /** Function acquires the mutex iff it returns the given value. */
 #define RAPIDNN_TRY_ACQUIRE(...) \
     RAPIDNN_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
-/** Shared-mode tryLock: acquires iff it returns the given value. */
-#define RAPIDNN_TRY_ACQUIRE_SHARED(...) \
-    RAPIDNN_THREAD_ANNOTATION( \
-        try_acquire_shared_capability(__VA_ARGS__))
-
 /** Caller must NOT hold the listed mutexes (deadlock prevention). */
 #define RAPIDNN_EXCLUDES(...) \
     RAPIDNN_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/** Function returns a reference to the given mutex. */
-#define RAPIDNN_RETURN_CAPABILITY(x) \
-    RAPIDNN_THREAD_ANNOTATION(lock_returned(x))
 
 /**
  * Disables the analysis for one function. MANDATORY: a comment at the
@@ -137,35 +111,6 @@ class RAPIDNN_CAPABILITY("mutex") Mutex
 };
 
 /**
- * Reader/writer mutex capability over std::shared_mutex: exclusive
- * lock()/unlock() plus shared lockShared()/unlockShared().
- */
-class RAPIDNN_CAPABILITY("shared_mutex") SharedMutex
-{
-  public:
-    SharedMutex() = default;
-    SharedMutex(const SharedMutex &) = delete;
-    SharedMutex &operator=(const SharedMutex &) = delete;
-
-    void lock() RAPIDNN_ACQUIRE() { _m.lock(); }
-    void unlock() RAPIDNN_RELEASE() { _m.unlock(); }
-    bool tryLock() RAPIDNN_TRY_ACQUIRE(true) { return _m.try_lock(); }
-
-    void lockShared() RAPIDNN_ACQUIRE_SHARED() { _m.lock_shared(); }
-    void unlockShared() RAPIDNN_RELEASE_SHARED()
-    {
-        _m.unlock_shared();
-    }
-    bool tryLockShared() RAPIDNN_TRY_ACQUIRE_SHARED(true)
-    {
-        return _m.try_lock_shared();
-    }
-
-  private:
-    std::shared_mutex _m;
-};
-
-/**
  * Scoped exclusive lock (std::lock_guard analogue). Acquires in the
  * constructor, releases in the destructor; the SCOPED_CAPABILITY
  * annotation teaches clang the pairing.
@@ -189,81 +134,6 @@ class RAPIDNN_SCOPED_CAPABILITY MutexLock
 };
 
 /**
- * Scoped lock that can be released before scope exit (for the
- * unlock-then-notify pattern). release() may be called at most once;
- * the destructor releases only when release() was not called.
- */
-class RAPIDNN_SCOPED_CAPABILITY ReleasableMutexLock
-{
-  public:
-    explicit ReleasableMutexLock(Mutex &mutex) RAPIDNN_ACQUIRE(mutex)
-        : _mutex(&mutex)
-    {
-        _mutex->lock();
-    }
-
-    ~ReleasableMutexLock() RAPIDNN_RELEASE()
-    {
-        if (_mutex != nullptr)
-            _mutex->unlock();
-    }
-
-    /** Release the lock now instead of at scope exit. */
-    void
-    release() RAPIDNN_RELEASE()
-    {
-        _mutex->unlock();
-        _mutex = nullptr;
-    }
-
-    ReleasableMutexLock(const ReleasableMutexLock &) = delete;
-    ReleasableMutexLock &operator=(const ReleasableMutexLock &) =
-        delete;
-
-  private:
-    Mutex *_mutex;
-};
-
-/** Scoped shared (reader) lock on a SharedMutex. */
-class RAPIDNN_SCOPED_CAPABILITY ReaderMutexLock
-{
-  public:
-    explicit ReaderMutexLock(SharedMutex &mutex)
-        RAPIDNN_ACQUIRE_SHARED(mutex)
-        : _mutex(mutex)
-    {
-        _mutex.lockShared();
-    }
-
-    ~ReaderMutexLock() RAPIDNN_RELEASE() { _mutex.unlockShared(); }
-
-    ReaderMutexLock(const ReaderMutexLock &) = delete;
-    ReaderMutexLock &operator=(const ReaderMutexLock &) = delete;
-
-  private:
-    SharedMutex &_mutex;
-};
-
-/** Scoped exclusive (writer) lock on a SharedMutex. */
-class RAPIDNN_SCOPED_CAPABILITY WriterMutexLock
-{
-  public:
-    explicit WriterMutexLock(SharedMutex &mutex) RAPIDNN_ACQUIRE(mutex)
-        : _mutex(mutex)
-    {
-        _mutex.lock();
-    }
-
-    ~WriterMutexLock() RAPIDNN_RELEASE() { _mutex.unlock(); }
-
-    WriterMutexLock(const WriterMutexLock &) = delete;
-    WriterMutexLock &operator=(const WriterMutexLock &) = delete;
-
-  private:
-    SharedMutex &_mutex;
-};
-
-/**
  * Condition variable bound to Mutex. Waits temporarily release the
  * mutex (std::condition_variable semantics) but are annotated
  * REQUIRES(mutex): to the static analysis the capability is held
@@ -273,11 +143,10 @@ class RAPIDNN_SCOPED_CAPABILITY WriterMutexLock
  * std::mutex via the adopt-lock trick, invisible to the analysis and
  * free of extra synchronization.
  *
- * Predicate overloads evaluate pred() with the mutex held. When the
- * predicate reads RAPIDNN_GUARDED_BY state, prefer an explicit while
- * loop in the annotated caller — clang analyzes a lambda body as a
- * separate unannotated function, so guarded reads inside it would
- * need their own RAPIDNN_REQUIRES annotation on the lambda.
+ * There are no predicate overloads: callers wait in an explicit while
+ * loop, where clang sees the guarded reads of the condition under the
+ * caller's annotations (a predicate lambda is analyzed as a separate,
+ * unannotated function).
  */
 class CondVar
 {
@@ -297,15 +166,6 @@ class CondVar
         native.release();
     }
 
-    /** wait() with a predicate: loops until pred() holds. */
-    template <typename Pred>
-    void
-    wait(Mutex &mutex, Pred pred) RAPIDNN_REQUIRES(mutex)
-    {
-        while (!pred())
-            wait(mutex);
-    }
-
     /** Timed wait; cv_status::timeout once `deadline` passes. */
     template <typename Clock, typename Duration>
     std::cv_status
@@ -318,21 +178,6 @@ class CondVar
         const std::cv_status status = _cv.wait_until(native, deadline);
         native.release();
         return status;
-    }
-
-    /** Timed predicate wait; returns pred() at exit (false = timed
-     *  out with the predicate still unsatisfied). */
-    template <typename Clock, typename Duration, typename Pred>
-    bool
-    waitUntil(Mutex &mutex,
-              std::chrono::time_point<Clock, Duration> deadline,
-              Pred pred) RAPIDNN_REQUIRES(mutex)
-    {
-        while (!pred()) {
-            if (waitUntil(mutex, deadline) == std::cv_status::timeout)
-                return pred();
-        }
-        return true;
     }
 
     void notifyOne() { _cv.notify_one(); }

@@ -10,6 +10,7 @@
 #ifndef RAPIDNN_COMMON_UNITS_HH
 #define RAPIDNN_COMMON_UNITS_HH
 
+#include <compare>
 #include <cstdint>
 
 namespace rapidnn {

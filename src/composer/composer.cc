@@ -313,8 +313,7 @@ firstComputeCodebook(const std::vector<RLayer> &layers, size_t begin)
 {
     for (size_t i = begin; i < layers.size(); ++i) {
         const RLayer &l = layers[i];
-        if (l.kind == RLayerKind::Dense || l.kind == RLayerKind::Conv ||
-            l.kind == RLayerKind::Recurrent)
+        if (isComputeKind(l.kind))
             return &l.inputCodebook;
         if (l.kind == RLayerKind::Residual) {
             const quant::Codebook *inner =

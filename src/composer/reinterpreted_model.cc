@@ -292,17 +292,7 @@ ReinterpretedModel::forward(const nn::Tensor &x) const
     for (size_t i = 0; i < x.numel(); ++i)
         enc.codes[i] = static_cast<uint16_t>(_inputEncoder.encode(x[i]));
 
-    // The last value-producing layer emits raw logits.
-    size_t lastCompute = _layers.size() - 1;
-    for (size_t l = _layers.size(); l-- > 0;) {
-        const RLayerKind kind = _layers[l].kind;
-        if (kind == RLayerKind::Dense || kind == RLayerKind::Conv ||
-            kind == RLayerKind::Residual ||
-            kind == RLayerKind::Recurrent) {
-            lastCompute = l;
-            break;
-        }
-    }
+    const size_t lastCompute = lastLogitLayer(_layers);
 
     std::vector<double> logits;
     for (size_t l = 0; l < _layers.size(); ++l) {
@@ -349,9 +339,7 @@ layerBits(const RLayer &layer)
         bits += layer.outputEncoder.entries() * 64;
         return bits;
     }
-    if (layer.kind != RLayerKind::Dense &&
-        layer.kind != RLayerKind::Conv &&
-        layer.kind != RLayerKind::Recurrent)
+    if (!isComputeKind(layer.kind))
         return 0;
     const size_t wBits = layer.weightCodebooks.empty()
         ? 0 : layer.weightCodebooks[0].bits();

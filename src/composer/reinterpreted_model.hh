@@ -52,6 +52,16 @@ enum class RLayerKind
     Recurrent,
 };
 
+/** Whether layers of `kind` are compute layers, the ones that run
+ *  weighted accumulations on the RNA blocks: Dense, Conv and
+ *  Recurrent. */
+constexpr bool
+isComputeKind(RLayerKind kind)
+{
+    return kind == RLayerKind::Dense || kind == RLayerKind::Conv ||
+           kind == RLayerKind::Recurrent;
+}
+
 /**
  * A reinterpreted compute layer (Dense or Conv) plus the structural
  * layers (pooling, flatten) the dataflow needs.
@@ -136,6 +146,20 @@ struct RLayer
         return productTables[channel][wCode * inputEntries() + uCode];
     }
 };
+
+/**
+ * The index of the last layer that emits the raw logits (a compute
+ * layer or a residual block), or layers.size() when none does.
+ */
+inline size_t
+lastLogitLayer(const std::vector<RLayer> &layers)
+{
+    for (size_t l = layers.size(); l-- > 0;)
+        if (isComputeKind(layers[l].kind) ||
+            layers[l].kind == RLayerKind::Residual)
+            return l;
+    return layers.size();
+}
 
 /** Encoded activation map travelling between reinterpreted layers. */
 struct EncodedTensor

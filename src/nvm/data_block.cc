@@ -6,49 +6,6 @@
 
 namespace rapidnn::nvm {
 
-DataBlock::DataBlock(size_t words, const CostModel &model)
-    : _store(words, 0), _model(model)
-{
-    RAPIDNN_ASSERT(words >= 1, "empty data block");
-}
-
-void
-DataBlock::write(size_t address, uint32_t word, OpCost &cost)
-{
-    RAPIDNN_ASSERT(address < _store.size(), "data block write OOB");
-    _store[address] = word;
-    // A word write switches up to 32 cells.
-    cost += {1, _model.norEnergyPerBit * 32.0};
-}
-
-uint32_t
-DataBlock::read(size_t address, OpCost &cost) const
-{
-    RAPIDNN_ASSERT(address < _store.size(), "data block read OOB");
-    cost += {1, _model.crossbarReadEnergy};
-    return _store[address];
-}
-
-void
-DataBlock::program(size_t address, const std::vector<uint32_t> &words)
-{
-    RAPIDNN_ASSERT(address + words.size() <= _store.size(),
-                   "data block program OOB");
-    std::copy(words.begin(), words.end(), _store.begin() + long(address));
-}
-
-OpCost
-DataBlock::streamOut(size_t words, size_t lanes) const
-{
-    return streamOutCost(_model, words, lanes);
-}
-
-OpCost
-DataBlock::writeBack(size_t words) const
-{
-    return writeBackCost(_model, words);
-}
-
 OpCost
 DataBlock::streamOutCost(const CostModel &model, size_t words,
                          size_t lanes)
@@ -63,15 +20,9 @@ DataBlock::streamOutCost(const CostModel &model, size_t words,
 OpCost
 DataBlock::writeBackCost(const CostModel &model, size_t words)
 {
+    // A word write switches up to 32 cells.
     return {static_cast<uint64_t>(words),
             model.norEnergyPerBit * (32.0 * double(words))};
-}
-
-Area
-DataBlock::area() const
-{
-    const double cells = static_cast<double>(_store.size()) * 32.0;
-    return _model.crossbarArea * (cells / (1024.0 * 1024.0));
 }
 
 } // namespace rapidnn::nvm

@@ -7,68 +7,35 @@
  * accelerator writes the computed results back to the crossbar
  * memory").
  *
- * Functionally a word-addressable store; cost-wise it charges read
- * energy per fetched input word and write energy per result word, the
- * terms the chip model folds into its per-inference "other" phase.
+ * The chip model charges read energy per input word streamed out and
+ * write energy per result word written back, the terms it folds into
+ * its per-inference "other" phase. The costs depend only on the cost
+ * model, so no store is materialized.
  */
 
 #ifndef RAPIDNN_NVM_DATA_BLOCK_HH
 #define RAPIDNN_NVM_DATA_BLOCK_HH
 
-#include <vector>
+#include <cstddef>
 
 #include "nvm/cost_model.hh"
 #include "nvm/op_cost.hh"
 
 namespace rapidnn::nvm {
 
-/**
- * A data block storing fixed-point words with read/write accounting.
- */
+/** The data block's transfer costs. */
 class DataBlock
 {
   public:
     /**
-     * @param words capacity in 32-bit words.
-     * @param model circuit-cost anchors.
-     */
-    DataBlock(size_t words, const CostModel &model);
-
-    size_t capacity() const { return _store.size(); }
-
-    /** Store a word (charged). */
-    void write(size_t address, uint32_t word, OpCost &cost);
-
-    /** Fetch a word (charged). */
-    uint32_t read(size_t address, OpCost &cost) const;
-
-    /** Bulk-load a dataset row without cost (initialization DMA). */
-    void program(size_t address, const std::vector<uint32_t> &words);
-
-    /**
      * Cost of streaming `words` words out over `lanes` parallel
      * bitlines (input broadcast into the RNA FIFOs).
      */
-    OpCost streamOut(size_t words, size_t lanes) const;
-
-    /** Cost of writing back `words` result words. */
-    OpCost writeBack(size_t words) const;
-
-    /**
-     * The stream/write-back costs depend only on the cost model, not
-     * the store contents, so cost-only callers (the chip's per-infer
-     * accounting) can use these without materializing a crossbar.
-     */
     static OpCost streamOutCost(const CostModel &model, size_t words,
                                 size_t lanes);
+
+    /** Cost of writing back `words` result words. */
     static OpCost writeBackCost(const CostModel &model, size_t words);
-
-    /** Silicon area (from the crossbar density anchor). */
-    Area area() const;
-
-  private:
-    std::vector<uint32_t> _store;
-    CostModel _model;
 };
 
 } // namespace rapidnn::nvm

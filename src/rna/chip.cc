@@ -139,38 +139,23 @@ class WorkspaceLease
 };
 
 /**
- * Make a lane's layer output its next input. The spent input codes go
- * back to the pool and both shape buffers keep their capacity.
- */
-void
-advanceLane(EncodedTensor &in, LayerRun &run, Workspace &ws)
-{
-    std::swap(in, run.output);
-    ws.giveCodes(std::move(run.output.codes));
-}
-
-/**
  * Ready a lane's run for a layer whose outputs have `shape`: zeroed
  * codes when the layer encodes them, zeroed raw values when it is the
  * last compute layer.
  */
 void
 beginRun(LayerRun &run, std::span<const size_t> shape, bool codes,
-         bool raw, Workspace &ws)
+         bool raw)
 {
     run.reset();
     run.output.shape.assign(shape.begin(), shape.end());
     size_t n = 1;
     for (const size_t d : shape)
         n *= d;
-    if (codes) {
-        run.output.codes = ws.takeCodes();
+    if (codes)
         run.output.codes.assign(n, 0);
-    }
-    if (raw) {
-        run.raw = ws.takeRaw();
+    if (raw)
         run.raw.assign(n, 0.0);
-    }
 }
 
 /**
@@ -181,16 +166,13 @@ beginRun(LayerRun &run, std::span<const size_t> shape, bool codes,
 void
 finishRecurrentRun(const RLayer &layer, const std::vector<double> &hRaw,
                    bool lastCompute, const nvm::CostModel &cost,
-                   Workspace &ws, LayerRun &run)
+                   LayerRun &run)
 {
     run.output.shape.assign(1, layer.outCount);
-    if (lastCompute) {
-        run.raw = ws.takeRaw();
+    if (lastCompute)
         run.raw.assign(hRaw.begin(), hRaw.end());
-    }
     if (layer.outputEncoder.empty())
         return;
-    run.output.codes = ws.takeCodes();
     run.output.codes.resize(hRaw.size());
     for (size_t h = 0; h < hRaw.size(); ++h)
         run.output.codes[h] = static_cast<uint16_t>(
@@ -308,14 +290,11 @@ Chip::configure(const composer::ReinterpretedModel &model)
         [&](const RLayer &layer, const nn::Shape &in, const nn::Shape &) {
             checkLayer(layer, in);
             set->entry[&layer] = set->contexts.size();
-            const bool compute = layer.kind == RLayerKind::Dense ||
-                                 layer.kind == RLayerKind::Conv ||
-                                 layer.kind == RLayerKind::Recurrent;
             set->contexts.push_back(
-                compute ? std::make_unique<RnaLayerContext>(
-                              layer, in, _config.cost, _config.searchMode,
-                              _kops)
-                        : nullptr);
+                composer::isComputeKind(layer.kind)
+                    ? std::make_unique<RnaLayerContext>(
+                          layer, in, _config.cost, _config.searchMode, _kops)
+                    : nullptr);
         });
     set->plan = Controller(_config).plan(model);
     RAPIDNN_ASSERT(set->plan.assignments.size() == set->contexts.size(),
@@ -327,35 +306,16 @@ Chip::configure(const composer::ReinterpretedModel &model)
 void
 Chip::buildWorkspace()
 {
-    // Build the private inference workspace now so steady-state
-    // infer() calls never grow a buffer.
+    // Build the private inference workspace now, its batch arenas
+    // sized, so steady-state infer() calls never grow a buffer (the
+    // lanes' layer buffers grow on the first call and are kept).
     _workspace = std::make_unique<Workspace>();
     Workspace &ws = *_workspace;
     const auto &ctxs = _contexts->contexts;
 
-    // Seed the activation-tensor pools from the model's canonical
-    // input shape: size every recycled buffer to the widest tensor
-    // that flows through the layer chain, so the serve path performs
-    // no buffer growth.
-    const nn::Shape &shape = _model->canonicalInputShape();
-    size_t maxElems = nn::shapeNumel(shape);
-    composer::walkLayerShapes(
-        _model->layers(), shape,
-        [&](const RLayer &layer, const nn::Shape &,
-            const nn::Shape &out) {
-            maxElems = std::max(maxElems, nn::shapeNumel(out));
-            if (layer.kind == RLayerKind::MaxPool ||
-                layer.kind == RLayerKind::AvgPool) {
-                const size_t win = layer.poolWindow * layer.poolWindow;
-                if (ws.gatherX.size() < win)
-                    ws.gatherX.resize(win);
-            }
-        });
     // Batch-strided arenas of the production path, sized for maxBatch
     // lanes (larger batches grow them on first use, which would also
-    // discard AlignedVec contents). The pools below also scale with
-    // maxBatch so a whole batch's activation tensors recycle without
-    // growth.
+    // discard AlignedVec contents).
     const size_t mb = std::max<size_t>(1, _config.maxBatch);
     if (_config.fastPath) {
         // Tally inputs and outputs for the widest layer: one grouped
@@ -394,16 +354,6 @@ Chip::buildWorkspace()
             ws.amRows.ensure(mb * TallyScratch::kPassNeurons);
         }
     }
-    for (size_t i = 0; i < 4 * mb; ++i) {
-        std::vector<uint16_t> buf;
-        buf.reserve(maxElems);
-        ws.codePool.push_back(std::move(buf));
-    }
-    for (size_t i = 0; i < 2 * mb; ++i) {
-        std::vector<double> buf;
-        buf.reserve(maxElems);
-        ws.rawPool.push_back(std::move(buf));
-    }
 }
 
 Chip
@@ -411,7 +361,7 @@ Chip::clone() const
 {
     // Replicas share the immutable layer contexts (product tables, AM
     // blocks, packed weights) and only build a private workspace:
-    // instantiation cost is O(activation buffers), not O(model).
+    // instantiation cost is O(batch arenas), not O(model).
     Chip replica(_config);
     replica._model = _model;
     replica._kops = _kops;
@@ -431,7 +381,7 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
       case RLayerKind::Dense: {
         const RnaLayerContext &ctx = _contexts->context(layer);
         beginRun(run, ctx.outputShape(), !layer.outputEncoder.empty(),
-                 lastCompute, ws);
+                 lastCompute);
 
         const auto &codes = layer.weightCodes[0];
         uint64_t worstNeuron = 0;
@@ -461,7 +411,7 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
         const size_t ow = layer.samePadding ? w : w - k + 1;
         const long off = layer.samePadding ? -long(k / 2) : 0;
         beginRun(run, ctx.outputShape(), !layer.outputEncoder.empty(),
-                 lastCompute, ws);
+                 lastCompute);
 
         uint64_t worstNeuron = 0;
         std::vector<uint16_t> wcodes, xcodes;
@@ -513,11 +463,11 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
         const double norm = 1.0 / double(win * win);
 
         const size_t outShape[] = {ch, oh, ow};
-        beginRun(run, outShape, true, false, ws);
+        beginRun(run, outShape, true, false);
         nvm::OpCost poolCost;
         uint64_t worst = 0;
-        // Windows gather into the workspace buffer, whose capacity
-        // configure sized for the widest window.
+        // Windows gather into the workspace buffer, which keeps its
+        // capacity from call to call.
         std::vector<uint16_t> &window = ws.gatherX;
         window.resize(win * win);
         for (size_t c = 0; c < ch; ++c)
@@ -565,8 +515,7 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
         break;
       }
       case RLayerKind::Flatten: {
-        run.output.shape = {in.codes.size()};
-        run.output.codes = ws.takeCodes();
+        run.output.shape.assign(1, in.codes.size());
         run.output.codes.assign(in.codes.begin(), in.codes.end());
         run.stageCycles = 0;
         break;
@@ -619,7 +568,7 @@ Chip::runLayer(const RLayer &layer, const EncodedTensor &in,
             hRaw = std::move(nextRaw);
         }
         run.stageCycles = stepWorst * _contexts->waves(layer);
-        finishRecurrentRun(layer, hRaw, lastCompute, _config.cost, ws, run);
+        finishRecurrentRun(layer, hRaw, lastCompute, _config.cost, run);
         break;
       }
       case RLayerKind::Residual:
@@ -760,7 +709,7 @@ Chip::runTally(const RLayer &layer, const RnaLayerContext &ctx,
     const bool hasAct = ctx.hasActivation();
     const bool hasEnc = ctx.hasEncoder();
     for (size_t L = 0; L < lanes; ++L)
-        beginRun(runs[L], ctx.outputShape(), hasEnc, lastCompute, ws);
+        beginRun(runs[L], ctx.outputShape(), hasEnc, lastCompute);
     if (ws.inputs.size() < lanes)
         ws.inputs.resize(lanes);
     TallyScratch &st = ws.tally;
@@ -913,8 +862,7 @@ Chip::runRecurrentTally(const RLayer &layer, const RnaLayerContext &ctx,
             std::swap(ws.hRaw, ws.hRawNext);
         }
         run.stageCycles = stepWorst * waves;
-        finishRecurrentRun(layer, ws.hRaw, lastCompute, _config.cost, ws,
-                           run);
+        finishRecurrentRun(layer, ws.hRaw, lastCompute, _config.cost, run);
     }
 }
 
@@ -964,10 +912,9 @@ Chip::runLayerBatch(const RLayer &layer,
         const bool last = layer.outputEncoder.empty();
         for (size_t L = 0; L < lanes; ++L) {
             values[L].shape = ins[L].shape;
-            values[L].codes = ws.takeCodes();
             values[L].codes.assign(ins[L].codes.begin(),
                                    ins[L].codes.end());
-            beginRun(runs[L], ins[L].shape, !last, lastCompute, ws);
+            beginRun(runs[L], ins[L].shape, !last, lastCompute);
         }
         ++ws.residualDepth;
         for (size_t i = 0; i < layer.inner.size(); ++i) {
@@ -978,13 +925,11 @@ Chip::runLayerBatch(const RLayer &layer,
                 runs[L].cost += innerRuns[L].cost;
                 runs[L].stageCycles += innerRuns[L].stageCycles;
                 if (lastInner)
-                    block.innerRaws[L] = std::move(innerRuns[L].raw);
-                advanceLane(values[L], innerRuns[L], ws);
+                    std::swap(block.innerRaws[L], innerRuns[L].raw);
+                std::swap(values[L], innerRuns[L].output);
             }
         }
         --ws.residualDepth;
-        for (size_t L = 0; L < lanes; ++L)
-            ws.giveCodes(std::move(values[L].codes));
 
         AccumFormat format;
         const nvm::CostModel &m = _config.cost;
@@ -1014,7 +959,6 @@ Chip::runLayerBatch(const RLayer &layer,
                     runs[L].output.codes[i] = static_cast<uint16_t>(
                         layer.outputEncoder.encode(summed));
             }
-            ws.giveRaw(std::move(innerRaw));
         }
         return;
       }
@@ -1072,8 +1016,7 @@ Chip::runBatch(std::span<const nn::Tensor> inputs,
         for (size_t L = 0; L < lanes; ++L) {
             const nn::Tensor &x = inputs[L];
             encs[L].shape = x.shape();
-            encs[L].codes = ws.takeCodes();
-            encs[L].codes.assign(x.numel(), 0);
+            encs[L].codes.resize(x.numel());
             for (size_t i = 0; i < x.numel(); ++i)
                 encs[L].codes[i] = static_cast<uint16_t>(
                     model.inputEncoder().encode(x[i]));
@@ -1089,16 +1032,7 @@ Chip::runBatch(std::span<const nn::Tensor> inputs,
         t.totalEnergy = t.inputEncode.energy;
     }
 
-    size_t lastCompute = model.layers().size();
-    for (size_t l = model.layers().size(); l-- > 0;) {
-        const RLayerKind kind = model.layers()[l].kind;
-        if (kind == RLayerKind::Dense || kind == RLayerKind::Conv ||
-            kind == RLayerKind::Residual ||
-            kind == RLayerKind::Recurrent) {
-            lastCompute = l;
-            break;
-        }
-    }
+    const size_t lastCompute = composer::lastLogitLayer(model.layers());
 
     for (size_t l = 0; l < model.layers().size(); ++l) {
         const RLayer &layer = model.layers()[l];
@@ -1113,13 +1047,14 @@ Chip::runBatch(std::span<const nn::Tensor> inputs,
                           l == lastCompute);
             if (l == lastCompute)
                 logits[L] = std::move(runs[L].raw);
-            advanceLane(encs[L], runs[L], ws);
+            // The layer's output becomes the lane's input, and the
+            // spent input the buffer the next layer writes: each lane
+            // owns two code buffers that keep their capacity.
+            std::swap(encs[L], runs[L].output);
         }
     }
-    for (size_t L = 0; L < lanes; ++L) {
-        ws.giveCodes(std::move(encs[L].codes));
+    for (size_t L = 0; L < lanes; ++L)
         finalizeReport(ws.tallies[L], logits[L].size(), reports[L]);
-    }
 }
 
 double

@@ -7,9 +7,10 @@
  * The simulator runs batches of samples through the per-neuron RNA
  * engines layer by layer, charging each layer the waves the
  * controller's mapping plan (rna/controller.hh) gives it and
- * pipelining layers across tiles. It produces both
- * the functional output (identical to the software reinterpreted model,
- * which tests assert) and a cycle/energy report per sample.
+ * pipelining layers across tiles. It produces both the functional
+ * output and a cycle/energy report per sample. The chip sums in int64
+ * fixed point, the software reinterpreted model in double, so their
+ * logits agree only to within rounding.
  */
 
 #ifndef RAPIDNN_RNA_CHIP_HH
@@ -128,7 +129,8 @@ class Chip
 
     /**
      * Run one sample: inferBatch() over a batch of one. Returns raw
-     * logits (bit-identical to the software reinterpreted model) and
+     * logits (bit-identical to the reference walk, fastPath = false;
+     * within fixed-point rounding of ReinterpretedModel::forward) and
      * fills the report. Const and free of shared mutable state:
      * concurrent calls on one chip (or on clones) produce
      * bitwise-identical results to serial calls.
@@ -193,7 +195,7 @@ class Chip
     mutable std::unique_ptr<Workspace> _workspace;
 
     /** Build this chip's private workspace from the shared contexts
-     *  (pool seeding, batch arenas). */
+     *  (the batch arenas). */
     void buildWorkspace();
 
     /**

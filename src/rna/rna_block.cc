@@ -155,9 +155,7 @@ RnaLayerContext::RnaLayerContext(const composer::RLayer &layer,
     : _layer(layer), _model(model), _kops(kops),
       _outShape(composer::layerOutputShape(layer, inShape))
 {
-    RAPIDNN_ASSERT(layer.kind == composer::RLayerKind::Dense ||
-                   layer.kind == composer::RLayerKind::Conv ||
-                   layer.kind == composer::RLayerKind::Recurrent,
+    RAPIDNN_ASSERT(composer::isComputeKind(layer.kind),
                    "RnaLayerContext needs a compute layer");
 
     _engines.reserve(layer.productTables.size());

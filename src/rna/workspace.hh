@@ -4,9 +4,10 @@
  *
  * One Workspace is built at Chip::configure time and leased to each
  * inferBatch() call, so the steady-state per-neuron hot loop performs
- * zero heap allocations: the counting scratch resets sparsely and the
+ * zero heap allocations: the counting scratch resets sparsely, the
  * batch-strided arenas are sized up front for ChipConfig::maxBatch
- * lanes. Everything that depends only on the model (packed rows,
+ * lanes, and each batch lane keeps its layer buffers from call to
+ * call. Everything that depends only on the model (packed rows,
  * gather plans, counting cycles) lives in the shared layer contexts.
  * The busy flag lets concurrent infer() calls on one chip stay safe:
  * the loser of the exchange falls back to a private spare workspace.
@@ -18,7 +19,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <utility>
 #include <vector>
 
 #include "common/simd.hh"
@@ -61,20 +61,22 @@ struct NeuronCost
 /** One sample's result of one layer. */
 struct LayerRun
 {
-    composer::EncodedTensor output;
-    std::vector<double> raw;
+    composer::EncodedTensor output;  //!< empty codes: the layer encodes none
+    std::vector<double> raw;         //!< empty unless the last compute layer
     NeuronCost cost;             //!< summed over all neurons
     uint64_t stageCycles = 0;    //!< wall cycles with RNA parallelism
 
     /**
-     * Ready for the next layer. The output codes and raw values must
-     * already have been handed on; the shape keeps its capacity, so
-     * a steady-state layer walk never reallocates it.
+     * Ready for the next layer. Shape, codes and raw values empty but
+     * keep their capacity, so a steady-state layer walk never
+     * reallocates them.
      */
     void
     reset()
     {
         output.shape.clear();
+        output.codes.clear();
+        raw.clear();
         cost = NeuronCost{};
         stageCycles = 0;
     }
@@ -133,7 +135,7 @@ struct Workspace
 {
     AccumScratch accum;
 
-    /** Max-pool window gather target (sized to the widest window). */
+    /** Pool window gather target. */
     std::vector<uint16_t> gatherX;
 
     /**
@@ -174,8 +176,10 @@ struct Workspace
     /**
      * Per-lane state of the layer walk: each lane's current encoded
      * tensor, the runs of the layer in flight and the samples' cost
-     * tallies. They only grow, so a steady-state inferBatch() call
-     * allocates nothing but the logits it returns.
+     * tallies. A lane's input and its run's output swap after every
+     * layer, so each lane owns two code buffers that only grow, and a
+     * steady-state inferBatch() call allocates nothing but the logits
+     * it returns.
      */
     std::vector<composer::EncodedTensor> lanesIn;
     std::vector<LayerRun> lanesRun;
@@ -184,52 +188,6 @@ struct Workspace
      *  deque, so growing it keeps the outer blocks' entries in place. */
     std::deque<ResidualLanes> residual;
     size_t residualDepth = 0;
-
-    /**
-     * Recycled buffer pools for the per-layer activation tensors and
-     * raw-value staging that flow through inferBatch(). take*() hands out
-     * the deepest pooled buffer (capacity intact, size clobbered by
-     * the caller); give*() returns it. Seeded at configure time from
-     * the model's canonical input shape, so the steady-state serve
-     * path allocates nothing — the arena the blob format's zero-copy
-     * loading pairs with.
-     */
-    std::vector<std::vector<uint16_t>> codePool;
-    std::vector<std::vector<double>> rawPool;
-
-    std::vector<uint16_t>
-    takeCodes()
-    {
-        if (codePool.empty())
-            return {};
-        std::vector<uint16_t> buf = std::move(codePool.back());
-        codePool.pop_back();
-        return buf;
-    }
-
-    void
-    giveCodes(std::vector<uint16_t> &&buf)
-    {
-        if (buf.capacity() > 0)
-            codePool.push_back(std::move(buf));
-    }
-
-    std::vector<double>
-    takeRaw()
-    {
-        if (rawPool.empty())
-            return {};
-        std::vector<double> buf = std::move(rawPool.back());
-        rawPool.pop_back();
-        return buf;
-    }
-
-    void
-    giveRaw(std::vector<double> &&buf)
-    {
-        if (buf.capacity() > 0)
-            rawPool.push_back(std::move(buf));
-    }
 
     /**
      * Lease flag: set while an inferBatch() call owns this workspace.
@@ -242,7 +200,6 @@ struct Workspace
      * winner's store(release). See DESIGN.md §11.
      */
     std::atomic<bool> busy{false};
-
 };
 
 } // namespace rapidnn::rna

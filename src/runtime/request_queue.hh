@@ -113,20 +113,6 @@ class BoundedQueue
         return item;
     }
 
-    /** Dequeue without blocking; nullopt when nothing is available. */
-    std::optional<T>
-    tryPop() RAPIDNN_EXCLUDES(_mutex)
-    {
-        std::optional<T> item;
-        {
-            MutexLock lock(_mutex);
-            item = takeFrontLocked();
-        }
-        if (item)
-            _notFull.notifyOne();
-        return item;
-    }
-
     /**
      * Refuse new items. Blocked producers wake and fail; consumers
      * drain the remainder and then see end-of-stream.
@@ -140,13 +126,6 @@ class BoundedQueue
         }
         _notFull.notifyAll();
         _notEmpty.notifyAll();
-    }
-
-    bool
-    closed() const RAPIDNN_EXCLUDES(_mutex)
-    {
-        MutexLock lock(_mutex);
-        return _closed;
     }
 
     /** Instantaneous depth (racy by nature; for stats snapshots). */

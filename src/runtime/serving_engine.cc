@@ -6,8 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/check.hh"
-
 namespace rapidnn::runtime {
 
 namespace {
@@ -58,7 +56,9 @@ ServingEngine::ServingEngine(const composer::ReinterpretedModel &model,
                std::chrono::microseconds(config.maxLatencyUs)),
       _stats(std::max<size_t>(1, config.maxBatch))
 {
-    RAPIDNN_ASSERT(_config.workers > 0, "need at least one worker");
+    if (_config.workers == 0)
+        throw std::invalid_argument(
+            "ServingEngine: needs at least one worker");
     if (_inputShape.empty())
         throw std::invalid_argument(
             "ServingEngine: model records no canonical input shape");

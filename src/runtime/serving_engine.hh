@@ -82,8 +82,9 @@ class ServingEngine
     /**
      * Spin up the worker pool. The model must outlive the engine; it
      * is shared read-only by every replica. Throws
-     * std::invalid_argument if the model records no canonical input
-     * shape (the composer and the blob loader always set one).
+     * std::invalid_argument if `config.workers` is 0 or the model
+     * records no canonical input shape (the composer and the blob
+     * loader always set one).
      */
     ServingEngine(const composer::ReinterpretedModel &model,
                   const rna::ChipConfig &chipConfig,

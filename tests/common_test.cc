@@ -194,24 +194,6 @@ TEST(Histogram, BinsAndClamping)
     EXPECT_DOUBLE_EQ(h.binLeft(5), 5.0);
 }
 
-TEST(StatSet, IncGetMerge)
-{
-    StatSet a;
-    a.inc("cycles", 10);
-    a.inc("cycles", 5);
-    a.set("flag", 1);
-    EXPECT_DOUBLE_EQ(a.get("cycles"), 15.0);
-    EXPECT_DOUBLE_EQ(a.get("missing"), 0.0);
-    EXPECT_TRUE(a.has("flag"));
-
-    StatSet b;
-    b.inc("cycles", 1);
-    b.inc("energy", 2);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("cycles"), 16.0);
-    EXPECT_DOUBLE_EQ(a.get("energy"), 2.0);
-}
-
 // ------------------------------------------------------------------- rng
 
 TEST(Rng, DeterministicForSameSeed)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Data-block tests: word storage, cost accounting, streaming and
- * write-back (paper Figure 1's input/result crossbar memories).
+ * Data-block tests: the stream-out and write-back costs of paper
+ * Figure 1's input/result crossbar memories.
  */
 
 #include <gtest/gtest.h>
@@ -11,33 +11,11 @@
 namespace rapidnn::nvm {
 namespace {
 
-TEST(DataBlock, WriteThenRead)
-{
-    CostModel model;
-    DataBlock block(64, model);
-    OpCost cost;
-    block.write(5, 0xCAFEBABE, cost);
-    EXPECT_EQ(block.read(5, cost), 0xCAFEBABEu);
-    EXPECT_EQ(cost.cycles, 2u);
-    EXPECT_GT(cost.energy.j(), 0.0);
-}
-
-TEST(DataBlock, ProgramBulkLoadsWithoutCost)
-{
-    CostModel model;
-    DataBlock block(16, model);
-    block.program(4, {1, 2, 3});
-    OpCost cost;
-    EXPECT_EQ(block.read(4, cost), 1u);
-    EXPECT_EQ(block.read(6, cost), 3u);
-}
-
 TEST(DataBlock, StreamOutScalesWithLanes)
 {
     CostModel model;
-    DataBlock block(4096, model);
-    const OpCost narrow = block.streamOut(1024, 32);
-    const OpCost wide = block.streamOut(1024, 1024);
+    const OpCost narrow = DataBlock::streamOutCost(model, 1024, 32);
+    const OpCost wide = DataBlock::streamOutCost(model, 1024, 1024);
     EXPECT_EQ(narrow.cycles, 32u);
     EXPECT_EQ(wide.cycles, 1u);
     // Same words moved, same energy.
@@ -47,19 +25,10 @@ TEST(DataBlock, StreamOutScalesWithLanes)
 TEST(DataBlock, WriteBackCostPerWord)
 {
     CostModel model;
-    DataBlock block(128, model);
-    const OpCost ten = block.writeBack(10);
-    const OpCost twenty = block.writeBack(20);
+    const OpCost ten = DataBlock::writeBackCost(model, 10);
+    const OpCost twenty = DataBlock::writeBackCost(model, 20);
     EXPECT_EQ(ten.cycles, 10u);
     EXPECT_NEAR(twenty.energy.j() / ten.energy.j(), 2.0, 1e-9);
-}
-
-TEST(DataBlock, AreaScalesWithCapacity)
-{
-    CostModel model;
-    DataBlock small(1024, model);
-    DataBlock large(4096, model);
-    EXPECT_NEAR(large.area().um2() / small.area().um2(), 4.0, 1e-9);
 }
 
 } // namespace

@@ -43,7 +43,7 @@ TEST(BoundedQueue, TryPushFailsWhenFull)
     EXPECT_TRUE(queue.tryPush(2));
     EXPECT_FALSE(queue.tryPush(3));
     EXPECT_EQ(queue.size(), 2u);
-    EXPECT_EQ(queue.tryPop(), std::optional<int>(1));
+    EXPECT_EQ(queue.pop(), std::optional<int>(1));
     EXPECT_TRUE(queue.tryPush(3));
 }
 
@@ -549,6 +549,17 @@ TEST(ServingEngine, ModelWithoutInputShapeIsRefused)
     model.setCanonicalInputShape({});
     EXPECT_THROW(ServingEngine(model, rna::ChipConfig{}),
                  std::invalid_argument);
+}
+
+TEST(ServingEngine, ZeroWorkersIsRefused)
+{
+    // A caller's configuration error surfaces as an exception, not a
+    // process abort.
+    ServingConfig config;
+    config.workers = 0;
+    EXPECT_THROW(
+        ServingEngine(composedMlp().model, rna::ChipConfig{}, config),
+        std::invalid_argument);
 }
 
 TEST(Rapidnn, ServeEntryPoint)

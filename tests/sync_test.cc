@@ -3,8 +3,8 @@
  * Runtime semantics of the capability-annotated sync wrappers
  * (common/sync.hh): the annotations are compile-time only, so these
  * tests pin the behavior side — RAII acquire/release pairing, tryLock
- * semantics, reader sharing / writer exclusion, and CondVar wait /
- * timed-wait / predicate-wait semantics. The static side (guarded
+ * semantics, and CondVar wait and timed-wait semantics in the explicit
+ * wait loops callers write. The static side (guarded
  * fields must not compile without the lock, scoped locks must not
  * copy) lives in tests/sync_compile_fail.cc, driven as WILL_FAIL
  * compile tests from tests/CMakeLists.txt.
@@ -29,11 +29,7 @@ using namespace std::chrono_literals;
 // would double-release its mutex.
 static_assert(!std::is_copy_constructible_v<MutexLock>);
 static_assert(!std::is_copy_assignable_v<MutexLock>);
-static_assert(!std::is_copy_constructible_v<ReleasableMutexLock>);
-static_assert(!std::is_copy_constructible_v<ReaderMutexLock>);
-static_assert(!std::is_copy_constructible_v<WriterMutexLock>);
 static_assert(!std::is_copy_constructible_v<Mutex>);
-static_assert(!std::is_copy_constructible_v<SharedMutex>);
 static_assert(!std::is_copy_constructible_v<CondVar>);
 
 TEST(SyncMutex, MutexLockProvidesMutualExclusion)
@@ -77,74 +73,6 @@ TEST(SyncMutex, TryLockFailsWhileHeldAndAcquiresWhenFree)
     mutex.unlock();
 }
 
-TEST(SyncMutex, ReleasableLockReleasesEarlyWithoutDoubleUnlock)
-{
-    Mutex mutex;
-    {
-        ReleasableMutexLock lock(mutex);
-        lock.release();
-        // Released early: another thread can take it while `lock` is
-        // still in scope; the dtor must not unlock again.
-        std::atomic<bool> acquired{false};
-        std::thread([&] {
-            if (mutex.tryLock()) {
-                acquired.store(true);
-                mutex.unlock();
-            }
-        }).join();
-        EXPECT_TRUE(acquired.load());
-    }
-    ASSERT_TRUE(mutex.tryLock());
-    mutex.unlock();
-}
-
-TEST(SyncSharedMutex, ReadersShareWritersExclude)
-{
-    SharedMutex mutex;
-    std::atomic<int> concurrentReaders{0};
-    std::atomic<int> peakReaders{0};
-    std::atomic<bool> release{false};
-
-    constexpr int kReaders = 3;
-    std::vector<std::thread> readers;
-    for (int t = 0; t < kReaders; ++t)
-        readers.emplace_back([&] {
-            ReaderMutexLock lock(mutex);
-            const int now = concurrentReaders.fetch_add(1) + 1;
-            int peak = peakReaders.load();
-            while (peak < now &&
-                   !peakReaders.compare_exchange_weak(peak, now)) {
-            }
-            // Hold until released: all readers are inside together
-            // (peak reaches kReaders) while the writer is shut out.
-            while (!release.load())
-                std::this_thread::yield();
-            concurrentReaders.fetch_sub(1);
-        });
-
-    // While readers hold shared mode, a writer must not get in.
-    while (peakReaders.load() < kReaders)
-        std::this_thread::yield();
-    EXPECT_FALSE(mutex.tryLock());
-    release.store(true);
-    for (auto &reader : readers)
-        reader.join();
-
-    // All readers gone: writer acquires, and now readers are shut out.
-    {
-        WriterMutexLock lock(mutex);
-        std::atomic<bool> readerGotIn{false};
-        std::thread([&] {
-            if (mutex.tryLockShared()) {
-                readerGotIn.store(true);
-                mutex.unlockShared();
-            }
-        }).join();
-        EXPECT_FALSE(readerGotIn.load());
-    }
-    EXPECT_EQ(peakReaders.load(), kReaders);
-}
-
 TEST(SyncCondVar, WaitWakesOnNotifyWithStateChange)
 {
     Mutex mutex;
@@ -167,29 +95,6 @@ TEST(SyncCondVar, WaitWakesOnNotifyWithStateChange)
     consumer.join();
 }
 
-TEST(SyncCondVar, PredicateOverloadLoopsUntilSatisfied)
-{
-    Mutex mutex;
-    CondVar cv;
-    int stage = 0;
-
-    std::thread consumer([&] {
-        MutexLock lock(mutex);
-        cv.wait(mutex, [&] { return stage == 2; });
-        EXPECT_EQ(stage, 2);
-    });
-    for (int next : {1, 2}) {
-        {
-            MutexLock lock(mutex);
-            stage = next;
-        }
-        // Notify on stage 1 too: the predicate wait must re-check and
-        // keep waiting rather than wake on the first notify.
-        cv.notifyAll();
-    }
-    consumer.join();
-}
-
 TEST(SyncCondVar, WaitUntilTimesOut)
 {
     Mutex mutex;
@@ -198,6 +103,23 @@ TEST(SyncCondVar, WaitUntilTimesOut)
     const auto deadline = std::chrono::steady_clock::now() + 5ms;
     EXPECT_EQ(cv.waitUntil(mutex, deadline), std::cv_status::timeout);
     EXPECT_GE(std::chrono::steady_clock::now(), deadline);
+}
+
+/**
+ * The deadline loop BoundedQueue::popUntil runs: wait until `flag`
+ * holds or `timeout` passes, then report whether it holds.
+ */
+bool
+waitForFlag(Mutex &mutex, CondVar &cv, const bool &flag,
+            std::chrono::steady_clock::duration timeout)
+    RAPIDNN_REQUIRES(mutex)
+{
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (!flag) {
+        if (cv.waitUntil(mutex, deadline) == std::cv_status::timeout)
+            break;
+    }
+    return flag;
 }
 
 TEST(SyncCondVar, TimedPredicateWaitReportsOutcome)
@@ -209,9 +131,7 @@ TEST(SyncCondVar, TimedPredicateWaitReportsOutcome)
     {
         // Never signalled: times out with the predicate unsatisfied.
         MutexLock lock(mutex);
-        EXPECT_FALSE(cv.waitUntil(
-            mutex, std::chrono::steady_clock::now() + 5ms,
-            [&] { return flag; }));
+        EXPECT_FALSE(waitForFlag(mutex, cv, flag, 5ms));
     }
 
     std::thread producer([&] {
@@ -221,9 +141,7 @@ TEST(SyncCondVar, TimedPredicateWaitReportsOutcome)
     });
     {
         MutexLock lock(mutex);
-        EXPECT_TRUE(cv.waitUntil(
-            mutex, std::chrono::steady_clock::now() + 5s,
-            [&] { return flag; }));
+        EXPECT_TRUE(waitForFlag(mutex, cv, flag, 5s));
     }
     producer.join();
 }
